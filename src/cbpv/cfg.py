@@ -39,10 +39,9 @@ from .syntax import (
     ThunkV,
     FreeVar,
     RecBind,
-    arity,
     as_prog,
-    child,
     is_value,
+    iter_subterms,
     path_text,
     resolve_binder,
 )
@@ -199,23 +198,14 @@ def _eval_args(e: dict, operands: tuple) -> tuple:
 # compilation
 
 
-def _instruction_positions(prog):
-    stack = [((), prog.term)]
-    while stack:
-        p, node = stack.pop()
-        if isinstance(node, (Force, Prd, Lam, If0, Op)):
-            yield p, node
-        kids = [((i,) + p, child(node, i)) for i in range(arity(node))]
-        stack.extend(reversed(kids))
-
-
 def compile(P) -> Cfg:
     prog = as_prog(P)
     if is_value(prog.term):
         raise NotAComputation("values have no control flow")
     blocks = {}
-    for p, node in _instruction_positions(prog):
-        blocks[p] = _compile_at(prog, p, node)
+    for p, node in iter_subterms(prog.term):
+        if isinstance(node, (Force, Prd, Lam, If0, Op)):
+            blocks[p] = _compile_at(prog, p, node)
     return Cfg(pek.eta(prog, ()), blocks, prog)
 
 
@@ -372,13 +362,10 @@ def unload(P, s: PekState):
 def _loc_names(prog):
     counts = {}
     binders = {}
-    stack = [((), prog.term)]
-    while stack:
-        p, node = stack.pop()
+    for p, node in iter_subterms(prog.term):
         if isinstance(node, (Lam, Seq)):
             binders[p] = node.binder
             counts[node.binder] = counts.get(node.binder, 0) + 1
-        stack.extend(((i,) + p, child(node, i)) for i in range(arity(node)))
     return {
         p: name if counts[name] == 1 else f"{name}#{path_text(p)}"
         for p, name in binders.items()

@@ -9,35 +9,29 @@ local rewrites and can validate the result against the original, and
 parse argv, read one file, call into the library, pick an exit code.
 
 Exit codes: 0 success, 1 the program got stuck, 2 fuel ran out, 3 a
-check or validation failed, 64 bad usage or a syntax error.
+check or validation failed, 64 bad usage (a negative ``--fuel`` or
+``--steps`` included) or a syntax error, 70 an internal fault such as
+exhausted recursion or a compiler bug, reported on one stderr line.
 """
 
 import argparse
 import sys
 
-from . import cek, cfg, harness, peak, pek, rewrite, sos
+from . import cfg, harness, rewrite
 from .harness import LevelPair
 from .parser import ParseError, parse_term
 from .printer import print_term
 from .rewrite import RuleId
-from .sos import AwaitingArgument, BareArith, FuelExhausted, Stuck, Verdict
+from .sos import AwaitingArgument, BareArith, Stuck, Verdict
 from .syntax import NumV, as_prog
 
 USAGE_EXIT = 64
+INTERNAL_EXIT = 70
 MACHINES = ("sos", "cek", "peak", "pek", "cfg")
 
 
 class UsageError(Exception):
     """Bad flag values or unreadable input; reported on exit code 64."""
-
-
-def parse_source(text):
-    """Parse program text into a term.
-
-    Raises :class:`~cbpv.parser.ParseError` (message carries line and
-    column) on malformed input.
-    """
-    return parse_term(text)
 
 
 def _load_file(path):
@@ -46,86 +40,37 @@ def _load_file(path):
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None
-    return parse_source(text)
+    return parse_term(text)
 
 
 # ---------------------------------------------------------------------------
 # run
 
 
-def _machine_loop(machine, m, fuel, trace, emit):
-    """Drive one machine from its load state to a halt.
-
-    Returns ``(halt, steps)`` where ``halt`` is the Terminal/Stuck result
-    or None when the step budget ran out after ``fuel`` transitions.
-    When ``trace`` is set, every visited state is described onto ``emit``
-    (state 0 is the load state).
-    """
-    if machine == "sos":
-        out = sos.run(m, fuel, collect_trace=trace)
-        if trace:
-            for line in sos.trace_lines(out):
-                emit(line)
-        halted = type(out.result) is not FuelExhausted
-        return (out.result if halted else None), out.steps_taken
-
-    P = as_prog(m)
-    if machine == "cek":
-        s, alive = cek.load(m), cek.CekState
-        stepf, desc = cek.step, cek.describe
-    elif machine == "peak":
-        s, alive = peak.load(m), peak.PeakState
-        stepf = lambda st: peak.step(P, st)
-        desc = peak.describe
-    elif machine == "pek":
-        s, alive = pek.load(P), pek.PekState
-        stepf = lambda st: pek.step(P, st)
-        desc = pek.describe
-    else:
-        g, s = cfg.load(m)
-        alive = pek.PekState
-        stepf = lambda st: cfg.step(g, st)
-        desc = lambda st, i: cfg.describe(g, st, i)
-
-    i = 0
-    while True:
-        if trace:
-            emit(desc(s, i))
-        r = stepf(s)
-        if type(r) is not alive:
-            return r, i
-        if i == fuel:
-            return None, fuel
-        s, i = r, i + 1
-
-
-def _result_line(m, machine, halt):
+def _result_line(mach, halt):
     """Render a Terminal halt as the one-line observation."""
     kind = halt.kind
     if type(kind) is BareArith:
         return f"result: {kind.n}"
     if type(kind) is AwaitingArgument:
         return "result: awaiting argument"
-    v = kind.value
-    if machine in ("peak", "pek", "cfg"):
-        v = peak.unload_v(as_prog(m), v)
-    if machine != "sos":
-        v = cek.unload_val(v)
+    v = mach.value(kind.value)
     if type(v) is NumV:
         return f"result: {v.n}"
     return f"result: {print_term(v)}"
 
 
 def _cmd_run(args):
-    m = _load_file(args.file)
-    halt, steps = _machine_loop(args.machine, m, args.fuel, args.trace, print)
+    mach = harness.machine(args.machine, _load_file(args.file))
+    trace = (lambda s, i: print(mach.describe(s, i))) if args.trace else None
+    halt, steps, _ = harness.run(mach, args.fuel, trace)
     if halt is None:
         print(f"fuel exhausted after {steps} steps", file=sys.stderr)
         return 2
     if type(halt) is Stuck:
         print(f"stuck: {halt.reason.value}", file=sys.stderr)
         return 1
-    print(_result_line(m, args.machine, halt))
+    print(_result_line(mach, halt))
     return 0
 
 
@@ -141,14 +86,9 @@ def _cmd_compile(args):
 
 
 def _cmd_unload(args):
-    m = _load_file(args.file)
-    g, s = cfg.load(m)
-    for _ in range(max(args.steps, 0)):
-        r = cfg.step(g, s)
-        if type(r) is not pek.PekState:
-            break  # halted early; read back from the last real state
-        s = r
-    print(print_term(cfg.unload(as_prog(m), s)))
+    mach = harness.machine("cfg", _load_file(args.file))
+    _, _, s = harness.run(mach, args.steps)  # a halt reads back the last real state
+    print(print_term(mach.unload(s)))
     return 0
 
 
@@ -312,8 +252,12 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    ap = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = ap.parse_args(argv)
+        for count in ("fuel", "steps"):
+            if getattr(args, count, 0) < 0:
+                ap.error(f"argument --{count}: must not be negative")
     except SystemExit as exc:
         return exc.code or 0
     try:
@@ -324,6 +268,9 @@ def main(argv=None):
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
+    except Exception as exc:  # RecursionError, cfg.UnknownPc, any other fault
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_EXIT
 
 
 if __name__ == "__main__":

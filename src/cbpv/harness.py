@@ -14,11 +14,12 @@ commutation up to its fuel and reports success if no square broke.
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
+from operator import eq
+from typing import Callable
 
 from . import cek, cfg, peak, pek, sos
-from .cek import CekState
 from .peak import KArg, KSeq, PClosure, PeakState
-from .pek import PekState
 from .printer import print_term
 from .sos import Next, ProducedValue, Stuck, Terminal
 from .syntax import (
@@ -119,7 +120,77 @@ def canon_state(prog, rho: PeakState) -> PeakState:
 
 
 # ---------------------------------------------------------------------------
-# halt comparison
+# one record per machine, the loop that runs it, and halt comparison
+
+
+@dataclass(frozen=True)
+class Machine:
+    """One machine of the tower, loaded with a program.
+
+    ``step`` maps a state to the next state or to a Terminal/Stuck halt.
+    ``describe(state, i)`` is the trace line for the ``i``-th state,
+    ``unload`` reads a state back as a source term and ``value`` a
+    produced value as a source value.
+    """
+
+    state: object
+    step: Callable
+    describe: Callable
+    unload: Callable
+    value: Callable
+
+
+def _sos_step(t):
+    r = sos.step(t)
+    return r.term if type(r) is Next else r
+
+
+def _ident(x):
+    return x
+
+
+def machine(name: str, m) -> Machine:
+    """Load ``m`` on the named machine: sos, cek, peak, pek or cfg."""
+    prog = as_prog(m)
+    if name == "sos":
+        return Machine(prog.term, _sos_step, sos.describe, _ident, _ident)
+    if name == "cek":
+        return Machine(cek.load(prog.term), cek.step, cek.describe, cek.unload, cek.unload_val)
+    value = lambda v: cek.unload_val(peak.unload_v(prog, v))
+    if name == "peak":
+        unload = lambda s: cek.unload(peak.unload(prog, s))
+        return Machine(peak.load(prog), partial(peak.step, prog), peak.describe, unload, value)
+    unload = partial(cfg.unload, prog)  # cfg runs on pek's states
+    if name == "pek":
+        return Machine(pek.load(prog), partial(pek.step, prog), pek.describe, unload, value)
+    if name != "cfg":
+        raise ValueError(f"unknown machine: {name!r}")
+    g, s = cfg.load(prog)
+    return Machine(s, partial(cfg.step, g), partial(cfg.describe, g), unload, value)
+
+
+def _halted(r) -> bool:
+    return type(r) is Terminal or type(r) is Stuck
+
+
+def run(mach: Machine, fuel: int, emit=None):
+    """Step from the load state to a halt, taking at most ``fuel`` steps.
+
+    Returns ``(halt, steps, state)``: the Terminal/Stuck halt, or None when
+    the step after the last fueled one still runs; the steps taken; and
+    the last running state.  ``emit(state, i)`` sees every visited state,
+    the load state as 0.
+    """
+    s, i, step = mach.state, 0, mach.step
+    while True:
+        if emit is not None:
+            emit(s, i)
+        r = step(s)
+        if _halted(r):
+            return r, i, s
+        if i >= fuel:
+            return None, i, s
+        s, i = r, i + 1
 
 
 def _halts_align(upper, lower, convert, value_eq) -> bool:
@@ -140,7 +211,7 @@ def _halts_align(upper, lower, convert, value_eq) -> bool:
     return ka == kb
 
 
-def _unloads(fn, *args):
+def _unloads(fn, s):
     """Unload a state, or surface the scoping violation it trips over.
 
     A state the unload function rejects cannot take part in a commutation
@@ -148,157 +219,106 @@ def _unloads(fn, *args):
     of letting a broken machine crash the whole run.
     """
     try:
-        return fn(*args), None
+        return fn(s), None
     except cek.IllFormedState as exc:
         return None, f"state does not unload: {exc}"
 
 
-def _same(a, b) -> bool:
-    return a == b
-
-
 # ---------------------------------------------------------------------------
-# lockstep drivers, one per adjacent pair
+# the lockstep driver for adjacent pairs
 
 
 def lockstep_check(m, pair: LevelPair, fuel: int = 1000, mode: str = "strict") -> Report:
+    """Compare unloaded lower states against the upper ones, from the load
+    states through the one reached by the last fueled step, then the halts."""
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     prog = as_prog(m)
-    if pair is LevelPair.SOS_CEK:
-        return _check_sos_cek(prog, fuel)
-    if pair is LevelPair.CEK_PEAK:
-        return _check_cek_peak(prog, fuel)
-    if pair is LevelPair.PEAK_PEK:
-        return _check_peak_pek(prog, fuel, mode)
-    return _check_pek_cfg(prog, fuel)
-
-
-def _check_sos_cek(prog, fuel) -> Report:
-    level = LevelPair.SOS_CEK.value
-    t = prog.term
-    sigma = cek.load(t)
-    steps = 0
-    while True:
-        u, err = _unloads(cek.unload, sigma)
-        if err is not None:
-            return Report(prog.term, steps, (Failure(steps, level, t, err),))
-        if not alpha_eq(u, t):
-            return Report(prog.term, steps, (Failure(steps, level, t, u),))
-        rs, rm = sos.step(t), cek.step(sigma)
-        going = (type(rs) is Next, type(rm) is CekState)
-        if going != (True, True):
-            if going[0] != going[1] or not _halts_align(rs, rm, cek.unload_val, alpha_eq):
-                return Report(prog.term, steps, (Failure(steps + 1, level, rs, rm),))
-            return Report(prog.term, steps + 1)
-        if steps == fuel:
-            return Report(prog.term, steps)
-        steps += 1
-        t, sigma = rs.term, rm
-
-
-def _check_cek_peak(prog, fuel) -> Report:
-    level = LevelPair.CEK_PEAK.value
-    sigma = cek.load(prog.term)
-    rho = peak.load(prog.term)
-    steps = 0
-    while True:
-        u, err = _unloads(peak.unload, prog, rho)
-        if err is not None:
-            return Report(prog.term, steps, (Failure(steps, level, sigma, err),))
-        if u != sigma:
-            return Report(prog.term, steps, (Failure(steps, level, sigma, u),))
-        rm, rp = cek.step(sigma), peak.step(prog, rho)
-        going = (type(rm) is CekState, type(rp) is PeakState)
-        if going != (True, True):
-            unload_payload = lambda v: peak.unload_v(prog, v)
-            if going[0] != going[1] or not _halts_align(rm, rp, unload_payload, _same):
-                return Report(prog.term, steps, (Failure(steps + 1, level, rm, rp),))
-            return Report(prog.term, steps + 1)
-        if steps == fuel:
-            return Report(prog.term, steps)
-        steps += 1
-        sigma, rho = rm, rp
-
-
-def _check_peak_pek(prog, fuel, mode) -> Report:
-    level = LevelPair.PEAK_PEK.value
-    rho = peak.load(prog.term)
-    s = pek.load(prog)
     if mode == "strict":
-        state_eq = value_eq = _same
+        peak_eq = peak_value_eq = eq
     else:
-        state_eq = lambda a, b: canon_state(prog, a) == canon_state(prog, b)
-        value_eq = lambda a, b: _canon_val(prog, a) == _canon_val(prog, b)
+        peak_eq = lambda a, b: canon_state(prog, a) == canon_state(prog, b)
+        peak_value_eq = lambda a, b: _canon_val(prog, a) == _canon_val(prog, b)
+    # unload one level down, state equality, produced-value conversion and
+    # equality, each at the upper level's representation
+    table = {
+        LevelPair.SOS_CEK: (cek.unload, alpha_eq, cek.unload_val, alpha_eq),
+        LevelPair.CEK_PEAK: (partial(peak.unload, prog), eq, partial(peak.unload_v, prog), eq),
+        LevelPair.PEAK_PEK: (partial(pek.unload, prog), peak_eq, _ident, peak_value_eq),
+        LevelPair.PEK_CFG: (_ident, eq, _ident, eq),
+    }
+    unload, state_eq, convert, value_eq = table[pair]
+    level = pair.value
+    up, lo = (machine(name, prog) for name in level.split("/"))
+    a, b = up.state, lo.state
     steps = 0
     while True:
-        u = pek.unload(prog, s)
-        if not state_eq(rho, u):
-            return Report(prog.term, steps, (Failure(steps, level, rho, u),))
-        ra, rb = peak.step(prog, rho), pek.step(prog, s)
-        going = (type(ra) is PeakState, type(rb) is PekState)
-        if going != (True, True):
-            if going[0] != going[1] or not _halts_align(ra, rb, lambda v: v, value_eq):
+        u, err = _unloads(unload, b)
+        if err is not None:
+            return Report(prog.term, steps, (Failure(steps, level, a, err),))
+        if not state_eq(a, u):
+            return Report(prog.term, steps, (Failure(steps, level, a, u),))
+        if steps > fuel:
+            return Report(prog.term, max(fuel, 0))
+        ra, rb = up.step(a), lo.step(b)
+        if _halted(ra) or _halted(rb):
+            if not _halts_align(ra, rb, convert, value_eq):
                 return Report(prog.term, steps, (Failure(steps + 1, level, ra, rb),))
             return Report(prog.term, steps + 1)
-        if steps == fuel:
-            return Report(prog.term, steps)
         steps += 1
-        rho, s = ra, rb
-
-
-def _check_pek_cfg(prog, fuel) -> Report:
-    level = LevelPair.PEK_CFG.value
-    g = cfg.compile(prog)
-    s = pek.load(prog)
-    steps = 0
-    while True:
-        rp, rg = pek.step(prog, s), cfg.step(g, s)
-        if rp != rg:
-            return Report(prog.term, steps, (Failure(steps + 1, level, rp, rg),))
-        if type(rp) is not PekState:
-            return Report(prog.term, steps + 1)
-        if steps == fuel:
-            return Report(prog.term, steps)
-        steps += 1
-        s = rp
+        a, b = ra, rb
 
 
 # ---------------------------------------------------------------------------
 # the full-tower square
 
 
+class _Broken(Exception):
+    """Carries a failing Report out of the run loop."""
+
+
 def tower_check(m, fuel: int = 1000) -> Report:
+    """Run the block machine, checking each visited state for well-formedness
+    and each step against the structural step of the state unloaded."""
     level = "sos/cfg"
     prog = as_prog(m)
-    g, s = cfg.load(prog)
-    steps = 0
-    while True:
+    low = machine("cfg", prog)
+    ahead = None  # the structural step from the last visited state
+
+    def fail(checked, step, expected, actual):
+        raise _Broken(Report(prog.term, checked, (Failure(step, level, expected, actual),)))
+
+    def arrive(s, i):
+        """The step into state ``i`` commutes; returns the state unloaded."""
+        if type(ahead) is not Next:
+            fail(i - 1, i, ahead, s)
+        u, err = _unloads(low.unload, s)
+        if err is not None or not alpha_eq(u, ahead.term):
+            fail(i - 1, i, ahead.term, u if err is None else err)
+        return u
+
+    def visit(s, i):
+        nonlocal ahead
+        t = arrive(s, i) if i else None
         wf = pek.wf_check(prog, s)
         if not wf.ok:
-            bad = "; ".join(wf.violations)
-            return Report(prog.term, steps, (Failure(steps, level, "well-formed state", bad),))
-        t, err = _unloads(cfg.unload, g, s)
-        if err is not None:
-            return Report(prog.term, steps, (Failure(steps, level, "a state that unloads", err),))
-        rs, rg = sos.step(t), cfg.step(g, s)
-        if type(rg) is PekState:
-            if type(rs) is not Next:
-                return Report(prog.term, steps, (Failure(steps + 1, level, rs, rg),))
-            u, err = _unloads(cfg.unload, g, rg)
+            fail(i, i, "well-formed state", "; ".join(wf.violations))
+        if t is None:
+            t, err = _unloads(low.unload, s)
             if err is not None:
-                return Report(prog.term, steps, (Failure(steps + 1, level, rs.term, err),))
-            if not alpha_eq(u, rs.term):
-                return Report(prog.term, steps, (Failure(steps + 1, level, rs.term, u),))
-            if steps == fuel:
-                return Report(prog.term, steps)
-            steps += 1
-            s = rg
-        else:
-            convert = lambda v: cek.unload_val(peak.unload_v(prog, v))
-            if type(rs) is Next or not _halts_align(rs, rg, convert, alpha_eq):
-                return Report(prog.term, steps, (Failure(steps + 1, level, rs, rg),))
-            return Report(prog.term, steps + 1)
+                fail(i, i, "a state that unloads", err)
+        ahead = sos.step(t)
+
+    try:
+        halt, steps, last = run(low, fuel, visit)
+        if halt is None:
+            arrive(low.step(last), steps + 1)
+            return Report(prog.term, steps)
+    except _Broken as exc:
+        return exc.args[0]
+    if type(ahead) is Next or not _halts_align(ahead, halt, low.value, alpha_eq):
+        return Report(prog.term, steps, (Failure(steps + 1, level, ahead, halt),))
+    return Report(prog.term, steps + 1)
 
 
 # ---------------------------------------------------------------------------

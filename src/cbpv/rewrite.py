@@ -17,8 +17,8 @@ opaque forced value would change the halting classification).
 from dataclasses import dataclass
 from enum import Enum, auto
 
-from . import cek, cfg, peak, pek, sos
-from .sos import ProducedValue, Stuck, Terminal, Verdict
+from . import harness, sos
+from .sos import ProducedValue, Terminal, Verdict
 from .syntax import (
     App,
     Force,
@@ -32,12 +32,11 @@ from .syntax import (
     ThunkV,
     VarV,
     alpha_eq,
-    arity,
     as_prog,
     child,
+    iter_subterms,
     path_text,
     substitute,
-    subterm_at,
     with_child,
 )
 
@@ -153,23 +152,17 @@ def _rewrite(rule: RuleId, node):
     return None
 
 
-def _positions(term):
-    stack = [((), term)]
-    while stack:
-        p, node = stack.pop()
-        yield p, node
-        kids = [((i,) + p, child(node, i)) for i in range(arity(node))]
-        stack.extend(reversed(kids))
+def _redexes(m, rules):
+    """Every matching (rule, position), positions in preorder."""
+    enabled = [r for r in RuleId if rules is None or r in rules]
+    for p, node in iter_subterms(m):
+        for rule in enabled:
+            if _rewrite(rule, node) is not None:
+                yield rule, p
 
 
 def find_redexes(m, rules=None):
-    enabled = [r for r in RuleId if rules is None or r in rules]
-    out = []
-    for p, node in _positions(m):
-        for rule in enabled:
-            if _rewrite(rule, node) is not None:
-                out.append((rule, p))
-    return out
+    return list(_redexes(m, rules))
 
 
 def _replace(term, p, new):
@@ -180,7 +173,7 @@ def _replace(term, p, new):
 
 
 def apply_rule(m, rule: RuleId, at: tuple):
-    node = subterm_at(m, at)
+    node = as_prog(m).at(at)
     new = _rewrite(rule, node)
     if new is None:
         raise NoMatch(f"{rule.name} does not match at {path_text(at)}")
@@ -193,18 +186,10 @@ def apply_rule(m, rule: RuleId, at: tuple):
 
 def optimize(m, rules=None, max_passes=100):
     """Apply the first matching rule repeatedly, up to the pass budget."""
-    enabled = [r for r in RuleId if rules is None or r in rules]
     steps = []
     cur = m
     for _ in range(max_passes):
-        hit = None
-        for p, node in _positions(cur):
-            for rule in enabled:
-                if _rewrite(rule, node) is not None:
-                    hit = (rule, p)
-                    break
-            if hit:
-                break
+        hit = next(_redexes(cur, rules), None)
         if hit is None:
             break
         rule, p = hit
@@ -239,21 +224,11 @@ def _close(m, valuation):
 
 def _graph_observation(m, fuel):
     """Run the compiled graph to a halt; None when fuel runs out."""
-    prog = as_prog(m)
-    g, s = cfg.load(prog)
-    steps = 0
-    while True:
-        r = cfg.step(g, s)
-        if type(r) is not pek.PekState:
-            break
-        if steps == fuel:
-            return None
-        steps += 1
-        s = r
-    if type(r) is Terminal and type(r.kind) is ProducedValue:
-        value = cek.unload_val(peak.unload_v(prog, r.kind.value))
-        return Terminal(ProducedValue(value))
-    return r
+    mach = harness.machine("cfg", m)
+    halt, _, _ = harness.run(mach, fuel)
+    if type(halt) is Terminal and type(halt.kind) is ProducedValue:
+        return Terminal(ProducedValue(mach.value(halt.kind.value)))
+    return halt
 
 
 def validate(m1, m2, fuel=1000, valuations=({},)):

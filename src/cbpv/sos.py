@@ -241,8 +241,8 @@ def run(m, fuel: int, collect_trace: bool = False) -> RunOutcome:
             trace.append(cur)
 
 
-def trace_lines(outcome: RunOutcome):
-    return [f"sos {i}: {print_term(t)}" for i, t in enumerate(outcome.trace or ())]
+def describe(t, i: int) -> str:
+    return f"sos {i}: {print_term(t)}"
 
 
 # ---------------------------------------------------------------------------

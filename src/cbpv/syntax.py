@@ -321,15 +321,6 @@ def as_prog(P) -> Prog:
     return P if isinstance(P, Prog) else Prog(P)
 
 
-def subterm_at(P, p: Path) -> Node:
-    if isinstance(P, Prog):
-        return P.at(p)
-    node = P
-    for i in reversed(p):
-        node = child(node, i)
-    return node
-
-
 # ---------------------------------------------------------------------------
 # free variables (cached on the node; terms are immutable)
 

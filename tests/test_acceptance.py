@@ -14,12 +14,9 @@ from pathlib import Path
 import pytest
 
 import cbpv.fixtures as fx
-from cbpv import cek, cfg, harness, peak, pek, rewrite, sos
-from cbpv.cek import CekState
+from cbpv import cfg, harness, peak, pek, rewrite, sos
 from cbpv.harness import LevelPair, gen_term, lockstep_check, tower_check
 from cbpv.parser import parse_term
-from cbpv.peak import PeakState
-from cbpv.pek import PekState
 from cbpv.rewrite import RuleId
 from cbpv.sos import FuelExhausted, ProducedValue, Stuck, Terminal, Verdict
 from cbpv.syntax import (
@@ -56,58 +53,18 @@ def _ok(n):
 # driving helpers
 
 
-def _run(machine, m, fuel=2000):
-    """Step one machine from load to halt; None when fuel runs out."""
-    if machine == "sos":
-        out = sos.run(m, fuel)
-        return None if type(out.result) is FuelExhausted else out.result
-    P = as_prog(m)
-    if machine == "cek":
-        s, alive, stepf = cek.load(m), CekState, cek.step
-    elif machine == "peak":
-        s, alive = peak.load(m), PeakState
-        stepf = lambda st: peak.step(P, st)
-    elif machine == "pek":
-        s, alive = pek.load(P), PekState
-        stepf = lambda st: pek.step(P, st)
-    else:
-        g, s = cfg.load(m)
-        alive = PekState
-        stepf = lambda st: cfg.step(g, st)
-    for _ in range(fuel + 1):
-        r = stepf(s)
-        if type(r) is not alive:
-            return r
-        s = r
-    return None
-
-
 def _produced_number(machine, m, fuel=2000):
     """The numeral a machine's run produced, unloaded to the source level."""
-    halt = _run(machine, m, fuel)
+    mach = harness.machine(machine, m)
+    halt, _, _ = harness.run(mach, fuel)
     assert type(halt) is Terminal, (machine, halt)
     kind = halt.kind
     if type(kind) is sos.BareArith:
         return kind.n
     assert type(kind) is ProducedValue, (machine, kind)
-    v = kind.value
-    if machine in ("peak", "pek", "cfg"):
-        v = peak.unload_v(as_prog(m), v)
-    if machine != "sos":
-        v = cek.unload_val(v)
+    v = mach.value(kind.value)
     assert type(v) is NumV, (machine, v)
     return v.n
-
-
-def _unload_term(machine, m, state):
-    P = as_prog(m)
-    if machine == "cek":
-        return cek.unload(state)
-    if machine == "peak":
-        return cek.unload(peak.unload(P, state))
-    if machine == "pek":
-        return cek.unload(peak.unload(P, pek.unload(P, state)))
-    return cfg.unload(P, state)
 
 
 # ---------------------------------------------------------------------------
@@ -208,16 +165,9 @@ def test_criterion_06_lockstep_pairs_on_corpus():
 
 def test_criterion_07_round_trip_at_every_level():
     for m in CORPUS:
-        P = as_prog(m)
-        g, s0 = cfg.load(m)
-        states = {
-            "cek": cek.load(m),
-            "peak": peak.load(m),
-            "pek": pek.load(P),
-            "cfg": s0,
-        }
-        for machine, state in states.items():
-            assert alpha_eq(_unload_term(machine, m, state), m), machine
+        for machine in MACHINES[1:]:
+            mach = harness.machine(machine, m)
+            assert alpha_eq(mach.unload(mach.state), m), machine
     _ok(7)
 
 
@@ -228,27 +178,16 @@ def test_criterion_07_round_trip_at_every_level():
 def test_criterion_08_wf_preserved_on_every_visited_state():
     for m in CORPUS:
         P = as_prog(m)
-        rho = peak.load(m)
-        for _ in range(300):
+
+        def peak_wf(rho, i):
             assert peak.wf_check(P, rho).ok
-            r = peak.step(P, rho)
-            if type(r) is not PeakState:
-                break
-            rho = r
-        s = pek.load(P)
-        for _ in range(300):
+
+        def pek_wf(s, i):
             assert pek.wf_check(P, s).ok
-            r = pek.step(P, s)
-            if type(r) is not PekState:
-                break
-            s = r
-        g, s = cfg.load(m)
-        for _ in range(300):
-            assert pek.wf_check(P, s).ok
-            r = cfg.step(g, s)
-            if type(r) is not PekState:
-                break
-            s = r
+
+        harness.run(harness.machine("peak", P), 299, peak_wf)
+        harness.run(harness.machine("pek", P), 299, pek_wf)
+        harness.run(harness.machine("cfg", P), 299, pek_wf)
     _ok(8)
 
 
@@ -264,13 +203,7 @@ def test_criterion_09_stuck_alignment_on_open_terms():
         if type(out.result) is not Stuck:
             continue
         stuck += 1
-        g, s = cfg.load(m)
-        r = None
-        for _ in range(301):
-            r = cfg.step(g, s)
-            if type(r) is not PekState:
-                break
-            s = r
+        r, _, s = harness.run(harness.machine("cfg", m), 300)
         assert type(r) is Stuck, (seed, r)
         assert r == out.result, (seed, r, out.result)
         assert alpha_eq(cfg.unload(as_prog(m), s), out.trace[-1]), seed

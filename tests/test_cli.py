@@ -14,9 +14,9 @@ from hypothesis import given, settings
 
 import cbpv.fixtures as fx
 from cbpv import cfg, harness, rewrite
-from cbpv.cli import main, parse_source
+from cbpv.cli import main
 from cbpv.cfg import IF0
-from cbpv.parser import ParseError
+from cbpv.parser import ParseError, parse_term
 from cbpv.printer import print_term
 from cbpv.syntax import NumV, Prd, alpha_eq, as_prog
 
@@ -55,24 +55,24 @@ def test_fixture_files_match_package_sources():
 @pytest.mark.parametrize("name", sorted(fx.PROGRAMS))
 def test_print_parse_identity_on_fixtures(name):
     t = fx.PROGRAMS[name]
-    assert parse_source(print_term(t)) == t
+    assert parse_term(print_term(t)) == t
 
 
 @given(terms)
 def test_print_parse_identity_on_generated_terms(t):
-    assert parse_source(print_term(t)) == t
+    assert parse_term(print_term(t)) == t
 
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=60, deadline=None)
 def test_print_parse_identity_on_harness_corpus(seed):
     t = harness.gen_term(seed, 15)
-    assert parse_source(print_term(t)) == t
+    assert parse_term(print_term(t)) == t
 
 
-def test_parse_source_reports_position():
+def test_parse_term_reports_position():
     with pytest.raises(ParseError) as exc:
-        parse_source("force thunk { prd 0")
+        parse_term("force thunk { prd 0")
     assert exc.value.line == 1
     assert exc.value.col == 20
 
@@ -192,7 +192,7 @@ def test_unload_after_n_graph_steps(steps, expected, capsys):
 def test_unload_at_load_state_recovers_the_source(name, capsys):
     assert main(["unload", fixture_path(name)]) == 0
     out = capsys.readouterr().out.strip()
-    assert alpha_eq(parse_source(out), fx.PROGRAMS[name])
+    assert alpha_eq(parse_term(out), fx.PROGRAMS[name])
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +214,7 @@ def test_optimize_drains_layered_thunks(capsys):
 def test_optimize_respects_the_rule_filter(capsys):
     assert main(["optimize", "--rules=ForceThunk", fixture_path("layered_thunks")]) == 0
     out = capsys.readouterr().out.strip()
-    assert alpha_eq(parse_source(out), fx.NESTED_SEQ)
+    assert alpha_eq(parse_term(out), fx.NESTED_SEQ)
 
 
 def test_optimize_validates_under_a_valuation(capsys):
@@ -327,6 +327,43 @@ def test_bad_machine_choice_exits_64(source_file, capsys):
 
 def test_missing_subcommand_exits_64(capsys):
     assert main([]) == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["run", "--fuel", "-1"],
+        ["check", "--fuel", "-5"],
+        ["optimize", "--valuation", "a=1", "--fuel", "-1"],
+        ["optimize", "--steps", "-1"],
+        ["unload", "--steps", "-2"],
+    ],
+    ids=lambda argv: " ".join(argv),
+)
+def test_negative_counts_exit_64(argv, source_file, capsys):
+    path = source_file("letrec f = force f in force f")
+    assert main([*argv, path]) == 64
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "must not be negative" in captured.err
+
+
+# ---------------------------------------------------------------------------
+# internal faults
+
+
+def test_recursion_overflow_exits_70(source_file, capsys):
+    path = source_file("force thunk { " * 8000 + "prd 0" + " }" * 8000)
+    assert main(["run", path]) == 70
+    captured = capsys.readouterr()
+    assert captured.err.startswith("internal error: RecursionError: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_unknown_pc_exits_70(monkeypatch, source_file, capsys):
+    monkeypatch.setattr(cfg, "compile", lambda prog: cfg.Cfg((), {}, prog))
+    assert main(["run", "--machine=cfg", source_file("prd 0")]) == 70
+    assert capsys.readouterr().err == "internal error: UnknownPc: ε\n"
 
 
 def test_help_exits_0(capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import close_term, terms
-from cbpv import cfg, harness, pek
+from cbpv import cek, cfg, harness, peak, pek
 from cbpv import fixtures as fx
 from cbpv.cfg import IF0
 from cbpv.harness import Failure, LevelPair, gen_term, lockstep_check, tower_check
@@ -55,11 +55,45 @@ def test_unknown_mode_rejected():
         lockstep_check(fx.ARITH_SEQ, LevelPair.SOS_CEK, 10, mode="sloppy")
 
 
+def test_unknown_machine_rejected():
+    with pytest.raises(ValueError):
+        harness.machine("bogus", fx.ARITH_SEQ)
+
+
 def test_divergent_program_checked_up_to_fuel():
     omega = parse_term("letrec f = force f in force f")
     for pair in ALL_PAIRS:
         report = lockstep_check(omega, pair, fuel=30, mode=_blessed_mode(pair))
         assert report.ok and report.steps_checked == 30, pair
+
+
+# a loop whose states never repeat: a stale state is always a wrong one
+_COUNTER = parse_term(r"letrec f = \x. x + 1 to y in y . force f in 0 . force f")
+_LOWER = {
+    LevelPair.SOS_CEK: cek,
+    LevelPair.CEK_PEAK: peak,
+    LevelPair.PEAK_PEK: pek,
+    LevelPair.PEK_CFG: cfg,
+}
+
+
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
+def test_state_after_the_last_fueled_step_is_checked(monkeypatch, pair):
+    # The lower machine goes wrong only on the step after the last fueled
+    # one, returning its first state again.
+    fuel = 5
+    module = _LOWER[pair]
+    real_step = module.step
+    seen = []
+
+    def step(*args):
+        seen.append(real_step(*args))
+        return seen[0] if len(seen) == fuel + 1 else seen[-1]
+
+    monkeypatch.setattr(module, "step", step)
+    report = lockstep_check(_COUNTER, pair, fuel=fuel, mode=_blessed_mode(pair))
+    assert not report.ok
+    assert report.failures[0].step == fuel + 1
 
 
 @given(terms)

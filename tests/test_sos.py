@@ -15,11 +15,11 @@ from cbpv.sos import (
     StuckReason,
     Terminal,
     Verdict,
+    describe,
     observe_equiv,
     redex_depth,
     run,
     step,
-    trace_lines,
     unroll,
 )
 from cbpv.syntax import (
@@ -205,7 +205,7 @@ def test_run_trace():
     assert out.trace[0] == fx.ARITH_SEQ
     assert out.trace[-1] == Prd(NumV(3))
     assert len(out.trace) == out.steps_taken + 1
-    assert trace_lines(out) == [
+    assert [describe(t, i) for i, t in enumerate(out.trace)] == [
         "sos 0: 1 + 2 to x in prd x",
         "sos 1: prd 3",
     ]

@@ -35,7 +35,6 @@ from cbpv.syntax import (
     path_text,
     resolve_binder,
     substitute,
-    subterm_at,
     with_child,
 )
 
@@ -94,19 +93,19 @@ def test_is_suffix():
     assert not is_suffix((0, 1, 2), (0, 1))
 
 
-def test_subterm_at_examples():
+def test_prog_at_examples():
     m1, m2 = Prd(NumV(1)), Prd(NumV(2))
     p = If0(VarV("v"), m1, m2)
-    assert subterm_at(p, path_from_text("2")) is m2
-    assert subterm_at(p, ()) is p
-    assert subterm_at(fx.ARITH_SEQ, path_from_text("0.1")) == NumV(2)
+    assert as_prog(p).at(path_from_text("2")) is m2
+    assert as_prog(p).at(()) is p
+    assert as_prog(fx.ARITH_SEQ).at(path_from_text("0.1")) == NumV(2)
 
 
-def test_subterm_at_invalid_path():
+def test_prog_at_invalid_path():
     with pytest.raises(InvalidPath):
-        subterm_at(Prd(NumV(0)), (1,))
+        as_prog(Prd(NumV(0))).at((1,))
     with pytest.raises(InvalidPath):
-        subterm_at(fx.MULT, path_from_text("5"))
+        as_prog(fx.MULT).at(path_from_text("5"))
 
 
 def test_child_index_convention():
@@ -131,7 +130,7 @@ def test_subterm_matches_naive_descent(t):
     assert list(iter_subterms(t)) == pairs
     prog = as_prog(t)
     for p, node in pairs:
-        assert subterm_at(t, p) is node
+        assert as_prog(t).at(p) is node
         assert prog.at(p) is node
 
 
@@ -248,11 +247,11 @@ def test_close_term_closes(t):
 
 def test_resolve_binder_in_mult():
     occ = path_from_text("1.0.0.0.0")
-    assert subterm_at(fx.MULT, occ) == VarV("x")
+    assert as_prog(fx.MULT).at(occ) == VarV("x")
     assert resolve_binder(fx.MULT, occ) == LamBind(path_from_text("1.0"))
 
     force_site = path_from_text("1.0.0.0.2.1.2.1.1.1.1.0")
-    assert subterm_at(fx.MULT, force_site) == VarV("mult")
+    assert as_prog(fx.MULT).at(force_site) == VarV("mult")
     assert resolve_binder(fx.MULT, force_site) == RecBind((), 1)
     assert resolve_binder(fx.MULT, path_from_text("0.0")) == RecBind((), 1)
 
