@@ -7,17 +7,25 @@ so the machine dispatches on instructions alone and never inspects the term.
 States are shared with the instruction-pointer machine — only the transition
 function changes — which keeps the two machines comparable step by step.
 
+compile is one iterative preorder walk, linear in the number of nodes: it
+carries the static argument frames and the lexical scope down the tree and
+computes advancement (eta) bottom-up over the same walk.  It calls none of
+pek's per-position routes (``pek.aframes``, ``pek.eta``) nor
+``resolve_binder``.  Those stay the pek machine's own, so the pek/cfg
+lockstep check compares two independent derivations of the static structure.
+
 Positions whose static frames cannot match their node form compile to STUCK
 instructions instead of failing: compilation is total over computation
 terms, open ones included, and halting is reported when the block runs.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Union
 
 from . import cek, peak, pek
 from .peak import KArg, MissingBinding, NumP, PClosure
-from .pek import ARG, SEQ, KRet, PekState
+from .pek import KRet, PekState
 from .cek import SymVar
 from .sos import (
     AwaitingArgument,
@@ -28,22 +36,21 @@ from .sos import (
     Terminal,
 )
 from .syntax import (
+    App,
     ArithOp,
     Force,
     If0,
     Lam,
+    LetRec,
     NumV,
     Op,
     Prd,
     Seq,
     ThunkV,
-    FreeVar,
-    RecBind,
+    arity,
     as_prog,
     is_value,
-    iter_subterms,
     path_text,
-    resolve_binder,
 )
 
 
@@ -148,6 +155,9 @@ class Cfg:
     entry: tuple
     blocks: dict  # Path -> (Instruction, successor paths); preorder
     prog: object = field(compare=False, repr=False)
+    # (binder path, listing name) pairs from compile's pass; None on a graph
+    # built by hand, whose names print_cfg then derives from the program
+    locs: list = field(default=None, compare=False, repr=False)
 
 
 CfgState = PekState
@@ -158,22 +168,15 @@ CfgState = PekState
 
 
 def operand_of(P, p: tuple) -> Operand:
+    """The operand a value position compiles to, read from compile's pass."""
     prog = as_prog(P)
-    v = prog.at(p)
-    t = type(v)
-    if t is NumV:
-        return NAT(v.n)
-    if t is ThunkV:
-        return LBL(pek.eta(prog, (0,) + p))
-    if not is_value(v):
+    if not is_value(prog.at(p)):
         raise NotAValue(f"no operand for computation at {path_text(p)}")
-    ref = resolve_binder(prog, p)
-    rt = type(ref)
-    if rt is FreeVar:
-        return VAR(ref.name)
-    if rt is RecBind:
-        return LBL(pek.eta(prog, (ref.index,) + ref.path))
-    return LOC(ref.path)
+    ix = _Index(prog.term)
+    i = 0
+    for j in reversed(p):
+        i = ix.first[i] + j
+    return ix.operand(i)
 
 
 def eval_operand(e: dict, o: Operand):
@@ -202,61 +205,189 @@ def compile(P) -> Cfg:
     prog = as_prog(P)
     if is_value(prog.term):
         raise NotAComputation("values have no control flow")
-    blocks = {}
-    for p, node in iter_subterms(prog.term):
-        if isinstance(node, (Force, Prd, Lam, If0, Op)):
-            blocks[p] = _compile_at(prog, p, node)
-    return Cfg(pek.eta(prog, ()), blocks, prog)
+    ix = _Index(prog.term)
+    blocks = {ix.paths[i]: _block(ix, i, node, a) for i, node, a in ix.plans}
+    return Cfg(ix.target(0), blocks, prog, ix.locs())
 
 
-def _compile_at(prog, p, node):
+# The static argument frames of ``pek.aframes`` as cons cells, innermost
+# first: (_ARG, id of the App's argument, rest) or (_SEQ, id of the Seq,
+# rest); the empty stack is ().
+_ARG, _SEQ = "arg", "seq"
+
+
+class _Index:
+    """One iterative preorder walk over a program: what compile needs of
+    every node, by integer id.
+
+    A node's children get consecutive ids when it is visited, so every id
+    is above its parent's.  Down the tree the walk carries the static
+    argument frames and the lexical scope, a name -> binder map undone on
+    leaving the binder's subtree.  It records each value's operand, each
+    instruction position, and the child ``pek.eta`` descends into; one sweep
+    from the top id down then turns those links into the instruction
+    position eta reaches.
+
+    Only instruction positions and Seq binders get a path, built once: that
+    tuple is the block key, LOC/LBL target, destination and successor
+    wherever the node shows up.  A path costs its depth to build, so the
+    other nodes carry just the child indices below their nearest ancestor
+    with a path.
+    """
+
+    __slots__ = ("paths", "first", "eta", "ops", "plans", "binders")
+
+    def __init__(self, term):
+        paths = {}  # id -> path, for instruction positions and Seq nodes
+        first = [0]  # id -> id of its first child
+        eta = [0]  # id -> descent child (or itself); after the sweep, eta's result
+        ops = [None]  # id -> Operand, or the id whose eta an LBL targets
+        plans = []  # (id, node, frames) of instruction positions, in preorder
+        binders = []  # (path, name) of Lam and Seq nodes
+        scope = {}  # name -> LOC of a Lam/Seq binder, or id of a letrec definition
+        undo = []  # (depth of the binder, name, shadowed ref or None)
+        # Entries are (id, node, frames, binds, head, base).  binds take effect
+        # at the node and last until its parent's subtree is left.  The node's
+        # path is head + base: base is the path of its nearest ancestor that
+        # has one, head the child indices below that ancestor.
+        stack = [(0, term, (), (), (), ())]
+        while stack:
+            i, node, a, binds, head, base = stack.pop()
+            depth = len(head) + len(base)
+            while undo and undo[-1][0] >= depth:
+                _, name, old = undo.pop()
+                if old is None:
+                    del scope[name]
+                else:
+                    scope[name] = old
+            for name, ref in binds:
+                undo.append((depth - 1, name, scope.get(name)))
+                scope[name] = ref
+            k = arity(node)
+            t = type(node)
+            if not k:
+                if t is NumV:
+                    ops[i] = NAT(node.n)
+                else:
+                    ref = scope.get(node.name)
+                    ops[i] = VAR(node.name) if ref is None else ref
+                continue
+            c = first[i] = len(eta)
+            first.extend([0] * k)
+            eta.extend(range(c, c + k))
+            ops.extend([None] * k)
+            push = stack.append
+            if t is ThunkV:
+                ops[i] = c
+                push((c, node.body, (), (), (0,) + head, base))
+                continue
+            if t is App:
+                eta[i] = c + 1
+                push((c + 1, node.body, (_ARG, c, a), (), (1,) + head, base))
+                push((c, node.arg, (), (), (0,) + head, base))
+                continue
+            if t is LetRec:
+                eta[i] = c
+                for j in range(k - 1, 0, -1):
+                    push((c + j, node.defs[j - 1][1], (), (), (j,) + head, base))
+                names = {}
+                for j, (name, _) in enumerate(node.defs, 1):
+                    names.setdefault(name, c + j)  # the leftmost duplicate wins
+                push((c, node.body, a, tuple(names.items()), (0,) + head, base))
+                continue
+            p = paths[i] = head + base
+            if t is Seq:
+                eta[i] = c
+                binders.append((p, node.binder))
+                push((c + 1, node.right, a, ((node.binder, LOC(p)),), (1,), p))
+                push((c, node.left, (_SEQ, i, a), (), (0,), p))
+                continue
+            plans.append((i, node, a))
+            if t is Lam:
+                binders.append((p, node.binder))
+                rest = a[2] if a and a[0] is _ARG else a
+                push((c, node.body, rest, ((node.binder, LOC(p)),), (0,), p))
+            elif t is If0:
+                push((c + 2, node.orelse, a, (), (2,), p))
+                push((c + 1, node.then, a, (), (1,), p))
+                push((c, node.guard, (), (), (0,), p))
+            elif t is Op:
+                push((c + 1, node.rhs, (), (), (1,), p))
+                push((c, node.lhs, (), (), (0,), p))
+            else:  # Force, Prd
+                push((c, node.value, (), (), (0,), p))
+        for i in range(len(eta) - 1, -1, -1):
+            d = eta[i]
+            if d != i:
+                eta[i] = eta[d]
+        self.paths, self.first, self.eta, self.ops = paths, first, eta, ops
+        self.plans, self.binders = plans, binders
+
+    def target(self, i: int) -> tuple:
+        """The instruction position eta reaches from node ``i``."""
+        return self.paths[self.eta[i]]
+
+    def seq_exit(self, s: int):
+        """Where a value produced for Seq ``s`` is bound, and the successors
+        that resume at its right component."""
+        return self.paths[s], (self.target(self.first[s] + 1),)
+
+    def operand(self, i: int) -> Operand:
+        o = self.ops[i]
+        return LBL(self.target(o)) if type(o) is int else o
+
+    def locs(self) -> list:
+        """Listing names of the binders; a duplicated name gets its path."""
+        counts = Counter(name for _, name in self.binders)
+        return [
+            (p, name if counts[name] == 1 else f"{name}#{path_text(p)}")
+            for p, name in self.binders
+        ]
+
+
+def _block(ix: _Index, i: int, node, a):
+    """The block of instruction position ``i`` under static frames ``a``."""
     t = type(node)
-    a = pek.aframes(prog, p)
+    c = ix.first[i]
 
     if t is Force:
-        prefix = []
-        seq = None
-        for f in a:
-            if type(f) is SEQ:
-                seq = f
-                break
-            prefix.append(f)
-        operands = tuple(operand_of(prog, (0,) + f.path) for f in prefix)
-        fn = operand_of(prog, (0,) + p)
-        if seq is None:
-            return TAIL(fn, operands), ()
-        resume = pek.eta(prog, (1,) + seq.path)
-        return CALL(fn, operands, seq.path), (resume,)
+        args = []
+        while a and a[0] is _ARG:
+            args.append(ix.operand(a[1]))
+            a = a[2]
+        fn = ix.operand(c)
+        if not a:
+            return TAIL(fn, tuple(args)), ()
+        bind, succs = ix.seq_exit(a[1])
+        return CALL(fn, tuple(args), bind), succs
 
     if t is If0:
-        zero = pek.eta(prog, (1,) + p)
-        nonzero = pek.eta(prog, (2,) + p)
-        return IF0(operand_of(prog, (0,) + p), zero, nonzero), (zero, nonzero)
+        zero, nonzero = ix.target(c + 1), ix.target(c + 2)
+        return IF0(ix.operand(c), zero, nonzero), (zero, nonzero)
 
     if t is Prd:
         if a:
-            f = a[0]
-            if type(f) is ARG:
+            if a[0] is _ARG:
                 return STUCK(StuckReason.ApplyNonFunction), ()
-            return MOV(operand_of(prog, (0,) + p), f.path), (pek.eta(prog, (1,) + f.path),)
-        return RET(operand_of(prog, (0,) + p)), ()
+            dst, succs = ix.seq_exit(a[1])
+            return MOV(ix.operand(c), dst), succs
+        return RET(ix.operand(c)), ()
 
     if t is Lam:
+        p = ix.paths[i]
         if a:
-            f = a[0]
-            if type(f) is SEQ:
+            if a[0] is _SEQ:
                 return STUCK(StuckReason.SequencedNonProducer), ()
-            return MOV(operand_of(prog, (0,) + f.path), p), (pek.eta(prog, (0,) + p),)
-        return POP(p), (pek.eta(prog, (0,) + p),)
+            return MOV(ix.operand(a[1]), p), (ix.target(c),)
+        return POP(p), (ix.target(c),)
 
     # Op
-    lhs = operand_of(prog, (0,) + p)
-    rhs = operand_of(prog, (1,) + p)
+    lhs, rhs = ix.operand(c), ix.operand(c + 1)
     if a:
-        f = a[0]
-        if type(f) is ARG:
+        if a[0] is _ARG:
             return STUCK(StuckReason.ApplyNonFunction), ()
-        return OP(lhs, node.op, rhs, f.path), (pek.eta(prog, (1,) + f.path),)
+        dst, succs = ix.seq_exit(a[1])
+        return OP(lhs, node.op, rhs, dst), succs
     return OPRET(lhs, node.op, rhs), ()
 
 
@@ -359,63 +490,77 @@ def unload(P, s: PekState):
 # textual emission
 
 
-def _loc_names(prog):
-    counts = {}
-    binders = {}
-    for p, node in iter_subterms(prog.term):
-        if isinstance(node, (Lam, Seq)):
-            binders[p] = node.binder
-            counts[node.binder] = counts.get(node.binder, 0) + 1
-    return {
-        p: name if counts[name] == 1 else f"{name}#{path_text(p)}"
-        for p, name in binders.items()
-    }
+_MISS = object()
 
 
-def _render_operand(o, labels, locs):
+def _lookup(pairs):
+    """A path -> value lookup that tries the path object's identity first.
+
+    compile hands out one tuple per position, so its graphs are found by
+    identity and no deep path is hashed (hashing costs the path's length).
+    Anything else, such as a graph built by hand, falls back to equality.
+    """
+    pairs = list(pairs)  # keeps every keyed object alive, so ids stay unique
+    by_id = {id(p): v for p, v in pairs}
+    by_path = None
+
+    def get(p):
+        nonlocal by_path
+        v = by_id.get(id(p), _MISS)
+        if v is _MISS:
+            if by_path is None:
+                by_path = dict(pairs)
+            v = by_path[p]
+        return v
+
+    return get
+
+
+def _render_operand(o, label, loc):
     t = type(o)
     if t is NAT:
         return str(o.n)
     if t is VAR:
         return o.name
     if t is LOC:
-        return locs[o.binder]
-    return f"@{labels[o.target]}"
+        return loc(o.binder)
+    return f"@{label(o.target)}"
 
 
-def _render(instr, labels, locs):
+def _render(instr, label, loc):
     t = type(instr)
-    op = lambda o: _render_operand(o, labels, locs)
+    op = lambda o: _render_operand(o, label, loc)
     if t is CALL:
-        return " ".join(["CALL", op(instr.fn), *map(op, instr.args), locs[instr.bind]])
+        return " ".join(["CALL", op(instr.fn), *map(op, instr.args), loc(instr.bind)])
     if t is TAIL:
         return " ".join(["TAIL", op(instr.fn), *map(op, instr.args)])
     if t is MOV:
-        return f"MOV {op(instr.src)} {locs[instr.dst]}"
+        return f"MOV {op(instr.src)} {loc(instr.dst)}"
     if t is RET:
         return f"RET {op(instr.src)}"
     if t is POP:
-        return f"POP {locs[instr.dst]}"
+        return f"POP {loc(instr.dst)}"
     if t is IF0:
         return f"IF0 {op(instr.guard)}"
     if t is OP:
-        return f"OP {instr.op.name} {op(instr.lhs)} {op(instr.rhs)} {locs[instr.dst]}"
+        return f"OP {instr.op.name} {op(instr.lhs)} {op(instr.rhs)} {loc(instr.dst)}"
     if t is OPRET:
         return f"OPRET {instr.op.name} {op(instr.lhs)} {op(instr.rhs)}"
     return f"STUCK {instr.reason.name}"
 
 
 def print_cfg(G: Cfg) -> str:
-    labels = {p: i for i, p in enumerate(G.blocks)}
-    locs = _loc_names(G.prog)
+    label = _lookup((p, i) for i, p in enumerate(G.blocks))
+    locs = G.locs if G.locs is not None else _Index(as_prog(G.prog).term).locs()
+    loc = _lookup(locs)
     lines = []
-    for p, (instr, succs) in G.blocks.items():
-        succ_text = " ".join(str(labels[q]) for q in succs)
-        lines.append(f"{labels[p]}: {_render(instr, labels, locs)} [{succ_text}]")
+    for i, (instr, succs) in enumerate(G.blocks.values()):
+        succ_text = " ".join(str(label(q)) for q in succs)
+        lines.append(f"{i}: {_render(instr, label, loc)} [{succ_text}]")
     return "\n".join(lines)
 
 
-def _record_operands(instr, labels):
+def _record_operands(instr):
     def ser(o):
         t = type(o)
         if t is NAT:
@@ -447,17 +592,17 @@ def _record_operands(instr, labels):
 
 
 def records(G: Cfg) -> str:
-    labels = {p: i for i, p in enumerate(G.blocks)}
+    label = _lookup((p, i) for i, p in enumerate(G.blocks))
     rows = []
-    for p, (instr, succs) in G.blocks.items():
+    for i, (p, (instr, succs)) in enumerate(G.blocks.items()):
         rows.append(
             "\t".join(
                 [
-                    str(labels[p]),
+                    str(i),
                     path_text(p),
                     type(instr).__name__,
-                    ",".join(_record_operands(instr, labels)),
-                    ",".join(str(labels[q]) for q in succs),
+                    ",".join(_record_operands(instr)),
+                    ",".join(str(label(q)) for q in succs),
                 ]
             )
         )

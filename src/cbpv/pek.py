@@ -87,8 +87,9 @@ def aframes(P, p: tuple) -> tuple:
             break
         pending.append(p)
         p = p[1:]
+    parent = p  # each pending path's parent is the one handled before it
     for q in reversed(pending):
-        head, parent = q[0], q[1:]
+        head = q[0]
         node = prog.at(parent)
         t = type(node)
         if t is App and head == 1:
@@ -108,6 +109,7 @@ def aframes(P, p: tuple) -> tuple:
         else:
             r = ()
         tab[q] = r
+        parent = q
     return tab[pending[0]] if pending else tab[p]
 
 

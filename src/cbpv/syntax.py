@@ -285,9 +285,9 @@ def iter_subterms(root: Node) -> Iterator[tuple]:
 class Prog:
     """A fixed program plus caches for the path-indexed queries.
 
-    The machines and the compiler re-walk the same tree constantly; wrapping
-    the program once avoids quadratic path chasing.  Every public function
-    that takes a program accepts either a plain Term or a Prog.
+    The machines re-walk the same tree constantly; wrapping the program once
+    avoids quadratic path chasing.  Every public function that takes a
+    program accepts either a plain Term or a Prog.
     """
 
     __slots__ = ("term", "_nodes", "_tables")
@@ -301,10 +301,18 @@ class Prog:
         nodes = self._nodes
         node = nodes.get(p)
         if node is None:
-            node = self.term
-            for i in reversed(p):
-                node = child(node, i)
-            nodes[p] = node
+            # Climb to the nearest cached ancestor (the root always is), then
+            # cache every level below it: one child() per newly cached path.
+            missing = [p]
+            q = p[1:]
+            node = nodes.get(q)
+            while node is None:
+                missing.append(q)
+                q = q[1:]
+                node = nodes.get(q)
+            for q in reversed(missing):
+                node = child(node, q[0])
+                nodes[q] = node
         return node
 
     def table(self, key: str) -> dict:

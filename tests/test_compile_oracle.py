@@ -1,0 +1,274 @@
+"""compile against a per-position oracle, and compile's and Prog.at's op counts.
+
+The oracle compiles each instruction position on its own from pek's static
+routes (``pek.aframes``, ``pek.eta``) and ``resolve_binder``, walking paths
+up from each position.  That is how compile worked before its single
+preorder pass, and it shares no code with the pass, so equal graphs mean
+the two derivations of the static structure agree.
+"""
+
+import pytest
+from hypothesis import given, settings
+
+import cbpv.fixtures as fx
+from cbpv import cfg, pek, syntax
+from cbpv.cfg import (
+    CALL,
+    IF0,
+    LBL,
+    LOC,
+    MOV,
+    NAT,
+    OP,
+    OPRET,
+    POP,
+    RET,
+    STUCK,
+    TAIL,
+    VAR,
+    Cfg,
+    compile,
+    print_cfg,
+    records,
+)
+from cbpv.harness import gen_term
+from cbpv.parser import parse_term
+from cbpv.peak import ARG, SEQ
+from cbpv.sos import StuckReason
+from cbpv.syntax import (
+    Force,
+    FreeVar,
+    If0,
+    Lam,
+    NumV,
+    Op,
+    Prd,
+    RecBind,
+    ThunkV,
+    as_prog,
+    is_value,
+    iter_subterms,
+    resolve_binder,
+)
+
+from conftest import terms
+
+# ---------------------------------------------------------------------------
+# the oracle
+
+
+def _oracle_operand(prog, p):
+    v = prog.at(p)
+    t = type(v)
+    if t is NumV:
+        return NAT(v.n)
+    if t is ThunkV:
+        return LBL(pek.eta(prog, (0,) + p))
+    ref = resolve_binder(prog, p)
+    rt = type(ref)
+    if rt is FreeVar:
+        return VAR(ref.name)
+    if rt is RecBind:
+        return LBL(pek.eta(prog, (ref.index,) + ref.path))
+    return LOC(ref.path)
+
+
+def _oracle_block(prog, p, node):
+    t = type(node)
+    a = pek.aframes(prog, p)
+    op = lambda q: _oracle_operand(prog, q)
+
+    if t is Force:
+        prefix = []
+        seq = None
+        for f in a:
+            if type(f) is SEQ:
+                seq = f
+                break
+            prefix.append(f)
+        operands = tuple(op((0,) + f.path) for f in prefix)
+        fn = op((0,) + p)
+        if seq is None:
+            return TAIL(fn, operands), ()
+        resume = pek.eta(prog, (1,) + seq.path)
+        return CALL(fn, operands, seq.path), (resume,)
+
+    if t is If0:
+        zero = pek.eta(prog, (1,) + p)
+        nonzero = pek.eta(prog, (2,) + p)
+        return IF0(op((0,) + p), zero, nonzero), (zero, nonzero)
+
+    if t is Prd:
+        if a:
+            f = a[0]
+            if type(f) is ARG:
+                return STUCK(StuckReason.ApplyNonFunction), ()
+            return MOV(op((0,) + p), f.path), (pek.eta(prog, (1,) + f.path),)
+        return RET(op((0,) + p)), ()
+
+    if t is Lam:
+        if a:
+            f = a[0]
+            if type(f) is SEQ:
+                return STUCK(StuckReason.SequencedNonProducer), ()
+            return MOV(op((0,) + f.path), p), (pek.eta(prog, (0,) + p),)
+        return POP(p), (pek.eta(prog, (0,) + p),)
+
+    lhs = op((0,) + p)
+    rhs = op((1,) + p)
+    if a:
+        f = a[0]
+        if type(f) is ARG:
+            return STUCK(StuckReason.ApplyNonFunction), ()
+        return OP(lhs, node.op, rhs, f.path), (pek.eta(prog, (1,) + f.path),)
+    return OPRET(lhs, node.op, rhs), ()
+
+
+def oracle_compile(m):
+    prog = as_prog(m)
+    blocks = {
+        p: _oracle_block(prog, p, node)
+        for p, node in iter_subterms(prog.term)
+        if isinstance(node, (Force, Prd, Lam, If0, Op))
+    }
+    return pek.eta(prog, ()), blocks
+
+
+def _agrees(m):
+    g = compile(m)
+    entry, blocks = oracle_compile(m)
+    assert g.entry == entry
+    assert g.blocks == blocks
+    assert list(g.blocks) == list(blocks)  # the same preorder, so the same labels
+
+
+# ---------------------------------------------------------------------------
+# program families with deep nesting
+
+
+def chain_text(n):
+    links = ["1 + 0 to x0 in "] + [f"x{i - 1} + 1 to x{i} in " for i in range(1, n)]
+    return "".join(links) + f"prd x{n - 1}"
+
+
+def thunks_text(n):
+    return "force thunk { " * n + "prd 0" + " }" * n
+
+
+def sum_text(n):
+    return (
+        r"letrec sum = \n. if0 n { prd 0 } "
+        f"{{ n - 1 to k in (k . force sum) to r in n + r }} in {n} . force sum"
+    )
+
+
+DEPTHS = (1, 2, 7, 60)
+
+
+# ---------------------------------------------------------------------------
+# differential tests
+
+
+def test_compile_agrees_with_the_oracle_on_fixtures():
+    for m in fx.PROGRAMS.values():
+        _agrees(m)
+
+
+def test_compile_agrees_with_the_oracle_on_the_acceptance_corpus():
+    for seed in range(1000):
+        _agrees(gen_term(seed, seed % 26))
+
+
+def test_compile_agrees_with_the_oracle_on_open_terms():
+    for seed in range(500):
+        _agrees(gen_term(seed, seed % 26, closed=False))
+
+
+@pytest.mark.parametrize("family", [chain_text, thunks_text, sum_text])
+def test_compile_agrees_with_the_oracle_on_deep_families(family):
+    for n in DEPTHS:
+        _agrees(parse_term(family(n)))
+
+
+@settings(deadline=None)
+@given(terms)
+def test_compile_agrees_with_the_oracle_on_generated_terms(t):
+    # hypothesis terms are often ill-formed: thunks as arithmetic operands,
+    # duplicate letrec names, shadowing across every binder form
+    if not is_value(t):
+        _agrees(t)
+
+
+def test_shadowing_and_duplicate_letrec_names():
+    for text in (
+        r"letrec f = prd 1 and f = prd 2 in force f",
+        r"\x. 1 + 1 to x in letrec x = prd x in force x to y in \x. prd x",
+        r"1 + 1 to x in (\x. prd x) to x in prd x",
+        r"letrec g = 0 . \g. force g in 3 . force g",
+    ):
+        _agrees(parse_term(text))
+
+
+# ---------------------------------------------------------------------------
+# operation counts, not time
+
+
+def _count_calls(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", [chain_text, thunks_text, sum_text])
+def test_compile_visits_each_node_once(monkeypatch, family):
+    for n in (1, 10, 100):
+        term = parse_term(family(n))
+        nodes = sum(1 for _ in iter_subterms(term))
+        prog = as_prog(term)
+        with monkeypatch.context() as mp:
+            visits = _count_calls(mp, cfg, "arity")
+            walks = _count_calls(mp, syntax, "child")
+            lookups = _count_calls(mp, syntax.Prog, "at")
+            compile(prog)
+        assert len(visits) == nodes
+        assert not walks and not lookups
+
+
+def test_prog_at_calls_child_once_per_newly_cached_path(monkeypatch):
+    prog = as_prog(parse_term(chain_text(50)))
+    calls = _count_calls(monkeypatch, syntax, "child")
+    deep = (0,) + (1,) * 49  # the last link's Op
+    prog.at(deep)
+    assert len(calls) == 50  # every level from the root down
+    prog.at(deep)
+    prog.at(deep[1:])
+    assert len(calls) == 50  # cached
+    prog.at((0,) + deep)  # one level below a cached path
+    assert len(calls) == 51
+    prog.at((1,) * 50)
+    prog.at((0, 1) + (1,) * 49)  # the last link's prd x49, then its value
+    assert len(calls) == 53
+    assert prog.at((0,) + deep) == syntax.VarV("x48")
+    assert prog.at((0, 1) + (1,) * 49) == syntax.VarV("x49")
+
+
+# ---------------------------------------------------------------------------
+# graphs built by hand
+
+
+def test_print_cfg_of_a_hand_built_graph_matches_the_compiled_one():
+    for m in list(fx.PROGRAMS.values()) + [
+        parse_term("1 + 1 to x in 2 + 2 to x in prd x"),
+        parse_term(chain_text(7)),
+    ]:
+        g = compile(m)
+        entry, blocks = oracle_compile(m)
+        by_hand = Cfg(entry, dict(blocks), as_prog(m))
+        assert print_cfg(by_hand) == print_cfg(g)
+        assert records(by_hand) == records(g)
