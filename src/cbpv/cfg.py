@@ -158,6 +158,13 @@ class Cfg:
     # (binder path, listing name) pairs from compile's pass; None on a graph
     # built by hand, whose names print_cfg then derives from the program
     locs: list = field(default=None, compare=False, repr=False)
+    # id() of each key of ``blocks`` -> its block, worked out from blocks.
+    # The keys stay alive in ``blocks``, so their ids are unique; blocks is
+    # never changed once the graph is built.
+    by_id: dict = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "by_id", _ids(self.blocks.items()))
 
 
 CfgState = PekState
@@ -400,10 +407,25 @@ def load(M):
     return compile(prog), pek.load(prog)
 
 
-def step(G: Cfg, s: PekState):
-    block = G.blocks.get(s.pc)
+def block_at(G: Cfg, pc: tuple):
+    """The (instruction, successors) block at ``pc``.
+
+    compile's successors, targets and return frames reuse its block keys,
+    so its own program counters are found by identity and no deep path is
+    hashed; any other pc falls back to equality.
+    """
+    block = G.by_id.get(id(pc))
     if block is None:
-        raise UnknownPc(path_text(s.pc))
+        block = G.blocks.get(pc)
+        if block is None:
+            raise UnknownPc(path_text(pc))
+    return block
+
+
+def step(G: Cfg, s: PekState):
+    block = G.by_id.get(id(s.pc))  # block_at's first try, inlined
+    if block is None:
+        block = block_at(G, s.pc)
     instr, succs = block
     try:
         return _execute(instr, succs, s)
@@ -493,6 +515,11 @@ def unload(P, s: PekState):
 _MISS = object()
 
 
+def _ids(pairs) -> dict:
+    """id() of each key -> its value; the caller keeps the keys alive."""
+    return {id(p): v for p, v in pairs}
+
+
 def _lookup(pairs):
     """A path -> value lookup that tries the path object's identity first.
 
@@ -501,7 +528,7 @@ def _lookup(pairs):
     Anything else, such as a graph built by hand, falls back to equality.
     """
     pairs = list(pairs)  # keeps every keyed object alive, so ids stay unique
-    by_id = {id(p): v for p, v in pairs}
+    by_id = _ids(pairs)
     by_path = None
 
     def get(p):
@@ -614,7 +641,7 @@ def records(G: Cfg) -> str:
 
 
 def describe(G: Cfg, s: PekState, i: int) -> str:
-    instr, _ = G.blocks[s.pc]
+    instr, _ = block_at(G, s.pc)
     return (
         f"cfg {i}: pc={path_text(s.pc)} instr={type(instr).__name__}"
         f" env={len(s.env)} kont={len(s.kont)}"

@@ -12,6 +12,12 @@ leave the program counter at non-descent positions, so the ascent pass at
 the top of ``unload`` is a no-op for states this machine produces; it exists
 for the instruction-pointer machines layered on top, whose resting positions
 sit at the bottom of a descent chain.
+
+Positions are handled by their ids in the program's position index
+(``syntax.Prog``): advancement, binder resolution and the binders in scope
+at a position are worked out once per id, and every next program counter
+is a child's shared path taken from the index, so neither a step nor one
+level of an unload slices or hashes a path.  States keep path tuples.
 """
 
 from dataclasses import dataclass
@@ -38,15 +44,12 @@ from .syntax import (
     Prd,
     Seq,
     ThunkV,
-    VarV,
     FreeVar,
-    LamBind,
     RecBind,
-    SeqBind,
     as_prog,
+    binder_of,
     is_suffix,
     path_text,
-    resolve_binder,
 )
 
 # ---------------------------------------------------------------------------
@@ -106,12 +109,17 @@ class MissingBinding(Exception):
 
 
 def lookup_var(P, p: tuple, e: dict) -> PVal:
-    ref = resolve_binder(P, p)
+    prog = as_prog(P)
+    return _lookup_var(prog, prog.pos(p), e)
+
+
+def _lookup_var(prog, i: int, e: dict) -> PVal:
+    ref, q = binder_of(prog, i)
     t = type(ref)
     if t is FreeVar:
         return SymVar(ref.name)
     if t is RecBind:
-        return PClosure((ref.index,) + ref.path, e)
+        return PClosure(prog.path(prog.kid(q, ref.index)), e)
     v = e.get(ref.path)
     if v is None:
         raise MissingBinding(f"no value for binder at {path_text(ref.path)}")
@@ -120,24 +128,37 @@ def lookup_var(P, p: tuple, e: dict) -> PVal:
 
 def gamma(P, p: tuple, e: dict) -> PVal:
     prog = as_prog(P)
-    v = prog.at(p)
+    return _gamma(prog, prog.pos(p), e)
+
+
+def _gamma(prog, i: int, e: dict) -> PVal:
+    v = prog.nodes[i]
     t = type(v)
     if t is NumV:
         return NumP(v.n)
     if t is ThunkV:
-        return PClosure((0,) + p, e)
-    return lookup_var(prog, p, e)
+        return PClosure(prog.path(prog.kid(i, 0)), e)
+    return _lookup_var(prog, i, e)
+
+
+def _operand(prog, i: int, j: int, v, e: dict):
+    """``_gamma`` of ``v``, child ``j`` of position ``i``: a numeral is read
+    off the node, without visiting its position."""
+    if type(v) is NumV:
+        return NumP(v.n)
+    return _gamma(prog, prog.kid(i, j), e)
 
 
 def delta(P, e: dict, args: tuple) -> tuple:
     """Convert pending argument frames up to and including the first SEQ."""
     prog = as_prog(P)
     out = []
-    for i, f in enumerate(args):
+    for k, f in enumerate(args):
         if type(f) is ARG:
-            out.append(KArg(gamma(prog, (0,) + f.path, e)))
+            i = prog.pos(f.path)
+            out.append(KArg(_operand(prog, i, 0, prog.nodes[i].arg, e)))
         else:
-            out.append(KSeq(f.path, e, tuple(args[i + 1 :])))
+            out.append(KSeq(f.path, e, tuple(args[k + 1 :])))
             break
     return tuple(out)
 
@@ -153,79 +174,91 @@ def load(m) -> PeakState:
 def advance(P, rho: PeakState) -> PeakState:
     """Descend search edges: Seq left, App body, letrec body."""
     prog = as_prog(P)
-    pc, args = rho.pc, rho.args
-    node = prog.at(pc)
-    while True:
-        t = type(node)
-        if t is Seq:
-            args = (SEQ(pc),) + args
-            pc = (0,) + pc
-        elif t is App:
-            args = (ARG(pc),) + args
-            pc = (1,) + pc
-        elif t is LetRec:
-            pc = (0,) + pc
-        else:
-            break
-        node = prog.at(pc)
-    if pc == rho.pc:
-        return rho
-    return PeakState(pc, rho.env, args, rho.kont)
+    return _advance(prog, prog.pos(rho.pc), rho)[1]
+
+
+def _advance(prog, i: int, rho: PeakState):
+    """``advance`` from position ``i``, the id of ``rho.pc``; also returns
+    the id the program counter lands on."""
+    t = type(prog.nodes[i])
+    if t is not Seq and t is not App and t is not LetRec:
+        return i, rho
+    tab = prog.tables["advance"]
+    hit = tab.get(i)
+    if hit is None:
+        nodes, path, kid = prog.nodes, prog.path, prog.kid
+        j, pushed = i, []  # the frames pushed, outermost first
+        while True:
+            if t is Seq:
+                pushed.append(SEQ(path(j)))
+                j = kid(j, 0)
+            elif t is App:
+                pushed.append(ARG(path(j)))
+                j = kid(j, 1)
+            elif t is LetRec:
+                j = kid(j, 0)
+            else:
+                break
+            t = type(nodes[j])
+        hit = tab[i] = (j, tuple(reversed(pushed)))
+    j, pushed = hit
+    return j, PeakState(prog.path(j), rho.env, pushed + rho.args, rho.kont)
 
 
 def step(P, rho: PeakState):
     prog = as_prog(P)
-    st = advance(prog, rho)
+    i, st = _advance(prog, prog.pos(rho.pc), rho)
     try:
-        return _fire(prog, st)
+        return _fire(prog, i, st)
     except MissingBinding:
         return Stuck(StuckReason.UnboundPath)
 
 
-def _fire(prog, st: PeakState):
-    node = prog.at(st.pc)
+def _fire(prog, i: int, st: PeakState):
+    node = prog.nodes[i]
     t = type(node)
     pc, e, args, kont = st.pc, st.env, st.args, st.kont
 
     if t is Force:
-        v = gamma(prog, (0,) + pc, e)
+        v = _operand(prog, i, 0, node.value, e)
         if type(v) is not PClosure:
             return Stuck(StuckReason.ForceNonThunk)
         return PeakState(v.entry, v.env, (), delta(prog, e, args) + kont)
 
     if t is If0:
-        g = gamma(prog, (0,) + pc, e)
+        g = _operand(prog, i, 0, node.guard, e)
         if type(g) is not NumP:
             return Stuck(StuckReason.GuardNotNumeral)
-        return PeakState(((1,) if g.n == 0 else (2,)) + pc, e, args, kont)
+        return PeakState(prog.path(prog.kid(i, 1 if g.n == 0 else 2)), e, args, kont)
 
     if t is Prd:
         if args:
             f = args[0]
             if type(f) is ARG:
                 return Stuck(StuckReason.ApplyNonFunction)
-            v = gamma(prog, (0,) + pc, e)
-            return PeakState((1,) + f.path, {**e, f.path: v}, args[1:], kont)
+            v = _operand(prog, i, 0, node.value, e)
+            return PeakState(_right(prog, f.path), {**e, f.path: v}, args[1:], kont)
         if kont:
             f = kont[0]
             if type(f) is KArg:
                 return Stuck(StuckReason.ApplyNonFunction)
-            v = gamma(prog, (0,) + pc, e)
-            return PeakState((1,) + f.path, {**f.env, f.path: v}, f.rest_args, kont[1:])
-        return Terminal(ProducedValue(gamma(prog, (0,) + pc, e)))
+            v = _operand(prog, i, 0, node.value, e)
+            return PeakState(_right(prog, f.path), {**f.env, f.path: v}, f.rest_args, kont[1:])
+        return Terminal(ProducedValue(_operand(prog, i, 0, node.value, e)))
 
     if t is Lam:
         if args:
             f = args[0]
             if type(f) is SEQ:
                 return Stuck(StuckReason.SequencedNonProducer)
-            v = gamma(prog, (0,) + f.path, e)
-            return PeakState((0,) + pc, {**e, pc: v}, args[1:], kont)
+            q = prog.pos(f.path)
+            v = _operand(prog, q, 0, prog.nodes[q].arg, e)
+            return PeakState(prog.path(prog.kid(i, 0)), {**e, pc: v}, args[1:], kont)
         if kont:
             f = kont[0]
             if type(f) is KSeq:
                 return Stuck(StuckReason.SequencedNonProducer)
-            return PeakState((0,) + pc, {**e, pc: f.value}, (), kont[1:])
+            return PeakState(prog.path(prog.kid(i, 0)), {**e, pc: f.value}, (), kont[1:])
         return Terminal(AwaitingArgument())
 
     if t is Op:
@@ -233,99 +266,123 @@ def _fire(prog, st: PeakState):
             return Stuck(StuckReason.ApplyNonFunction)
         if not args and kont and type(kont[0]) is KArg:
             return Stuck(StuckReason.ApplyNonFunction)
-        l = gamma(prog, (0,) + pc, e)
-        r = gamma(prog, (1,) + pc, e)
+        l = _operand(prog, i, 0, node.lhs, e)
+        r = _operand(prog, i, 1, node.rhs, e)
         if type(l) is not NumP or type(r) is not NumP:
             return Stuck(StuckReason.ArithNonNumeral)
         n = NumP(node.op.apply(l.n, r.n))
         if args:
             f = args[0]
-            return PeakState((1,) + f.path, {**e, f.path: n}, args[1:], kont)
+            return PeakState(_right(prog, f.path), {**e, f.path: n}, args[1:], kont)
         if kont:
             f = kont[0]
-            return PeakState((1,) + f.path, {**f.env, f.path: n}, f.rest_args, kont[1:])
+            return PeakState(_right(prog, f.path), {**f.env, f.path: n}, f.rest_args, kont[1:])
         return Terminal(BareArith(n.n))
 
     raise TypeError(f"pc does not address a computation: {node!r}")
+
+
+def _right(prog, p: tuple) -> tuple:
+    """The path of a Seq's right component: where a bound value resumes."""
+    return prog.path(prog.kid(prog.pos(p), 1))
 
 
 # ---------------------------------------------------------------------------
 # unloading to CEK
 
 
-def _ascend(prog, pc: tuple, args):
-    """Undo advancement: climb search edges, consuming matching frames.
+def _ascend(prog, i: int, args):
+    """Undo advancement from position ``i``: climb search edges, consuming
+    matching frames; returns the id reached and the frames left.
 
     With ``args=None`` (closure entries, which carry no argument stack) the
     climb crosses Seq/App edges unconditionally.
     """
-    while pc:
-        head, parent = pc[0], pc[1:]
-        node = prog.at(parent)
-        t = type(node)
-        if t is Seq and head == 0:
-            if args is None:
-                pc = parent
-                continue
-            if args and type(args[0]) is SEQ and args[0].path == parent:
+    nodes, parents, heads = prog.nodes, prog.parents, prog.heads
+    while i:
+        head, par = heads[i], parents[i]
+        t = type(nodes[par])
+        if (t is Seq and head == 0) or (t is App and head == 1):
+            if args is not None:
+                f = args[0] if args else None
+                if type(f) is not (SEQ if t is Seq else ARG):
+                    break
+                p = prog.path(par)
+                if f.path is not p and f.path != p:
+                    break
                 args = args[1:]
-                pc = parent
-                continue
-            break
-        if t is App and head == 1:
-            if args is None:
-                pc = parent
-                continue
-            if args and type(args[0]) is ARG and args[0].path == parent:
-                args = args[1:]
-                pc = parent
-                continue
-            break
+            i = par
+            continue
         if t is LetRec and head == 0:
-            pc = parent
+            i = par
             continue
         break
-    return pc, args
+    return i, args
 
 
-def _entry_code(prog, p: tuple):
+def _entry_code(prog, i: int):
     """The term a position stands for, plus the anchor for its environment.
 
     A position at a letrec definition child denotes the definition wrapped
     in its own bundle (what forcing the recursive name means); the wrapper's
     environment is anchored outside the letrec node.
     """
-    if p:
-        parent = p[1:]
-        parent_node = prog.at(parent)
-        if type(parent_node) is LetRec and p[0] >= 1:
-            return LetRec(parent_node.defs, prog.at(p)), parent
-    return prog.at(p), p
+    if i:
+        par = prog.parents[i]
+        parent_node = prog.nodes[par]
+        if type(parent_node) is LetRec and prog.heads[i] >= 1:
+            return LetRec(parent_node.defs, prog.nodes[i]), par
+    return prog.nodes[i], i
 
 
-def _unload_e(prog, p: tuple, e: dict):
-    """CEK environment frames for the binders crossed by a path, innermost
-    first."""
-    frames = []  # collected innermost-first, chained outermost-first below
-    for k in range(len(p)):
-        head, parent = p[k], p[k + 1 :]
-        node = prog.at(parent)
-        t = type(node)
-        if t is Lam and head == 0:
-            frames.append(("bind", node.binder, parent))
-        elif t is Seq and head == 1:
-            frames.append(("bind", node.binder, parent))
-        elif t is LetRec:
-            frames.append(("rec", node.defs, None))
+def _scope(prog, i: int):
+    """The binders a position sits under, innermost first, as a cons list
+    of ``(binder id, rest)`` cells ending in None: every Lam entered through
+    its body, every Seq entered through its right component and every
+    LetRec entered through any child.  Each cell is made once, and a
+    position's list shares its parent's."""
+    tab = prog.tables["scope"]
+    if i in tab:
+        return tab[i]
+    nodes, parents, heads = prog.nodes, prog.parents, prog.heads
+    pending = []  # climb to the nearest position with a list (or the root)
+    while i not in tab:
+        pending.append(i)
+        if not i:
+            r = None
+            break
+        i = parents[i]
+    else:
+        r = tab[i]
+    for q in reversed(pending):
+        if q:
+            par, head = parents[q], heads[q]
+            t = type(nodes[par])
+            if (t is Lam and head == 0) or (t is Seq and head == 1) or t is LetRec:
+                r = (par, r)
+        tab[q] = r
+    return r
+
+
+def _unload_e(prog, i: int, e: dict):
+    """CEK environment frames for the binders above position ``i``,
+    innermost first."""
+    binders = []
+    cell = _scope(prog, i)
+    while cell is not None:
+        binders.append(cell[0])
+        cell = cell[1]
     env = None
-    for kind, a, b in reversed(frames):
-        if kind == "bind":
-            v = e.get(b)
-            if v is None:
-                raise cek.IllFormedState(f"no value for binder at {path_text(b)}")
-            env = cek.Bind(a, unload_v(prog, v), env)
-        else:
-            env = cek.RecFrame(a, env)
+    nodes, path = prog.nodes, prog.path
+    for b in reversed(binders):
+        node = nodes[b]
+        if type(node) is LetRec:
+            env = cek.RecFrame(node.defs, env)
+            continue
+        v = e.get(path(b))
+        if v is None:
+            raise cek.IllFormedState(f"no value for binder at {path_text(path(b))}")
+        env = cek.Bind(node.binder, unload_v(prog, v), env)
     return env
 
 
@@ -335,7 +392,7 @@ def unload_v(prog, v):
         return v
     if t is NumP:
         return NumC(v.n)
-    entry, _ = _ascend(prog, v.entry, None)
+    entry, _ = _ascend(prog, prog.pos(v.entry), None)
     code, anchor = _entry_code(prog, entry)
     return Closure(code, _unload_e(prog, anchor, v.env))
 
@@ -343,28 +400,33 @@ def unload_v(prog, v):
 def _unload_k(prog, e: dict, args, kont) -> tuple:
     out = []
 
+    def seq_frame(p, env):
+        i = prog.pos(p)
+        node = prog.nodes[i]
+        return cek.SeqF(node.binder, node.right, _unload_e(prog, i, env))
+
     def emit_args(env, frames):
         for f in frames:
             if type(f) is ARG:
-                out.append(cek.ArgF(unload_v(prog, gamma(prog, (0,) + f.path, env))))
+                q = prog.pos(f.path)
+                v = _operand(prog, q, 0, prog.nodes[q].arg, env)
+                out.append(cek.ArgF(unload_v(prog, v)))
             else:
-                node = prog.at(f.path)
-                out.append(cek.SeqF(node.binder, node.right, _unload_e(prog, f.path, env)))
+                out.append(seq_frame(f.path, env))
 
     emit_args(e, args)
     for f in kont:
         if type(f) is KArg:
             out.append(cek.ArgF(unload_v(prog, f.value)))
         else:
-            node = prog.at(f.path)
-            out.append(cek.SeqF(node.binder, node.right, _unload_e(prog, f.path, f.env)))
+            out.append(seq_frame(f.path, f.env))
             emit_args(f.env, f.rest_args)
     return tuple(out)
 
 
 def unload(P, rho: PeakState) -> CekState:
     prog = as_prog(P)
-    pc, args = _ascend(prog, rho.pc, rho.args)
+    pc, args = _ascend(prog, prog.pos(rho.pc), rho.args)
     code, anchor = _entry_code(prog, pc)
     return CekState(
         code,
@@ -393,12 +455,12 @@ def _scope_entries(prog, p: tuple):
     """Binder paths a position's environment must cover: every Lam entered
     through its body and every Seq entered through its right component."""
     need = []
-    for k in range(len(p)):
-        head, parent = p[k], p[k + 1 :]
-        node = prog.at(parent)
-        t = type(node)
-        if (t is Lam and head == 0) or (t is Seq and head == 1):
-            need.append(parent)
+    cell = _scope(prog, prog.pos(p))
+    while cell is not None:
+        b = cell[0]
+        if type(prog.nodes[b]) is not LetRec:
+            need.append(prog.path(b))
+        cell = cell[1]
     return need
 
 

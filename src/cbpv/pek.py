@@ -9,11 +9,17 @@ instruction position (Force, Prd, Lam, If0, Op), never on a search node.
 Return frames replace PEAK's sequence frames: because the frames remaining
 under a sequence are statically recoverable, a return frame only records
 where to bind and where to resume.
+
+The static tables (``aframes``, ``eta``, binder resolution) are keyed by the
+integer ids of the program's position index (``syntax.Prog``) and filled
+once per position.  A step finds its pc by identity, reads the next one off
+the index instead of building it, and so does the same static work however
+deep the program is; only hashing the environment's path keys still grows
+with depth.  States, frames and the public functions keep path tuples.
 """
 
 from dataclasses import dataclass
 
-from . import peak
 from .peak import (
     ARG,
     SEQ,
@@ -49,8 +55,8 @@ from .syntax import (
     FreeVar,
     RecBind,
     as_prog,
+    binder_of,
     path_text,
-    resolve_binder,
 )
 
 _INSTRUCTIONS = (Force, Prd, Lam, If0, Op)
@@ -71,66 +77,74 @@ class PekState:
 
 
 # ---------------------------------------------------------------------------
-# static structure
+# static structure, by position id
 
 
 def aframes(P, p: tuple) -> tuple:
     """The argument stack in force at a position, innermost frame first."""
     prog = as_prog(P)
-    tab = prog.table("aframes")
-    if p in tab:
-        return tab[p]
-    pending = []
-    while p not in tab:
-        if not p:
-            tab[p] = ()
-            break
-        pending.append(p)
-        p = p[1:]
-    parent = p  # each pending path's parent is the one handled before it
-    for q in reversed(pending):
-        head = q[0]
-        node = prog.at(parent)
-        t = type(node)
-        if t is App and head == 1:
-            r = (ARG(parent),) + tab[parent]
-        elif t is Lam and head == 0:
-            r = tab[parent]
-            if r and type(r[0]) is ARG:
-                r = r[1:]
-        elif t is Seq and head == 0:
-            r = (SEQ(parent),) + tab[parent]
-        elif (
-            (t is LetRec and head == 0)
-            or (t is Seq and head == 1)
-            or (t is If0 and head in (1, 2))
-        ):
-            r = tab[parent]
-        else:
-            r = ()
+    return _aframes(prog, prog.pos(p))
+
+
+def _aframes(prog, i: int) -> tuple:
+    tab = prog.tables["aframes"]
+    r = tab.get(i)
+    if r is not None:
+        return r
+    nodes, parents, heads, path = prog.nodes, prog.parents, prog.heads, prog.path
+    pending = []  # climb to the nearest position with an entry (or the root)
+    while r is None:
+        pending.append(i)
+        i = parents[i]
+        r = () if i < 0 else tab.get(i)
+    for q in reversed(pending):  # then fill each one from its parent's
+        par = parents[q]
+        if par >= 0:
+            head, t = heads[q], type(nodes[par])
+            if t is App and head == 1:
+                r = (ARG(path(par)),) + r
+            elif t is Lam and head == 0:
+                if r and type(r[0]) is ARG:
+                    r = r[1:]
+            elif t is Seq and head == 0:
+                r = (SEQ(path(par)),) + r
+            elif not (
+                (t is LetRec and head == 0)
+                or (t is Seq and head == 1)
+                or (t is If0 and head in (1, 2))
+            ):
+                r = ()
         tab[q] = r
-        parent = q
-    return tab[pending[0]] if pending else tab[p]
+    return r
 
 
 def eta(P, p: tuple) -> tuple:
     """Advance a path through search nodes to the next instruction position."""
     prog = as_prog(P)
-    tab = prog.table("eta")
-    got = tab.get(p)
-    if got is not None:
-        return got
-    start = p
-    while True:
-        t = type(prog.at(p))
-        if t is Seq or t is LetRec:
-            p = (0,) + p
-        elif t is App:
-            p = (1,) + p
-        else:
-            break
-    tab[start] = p
-    return p
+    i = prog.pos(p)
+    tab = prog.tables["eta"]
+    r = tab.get(i)
+    if r is None:
+        passed = []  # every search node passed advances to the same place
+        while True:
+            t = type(prog.nodes[i])
+            if t is Seq or t is LetRec:
+                j = 0
+            elif t is App:
+                j = 1
+            else:
+                break
+            passed.append(i)
+            i = prog.kid(i, j)
+        r = tab[i] = prog.path(i)
+        for q in passed:
+            tab[q] = r
+    return r
+
+
+def _next(prog, i: int, j: int) -> tuple:
+    """Where the program counter goes on entering child ``j`` of ``i``."""
+    return eta(prog, prog.path(prog.kid(i, j)))
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +153,16 @@ def eta(P, p: tuple) -> tuple:
 
 def lookup_var(P, p: tuple, e: dict):
     prog = as_prog(P)
-    ref = resolve_binder(prog, p)
+    return _lookup_var(prog, prog.pos(p), e)
+
+
+def _lookup_var(prog, i: int, e: dict):
+    ref, q = binder_of(prog, i)
     t = type(ref)
     if t is FreeVar:
         return SymVar(ref.name)
     if t is RecBind:
-        return PClosure(eta(prog, (ref.index,) + ref.path), e)
+        return PClosure(_next(prog, q, ref.index), e)
     v = e.get(ref.path)
     if v is None:
         raise MissingBinding(f"no value for binder at {path_text(ref.path)}")
@@ -153,13 +171,25 @@ def lookup_var(P, p: tuple, e: dict):
 
 def gamma(P, p: tuple, e: dict):
     prog = as_prog(P)
-    v = prog.at(p)
+    return _gamma(prog, prog.pos(p), e)
+
+
+def _gamma(prog, i: int, e: dict):
+    v = prog.nodes[i]
     t = type(v)
     if t is NumV:
         return NumP(v.n)
     if t is ThunkV:
-        return PClosure(eta(prog, (0,) + p), e)
-    return lookup_var(prog, p, e)
+        return PClosure(_next(prog, i, 0), e)
+    return _lookup_var(prog, i, e)
+
+
+def _operand(prog, i: int, j: int, v, e: dict):
+    """``_gamma`` of ``v``, child ``j`` of position ``i``: a numeral is read
+    off the node, without visiting its position."""
+    if type(v) is NumV:
+        return NumP(v.n)
+    return _gamma(prog, prog.kid(i, j), e)
 
 
 def delta(P, e: dict, args: tuple) -> tuple:
@@ -168,10 +198,11 @@ def delta(P, e: dict, args: tuple) -> tuple:
     prog = as_prog(P)
     out = []
     for f in args:
+        i = prog.pos(f.path)
         if type(f) is ARG:
-            out.append(KArg(gamma(prog, (0,) + f.path, e)))
+            out.append(KArg(_operand(prog, i, 0, prog.nodes[i].arg, e)))
         else:
-            out.append(KRet(f.path, eta(prog, (1,) + f.path), e))
+            out.append(KRet(f.path, _next(prog, i, 1), e))
             break
     return tuple(out)
 
@@ -194,51 +225,52 @@ def step(P, s: PekState):
 
 
 def _fire(prog, s: PekState):
-    node = prog.at(s.pc)
-    t = type(node)
     pc, e, kont = s.pc, s.env, s.kont
-    a = aframes(prog, pc)
+    i = prog.pos(pc)
+    node = prog.nodes[i]
+    t = type(node)
+    a = _aframes(prog, i)
 
     if t is Force:
-        v = gamma(prog, (0,) + pc, e)
+        v = _operand(prog, i, 0, node.value, e)
         if type(v) is not PClosure:
             return Stuck(StuckReason.ForceNonThunk)
         return PekState(v.entry, v.env, delta(prog, e, a) + kont)
 
     if t is If0:
-        g = gamma(prog, (0,) + pc, e)
+        g = _operand(prog, i, 0, node.guard, e)
         if type(g) is not NumP:
             return Stuck(StuckReason.GuardNotNumeral)
-        branch = (1,) if g.n == 0 else (2,)
-        return PekState(eta(prog, branch + pc), e, kont)
+        return PekState(_next(prog, i, 1 if g.n == 0 else 2), e, kont)
 
     if t is Prd:
         if a:
             f = a[0]
             if type(f) is ARG:
                 return Stuck(StuckReason.ApplyNonFunction)
-            v = gamma(prog, (0,) + pc, e)
-            return PekState(eta(prog, (1,) + f.path), {**e, f.path: v}, kont)
+            v = _operand(prog, i, 0, node.value, e)
+            return PekState(_next(prog, prog.pos(f.path), 1), {**e, f.path: v}, kont)
         if kont:
             f = kont[0]
             if type(f) is KArg:
                 return Stuck(StuckReason.ApplyNonFunction)
-            v = gamma(prog, (0,) + pc, e)
+            v = _operand(prog, i, 0, node.value, e)
             return PekState(f.resume_path, {**f.env, f.bind_path: v}, kont[1:])
-        return Terminal(ProducedValue(gamma(prog, (0,) + pc, e)))
+        return Terminal(ProducedValue(_operand(prog, i, 0, node.value, e)))
 
     if t is Lam:
         if a:
             f = a[0]
             if type(f) is SEQ:
                 return Stuck(StuckReason.SequencedNonProducer)
-            v = gamma(prog, (0,) + f.path, e)
-            return PekState(eta(prog, (0,) + pc), {**e, pc: v}, kont)
+            q = prog.pos(f.path)
+            v = _operand(prog, q, 0, prog.nodes[q].arg, e)
+            return PekState(_next(prog, i, 0), {**e, pc: v}, kont)
         if kont:
             f = kont[0]
             if type(f) is KRet:
                 return Stuck(StuckReason.SequencedNonProducer)
-            return PekState(eta(prog, (0,) + pc), {**e, pc: f.value}, kont[1:])
+            return PekState(_next(prog, i, 0), {**e, pc: f.value}, kont[1:])
         return Terminal(AwaitingArgument())
 
     if t is Op:
@@ -246,14 +278,14 @@ def _fire(prog, s: PekState):
             return Stuck(StuckReason.ApplyNonFunction)
         if not a and kont and type(kont[0]) is KArg:
             return Stuck(StuckReason.ApplyNonFunction)
-        l = gamma(prog, (0,) + pc, e)
-        r = gamma(prog, (1,) + pc, e)
+        l = _operand(prog, i, 0, node.lhs, e)
+        r = _operand(prog, i, 1, node.rhs, e)
         if type(l) is not NumP or type(r) is not NumP:
             return Stuck(StuckReason.ArithNonNumeral)
         n = NumP(node.op.apply(l.n, r.n))
         if a:
             f = a[0]
-            return PekState(eta(prog, (1,) + f.path), {**e, f.path: n}, kont)
+            return PekState(_next(prog, prog.pos(f.path), 1), {**e, f.path: n}, kont)
         if kont:
             f = kont[0]
             return PekState(f.resume_path, {**f.env, f.bind_path: n}, kont[1:])

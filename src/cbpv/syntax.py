@@ -15,6 +15,7 @@ Paths are tuples of child indices with the innermost component first, so
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Union
 
@@ -279,47 +280,113 @@ def iter_subterms(root: Node) -> Iterator[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# programs with memoized path lookup
+# programs with a lazily filled position index
+
+
+# the empty tuple is one object that lives as long as the process
+_ROOT_ID = id(())
 
 
 class Prog:
-    """A fixed program plus caches for the path-indexed queries.
+    """A fixed program plus an index of the positions visited so far.
 
-    The machines re-walk the same tree constantly; wrapping the program once
-    avoids quadratic path chasing.  Every public function that takes a
-    program accepts either a plain Term or a Prog.
+    Every visited position gets one integer id, handed out in visiting
+    order, with the root as 0.  By id the index keeps the position's node
+    (``nodes``), its parent's id (``parents``, -1 at the root) and the child
+    index it hangs from (``heads``).  ``kid`` visits a child; nothing is
+    visited when a Prog is built.
+
+    Path tuples stay the external names of positions.  ``path(i)`` gives a
+    position one shared tuple, built the first time it is asked for (most
+    value positions never are).  ``pos`` finds a path by the object's
+    identity first, so a path the index handed out costs one dictionary
+    lookup whatever its length.  Any other path is found by equality; one
+    not seen before is filled in by walking down from the root through the
+    known ids, with one ``child`` call per newly visited position, and
+    becomes the position's shared tuple if it has none yet.
+
+    ``tables[name]`` is a per-position table of the machines, keyed by id
+    and made on first use.
+
+    Every public function that takes a program accepts either a plain Term
+    or a Prog.
     """
 
-    __slots__ = ("term", "_nodes", "_tables")
+    __slots__ = ("term", "nodes", "parents", "heads", "tables", "_paths", "_kids",
+                 "_ids", "_by_path")
 
     def __init__(self, term: Term):
         self.term = term
-        self._nodes = {(): term}
-        self._tables = {}
+        self.nodes = [term]
+        self.parents = [-1]
+        self.heads = [-1]
+        self.tables = defaultdict(dict)  # name -> {position id: entry}
+        self._kids = {}  # id -> {child index: child id}, once one is visited
+        self._paths = [()]  # id -> shared path, or None until asked for
+        self._ids = {_ROOT_ID: 0}  # id() of a shared path -> position id
+        self._by_path = None  # any other path looked up -> position id
+
+    def pos(self, p: Path) -> int:
+        """The id of the position at ``p``, visiting it if need be."""
+        i = self._ids.get(id(p))
+        if i is None:
+            by_path = self._by_path
+            if by_path is None:
+                by_path = self._by_path = {}
+            i = by_path.get(p)
+            if i is None:
+                i, kids = 0, self._kids
+                for j in reversed(p):
+                    known = kids.get(i)
+                    c = None if known is None else known.get(j)
+                    i = self.kid(i, j) if c is None else c
+                by_path[p] = i
+                if self._paths[i] is None and type(p) is tuple:
+                    self._paths[i] = p  # kept alive here, so its id stays unique
+                    self._ids[id(p)] = i
+        return i
+
+    def kid(self, i: int, j: int) -> int:
+        """The id of child ``j`` of position ``i``, visiting it if need be."""
+        kids = self._kids.get(i)
+        if kids is None:
+            kids = self._kids[i] = {}
+        else:
+            c = kids.get(j)
+            if c is not None:
+                return c
+        nodes = self.nodes
+        node = child(nodes[i], j)
+        c = kids[j] = len(nodes)
+        nodes.append(node)
+        self.parents.append(i)
+        self.heads.append(j)
+        self._paths.append(None)
+        return c
+
+    def path(self, i: int) -> Path:
+        """The shared path of position ``i``."""
+        paths = self._paths
+        p = paths[i]
+        if p is None:
+            heads, parents = self.heads, self.parents
+            k = parents[i]
+            p = paths[k]
+            if p is None:  # climb to the nearest ancestor with a path
+                below = [heads[i]]
+                while p is None:
+                    below.append(heads[k])
+                    k = parents[k]
+                    p = paths[k]
+                p = tuple(below) + p
+            else:
+                p = (heads[i],) + p
+            paths[i] = p
+            self._ids[id(p)] = i
+        return p
 
     def at(self, p: Path) -> Node:
-        nodes = self._nodes
-        node = nodes.get(p)
-        if node is None:
-            # Climb to the nearest cached ancestor (the root always is), then
-            # cache every level below it: one child() per newly cached path.
-            missing = [p]
-            q = p[1:]
-            node = nodes.get(q)
-            while node is None:
-                missing.append(q)
-                q = q[1:]
-                node = nodes.get(q)
-            for q in reversed(missing):
-                node = child(node, q[0])
-                nodes[q] = node
-        return node
-
-    def table(self, key: str) -> dict:
-        t = self._tables.get(key)
-        if t is None:
-            t = self._tables[key] = {}
-        return t
+        return self.nodes[self.pos(p)]
 
     def __repr__(self):
         return f"Prog({self.term!r})"
@@ -558,8 +625,6 @@ class FreeVar:
 
 BinderRef = Union[LamBind, SeqBind, RecBind, FreeVar]
 
-_MISS = object()
-
 
 def resolve_binder(P, occ: Path) -> BinderRef:
     """Walk outward from a variable occurrence to the binder that captures it.
@@ -570,29 +635,38 @@ def resolve_binder(P, occ: Path) -> BinderRef:
     leftmost definition of a duplicated name wins.
     """
     prog = as_prog(P)
-    tbl = prog.table("binder")
-    hit = tbl.get(occ, _MISS)
-    if hit is not _MISS:
+    return binder_of(prog, prog.pos(occ))[0]
+
+
+def binder_of(prog: Prog, i: int) -> tuple:
+    """``resolve_binder`` by position id: the BinderRef of variable ``i``
+    and the binder's id (None for a free name), worked out once per id."""
+    tbl = prog.tables["binder"]
+    hit = tbl.get(i)
+    if hit is not None:
         return hit
-    node = prog.at(occ)
+    nodes, parents, heads = prog.nodes, prog.parents, prog.heads
+    node = nodes[i]
     if type(node) is not VarV:
-        raise NotAVariable(f"no variable at {path_text(occ)}: {node!r}")
+        raise NotAVariable(f"no variable at {path_text(prog.path(i))}: {node!r}")
     name = node.name
-    ref: BinderRef = FreeVar(name)
-    for k in range(len(occ)):
-        q = occ[k + 1 :]
-        parent = prog.at(q)
+    hit = (FreeVar(name), None)
+    k = i
+    while k:
+        head, q = heads[k], parents[k]
+        parent = nodes[q]
         t = type(parent)
-        if t is Lam and occ[k] == 0 and parent.binder == name:
-            ref = LamBind(q)
+        if t is Lam and head == 0 and parent.binder == name:
+            hit = (LamBind(prog.path(q)), q)
             break
-        if t is Seq and occ[k] == 1 and parent.binder == name:
-            ref = SeqBind(q)
+        if t is Seq and head == 1 and parent.binder == name:
+            hit = (SeqBind(prog.path(q)), q)
             break
         if t is LetRec:
             j = next((j for j, (n, _) in enumerate(parent.defs, 1) if n == name), None)
             if j is not None:
-                ref = RecBind(q, j)
+                hit = (RecBind(prog.path(q), j), q)
                 break
-    tbl[occ] = ref
-    return ref
+        k = q
+    tbl[i] = hit
+    return hit

@@ -1,5 +1,7 @@
 """Compiler and CFG machine: frozen listings, exact PEK agreement, emission."""
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 
@@ -19,8 +21,10 @@ from cbpv.cfg import (
     STUCK,
     TAIL,
     VAR,
+    Cfg,
     NotAComputation,
     UnknownPc,
+    block_at,
     compile,
     describe,
     eval_operand,
@@ -219,6 +223,48 @@ def test_unknown_pc_raises():
     g, _ = load(fx.ARITH_SEQ)
     with pytest.raises(UnknownPc):
         step(g, PekState((9, 9), {}, ()))
+
+
+def test_describe_of_an_unknown_pc_raises_unknown_pc():
+    g, _ = load(fx.ARITH_SEQ)
+    with pytest.raises(UnknownPc, match=r"^9\.9$"):
+        describe(g, PekState((9, 9), {}, ()), 0)
+
+
+def test_blocks_are_found_by_identity_then_by_equality():
+    g, _ = load(fx.MULT_CALL)
+    assert set(g.by_id) == {id(p) for p in g.blocks}
+    for p, block in g.blocks.items():
+        assert block_at(g, p) is block
+        assert block_at(g, tuple(list(p))) is block  # an equal, fresh tuple
+    with pytest.raises(UnknownPc, match="^ε$"):
+        block_at(Cfg((), {}, g.prog), ())
+
+
+def test_a_replaced_graph_finds_its_own_blocks():
+    g, _ = load(fx.MULT_CALL)
+    swapped = {p: (STUCK(StuckReason.UnboundPath), ()) for p in g.blocks}
+    h = dataclasses.replace(g, blocks=swapped)
+    assert set(h.by_id) == {id(p) for p in swapped}
+    for p in g.blocks:
+        assert block_at(h, p) is swapped[p]
+
+
+def test_a_positional_graph_built_by_hand_steps_and_describes():
+    # criterion 11's mutant rebuilds the graph as Cfg(entry, blocks, prog)
+    g, s = load(fx.MULT_CALL)
+    by_hand = Cfg(g.entry, {tuple(list(p)): b for p, b in g.blocks.items()}, g.prog)
+    assert set(by_hand.by_id) == {id(p) for p in by_hand.blocks}
+    assert by_hand == g
+    a, b = s, s
+    for i in range(200):
+        assert describe(by_hand, b, i) == describe(g, a, i)
+        ra, rb = step(g, a), step(by_hand, b)
+        assert ra == rb
+        if type(ra) is not PekState:
+            break
+        a, b = ra, rb
+    assert type(ra) is Terminal
 
 
 def test_stuck_block_reports_its_reason():
