@@ -14,6 +14,14 @@ one frame per letrec node crossed).
 
 Free variables are not errors: looking one up yields a symbolic value, so
 open programs run until they genuinely get stuck, mirroring the semantics.
+
+Unloading flattens environments into terms by substitution, lazily: only
+the frames whose names are still free in the term are substituted.  The
+flattening of a closure and of a sequence frame is kept on the frozen
+object itself, as ``free_vars`` keeps its answer on a term.  That is sound
+because every part of those objects is frozen too, and it pays off across
+steps because both this machine and peak's unload (which hash-conses its
+output) keep handing out the same objects while they stay in the state.
 """
 
 from dataclasses import dataclass
@@ -213,29 +221,54 @@ def step(sigma: CekState):
 
 
 def unload_env(env, term):
-    """Flatten an environment into a term, innermost frame first."""
+    """Flatten an environment into a term, innermost frame first.
+
+    Flattening is lazy: a frame none of whose names is free in the term
+    built so far would substitute nothing, so it is skipped without
+    unloading its value, and the walk stops once the term is closed.  The
+    frames that are substituted are the same, in the same order, as a walk
+    over the whole environment, so the term built is the same.
+    """
     t = term
+    fv = free_vars(t)
     e = env
-    while e is not None:
+    while e is not None and fv:
         if type(e) is Bind:
-            t = substitute(t, {e.name: unload_val(e.value)})
+            if e.name in fv:
+                t = substitute(t, {e.name: unload_val(e.value)})
+                fv = free_vars(t)
         else:
             sub = {}
             for name, d in e.defs:
-                if name not in sub:
+                if name in fv and name not in sub:
                     sub[name] = ThunkV(LetRec(e.defs, d))
-            t = substitute(t, sub)
+            if sub:
+                t = substitute(t, sub)
+                fv = free_vars(t)
         e = e.rest
     return t
 
 
 def unload_val(v):
+    """A machine value as a source value.
+
+    A closure's unloading is kept on the closure object, as ``free_vars``
+    keeps its answer on a term: closures, their environments and the
+    terms in them are frozen, so the answer cannot go stale.  Unloads from
+    the levels below hand out one object per distinct closure (see
+    ``peak.unload_v``), so a closure that stays in the state across steps
+    is flattened once.
+    """
     t = type(v)
     if t is SymVar:
         return VarV(v.name)
     if t is NumC:
         return NumV(v.n)
-    return ThunkV(unload_env(v.env, v.code))
+    u = getattr(v, "_unloaded", None)
+    if u is None:
+        u = ThunkV(unload_env(v.env, v.code))
+        object.__setattr__(v, "_unloaded", u)
+    return u
 
 
 # Internal marker for occurrences a pending frame's binder owns; no lexable
@@ -279,7 +312,11 @@ def unload(sigma: CekState):
         if type(f) is ArgF:
             t = App(unload_val(f.value), t)
         else:
-            binder, rest = _unload_seq_frame(f)
+            u = getattr(f, "_unloaded", None)  # kept like unload_val's
+            if u is None:
+                u = _unload_seq_frame(f)
+                object.__setattr__(f, "_unloaded", u)
+            binder, rest = u
             t = Seq(t, binder, rest)
     return t
 

@@ -146,12 +146,13 @@ def _cmd_optimize(args):
 
 
 def _check_reports(m, args):
-    reports = [harness.tower_check(m, fuel=args.fuel)]
+    prog = as_prog(m)  # one position index and unload table for every check
+    reports = [harness.tower_check(prog, fuel=args.fuel)]
     if args.all_checks:
         for pair in LevelPair:
             modulo = args.modulo_advance or pair is LevelPair.PEAK_PEK
             mode = "modulo_advance" if modulo else "strict"
-            reports.append(harness.lockstep_check(m, pair, fuel=args.fuel, mode=mode))
+            reports.append(harness.lockstep_check(prog, pair, fuel=args.fuel, mode=mode))
     return reports
 
 

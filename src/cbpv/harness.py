@@ -9,6 +9,16 @@ time while also re-checking well-formedness at each visited state.
 
 Divergent programs are never run to completion — every driver checks
 commutation up to its fuel and reports success if no square broke.
+
+Every visited state is unloaded and compared in full, yet a checked step
+costs about what the step changed: peak's unload hash-conses what it
+builds in the Prog's ``tables``, cek keeps the flattening of each closure
+and sequence frame on those frozen objects, and ``alpha_eq`` does not walk
+a subterm object both sides share.  What is left per step is reading the
+pc's path-keyed environment, binder by binder.  No memo is keyed by an
+environment dict or by a value or frame that carries one, because the
+machines keep those dicts unchanged only by convention; passing one Prog
+to several checks shares the position index and the unload table.
 """
 
 import random

@@ -18,6 +18,19 @@ Positions are handled by their ids in the program's position index
 at a position are worked out once per id, and every next program counter
 is a child's shared path taken from the index, so neither a step nor one
 level of an unload slices or hashes a path.  States keep path tuples.
+
+Unloads are hash-consed.  Every CEK value, environment cell and sequence
+frame an unload builds comes from one table in the program's ``tables``,
+keyed by the position it stands for and the ids of its parts, which came
+from the same table; the table keeps every entry alive as long as the
+Prog, so an id in a key never names a dead object.  Equal unloads are
+therefore the same objects, which lets cek keep a closure's or a frame's
+flattening on the object and lets ``alpha_eq`` stop at a shared subterm.
+Nothing is keyed by the identity of an environment dict, or of a closure
+or frame that carries one: machines treat those dicts as immutable only by
+convention, so every unload reads the bindings afresh and builds its keys
+from what it read, and a machine that writes into an old dict is caught at
+the step where the write first shows.
 """
 
 from dataclasses import dataclass
@@ -366,7 +379,9 @@ def _scope(prog, i: int):
 
 def _unload_e(prog, i: int, e: dict):
     """CEK environment frames for the binders above position ``i``,
-    innermost first."""
+    innermost first, each cell taken from the hash-consing table.  The
+    walk over the scope, reading each binding from ``e``, is what an
+    unload still costs per binder in scope."""
     binders = []
     cell = _scope(prog, i)
     while cell is not None:
@@ -374,36 +389,68 @@ def _unload_e(prog, i: int, e: dict):
         cell = cell[1]
     env = None
     nodes, path = prog.nodes, prog.path
+    cons = prog.tables["cons"]
     for b in reversed(binders):
         node = nodes[b]
         if type(node) is LetRec:
-            env = cek.RecFrame(node.defs, env)
+            key = (cek.RecFrame, b, id(env))
+            hit = cons.get(key)
+            if hit is None:
+                hit = cons[key] = cek.RecFrame(node.defs, env)
+            env = hit
             continue
         v = e.get(path(b))
         if v is None:
             raise cek.IllFormedState(f"no value for binder at {path_text(path(b))}")
-        env = cek.Bind(node.binder, unload_v(prog, v), env)
+        v = unload_v(prog, v)
+        key = (cek.Bind, b, id(v), id(env))
+        hit = cons.get(key)
+        if hit is None:
+            hit = cons[key] = cek.Bind(node.binder, v, env)
+        env = hit
     return env
 
 
 def unload_v(prog, v):
+    """The CEK value of ``v``, one object per distinct value.  Symbolic
+    and numeric values go through the table too, so that an environment
+    cell's key can name its value by id."""
     t = type(v)
     if t is SymVar:
-        return v
-    if t is NumP:
-        return NumC(v.n)
-    entry, _ = _ascend(prog, prog.pos(v.entry), None)
-    code, anchor = _entry_code(prog, entry)
-    return Closure(code, _unload_e(prog, anchor, v.env))
+        key = (SymVar, v.name)
+    elif t is NumP:
+        key = (NumC, v.n)
+    else:
+        entry, _ = _ascend(prog, prog.pos(v.entry), None)
+        code, anchor = _entry_code(prog, entry)
+        env = _unload_e(prog, anchor, v.env)
+        key = (Closure, entry, id(env))
+    cons = prog.tables["cons"]
+    hit = cons.get(key)
+    if hit is None:
+        if t is SymVar:
+            hit = v
+        elif t is NumP:
+            hit = NumC(v.n)
+        else:
+            hit = Closure(code, env)
+        cons[key] = hit
+    return hit
 
 
 def _unload_k(prog, e: dict, args, kont) -> tuple:
     out = []
+    cons = prog.tables["cons"]
 
     def seq_frame(p, env):
         i = prog.pos(p)
-        node = prog.nodes[i]
-        return cek.SeqF(node.binder, node.right, _unload_e(prog, i, env))
+        env = _unload_e(prog, i, env)
+        key = (cek.SeqF, i, id(env))
+        hit = cons.get(key)
+        if hit is None:
+            node = prog.nodes[i]
+            hit = cons[key] = cek.SeqF(node.binder, node.right, env)
+        return hit
 
     def emit_args(env, frames):
         for f in frames:

@@ -544,7 +544,13 @@ def _subst(node: Node, sub) -> Node:
 
 
 def alpha_eq(a: Node, b: Node) -> bool:
-    """Structural equality up to consistent renaming of bound variables."""
+    """Structural equality up to consistent renaming of bound variables.
+
+    One subterm object met on both sides is equal to itself once each of
+    its free names refers to the same binder (or to none) in both scopes,
+    so it is not walked.  Unloads hand out shared subterms, which makes
+    comparing two neighbouring states cost what changed between them.
+    """
     return _aeq(a, b, (), ())
 
 
@@ -556,6 +562,8 @@ def _rank(name: str, scope) -> Optional[tuple]:
 
 
 def _aeq(a, b, sa, sb) -> bool:
+    if a is b and (sa is sb or all(_rank(x, sa) == _rank(x, sb) for x in free_vars(a))):
+        return True
     ta = type(a)
     if ta is not type(b):
         return False

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 import cbpv.fixtures as fx
-from cbpv import cfg, harness, rewrite
+from cbpv import cfg, harness, rewrite, syntax
 from cbpv.cli import main
 from cbpv.cfg import IF0
 from cbpv.parser import ParseError, parse_term
@@ -257,6 +257,19 @@ def test_check_whole_corpus(capsys):
 def test_check_generated_programs(capsys):
     assert main(["check", "--count=4", "--seed=3", "--fuel=200"]) == 0
     assert capsys.readouterr().out.splitlines() == [f"seed {s}: ok" for s in (3, 4, 5, 6)]
+
+
+def test_check_all_shares_one_prog_across_the_checks(monkeypatch, capsys):
+    made = []
+    real = syntax.Prog.__init__
+
+    def counted(self, term):
+        made.append(term)
+        real(self, term)
+
+    monkeypatch.setattr(syntax.Prog, "__init__", counted)
+    assert main(["check", "--all", fixture_path("mult_call")]) == 0
+    assert len(made) == 1
 
 
 def test_check_accepts_modulo_advance(capsys):

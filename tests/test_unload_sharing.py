@@ -1,0 +1,534 @@
+"""Shared unloads against the whole-state unloaders they replace.
+
+A checked step unloads its state through peak and cek and compares the
+result with ``alpha_eq``.  Three things make that cost what the step
+changed: cek flattens an environment lazily, peak hands out one object per
+distinct CEK value, environment cell and sequence frame (hash-consed in
+the program's ``tables``), cek keeps the flattening of a closure and of a
+sequence frame on the frozen object, and ``alpha_eq`` stops at a subterm
+object met on both sides.  The oracles below are those unloaders and that
+comparison as they were before: every unload rebuilds and substitutes
+every frame, and every comparison walks both terms to the leaves.  Equal
+answers along every run, with identical printed terms, mean the sharing
+changed nothing but the cost.
+"""
+
+import dataclasses
+import gc
+import weakref
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+import cbpv.fixtures as fx
+from cbpv import cek, cfg, harness, peak, pek, syntax
+from cbpv.cek import ArgF, Bind, CekState, Closure, NumC, RecFrame, SeqF, SymVar
+from cbpv.cfg import MOV, OP, OPRET, POP, RET, eval_operand
+from cbpv.harness import LevelPair, gen_term
+from cbpv.parser import parse_term
+from cbpv.peak import ARG, KArg, KSeq, NumP, PClosure, PeakState
+from cbpv.pek import KRet, PekState
+from cbpv.printer import print_term
+from cbpv.sos import Stuck, Terminal
+from cbpv.syntax import (
+    App,
+    ArithOp,
+    Force,
+    If0,
+    Lam,
+    LetRec,
+    NumV,
+    Op,
+    Prd,
+    Seq,
+    ThunkV,
+    VarV,
+    alpha_eq,
+    as_prog,
+    free_vars,
+    freshen,
+    path_text,
+    substitute,
+)
+
+from conftest import names, terms
+from test_compile_oracle import DEPTHS, _count_calls, chain_text, sum_text, thunks_text
+from test_position_oracle import SHADOWING
+
+# ---------------------------------------------------------------------------
+# the oracle: cek's unloaders, flattening every frame of every state
+
+
+def oracle_unload_env(env, term):
+    t = term
+    e = env
+    while e is not None:
+        if type(e) is Bind:
+            t = substitute(t, {e.name: oracle_unload_val(e.value)})
+        else:
+            sub = {}
+            for name, d in e.defs:
+                if name not in sub:
+                    sub[name] = ThunkV(LetRec(e.defs, d))
+            t = substitute(t, sub)
+        e = e.rest
+    return t
+
+
+def oracle_unload_val(v):
+    t = type(v)
+    if t is SymVar:
+        return VarV(v.name)
+    if t is NumC:
+        return NumV(v.n)
+    return ThunkV(oracle_unload_env(v.env, v.code))
+
+
+def oracle_unload_seq_frame(f):
+    pending = substitute(f.rest, {f.binder: VarV(cek._REBOUND)})
+    body = oracle_unload_env(f.env, pending)
+    binder = f.binder
+    if binder in free_vars(body):
+        binder = freshen(binder, cek._every_name(body))
+    return binder, substitute(body, {cek._REBOUND: VarV(binder)})
+
+
+def oracle_cek_unload(sigma):
+    t = oracle_unload_env(sigma.env, sigma.code)
+    for f in sigma.kont:
+        if type(f) is ArgF:
+            t = App(oracle_unload_val(f.value), t)
+        else:
+            binder, rest = oracle_unload_seq_frame(f)
+            t = Seq(t, binder, rest)
+    return t
+
+
+# ---------------------------------------------------------------------------
+# the oracle: peak's unloaders, a fresh object for every value and frame
+
+
+def oracle_unload_e(prog, i, e):
+    binders = []
+    cell = peak._scope(prog, i)
+    while cell is not None:
+        binders.append(cell[0])
+        cell = cell[1]
+    env = None
+    for b in reversed(binders):
+        node = prog.nodes[b]
+        if type(node) is LetRec:
+            env = RecFrame(node.defs, env)
+            continue
+        v = e.get(prog.path(b))
+        if v is None:
+            raise cek.IllFormedState(f"no value for binder at {path_text(prog.path(b))}")
+        env = Bind(node.binder, oracle_unload_v(prog, v), env)
+    return env
+
+
+def oracle_unload_v(prog, v):
+    t = type(v)
+    if t is SymVar:
+        return v
+    if t is NumP:
+        return NumC(v.n)
+    entry, _ = peak._ascend(prog, prog.pos(v.entry), None)
+    code, anchor = peak._entry_code(prog, entry)
+    return Closure(code, oracle_unload_e(prog, anchor, v.env))
+
+
+def oracle_unload_k(prog, e, args, kont):
+    out = []
+
+    def seq_frame(p, env):
+        i = prog.pos(p)
+        node = prog.nodes[i]
+        return SeqF(node.binder, node.right, oracle_unload_e(prog, i, env))
+
+    def emit_args(env, frames):
+        for f in frames:
+            if type(f) is ARG:
+                q = prog.pos(f.path)
+                v = peak._operand(prog, q, 0, prog.nodes[q].arg, env)
+                out.append(ArgF(oracle_unload_v(prog, v)))
+            else:
+                out.append(seq_frame(f.path, env))
+
+    emit_args(e, args)
+    for f in kont:
+        if type(f) is KArg:
+            out.append(ArgF(oracle_unload_v(prog, f.value)))
+        else:
+            out.append(seq_frame(f.path, f.env))
+            emit_args(f.env, f.rest_args)
+    return tuple(out)
+
+
+def oracle_peak_unload(P, rho):
+    prog = as_prog(P)
+    pc, args = peak._ascend(prog, prog.pos(rho.pc), rho.args)
+    code, anchor = peak._entry_code(prog, pc)
+    return CekState(
+        code,
+        oracle_unload_e(prog, anchor, rho.env),
+        oracle_unload_k(prog, rho.env, args, rho.kont),
+    )
+
+
+# ---------------------------------------------------------------------------
+# the oracle: alpha equivalence walking both terms to the leaves
+
+
+def oracle_rank(name, scope):
+    for i, frame in enumerate(scope):
+        if name in frame:
+            return (i, frame.index(name))
+    return None
+
+
+def oracle_aeq(a, b, sa=(), sb=()):
+    ta = type(a)
+    if ta is not type(b):
+        return False
+    if ta is VarV:
+        ra, rb = oracle_rank(a.name, sa), oracle_rank(b.name, sb)
+        if ra is None and rb is None:
+            return a.name == b.name
+        return ra == rb
+    if ta is NumV:
+        return a.n == b.n
+    if ta is ThunkV:
+        return oracle_aeq(a.body, b.body, sa, sb)
+    if ta is Force or ta is Prd:
+        return oracle_aeq(a.value, b.value, sa, sb)
+    if ta is App:
+        return oracle_aeq(a.arg, b.arg, sa, sb) and oracle_aeq(a.body, b.body, sa, sb)
+    if ta is Lam:
+        return oracle_aeq(a.body, b.body, ((a.binder,),) + sa, ((b.binder,),) + sb)
+    if ta is Seq:
+        return oracle_aeq(a.left, b.left, sa, sb) and oracle_aeq(
+            a.right, b.right, ((a.binder,),) + sa, ((b.binder,),) + sb
+        )
+    if ta is LetRec:
+        if len(a.defs) != len(b.defs):
+            return False
+        sa2 = (tuple(n for n, _ in a.defs),) + sa
+        sb2 = (tuple(n for n, _ in b.defs),) + sb
+        for (_, da), (_, db) in zip(a.defs, b.defs):
+            if not oracle_aeq(da, db, sa2, sb2):
+                return False
+        return oracle_aeq(a.body, b.body, sa2, sb2)
+    if ta is If0:
+        return (
+            oracle_aeq(a.guard, b.guard, sa, sb)
+            and oracle_aeq(a.then, b.then, sa, sb)
+            and oracle_aeq(a.orelse, b.orelse, sa, sb)
+        )
+    if ta is Op:
+        return (a.op is b.op and oracle_aeq(a.lhs, b.lhs, sa, sb)
+                and oracle_aeq(a.rhs, b.rhs, sa, sb))
+    raise TypeError(f"not a term: {a!r}")
+
+
+# ---------------------------------------------------------------------------
+# programs
+
+
+# test_cek's rebound-binder programs: a frame binder shadowing an
+# environment entry, and a stored thunk mentioning a source-free name the
+# frame rebinds
+REBOUND = (
+    Seq(Prd(NumV(9)), "z", Seq(If0(VarV("z"), Prd(NumV(0)), Prd(NumV(1))), "z",
+                               Op(VarV("z"), ArithOp.ADD, VarV("z")))),
+    Seq(Prd(ThunkV(Force(VarV("z")))), "w",
+        Seq(Prd(NumV(0)), "z", Seq(Force(VarV("w")), "y", Prd(VarV("y"))))),
+)
+
+GROUPS = {
+    "fixtures": lambda: list(fx.PROGRAMS.values()),
+    "acceptance corpus": lambda: [gen_term(s, s % 26) for s in range(1000)],
+    "open terms": lambda: [gen_term(s, s % 26, closed=False) for s in range(500)],
+    "deep families": lambda: [parse_term(f(n)) for f in (chain_text, thunks_text, sum_text)
+                              for n in DEPTHS],
+    "rebound binders": lambda: list(REBOUND) + [parse_term(t) for t in SHADOWING],
+}
+
+
+def _states(step, s, fuel=300):
+    yield s
+    for _ in range(fuel):
+        s = step(s)
+        if type(s) in (Terminal, Stuck):
+            return
+        yield s
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except cek.IllFormedState as exc:
+        return ("ill-formed", str(exc))
+
+
+def _terms_agree(sigma, want):
+    """cek's unload of ``sigma`` against the oracle's of the equal ``want``."""
+    got, expected = cek.unload(sigma), oracle_cek_unload(want)
+    assert got == expected
+    assert print_term(got) == print_term(expected)
+
+
+def _peak_agrees(prog, rho):
+    got, want = _outcome(peak.unload, prog, rho), _outcome(oracle_peak_unload, prog, rho)
+    assert got == want
+    if type(got) is CekState:
+        _terms_agree(got, want)
+
+
+def _unloads_agree(term):
+    prog = as_prog(term)  # one table across the runs, as in a check
+    g = cfg.compile(prog)
+    for sigma in _states(cek.step, cek.load(term)):
+        _terms_agree(sigma, sigma)
+    for rho in _states(lambda r: peak.step(prog, r), peak.load(prog)):
+        _peak_agrees(prog, rho)
+    for step in (lambda s: pek.step(prog, s), lambda s: cfg.step(g, s)):
+        for s in _states(step, pek.load(prog)):
+            _peak_agrees(prog, pek.unload(prog, s))
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_unloads_agree_with_the_oracle_along_runs(group):
+    for term in GROUPS[group]():
+        _unloads_agree(term)
+
+
+def test_rebound_frame_binders_unload_like_the_oracle():
+    env = Bind("z", NumC(9), None)
+    masked = CekState(Prd(VarV("z")), env,
+                      (SeqF("z", Op(VarV("z"), ArithOp.ADD, VarV("z")), env),))
+    stored = Bind("w", cek.lookup_value(ThunkV(Force(VarV("z"))), None), None)
+    freshened = CekState(Prd(NumV(0)), None, (SeqF("z", Force(VarV("w")), stored),))
+    for sigma in (masked, freshened):
+        _terms_agree(sigma, sigma)
+        _terms_agree(sigma, sigma)  # the second time from the kept flattenings
+
+
+# ---------------------------------------------------------------------------
+# equal unloads are the same objects, read off what the state holds
+
+
+def _run(mod, prog, fuel=10**6):
+    return list(_states(lambda s: mod.step(prog, s), mod.load(prog), fuel))
+
+
+def test_equal_unloads_are_one_object_whatever_dict_holds_the_bindings():
+    prog = as_prog(fx.MULT_CALL)
+    for rho in _run(peak, prog):
+        once = peak.unload(prog, rho)
+        copied = PeakState(rho.pc, dict(rho.env), rho.args, rho.kont)
+        again = peak.unload(prog, copied)
+        assert again.env is once.env
+        assert all(a is b for a, b in zip(again.kont, once.kont) if type(a) is SeqF)
+        assert again == once
+
+
+def test_the_table_lives_in_the_checks_prog_and_dies_with_it():
+    prog = as_prog(parse_term(sum_text(7)))
+    assert harness.tower_check(prog).ok
+    table = prog.tables["cons"]
+    kinds = {type(x) for x in table.values()}
+    assert {NumC, Bind, RecFrame, SeqF} <= kinds
+    last = pek.unload(prog, _run(pek, prog)[-1])
+    sigma = peak.unload(prog, last)
+    held = {id(x) for x in table.values()}
+    assert id(sigma.env) in held
+    assert all(id(f) in held for f in sigma.kont if type(f) is SeqF)
+    alive = [weakref.ref(x) for x in table.values()]
+    assert "cons" not in as_prog(prog.term).tables  # nothing shared between Progs
+    del prog, table, last, sigma, held
+    gc.collect()
+    assert all(r() is None for r in alive)
+
+
+# ---------------------------------------------------------------------------
+# soundness of the memos: a graph machine that updates environments in place
+
+
+def _in_place(real):
+    """``cfg._execute``, but MOV, OP, POP, RET and OPRET write the new
+    binding into the environment dict they read, which stays in the old
+    state and in every frame and closure sharing it."""
+
+    def execute(instr, succs, s):
+        t, e, kont = type(instr), s.env, s.kont
+        if t is MOV:
+            e[instr.dst] = eval_operand(e, instr.src)
+            return PekState(succs[0], e, kont)
+        if t is POP and kont and type(kont[0]) is KArg:
+            e[instr.dst] = kont[0].value
+            return PekState(succs[0], e, kont[1:])
+        r = real(instr, succs, s)
+        if type(r) is not PekState:
+            return r
+        if t is OP:
+            e[instr.dst] = r.env[instr.dst]
+            return PekState(r.pc, e, r.kont)
+        if (t is RET or t is OPRET) and kont and type(kont[0]) is KRet:
+            f = kont[0]
+            f.env[f.bind_path] = r.env[f.bind_path]
+            return PekState(r.pc, f.env, r.kont)
+        return r
+
+    return execute
+
+
+def _every_check(m):
+    prog = as_prog(m)
+    reports = [harness.tower_check(prog)]
+    for pair in LevelPair:
+        for mode in harness.MODES:
+            reports.append(harness.lockstep_check(prog, pair, mode=mode))
+    return reports
+
+
+def _summary(report):
+    return report.program, report.steps_checked, report.lines()
+
+
+def _with_oracles(monkeypatch):
+    monkeypatch.setattr(cek, "unload", oracle_cek_unload)
+    monkeypatch.setattr(cek, "unload_val", oracle_unload_val)
+    monkeypatch.setattr(peak, "unload", oracle_peak_unload)
+    monkeypatch.setattr(peak, "unload_v", oracle_unload_v)
+    monkeypatch.setattr(harness, "alpha_eq", lambda a, b: oracle_aeq(a, b))
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+def test_every_report_equals_the_oracles(monkeypatch, in_place):
+    if in_place:
+        monkeypatch.setattr(cfg, "_execute", _in_place(cfg._execute))
+    programs = [parse_term(sum_text(5)), *fx.PROGRAMS.values()]
+    got = [_every_check(m) for m in programs]
+    _with_oracles(monkeypatch)
+    want = [_every_check(m) for m in programs]
+    if in_place:  # a closure can now sit in the dict it closes over: compare the text
+        summary = lambda reports: [[_summary(r) for r in rs] for rs in reports]
+        assert summary(got) == summary(want)
+    else:
+        assert got == want
+    tower = got[0][0]
+    if in_place:  # caught at the step where the first write shows
+        assert not tower.ok and tower.steps_checked == 5
+    else:
+        assert all(rs[0].ok for rs in got)
+
+
+def _frozen_untouched(obj):
+    return set(vars(obj)) == {f.name for f in dataclasses.fields(obj)}
+
+
+def _carriers(states):
+    """Every PClosure, KSeq and KRet reachable from ``states``."""
+    seen, out, todo = set(), [], []
+    for s in states:
+        todo.append(s.env)
+        for f in s.kont:
+            todo.append(f.value if type(f) is KArg else f)
+    while todo:
+        x = todo.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if type(x) is dict:
+            todo.extend(x.values())
+        elif type(x) in (PClosure, KSeq, KRet):
+            out.append(x)
+            todo.append(x.env)
+    return out
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+def test_no_memo_is_kept_on_an_object_that_carries_an_env_dict(monkeypatch, in_place):
+    if in_place:
+        monkeypatch.setattr(cfg, "_execute", _in_place(cfg._execute))
+    seen = []
+
+    def recording(fn):
+        def wrapped(*args):
+            r = fn(*args)
+            if type(r) in (PekState, PeakState):
+                seen.append(r)
+            return r
+        return wrapped
+
+    for mod in (cfg, pek, peak):
+        monkeypatch.setattr(mod, "step", recording(mod.step))
+    monkeypatch.setattr(pek, "unload", recording(pek.unload))
+    for m in (parse_term(sum_text(5)), *fx.PROGRAMS.values()):
+        _every_check(m)
+    carriers = _carriers(seen)
+    assert {type(x) for x in carriers} == {PClosure, KSeq, KRet}
+    assert all(_frozen_untouched(x) for x in carriers)
+
+
+# ---------------------------------------------------------------------------
+# alpha equivalence on terms that share subterm objects
+
+_contexts = st.lists(st.tuples(st.sampled_from(("lam", "seq", "rec")), names), max_size=4)
+
+
+def _under(ctx, m):
+    for kind, x in reversed(ctx):
+        if kind == "lam":
+            m = Lam(x, m)
+        elif kind == "seq":
+            m = Seq(Prd(NumV(0)), x, m)
+        else:
+            m = LetRec(((x, Prd(NumV(1))),), m)
+    return m
+
+
+@settings(deadline=None)
+@given(terms, _contexts, _contexts, names, names)
+def test_alpha_eq_agrees_with_the_oracle_on_shared_subterms(m, ca, cb, x, y):
+    renamed = substitute(m, {x: VarV(y)})  # shares every untouched subtree
+    pairs = [
+        (_under(ca, m), _under(cb, m)),
+        (_under(ca, m), _under(cb, renamed)),
+        (Seq(m, x, m), Seq(m, y, renamed)),
+        (App(ThunkV(m), _under(ca, m)), App(ThunkV(renamed), _under(cb, m))),
+    ]
+    for a, b in pairs:
+        assert alpha_eq(a, b) == oracle_aeq(a, b)
+        assert alpha_eq(b, a) == oracle_aeq(b, a)
+
+
+def test_a_shared_subterm_under_swapped_binders_is_not_equal():
+    x = VarV("x")
+    body = Prd(x)
+    assert not alpha_eq(Lam("x", Lam("y", body)), Lam("y", Lam("x", body)))
+    assert not alpha_eq(Lam("x", Lam("y", Prd(x))), Lam("y", Lam("x", Prd(x))))
+    assert not oracle_aeq(Lam("x", Lam("y", body)), Lam("y", Lam("x", body)))
+    assert alpha_eq(Lam("x", Lam("y", body)), Lam("x", Lam("z", body)))
+
+
+# ---------------------------------------------------------------------------
+# operation counts, not time
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_a_check_flattens_each_pending_frame_once(monkeypatch, n):
+    flattened = _count_calls(monkeypatch, cek, "_unload_seq_frame")
+    report = harness.tower_check(parse_term(sum_text(n)))
+    assert report.ok
+    assert len(flattened) <= n + 1  # 648 and 2,576 when every step flattened them all
+
+
+@pytest.mark.parametrize("n", [125, 250])
+def test_alpha_eq_walks_what_the_step_changed(monkeypatch, n):
+    walked = _count_calls(monkeypatch, syntax, "_aeq")
+    report = harness.tower_check(parse_term(chain_text(n)))
+    assert report.ok and report.steps_checked == n + 1
+    assert len(walked) <= 6 * report.steps_checked  # n * n / 2 when walked to the leaves
