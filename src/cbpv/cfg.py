@@ -543,37 +543,59 @@ def _lookup(pairs):
     return get
 
 
-def _render_operand(o, label, loc):
-    t = type(o)
-    if t is NAT:
-        return str(o.n)
-    if t is VAR:
-        return o.name
-    if t is LOC:
-        return loc(o.binder)
-    return f"@{label(o.target)}"
-
-
-def _render(instr, label, loc):
+def _parts(instr) -> list:
+    """An instruction's parts in printed order: each an operand, a
+    destination path or a word such as ``ADD``."""
     t = type(instr)
-    op = lambda o: _render_operand(o, label, loc)
     if t is CALL:
-        return " ".join(["CALL", op(instr.fn), *map(op, instr.args), loc(instr.bind)])
+        return [instr.fn, *instr.args, instr.bind]
     if t is TAIL:
-        return " ".join(["TAIL", op(instr.fn), *map(op, instr.args)])
+        return [instr.fn, *instr.args]
     if t is MOV:
-        return f"MOV {op(instr.src)} {loc(instr.dst)}"
+        return [instr.src, instr.dst]
     if t is RET:
-        return f"RET {op(instr.src)}"
+        return [instr.src]
     if t is POP:
-        return f"POP {loc(instr.dst)}"
+        return [instr.dst]
     if t is IF0:
-        return f"IF0 {op(instr.guard)}"
+        return [instr.guard]
     if t is OP:
-        return f"OP {instr.op.name} {op(instr.lhs)} {op(instr.rhs)} {loc(instr.dst)}"
+        return [instr.op.name, instr.lhs, instr.rhs, instr.dst]
     if t is OPRET:
-        return f"OPRET {instr.op.name} {op(instr.lhs)} {op(instr.rhs)}"
-    return f"STUCK {instr.reason.name}"
+        return [instr.op.name, instr.lhs, instr.rhs]
+    return [instr.reason.name]  # STUCK
+
+
+def _listed(part, label, loc) -> str:
+    """A part as ``print_cfg`` shows it: binders by name, code by label."""
+    t = type(part)
+    if t is str:
+        return part
+    if t is tuple:
+        return loc(part)
+    if t is NAT:
+        return str(part.n)
+    if t is VAR:
+        return part.name
+    if t is LOC:
+        return loc(part.binder)
+    return f"@{label(part.target)}"
+
+
+def _recorded(part) -> str:
+    """A part as ``records`` shows it: tagged, with root-first paths."""
+    t = type(part)
+    if t is str:
+        return part
+    if t is tuple:
+        return f"DST:{path_text(part)}"
+    if t is NAT:
+        return f"NAT:{part.n}"
+    if t is VAR:
+        return f"VAR:{part.name}"
+    if t is LOC:
+        return f"LOC:{path_text(part.binder)}"
+    return f"LBL:{path_text(part.target)}"
 
 
 def print_cfg(G: Cfg) -> str:
@@ -582,40 +604,10 @@ def print_cfg(G: Cfg) -> str:
     loc = _lookup(locs)
     lines = []
     for i, (instr, succs) in enumerate(G.blocks.values()):
+        words = [type(instr).__name__] + [_listed(x, label, loc) for x in _parts(instr)]
         succ_text = " ".join(str(label(q)) for q in succs)
-        lines.append(f"{i}: {_render(instr, label, loc)} [{succ_text}]")
+        lines.append(f"{i}: {' '.join(words)} [{succ_text}]")
     return "\n".join(lines)
-
-
-def _record_operands(instr):
-    def ser(o):
-        t = type(o)
-        if t is NAT:
-            return f"NAT:{o.n}"
-        if t is VAR:
-            return f"VAR:{o.name}"
-        if t is LOC:
-            return f"LOC:{path_text(o.binder)}"
-        return f"LBL:{path_text(o.target)}"
-
-    t = type(instr)
-    if t is CALL:
-        return [ser(instr.fn), *map(ser, instr.args), f"DST:{path_text(instr.bind)}"]
-    if t is TAIL:
-        return [ser(instr.fn), *map(ser, instr.args)]
-    if t is MOV:
-        return [ser(instr.src), f"DST:{path_text(instr.dst)}"]
-    if t is RET:
-        return [ser(instr.src)]
-    if t is POP:
-        return [f"DST:{path_text(instr.dst)}"]
-    if t is IF0:
-        return [ser(instr.guard)]
-    if t is OP:
-        return [instr.op.name, ser(instr.lhs), ser(instr.rhs), f"DST:{path_text(instr.dst)}"]
-    if t is OPRET:
-        return [instr.op.name, ser(instr.lhs), ser(instr.rhs)]
-    return [instr.reason.name]
 
 
 def records(G: Cfg) -> str:
@@ -628,7 +620,7 @@ def records(G: Cfg) -> str:
                     str(i),
                     path_text(p),
                     type(instr).__name__,
-                    ",".join(_record_operands(instr)),
+                    ",".join(map(_recorded, _parts(instr))),
                     ",".join(str(label(q)) for q in succs),
                 ]
             )

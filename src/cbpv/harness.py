@@ -238,9 +238,14 @@ def _unloads(fn, s):
 # the lockstep driver for adjacent pairs
 
 
-def lockstep_check(m, pair: LevelPair, fuel: int = 1000, mode: str = "strict") -> Report:
+def lockstep_check(m, pair: LevelPair, fuel: int = 1000, mode=None) -> Report:
     """Compare unloaded lower states against the upper ones, from the load
-    states through the one reached by the last fueled step, then the halts."""
+    states through the one reached by the last fueled step, then the halts.
+    Only the peak/pek row reads ``mode``.  It defaults to the pair's own:
+    modulo advancing for peak/pek, as pek loads past peak's binding spine,
+    and strict for the rest."""
+    if mode is None:
+        mode = "modulo_advance" if pair is LevelPair.PEAK_PEK else "strict"
     if mode not in MODES:
         raise ValueError(f"unknown mode: {mode!r}")
     prog = as_prog(m)

@@ -16,6 +16,7 @@ opaque forced value would change the halting classification).
 
 from dataclasses import dataclass
 from enum import Enum, auto
+from functools import reduce
 
 from . import harness, sos
 from .sos import ProducedValue, Terminal, Verdict
@@ -32,7 +33,6 @@ from .syntax import (
     ThunkV,
     VarV,
     alpha_eq,
-    as_prog,
     child,
     iter_subterms,
     path_text,
@@ -153,16 +153,17 @@ def _rewrite(rule: RuleId, node):
 
 
 def _redexes(m, rules):
-    """Every matching (rule, position), positions in preorder."""
+    """Every matching (rule, position, rewrite), positions in preorder."""
     enabled = [r for r in RuleId if rules is None or r in rules]
     for p, node in iter_subterms(m):
         for rule in enabled:
-            if _rewrite(rule, node) is not None:
-                yield rule, p
+            new = _rewrite(rule, node)
+            if new is not None:
+                yield rule, p, new
 
 
 def find_redexes(m, rules=None):
-    return list(_redexes(m, rules))
+    return [(rule, p) for rule, p, _ in _redexes(m, rules)]
 
 
 def _replace(term, p, new):
@@ -173,8 +174,7 @@ def _replace(term, p, new):
 
 
 def apply_rule(m, rule: RuleId, at: tuple):
-    node = as_prog(m).at(at)
-    new = _rewrite(rule, node)
+    new = _rewrite(rule, reduce(child, reversed(at), m))
     if new is None:
         raise NoMatch(f"{rule.name} does not match at {path_text(at)}")
     return _replace(m, at, new)
@@ -192,8 +192,8 @@ def optimize(m, rules=None, max_passes=100):
         hit = next(_redexes(cur, rules), None)
         if hit is None:
             break
-        rule, p = hit
-        nxt = apply_rule(cur, rule, p)
+        rule, p, new = hit
+        nxt = _replace(cur, p, new)
         steps.append(RewriteStep(rule, p, cur, nxt))
         cur = nxt
     return cur, tuple(steps)

@@ -91,7 +91,6 @@ class FuelExhausted:
 class RunOutcome:
     steps_taken: int
     result: object  # StepResult or FuelExhausted
-    trace: Optional[tuple] = None
 
 
 class Verdict(enum.Enum):
@@ -224,21 +223,18 @@ def redex_depth(m) -> Optional[int]:
 # runner
 
 
-def run(m, fuel: int, collect_trace: bool = False) -> RunOutcome:
+def run(m, fuel: int) -> RunOutcome:
     """Iterate step, spending one unit of fuel per transition taken."""
-    trace = [m] if collect_trace else None
     steps = 0
     cur = m
     while True:
         r = step(cur)
         if type(r) is not Next:
-            return RunOutcome(steps, r, tuple(trace) if trace is not None else None)
+            return RunOutcome(steps, r)
         if steps == fuel:
-            return RunOutcome(steps, FuelExhausted(), tuple(trace) if trace is not None else None)
+            return RunOutcome(steps, FuelExhausted())
         steps += 1
         cur = r.term
-        if trace is not None:
-            trace.append(cur)
 
 
 def describe(t, i: int) -> str:

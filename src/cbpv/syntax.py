@@ -6,6 +6,9 @@ arithmetic).  Everything downstream — the machines, the compiler, the
 rewriter — addresses subterms of a fixed program by *path*, so the path
 helpers and the binder-resolution logic live here as well.
 
+A node's shape is defined in one place, the child table ``_CHILDREN``, which
+``child``, ``arity`` and ``with_child`` read.
+
 Paths are tuples of child indices with the innermost component first, so
 ``(0, 2, 1)`` names "child 1 of the root, then child 2 of that, then child
 0".  The human-readable rendering is root-first and dot-separated
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 import enum
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -172,100 +175,53 @@ def is_suffix(q: Path, p: Path) -> bool:
     return n <= len(p) and (n == 0 or p[-n:] == q)
 
 
+# The shape of every node: its child fields, in child-index order.  Leaves
+# have no entry.  A LetRec is kept apart because its children are its body
+# and then each definition.
+_CHILDREN = {
+    Force: ("value",),
+    Prd: ("value",),
+    App: ("arg", "body"),
+    Lam: ("body",),
+    Seq: ("left", "right"),
+    If0: ("guard", "then", "orelse"),
+    Op: ("lhs", "rhs"),
+    ThunkV: ("body",),
+}
+
+
 def child(node: Node, i: int) -> Node:
-    t = type(node)
-    if t is Force or t is Prd:
-        if i == 0:
-            return node.value
-    elif t is App:
-        if i == 0:
-            return node.arg
-        if i == 1:
-            return node.body
-    elif t is Lam:
-        if i == 0:
-            return node.body
-    elif t is Seq:
-        if i == 0:
-            return node.left
-        if i == 1:
-            return node.right
-    elif t is LetRec:
+    if type(node) is LetRec:
         if i == 0:
             return node.body
         if 1 <= i <= len(node.defs):
             return node.defs[i - 1][1]
-    elif t is If0:
-        if i == 0:
-            return node.guard
-        if i == 1:
-            return node.then
-        if i == 2:
-            return node.orelse
-    elif t is Op:
-        if i == 0:
-            return node.lhs
-        if i == 1:
-            return node.rhs
-    elif t is ThunkV:
-        if i == 0:
-            return node.body
+    else:
+        names = _CHILDREN.get(type(node), ())
+        if 0 <= i < len(names):
+            return getattr(node, names[i])
     raise InvalidPath(f"{type(node).__name__} has no child {i}")
 
 
 def arity(node: Node) -> int:
-    t = type(node)
-    if t in (Force, Prd, Lam, ThunkV):
-        return 1
-    if t in (App, Seq, Op):
-        return 2
-    if t is If0:
-        return 3
-    if t is LetRec:
+    if type(node) is LetRec:
         return 1 + len(node.defs)
-    return 0  # VarV, NumV
+    return len(_CHILDREN.get(type(node), ()))  # 0 on VarV, NumV
 
 
 def with_child(node: Node, i: int, new: Node) -> Node:
     """Rebuild ``node`` with child ``i`` replaced."""
-    t = type(node)
-    if t is Force and i == 0:
-        return Force(new)
-    if t is Prd and i == 0:
-        return Prd(new)
-    if t is App:
-        if i == 0:
-            return App(new, node.body)
-        if i == 1:
-            return App(node.arg, new)
-    if t is Lam and i == 0:
-        return Lam(node.binder, new)
-    if t is Seq:
-        if i == 0:
-            return Seq(new, node.binder, node.right)
-        if i == 1:
-            return Seq(node.left, node.binder, new)
-    if t is LetRec:
+    if type(node) is LetRec:
         if i == 0:
             return LetRec(node.defs, new)
         if 1 <= i <= len(node.defs):
             defs = list(node.defs)
             defs[i - 1] = (defs[i - 1][0], new)
             return LetRec(tuple(defs), node.body)
-    if t is If0:
-        if i == 0:
-            return If0(new, node.then, node.orelse)
-        if i == 1:
-            return If0(node.guard, new, node.orelse)
-        if i == 2:
-            return If0(node.guard, node.then, new)
-    if t is Op:
-        if i == 0:
-            return Op(new, node.op, node.rhs)
-        if i == 1:
-            return Op(node.lhs, node.op, new)
-    if t is ThunkV and i == 0:
-        return ThunkV(new)
+    else:
+        names = _CHILDREN.get(type(node), ())
+        if 0 <= i < len(names):
+            return replace(node, **{names[i]: new})
     raise InvalidPath(f"{type(node).__name__} has no child {i}")
 
 

@@ -149,8 +149,7 @@ def test_criterion_06_lockstep_pairs_on_corpus():
     failures = []
     for m in CORPUS:
         for pair in LevelPair:
-            mode = "modulo_advance" if pair is LevelPair.PEAK_PEK else "strict"
-            r = lockstep_check(m, pair, fuel=300, mode=mode)
+            r = lockstep_check(m, pair, fuel=300)
             if not r.ok:
                 failures.append(r)
     elapsed = time.perf_counter() - t0
@@ -199,14 +198,14 @@ def test_criterion_09_stuck_alignment_on_open_terms():
     stuck = 0
     for seed in range(2000, 2200):
         m = gen_term(seed, seed % 26, closed=False)
-        out = sos.run(m, 300, collect_trace=True)
-        if type(out.result) is not Stuck:
+        out, _, last = harness.run(harness.machine("sos", m), 300)
+        if type(out) is not Stuck:
             continue
         stuck += 1
         r, _, s = harness.run(harness.machine("cfg", m), 300)
         assert type(r) is Stuck, (seed, r)
-        assert r == out.result, (seed, r, out.result)
-        assert alpha_eq(cfg.unload(as_prog(m), s), out.trace[-1]), seed
+        assert r == out, (seed, r, out)
+        assert alpha_eq(cfg.unload(as_prog(m), s), last), seed
     assert stuck >= 50  # the sample really exercises the stuck paths
     _ok(9)
 
@@ -355,8 +354,7 @@ def _detections():
     for name, m in programs:
         checks = [("tower", lambda: tower_check(m, fuel=300))]
         for pair in LevelPair:
-            mode = "modulo_advance" if pair is LevelPair.PEAK_PEK else "strict"
-            checks.append((pair.value, lambda p=pair, md=mode: lockstep_check(m, p, fuel=300, mode=md)))
+            checks.append((pair.value, lambda p=pair: lockstep_check(m, p, fuel=300)))
         for check_name, run in checks:
             try:
                 if not run().ok:

@@ -35,6 +35,7 @@ from cbpv.cfg import (
     step,
     unload,
 )
+from cbpv.harness import gen_term
 from cbpv.parser import parse_term
 from cbpv.peak import KArg, MissingBinding, NumP, PClosure
 from cbpv.pek import KRet, PekState
@@ -51,6 +52,7 @@ from cbpv.syntax import (
     is_value,
     iter_subterms,
     path_from_text,
+    path_text,
 )
 
 from conftest import close_term, terms
@@ -344,6 +346,116 @@ def test_record_paths_are_root_first():
 def test_describe_format():
     g, s = load(fx.ARITH_SEQ)
     assert describe(g, s, 0) == "cfg 0: pc=0 instr=OP env=0 kont=0"
+
+
+# The emitters as they were before every instruction's parts were listed
+# once, kept as the oracle for print_cfg and records.
+
+
+def _oracle_render_operand(o, label, loc):
+    t = type(o)
+    if t is NAT:
+        return str(o.n)
+    if t is VAR:
+        return o.name
+    if t is LOC:
+        return loc(o.binder)
+    return f"@{label(o.target)}"
+
+
+def _oracle_render(instr, label, loc):
+    t = type(instr)
+    op = lambda o: _oracle_render_operand(o, label, loc)
+    if t is CALL:
+        return " ".join(["CALL", op(instr.fn), *map(op, instr.args), loc(instr.bind)])
+    if t is TAIL:
+        return " ".join(["TAIL", op(instr.fn), *map(op, instr.args)])
+    if t is MOV:
+        return f"MOV {op(instr.src)} {loc(instr.dst)}"
+    if t is RET:
+        return f"RET {op(instr.src)}"
+    if t is POP:
+        return f"POP {loc(instr.dst)}"
+    if t is IF0:
+        return f"IF0 {op(instr.guard)}"
+    if t is OP:
+        return f"OP {instr.op.name} {op(instr.lhs)} {op(instr.rhs)} {loc(instr.dst)}"
+    if t is OPRET:
+        return f"OPRET {instr.op.name} {op(instr.lhs)} {op(instr.rhs)}"
+    return f"STUCK {instr.reason.name}"
+
+
+def _oracle_print_cfg(G):
+    label = {p: i for i, p in enumerate(G.blocks)}.__getitem__
+    loc = dict(G.locs).__getitem__
+    lines = []
+    for i, (instr, succs) in enumerate(G.blocks.values()):
+        succ_text = " ".join(str(label(q)) for q in succs)
+        lines.append(f"{i}: {_oracle_render(instr, label, loc)} [{succ_text}]")
+    return "\n".join(lines)
+
+
+def _oracle_record_operands(instr):
+    def ser(o):
+        t = type(o)
+        if t is NAT:
+            return f"NAT:{o.n}"
+        if t is VAR:
+            return f"VAR:{o.name}"
+        if t is LOC:
+            return f"LOC:{path_text(o.binder)}"
+        return f"LBL:{path_text(o.target)}"
+
+    t = type(instr)
+    if t is CALL:
+        return [ser(instr.fn), *map(ser, instr.args), f"DST:{path_text(instr.bind)}"]
+    if t is TAIL:
+        return [ser(instr.fn), *map(ser, instr.args)]
+    if t is MOV:
+        return [ser(instr.src), f"DST:{path_text(instr.dst)}"]
+    if t is RET:
+        return [ser(instr.src)]
+    if t is POP:
+        return [f"DST:{path_text(instr.dst)}"]
+    if t is IF0:
+        return [ser(instr.guard)]
+    if t is OP:
+        return [instr.op.name, ser(instr.lhs), ser(instr.rhs), f"DST:{path_text(instr.dst)}"]
+    if t is OPRET:
+        return [instr.op.name, ser(instr.lhs), ser(instr.rhs)]
+    return [instr.reason.name]
+
+
+def _oracle_records(G):
+    label = {p: i for i, p in enumerate(G.blocks)}
+    rows = []
+    for i, (p, (instr, succs)) in enumerate(G.blocks.items()):
+        rows.append(
+            "\t".join(
+                [
+                    str(i),
+                    path_text(p),
+                    type(instr).__name__,
+                    ",".join(_oracle_record_operands(instr)),
+                    ",".join(str(label[q]) for q in succs),
+                ]
+            )
+        )
+    return "\n".join(rows)
+
+
+def test_emission_agrees_with_the_oracle():
+    # The 1,000 generated closed terms of the acceptance corpus, and open
+    # terms, which also compile to STUCK and OPRET blocks.
+    closed = [gen_term(seed, seed % 26) for seed in range(1000)]
+    open_terms = [gen_term(seed, seed % 26, closed=False) for seed in range(500)]
+    kinds = set()
+    for m in list(fx.PROGRAMS.values()) + closed + open_terms:
+        g = compile(m)
+        assert print_cfg(g) == _oracle_print_cfg(g), m
+        assert records(g) == _oracle_records(g), m
+        kinds.update(type(instr) for instr, _ in g.blocks.values())
+    assert kinds == {CALL, TAIL, MOV, RET, POP, IF0, OP, OPRET, STUCK}
 
 
 def test_duplicate_binder_names_are_disambiguated():

@@ -274,6 +274,9 @@ def test_check_all_shares_one_prog_across_the_checks(monkeypatch, capsys):
 
 def test_check_accepts_modulo_advance(capsys):
     assert main(["check", "--all", "--modulo-advance", fixture_path("arith_seq")]) == 0
+    flagged = capsys.readouterr()
+    assert main(["check", "--all", fixture_path("arith_seq")]) == 0
+    assert capsys.readouterr() == flagged  # the flag changes nothing
 
 
 def _swap_branch_targets(prog):

@@ -15,10 +15,6 @@ from cbpv.syntax import NumV, Prd, free_vars, iter_subterms
 ALL_PAIRS = list(LevelPair)
 
 
-def _blessed_mode(pair):
-    return "modulo_advance" if pair is LevelPair.PEAK_PEK else "strict"
-
-
 # ---------------------------------------------------------------------------
 # lockstep over the fixture corpus
 
@@ -26,7 +22,7 @@ def _blessed_mode(pair):
 @pytest.mark.parametrize("name", list(fx.PROGRAMS))
 @pytest.mark.parametrize("pair", ALL_PAIRS, ids=lambda p: p.name)
 def test_fixture_corpus_commutes(name, pair):
-    report = lockstep_check(fx.PROGRAMS[name], pair, fuel=500, mode=_blessed_mode(pair))
+    report = lockstep_check(fx.PROGRAMS[name], pair, fuel=500)
     assert report.ok, report.lines()
 
 
@@ -48,6 +44,8 @@ def test_strict_mode_distinguishes_entry_points():
     assert not report.ok
     assert report.failures[0].step == 0
     assert lockstep_check(fx.FORCE_THUNK, LevelPair.PEAK_PEK, fuel=100, mode="strict").ok
+    # left unset, the mode is the pair's own: modulo advancing for peak/pek
+    assert lockstep_check(fx.ARITH_SEQ, LevelPair.PEAK_PEK, fuel=100).ok
 
 
 def test_unknown_mode_rejected():
@@ -63,7 +61,7 @@ def test_unknown_machine_rejected():
 def test_divergent_program_checked_up_to_fuel():
     omega = parse_term("letrec f = force f in force f")
     for pair in ALL_PAIRS:
-        report = lockstep_check(omega, pair, fuel=30, mode=_blessed_mode(pair))
+        report = lockstep_check(omega, pair, fuel=30)
         assert report.ok and report.steps_checked == 30, pair
 
 
@@ -91,7 +89,7 @@ def test_state_after_the_last_fueled_step_is_checked(monkeypatch, pair):
         return seen[0] if len(seen) == fuel + 1 else seen[-1]
 
     monkeypatch.setattr(module, "step", step)
-    report = lockstep_check(_COUNTER, pair, fuel=fuel, mode=_blessed_mode(pair))
+    report = lockstep_check(_COUNTER, pair, fuel=fuel)
     assert not report.ok
     assert report.failures[0].step == fuel + 1
 
@@ -101,7 +99,7 @@ def test_state_after_the_last_fueled_step_is_checked(monkeypatch, pair):
 def test_generated_terms_commute_everywhere(t):
     t = close_term(t)
     for pair in ALL_PAIRS:
-        report = lockstep_check(t, pair, fuel=80, mode=_blessed_mode(pair))
+        report = lockstep_check(t, pair, fuel=80)
         assert report.ok, (pair, report.lines())
 
 

@@ -30,6 +30,7 @@ from cbpv.syntax import (
     Prd,
     Seq,
     ThunkV,
+    Prog,
     VarV,
     alpha_eq,
 )
@@ -216,9 +217,21 @@ def test_step_log_replays_exactly(t):
     cur = t
     for s in steps:
         assert s.before == cur
+        assert find_redexes(cur)[0] == (s.rule, s.at)
         cur = apply_rule(cur, s.rule, s.at)
         assert cur == s.after
     assert cur == got
+
+
+def test_rewriting_builds_no_position_index(monkeypatch):
+    def refuse(self, term):
+        raise AssertionError("a Prog was built")
+
+    monkeypatch.setattr(Prog, "__init__", refuse)
+    for t in fx.PROGRAMS.values():
+        _, steps = optimize(t)
+        for s in steps:
+            assert apply_rule(s.before, s.rule, s.at) == s.after
 
 
 @given(terms)

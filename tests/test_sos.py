@@ -4,6 +4,7 @@ from hypothesis import given
 
 from conftest import close_term, terms
 from cbpv import fixtures as fx
+from cbpv import harness
 from cbpv.sos import (
     AwaitingArgument,
     BareArith,
@@ -201,11 +202,15 @@ def test_run_mult_call():
 
 
 def test_run_trace():
-    out = run(fx.ARITH_SEQ, 10, collect_trace=True)
-    assert out.trace[0] == fx.ARITH_SEQ
-    assert out.trace[-1] == Prd(NumV(3))
-    assert len(out.trace) == out.steps_taken + 1
-    assert [describe(t, i) for i, t in enumerate(out.trace)] == [
+    out = run(fx.ARITH_SEQ, 10)
+    trace = []
+    emit = lambda t, i: trace.append(t)
+    halt, steps, _ = harness.run(harness.machine("sos", fx.ARITH_SEQ), 10, emit)
+    assert (halt, steps) == (out.result, out.steps_taken)
+    assert trace[0] == fx.ARITH_SEQ
+    assert trace[-1] == Prd(NumV(3))
+    assert len(trace) == out.steps_taken + 1
+    assert [describe(t, i) for i, t in enumerate(trace)] == [
         "sos 0: 1 + 2 to x in prd x",
         "sos 1: prd 3",
     ]

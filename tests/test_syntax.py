@@ -1,5 +1,6 @@
 """Paths, substitution, alpha-equivalence, and binder resolution."""
 
+import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given
 
@@ -139,6 +140,29 @@ def test_with_child_rebuild(t):
     for p, node in iter_subterms(t):
         for i in range(arity(node)):
             assert with_child(node, i, child(node, i)) == node
+
+
+_MARK = Prd(NumV(-12345))
+
+
+@given(st.one_of(terms, values))
+def test_child_table_agrees_with_the_fields(t):
+    for _, node in iter_subterms(t):
+        kids = _kids(node)
+        assert arity(node) == len(kids)
+        for i, kid in enumerate(kids):
+            assert child(node, i) is kid
+            assert with_child(node, i, kid) == node
+            new = with_child(node, i, _MARK)
+            assert type(new) is type(node)
+            assert _kids(new) == kids[:i] + [_MARK] + kids[i + 1 :]
+            assert with_child(new, i, kid) == node  # nothing else changed
+        for i in (-1, len(kids)):
+            message = f"^{type(node).__name__} has no child {i}$"
+            with pytest.raises(InvalidPath, match=message):
+                child(node, i)
+            with pytest.raises(InvalidPath, match=message):
+                with_child(node, i, _MARK)
 
 
 # ---------------------------------------------------------------------------
