@@ -9,9 +9,10 @@ local rewrites and can validate the result against the original, and
 parse argv, read one file, call into the library, pick an exit code.
 
 Exit codes: 0 success, 1 the program got stuck, 2 fuel ran out, 3 a
-check or validation failed, 64 bad usage (a negative ``--fuel`` or
-``--steps`` included) or a syntax error, 70 an internal fault such as
-exhausted recursion or a compiler bug, reported on one stderr line.
+check or validation failed, 64 bad usage (a negative ``--fuel``,
+``--steps`` or ``--count`` included) or a syntax error, 70 an internal
+fault such as exhausted recursion or a compiler bug, reported on one
+stderr line.
 """
 
 import argparse
@@ -255,8 +256,9 @@ def main(argv=None):
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)
-        for count in ("fuel", "steps"):
-            if getattr(args, count, 0) < 0:
+        for count in ("fuel", "steps", "count"):
+            value = getattr(args, count, None)  # --count defaults to None
+            if value is not None and value < 0:
                 ap.error(f"argument --{count}: must not be negative")
     except SystemExit as exc:
         return exc.code or 0

@@ -224,14 +224,15 @@ def redex_depth(m) -> Optional[int]:
 
 
 def run(m, fuel: int) -> RunOutcome:
-    """Iterate step, spending one unit of fuel per transition taken."""
+    """Iterate step, spending one unit of fuel per transition taken; a
+    negative fuel, like zero, takes none."""
     steps = 0
     cur = m
     while True:
         r = step(cur)
         if type(r) is not Next:
             return RunOutcome(steps, r)
-        if steps == fuel:
+        if steps >= fuel:
             return RunOutcome(steps, FuelExhausted())
         steps += 1
         cur = r.term

@@ -353,12 +353,19 @@ def as_prog(P) -> Prog:
 
 
 # ---------------------------------------------------------------------------
-# free variables (cached on the node; terms are immutable)
+# free variables (kept on the node; terms are immutable)
 
 _EMPTY: frozenset = frozenset()
 
 
 def free_vars(node: Node) -> frozenset:
+    """The names free in ``node``.
+
+    The answer is kept on the node, and ``substitute`` stores it on every
+    node it builds, so a term built by substitution is never walked again
+    here.  That is sound because nodes are frozen: a node's free names
+    cannot change after it is built.
+    """
     fv = getattr(node, "_fv", None)
     if fv is not None:
         return fv
@@ -407,69 +414,171 @@ def freshen(base: str, avoid) -> str:
 def substitute(node: Node, sub: Mapping[str, Value]) -> Node:
     """Simultaneous capture-avoiding substitution of values for free variables.
 
-    Untouched subtrees are returned as-is (object identity), which keeps
-    repeated machine unloads from blowing up allocation.
+    A call costs about the nodes it rebuilds: a subtree in which no
+    substituted name is free is returned as-is (object identity), which
+    keeps repeated machine unloads from blowing up allocation.  Each node
+    built carries its free variables, ``(fv(node) - dom sub)`` plus the
+    free names of the values substituted into it, so ``free_vars`` never
+    walks it; that is sound because nodes are frozen.  A binder is checked
+    for capture only when its name is free in a substituted value, and when
+    no substituted value has a free name, the common case on closed
+    programs, a walk without any capture check is taken.
     """
-    if not sub:
+    if not sub or free_vars(node).isdisjoint(sub):
         return node
-    return _subst(node, sub)
+    vfv = _EMPTY
+    for v in sub.values():
+        if type(v) is not NumV:  # numerals, the most common values, are closed
+            f = free_vars(v)
+            if f:
+                vfv = vfv | f
+    if not vfv:
+        return _subst_closed(node, sub)
+    return _subst(node, sub, vfv)
 
 
-def _subst(node: Node, sub) -> Node:
+def _without(sub, names):
+    """``sub`` with ``names`` dropped: what the scope of their binder sees."""
+    return {k: v for k, v in sub.items() if k not in names}
+
+
+def _subst_closed(node: Node, sub) -> Node:
+    # _subst when no value of sub has a free name: nothing can be captured,
+    # and a built node's free names are its own less dom sub.  The cases
+    # come in the order the machines' terms use them most.
     t = type(node)
     if t is VarV:
         return sub.get(node.name, node)
     if t is NumV:
         return node
-    fv = free_vars(node)
-    live = {k: v for k, v in sub.items() if k in fv}
-    if not live:
+    fv = getattr(node, "_fv", None)
+    if fv is None:
+        fv = free_vars(node)
+    if fv.isdisjoint(sub):
+        return node
+    if t is Seq:
+        b, left, right = node.binder, node.left, node.right
+        nl = _subst_closed(left, sub)
+        nr = _subst_closed(right, _without(sub, (b,)) if b in sub else sub)
+        if nl is left and nr is right:
+            return node
+        new = Seq(nl, b, nr)
+    elif t is App:
+        new = App(_subst_closed(node.arg, sub), _subst_closed(node.body, sub))
+    elif t is Lam:
+        b, body = node.binder, node.body
+        nb = _subst_closed(body, _without(sub, (b,)) if b in sub else sub)
+        if nb is body:
+            return node
+        new = Lam(b, nb)
+    elif t is If0:
+        new = If0(
+            _subst_closed(node.guard, sub),
+            _subst_closed(node.then, sub),
+            _subst_closed(node.orelse, sub),
+        )
+    elif t is Op:
+        new = Op(_subst_closed(node.lhs, sub), node.op, _subst_closed(node.rhs, sub))
+    elif t is Force:
+        new = Force(_subst_closed(node.value, sub))
+    elif t is Prd:
+        new = Prd(_subst_closed(node.value, sub))
+    elif t is ThunkV:
+        new = ThunkV(_subst_closed(node.body, sub))
+    elif t is LetRec:
+        names = [n for n, _ in node.defs]
+        inner = _without(sub, names) if not sub.keys().isdisjoint(names) else sub
+        defs = tuple((n, _subst_closed(d, inner)) for n, d in node.defs)
+        nb = _subst_closed(node.body, inner)
+        if nb is node.body and all(d2 is d1 for (_, d1), (_, d2) in zip(node.defs, defs)):
+            return node
+        new = LetRec(defs, nb)
+    else:
+        raise TypeError(f"not a term: {node!r}")
+    new.__dict__["_fv"] = fv.difference(sub)  # kept as free_vars keeps it
+    return new
+
+
+def _avoid_capture(b, sub, scope):
+    """How ``sub`` enters ``scope``, the scope of binder ``b``, when a value
+    it substitutes there has ``b`` free: ``(fresh name for b, substitution
+    that also renames b)``.  None when no such value is substituted."""
+    sfv = free_vars(scope)
+    live = {k: v for k, v in sub.items() if k != b and k in sfv}
+    if not any(b in free_vars(v) for v in live.values()):
+        return None
+    avoid = set(live)
+    avoid |= sfv
+    for v in live.values():
+        avoid |= free_vars(v)
+    fresh = freshen(b, avoid)
+    live[b] = VarV(fresh)
+    return fresh, live
+
+
+def _subst(node: Node, sub, vfv) -> Node:
+    # ``sub`` may hold names that are not free in ``node``: it is passed down
+    # unchanged and loses a name only under a binder of that name (so does
+    # _subst_closed's).  ``vfv`` holds at least every name free in a value of
+    # ``sub``; a binder whose name is not in it cannot capture, so it is not
+    # checked.
+    t = type(node)
+    if t is VarV:
+        return sub.get(node.name, node)
+    if t is NumV:
+        return node
+    fv = getattr(node, "_fv", None)
+    if fv is None:
+        fv = free_vars(node)
+    if fv.isdisjoint(sub):
         return node
     if t is ThunkV:
-        return ThunkV(_subst(node.body, live))
-    if t is Force:
-        return Force(_subst(node.value, live))
-    if t is Prd:
-        return Prd(_subst(node.value, live))
-    if t is App:
-        return App(_subst(node.arg, live), _subst(node.body, live))
-    if t is Op:
-        return Op(_subst(node.lhs, live), node.op, _subst(node.rhs, live))
-    if t is If0:
-        return If0(_subst(node.guard, live), _subst(node.then, live), _subst(node.orelse, live))
-    if t is Lam:
-        # live cannot mention the binder itself: it was filtered by free_vars.
-        if any(node.binder in free_vars(v) for v in live.values()):
-            avoid = set(live)
-            avoid |= free_vars(node.body)
-            for v in live.values():
-                avoid |= free_vars(v)
-            fresh = freshen(node.binder, avoid)
-            return Lam(fresh, _subst(node.body, {**live, node.binder: VarV(fresh)}))
-        nb = _subst(node.body, live)
-        return node if nb is node.body else Lam(node.binder, nb)
-    if t is Seq:
-        nl = _subst(node.left, live)
-        rlive = {k: v for k, v in live.items() if k != node.binder and k in free_vars(node.right)}
-        if not rlive:
-            nr = node.right
-        elif any(node.binder in free_vars(v) for v in rlive.values()):
-            avoid = set(rlive)
-            avoid |= free_vars(node.right)
-            for v in rlive.values():
-                avoid |= free_vars(v)
-            fresh = freshen(node.binder, avoid)
-            return Seq(nl, fresh, _subst(node.right, {**rlive, node.binder: VarV(fresh)}))
+        new = ThunkV(_subst(node.body, sub, vfv))
+    elif t is Force:
+        new = Force(_subst(node.value, sub, vfv))
+    elif t is Prd:
+        new = Prd(_subst(node.value, sub, vfv))
+    elif t is App:
+        new = App(_subst(node.arg, sub, vfv), _subst(node.body, sub, vfv))
+    elif t is Op:
+        new = Op(_subst(node.lhs, sub, vfv), node.op, _subst(node.rhs, sub, vfv))
+    elif t is If0:
+        new = If0(
+            _subst(node.guard, sub, vfv),
+            _subst(node.then, sub, vfv),
+            _subst(node.orelse, sub, vfv),
+        )
+    elif t is Lam:
+        b, body = node.binder, node.body
+        ren = _avoid_capture(b, sub, body) if b in vfv else None
+        if ren is not None:
+            fresh, inner = ren
+            new = Lam(fresh, _subst(body, inner, vfv | {fresh}))
         else:
-            nr = _subst(node.right, rlive)
-        if nl is node.left and nr is node.right:
-            return node
-        return Seq(nl, node.binder, nr)
-    if t is LetRec:
-        # live cannot mention the bundle names (filtered by free_vars), but a
-        # substituted value may — then the clashing definitions get renamed.
+            nb = _subst(body, _without(sub, (b,)) if b in sub else sub, vfv)
+            if nb is body:
+                return node
+            new = Lam(b, nb)
+    elif t is Seq:
+        b, left, right = node.binder, node.left, node.right
+        nl = _subst(left, sub, vfv)
+        ren = _avoid_capture(b, sub, right) if b in vfv else None
+        if ren is not None:
+            fresh, inner = ren
+            new = Seq(nl, fresh, _subst(right, inner, vfv | {fresh}))
+        else:
+            nr = _subst(right, _without(sub, (b,)) if b in sub else sub, vfv)
+            if nl is left and nr is right:
+                return node
+            new = Seq(nl, b, nr)
+    elif t is LetRec:
         names = [n for n, _ in node.defs]
-        clash = [n for n in names if any(n in free_vars(v) for v in live.values())]
+        clash = None
+        if not vfv.isdisjoint(names):
+            # the names are not free here, so not substituted, but a value
+            # substituted here may mention one: those definitions get renamed
+            live = {k: v for k, v in sub.items() if k in fv}
+            clash = [n for n in names if any(n in free_vars(v) for v in live.values())]
         if clash:
             avoid = set(names) | set(live)
             avoid |= free_vars(node.body)
@@ -482,17 +591,28 @@ def _subst(node: Node, sub) -> Node:
                 f = freshen(n, avoid)
                 avoid.add(f)
                 ren[n] = VarV(f)
-            full = {**live, **ren}
-            defs = tuple(
-                (ren[n].name if n in ren else n, _subst(d, full)) for n, d in node.defs
-            )
-            return LetRec(defs, _subst(node.body, full))
-        defs = tuple((n, _subst(d, live)) for n, d in node.defs)
-        nb = _subst(node.body, live)
-        if nb is node.body and all(d2 is d1[1] for d1, (_, d2) in zip(node.defs, defs)):
+            inner = {**live, **ren}
+            names = [ren[n].name if n in ren else n for n in names]
+            vfv = vfv.union(f.name for f in ren.values())
+        else:
+            inner = _without(sub, names) if not sub.keys().isdisjoint(names) else sub
+        defs = tuple((n, _subst(d, inner, vfv)) for n, (_, d) in zip(names, node.defs))
+        nb = _subst(node.body, inner, vfv)
+        if not clash and nb is node.body and all(
+            d2 is d1 for (_, d1), (_, d2) in zip(node.defs, defs)
+        ):
             return node
-        return LetRec(defs, nb)
-    raise TypeError(f"not a term: {node!r}")
+        new = LetRec(defs, nb)
+    else:
+        raise TypeError(f"not a term: {node!r}")
+    # the new node's free names: fv(node) - dom sub, plus those of the
+    # values substituted into it
+    out = fv.difference(sub)
+    for k, v in sub.items():
+        if k in fv:
+            out |= free_vars(v)
+    new.__dict__["_fv"] = out  # kept as free_vars keeps it
+    return new
 
 
 # ---------------------------------------------------------------------------

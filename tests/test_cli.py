@@ -350,6 +350,7 @@ def test_missing_subcommand_exits_64(capsys):
     [
         ["run", "--fuel", "-1"],
         ["check", "--fuel", "-5"],
+        ["check", "--count", "-5"],
         ["optimize", "--valuation", "a=1", "--fuel", "-1"],
         ["optimize", "--steps", "-1"],
         ["unload", "--steps", "-2"],

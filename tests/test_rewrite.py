@@ -298,3 +298,10 @@ def test_nontermination_is_reported_unknown():
     report = validate(omega, omega, fuel=20)
     assert report.verdict is Verdict.Unknown
     assert report.failures == ()
+
+
+def test_negative_fuel_is_reported_unknown():
+    omega = parse_term("letrec f = force f in force f")
+    report = validate(omega, omega, fuel=-1)
+    assert report.verdict is Verdict.Unknown
+    assert report.failures == ()

@@ -5,6 +5,7 @@ from hypothesis import given
 from conftest import close_term, terms
 from cbpv import fixtures as fx
 from cbpv import harness
+from cbpv.parser import parse_term
 from cbpv.sos import (
     AwaitingArgument,
     BareArith,
@@ -194,6 +195,13 @@ def test_run_out_of_fuel():
     out = run(loop, 50)
     assert out.result == FuelExhausted()
     assert out.steps_taken == 50
+
+
+def test_run_negative_fuel_takes_no_step():
+    loop = parse_term("letrec f = force f in force f")
+    out = run(loop, -1)
+    assert out.result == FuelExhausted()
+    assert out.steps_taken == 0
 
 
 def test_run_mult_call():
