@@ -315,6 +315,12 @@ def test_syntax_error_exits_64(source_file, capsys):
     assert capsys.readouterr().err.startswith("syntax error: 2:1:")
 
 
+@pytest.mark.parametrize("char", ["é", "٣", "²"])
+def test_non_ascii_letter_or_digit_exits_64(char, source_file, capsys):
+    assert main(["run", source_file(f"prd {char}")]) == 64
+    assert capsys.readouterr().err == f"syntax error: 1:5: unexpected character {char!r}\n"
+
+
 def test_missing_file_exits_64(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cbpv")]) == 64
     assert "cannot read" in capsys.readouterr().err
@@ -369,12 +375,24 @@ def test_negative_counts_exit_64(argv, source_file, capsys):
 # internal faults
 
 
-def test_recursion_overflow_exits_70(source_file, capsys):
+def test_recursion_overflow_exits_70(monkeypatch, source_file, capsys):
+    def overflow(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(harness, "run", overflow)
+    assert main(["run", source_file("prd 0")]) == 70
+    assert capsys.readouterr().err == (
+        "internal error: RecursionError: maximum recursion depth exceeded\n"
+    )
+
+
+# cfg, peak, pek and compile are left out: compile builds one path tuple per
+# block, so memory grows with the square of the depth
+@pytest.mark.parametrize("machine", ["sos", "cek"])
+def test_deeply_nested_program_runs(machine, source_file, capsys):
     path = source_file("force thunk { " * 8000 + "prd 0" + " }" * 8000)
-    assert main(["run", path]) == 70
-    captured = capsys.readouterr()
-    assert captured.err.startswith("internal error: RecursionError: ")
-    assert captured.err.count("\n") == 1
+    assert main(["run", f"--machine={machine}", path]) == 0
+    assert capsys.readouterr().out == "result: 0\n"
 
 
 def test_unknown_pc_exits_70(monkeypatch, source_file, capsys):

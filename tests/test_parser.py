@@ -94,6 +94,13 @@ def test_parse_errors(src):
         parse_term(src)
 
 
+@pytest.mark.parametrize("char", ["é", "٣", "²"])
+def test_non_ascii_letters_and_digits_are_unexpected_characters(char):
+    with pytest.raises(ParseError) as exc:
+        parse_term(f"prd 1 to x in\n  prd {char}")
+    assert str(exc.value) == f"2:7: unexpected character {char!r}"
+
+
 def test_parse_error_carries_position():
     with pytest.raises(ParseError) as exc:
         parse_term("prd 1 to x\nin prd ?")
