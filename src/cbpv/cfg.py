@@ -14,6 +14,14 @@ pek's per-position routes (``pek.aframes``, ``pek.eta``) nor
 ``resolve_binder``.  Those stay the pek machine's own, so the pek/cfg
 lockstep check compares two independent derivations of the static structure.
 
+Environments are peak's immutable ``Env`` chains of the Lam/Seq binders in
+scope.  The same walk counts those binders, so every operand and
+destination carries its own arithmetic on the chain: a LOC its binder's
+level (the cell to read is that many from the end), an LBL how many cells
+its closure keeps, and a MOV, OP or CALL how many the new binding or the
+return frame goes on.  A step then walks only the static distance and
+makes at most one cell.
+
 Positions whose static frames cannot match their node form compile to STUCK
 instructions instead of failing: compilation is total over computation
 terms, open ones included, and halting is reported when the block runs.
@@ -24,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Union
 
 from . import cek, peak, pek
-from .peak import KArg, MissingBinding, NumP, PClosure
+from .peak import Env, KArg, MissingBinding, NumP, PClosure
 from .pek import KRet, PekState
 from .cek import SymVar
 from .sos import (
@@ -50,6 +58,7 @@ from .syntax import (
     arity,
     as_prog,
     is_value,
+    numeral_text,
     path_text,
 )
 
@@ -84,11 +93,13 @@ class NAT:
 @dataclass(frozen=True)
 class LOC:
     binder: tuple  # a Lam or Seq node
+    level: int  # Lam/Seq binders in scope inside it: the chain's length at its cell
 
 
 @dataclass(frozen=True)
 class LBL:
     target: tuple  # an instruction position
+    keep: int  # Lam/Seq binders in scope at the target: the cells its closure keeps
 
 
 Operand = Union[VAR, NAT, LOC, LBL]
@@ -99,6 +110,7 @@ class CALL:
     fn: Operand
     args: tuple  # innermost application first: popped first by the callee
     bind: tuple
+    keep: int  # Lam/Seq binders in scope at the Seq ``bind``: the return frame's cells
 
 
 @dataclass(frozen=True)
@@ -111,6 +123,7 @@ class TAIL:
 class MOV:
     src: Operand
     dst: tuple
+    keep: int  # Lam/Seq binders in scope at ``dst``: the cells the binding goes on
 
 
 @dataclass(frozen=True)
@@ -136,6 +149,7 @@ class OP:
     op: ArithOp
     rhs: Operand
     dst: tuple
+    keep: int  # as MOV's
 
 
 @dataclass(frozen=True)
@@ -186,21 +200,24 @@ def operand_of(P, p: tuple) -> Operand:
     return ix.operand(i)
 
 
-def eval_operand(e: dict, o: Operand):
+def eval_operand(e: Env, o: Operand):
     t = type(o)
-    if t is VAR:
-        return SymVar(o.name)
+    if t is LOC:  # e.find(o.binder, o.level), inlined: the commonest operand
+        k = o.level
+        while e.size > k:
+            e = e.parent
+        b = e.binder
+        if e.size == k and (b is o.binder or b == o.binder):
+            return e.value
+        raise MissingBinding(f"no value for binder at {path_text(o.binder)}")
     if t is NAT:
         return NumP(o.n)
     if t is LBL:
-        return PClosure(o.target, e)
-    v = e.get(o.binder)
-    if v is None:
-        raise MissingBinding(f"no value for binder at {path_text(o.binder)}")
-    return v
+        return PClosure(o.target, e.cut(o.keep))
+    return SymVar(o.name)
 
 
-def _eval_args(e: dict, operands: tuple) -> tuple:
+def _eval_args(e: Env, operands: tuple) -> tuple:
     return tuple(eval_operand(e, o) for o in operands)
 
 
@@ -229,11 +246,12 @@ class _Index:
 
     A node's children get consecutive ids when it is visited, so every id
     is above its parent's.  Down the tree the walk carries the static
-    argument frames and the lexical scope, a name -> binder map undone on
-    leaving the binder's subtree.  It records each value's operand, each
-    instruction position, and the child ``pek.eta`` descends into; one sweep
-    from the top id down then turns those links into the instruction
-    position eta reaches.
+    argument frames, the lexical scope (a name -> binder map undone on
+    leaving the binder's subtree) and the number of Lam/Seq binders in
+    scope, which is the environment chain's length.  It records each
+    value's operand, each instruction position, and the child ``pek.eta``
+    descends into; one sweep from the top id down then turns those links
+    into the instruction position eta reaches.
 
     Only instruction positions and Seq binders get a path, built once: that
     tuple is the block key, LOC/LBL target, destination and successor
@@ -242,24 +260,26 @@ class _Index:
     with a path.
     """
 
-    __slots__ = ("paths", "first", "eta", "ops", "plans", "binders")
+    __slots__ = ("paths", "first", "eta", "ops", "plans", "binders", "bound")
 
     def __init__(self, term):
         paths = {}  # id -> path, for instruction positions and Seq nodes
         first = [0]  # id -> id of its first child
         eta = [0]  # id -> descent child (or itself); after the sweep, eta's result
-        ops = [None]  # id -> Operand, or the id whose eta an LBL targets
+        ops = [None]  # id -> Operand, or (id whose eta an LBL targets, cells kept)
         plans = []  # (id, node, frames) of instruction positions, in preorder
         binders = []  # (path, name) of Lam and Seq nodes
-        scope = {}  # name -> LOC of a Lam/Seq binder, or id of a letrec definition
+        bound = {}  # id -> Lam/Seq binders in scope, for nodes with a path
+        scope = {}  # name -> LOC of a Lam/Seq binder, or (id, cells kept) of a letrec definition
         undo = []  # (depth of the binder, name, shadowed ref or None)
-        # Entries are (id, node, frames, binds, head, base).  binds take effect
-        # at the node and last until its parent's subtree is left.  The node's
-        # path is head + base: base is the path of its nearest ancestor that
-        # has one, head the child indices below that ancestor.
-        stack = [(0, term, (), (), (), ())]
+        # Entries are (id, node, frames, binds, head, base, d).  binds take
+        # effect at the node and last until its parent's subtree is left.  The
+        # node's path is head + base: base is the path of its nearest ancestor
+        # that has one, head the child indices below that ancestor.  d counts
+        # the Lam/Seq binders in scope at the node.
+        stack = [(0, term, (), (), (), (), 0)]
         while stack:
-            i, node, a, binds, head, base = stack.pop()
+            i, node, a, binds, head, base, d = stack.pop()
             depth = len(head) + len(base)
             while undo and undo[-1][0] >= depth:
                 _, name, old = undo.pop()
@@ -285,63 +305,64 @@ class _Index:
             ops.extend([None] * k)
             push = stack.append
             if t is ThunkV:
-                ops[i] = c
-                push((c, node.body, (), (), (0,) + head, base))
+                ops[i] = (c, d)
+                push((c, node.body, (), (), (0,) + head, base, d))
                 continue
             if t is App:
                 eta[i] = c + 1
-                push((c + 1, node.body, (_ARG, c, a), (), (1,) + head, base))
-                push((c, node.arg, (), (), (0,) + head, base))
+                push((c + 1, node.body, (_ARG, c, a), (), (1,) + head, base, d))
+                push((c, node.arg, (), (), (0,) + head, base, d))
                 continue
             if t is LetRec:
                 eta[i] = c
                 for j in range(k - 1, 0, -1):
-                    push((c + j, node.defs[j - 1][1], (), (), (j,) + head, base))
+                    push((c + j, node.defs[j - 1][1], (), (), (j,) + head, base, d))
                 names = {}
                 for j, (name, _) in enumerate(node.defs, 1):
-                    names.setdefault(name, c + j)  # the leftmost duplicate wins
-                push((c, node.body, a, tuple(names.items()), (0,) + head, base))
+                    names.setdefault(name, (c + j, d))  # the leftmost duplicate wins
+                push((c, node.body, a, tuple(names.items()), (0,) + head, base, d))
                 continue
             p = paths[i] = head + base
+            bound[i] = d
             if t is Seq:
                 eta[i] = c
                 binders.append((p, node.binder))
-                push((c + 1, node.right, a, ((node.binder, LOC(p)),), (1,), p))
-                push((c, node.left, (_SEQ, i, a), (), (0,), p))
+                push((c + 1, node.right, a, ((node.binder, LOC(p, d + 1)),), (1,), p, d + 1))
+                push((c, node.left, (_SEQ, i, a), (), (0,), p, d))
                 continue
             plans.append((i, node, a))
             if t is Lam:
                 binders.append((p, node.binder))
                 rest = a[2] if a and a[0] is _ARG else a
-                push((c, node.body, rest, ((node.binder, LOC(p)),), (0,), p))
+                push((c, node.body, rest, ((node.binder, LOC(p, d + 1)),), (0,), p, d + 1))
             elif t is If0:
-                push((c + 2, node.orelse, a, (), (2,), p))
-                push((c + 1, node.then, a, (), (1,), p))
-                push((c, node.guard, (), (), (0,), p))
+                push((c + 2, node.orelse, a, (), (2,), p, d))
+                push((c + 1, node.then, a, (), (1,), p, d))
+                push((c, node.guard, (), (), (0,), p, d))
             elif t is Op:
-                push((c + 1, node.rhs, (), (), (1,), p))
-                push((c, node.lhs, (), (), (0,), p))
+                push((c + 1, node.rhs, (), (), (1,), p, d))
+                push((c, node.lhs, (), (), (0,), p, d))
             else:  # Force, Prd
-                push((c, node.value, (), (), (0,), p))
+                push((c, node.value, (), (), (0,), p, d))
         for i in range(len(eta) - 1, -1, -1):
             d = eta[i]
             if d != i:
                 eta[i] = eta[d]
         self.paths, self.first, self.eta, self.ops = paths, first, eta, ops
-        self.plans, self.binders = plans, binders
+        self.plans, self.binders, self.bound = plans, binders, bound
 
     def target(self, i: int) -> tuple:
         """The instruction position eta reaches from node ``i``."""
         return self.paths[self.eta[i]]
 
     def seq_exit(self, s: int):
-        """Where a value produced for Seq ``s`` is bound, and the successors
-        that resume at its right component."""
-        return self.paths[s], (self.target(self.first[s] + 1),)
+        """Where a value produced for Seq ``s`` is bound, the successors
+        that resume at its right component, and the cells in scope at it."""
+        return self.paths[s], (self.target(self.first[s] + 1),), self.bound[s]
 
     def operand(self, i: int) -> Operand:
         o = self.ops[i]
-        return LBL(self.target(o)) if type(o) is int else o
+        return LBL(self.target(o[0]), o[1]) if type(o) is tuple else o
 
     def locs(self) -> list:
         """Listing names of the binders; a duplicated name gets its path."""
@@ -365,8 +386,8 @@ def _block(ix: _Index, i: int, node, a):
         fn = ix.operand(c)
         if not a:
             return TAIL(fn, tuple(args)), ()
-        bind, succs = ix.seq_exit(a[1])
-        return CALL(fn, tuple(args), bind), succs
+        bind, succs, keep = ix.seq_exit(a[1])
+        return CALL(fn, tuple(args), bind, keep), succs
 
     if t is If0:
         zero, nonzero = ix.target(c + 1), ix.target(c + 2)
@@ -376,8 +397,8 @@ def _block(ix: _Index, i: int, node, a):
         if a:
             if a[0] is _ARG:
                 return STUCK(StuckReason.ApplyNonFunction), ()
-            dst, succs = ix.seq_exit(a[1])
-            return MOV(ix.operand(c), dst), succs
+            dst, succs, keep = ix.seq_exit(a[1])
+            return MOV(ix.operand(c), dst, keep), succs
         return RET(ix.operand(c)), ()
 
     if t is Lam:
@@ -385,7 +406,7 @@ def _block(ix: _Index, i: int, node, a):
         if a:
             if a[0] is _SEQ:
                 return STUCK(StuckReason.SequencedNonProducer), ()
-            return MOV(ix.operand(a[1]), p), (ix.target(c),)
+            return MOV(ix.operand(a[1]), p, ix.bound[i]), (ix.target(c),)
         return POP(p), (ix.target(c),)
 
     # Op
@@ -393,8 +414,8 @@ def _block(ix: _Index, i: int, node, a):
     if a:
         if a[0] is _ARG:
             return STUCK(StuckReason.ApplyNonFunction), ()
-        dst, succs = ix.seq_exit(a[1])
-        return OP(lhs, node.op, rhs, dst), succs
+        dst, succs, keep = ix.seq_exit(a[1])
+        return OP(lhs, node.op, rhs, dst, keep), succs
     return OPRET(lhs, node.op, rhs), ()
 
 
@@ -441,19 +462,21 @@ def _execute(instr, succs, s: PekState):
         v = eval_operand(e, instr.fn)
         if type(v) is not PClosure:
             return Stuck(StuckReason.ForceNonThunk)
-        frames = tuple(KArg(x) for x in _eval_args(e, instr.args))
+        frames = tuple([KArg(eval_operand(e, o)) for o in instr.args])
         return PekState(v.entry, v.env, frames + kont)
 
     if t is CALL:
         v = eval_operand(e, instr.fn)
         if type(v) is not PClosure:
             return Stuck(StuckReason.ForceNonThunk)
-        frames = tuple(KArg(x) for x in _eval_args(e, instr.args))
-        ret = KRet(instr.bind, succs[0], e)  # the caller's environment
+        frames = tuple([KArg(eval_operand(e, o)) for o in instr.args])
+        ret = KRet(instr.bind, succs[0], e.cut(instr.keep))  # the caller's chain
         return PekState(v.entry, v.env, frames + (ret,) + kont)
 
     if t is MOV:
-        return PekState(succs[0], {**e, instr.dst: eval_operand(e, instr.src)}, kont)
+        v = eval_operand(e, instr.src)
+        k = instr.keep  # the cut is nearly always nothing: test before calling it
+        return PekState(succs[0], Env(instr.dst, v, e if e.size == k else e.cut(k)), kont)
 
     if t is RET:
         if kont:
@@ -461,7 +484,7 @@ def _execute(instr, succs, s: PekState):
             if type(f) is KArg:
                 return Stuck(StuckReason.ApplyNonFunction)
             v = eval_operand(e, instr.src)
-            return PekState(f.resume_path, {**f.env, f.bind_path: v}, kont[1:])
+            return PekState(f.resume_path, Env(f.bind_path, v, f.env), kont[1:])
         return Terminal(ProducedValue(eval_operand(e, instr.src)))
 
     if t is POP:
@@ -469,7 +492,7 @@ def _execute(instr, succs, s: PekState):
             f = kont[0]
             if type(f) is KRet:
                 return Stuck(StuckReason.SequencedNonProducer)
-            return PekState(succs[0], {**e, instr.dst: f.value}, kont[1:])
+            return PekState(succs[0], Env(instr.dst, f.value, e), kont[1:])
         return Terminal(AwaitingArgument())
 
     if t is IF0:
@@ -484,7 +507,8 @@ def _execute(instr, succs, s: PekState):
         if type(l) is not NumP or type(r) is not NumP:
             return Stuck(StuckReason.ArithNonNumeral)
         n = NumP(instr.op.apply(l.n, r.n))
-        return PekState(succs[0], {**e, instr.dst: n}, kont)
+        k = instr.keep
+        return PekState(succs[0], Env(instr.dst, n, e if e.size == k else e.cut(k)), kont)
 
     if t is OPRET:
         if kont and type(kont[0]) is KArg:
@@ -496,7 +520,7 @@ def _execute(instr, succs, s: PekState):
         n = NumP(instr.op.apply(l.n, r.n))
         if kont:
             f = kont[0]
-            return PekState(f.resume_path, {**f.env, f.bind_path: n}, kont[1:])
+            return PekState(f.resume_path, Env(f.bind_path, n, f.env), kont[1:])
         return Terminal(BareArith(n.n))
 
     # STUCK
@@ -574,7 +598,7 @@ def _listed(part, label, loc) -> str:
     if t is tuple:
         return loc(part)
     if t is NAT:
-        return str(part.n)
+        return numeral_text(part.n)
     if t is VAR:
         return part.name
     if t is LOC:
@@ -590,7 +614,7 @@ def _recorded(part) -> str:
     if t is tuple:
         return f"DST:{path_text(part)}"
     if t is NAT:
-        return f"NAT:{part.n}"
+        return f"NAT:{numeral_text(part.n)}"
     if t is VAR:
         return f"VAR:{part.name}"
     if t is LOC:

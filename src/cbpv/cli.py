@@ -24,7 +24,7 @@ from .parser import ParseError, parse_term
 from .printer import print_term
 from .rewrite import RuleId
 from .sos import AwaitingArgument, BareArith, Stuck, Verdict
-from .syntax import NumV, as_prog
+from .syntax import NumV, as_prog, numeral_text, numeral_value
 
 USAGE_EXIT = 64
 INTERNAL_EXIT = 70
@@ -52,12 +52,12 @@ def _result_line(mach, halt):
     """Render a Terminal halt as the one-line observation."""
     kind = halt.kind
     if type(kind) is BareArith:
-        return f"result: {kind.n}"
+        return f"result: {numeral_text(kind.n)}"
     if type(kind) is AwaitingArgument:
         return "result: awaiting argument"
     v = mach.value(kind.value)
     if type(v) is NumV:
-        return f"result: {v.n}"
+        return f"result: {numeral_text(v.n)}"
     return f"result: {print_term(v)}"
 
 
@@ -119,7 +119,7 @@ def _parse_valuation(spec):
         if not eq or not name:
             raise UsageError(f"bad valuation entry {pair!r}, want name=int")
         try:
-            val[name.strip()] = int(num)
+            val[name.strip()] = numeral_value(num.strip())
         except ValueError:
             raise UsageError(f"bad valuation entry {pair!r}, want name=int") from None
     return val

@@ -11,14 +11,16 @@ Divergent programs are never run to completion — every driver checks
 commutation up to its fuel and reports success if no square broke.
 
 Every visited state is unloaded and compared in full, yet a checked step
-costs about what the step changed: peak's unload hash-conses what it
-builds in the Prog's ``tables``, cek keeps the flattening of each closure
-and sequence frame on those frozen objects, and ``alpha_eq`` does not walk
-a subterm object both sides share.  What is left per step is reading the
-pc's path-keyed environment, binder by binder.  No memo is keyed by an
-environment dict or by a value or frame that carries one, because the
-machines keep those dicts unchanged only by convention; passing one Prog
-to several checks shares the position index and the unload table.
+costs about what the step changed.  Environments are immutable chains of
+cells (``peak.Env``), so what a check derives from a cell holds as long as
+the cell lives, and is kept on it: peak's unload of the chain, the
+well-formedness verdict and ``canon_state``'s canonical chain.  A step
+makes at most one new cell, so that is all a check of it walks.  peak's
+unload also hash-conses what it builds in a weak table in the Prog's
+``tables``, cek keeps the flattening of each closure and sequence frame on
+those frozen objects, and ``alpha_eq`` does not walk a subterm object both
+sides share.  Passing one Prog to several checks shares the position index
+and the unload table.
 """
 
 import random
@@ -29,7 +31,7 @@ from operator import eq
 from typing import Callable
 
 from . import cek, cfg, peak, pek, sos
-from .peak import KArg, KSeq, PClosure, PeakState
+from .peak import Env, KArg, KSeq, PClosure, PeakState
 from .printer import print_term
 from .sos import Next, ProducedValue, Stuck, Terminal
 from .syntax import (
@@ -103,12 +105,33 @@ class Report:
 
 def _canon_val(prog, v):
     if type(v) is PClosure:
-        return PClosure(pek.eta(prog, v.entry), _canon_env(prog, v.env))
+        entry, env = pek.eta(prog, v.entry), _canon_env(prog, v.env)
+        if entry is not v.entry or env is not v.env:
+            return PClosure(entry, env)
     return v
 
 
-def _canon_env(prog, e):
-    return {q: _canon_val(prog, v) for q, v in e.items()}
+def _canon_env(prog, e: Env) -> Env:
+    """``e`` with every closure on it named by its entry point: the same
+    cell where nothing changes, and memoized on each cell, so only cells
+    new since the last call are walked."""
+    todo = []
+    while True:
+        memo = e.memo_of(prog)
+        hit = memo.get("canon")
+        if hit is not None or not e.size:
+            break
+        todo.append((e, memo))
+        e = e.parent
+    out = e if hit is None else hit
+    for e, memo in reversed(todo):
+        v = _canon_val(prog, e.value)
+        if v is not e.value or out is not e.parent:
+            out = Env(e.binder, v, out)
+        else:
+            out = e
+        memo["canon"] = out
+    return out
 
 
 def _canon_kont(prog, kont):

@@ -34,7 +34,9 @@ first; otherwise the failing token's offset gives its line and column.
 
 import re
 
-from .syntax import App, ArithOp, Force, If0, Lam, LetRec, NumV, Op, Prd, Seq, ThunkV, VarV
+from .syntax import (
+    App, ArithOp, Force, If0, Lam, LetRec, NumV, Op, Prd, Seq, ThunkV, VarV, numeral_value,
+)
 
 
 class ParseError(Exception):
@@ -130,7 +132,13 @@ def parse_term(src: str):
             continue
         if t in _SYMBOLS or t[:1] not in _NAME_START and t[:1] not in _NUM_START:
             _fail(src, toks, i - 1, "expected a value, found {}")
-        v = VarV(t) if t[0] in _NAME_START else NumV(int(t))
+        if t[0] in _NAME_START:
+            v = VarV(t)
+        else:
+            try:
+                v = NumV(int(t))
+            except ValueError:  # past Python's limit on decimal conversions
+                v = NumV(numeral_value(t))
 
         # Ascend: hand the finished value ``v``, and then each finished term
         # ``m``, to the frame waiting for it, until a frame needs more input.
@@ -165,7 +173,7 @@ def parse_term(src: str):
                         break
                     if t[:1] != "-":
                         _fail(src, toks, i, "expected '.' or an arithmetic operator after a value")
-                    m = Op(v, ArithOp.SUB, NumV(int(t[1:])))  # "x -1" lexed as x, -1
+                    m = Op(v, ArithOp.SUB, NumV(numeral_value(t[1:])))  # "x -1" lexed as x, -1
                     i += 1
                 v = None
             elif tag == _SEQ:

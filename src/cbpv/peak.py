@@ -1,9 +1,14 @@
-"""The PEAK machine: program counter, path-keyed environment, argument stack.
+"""The PEAK machine: program counter, scope-chain environment, argument stack.
 
 States address subterms of a fixed program by path instead of carrying code.
-The environment maps binder paths (Lam and Seq nodes) to machine values;
-letrec needs no environment entries at all, because looking up a recursive
-name just fabricates a closure whose entry is the definition's path.  The
+The environment is a chain of immutable ``Env`` cells, one per Lam or Seq
+binder in scope at the program counter, innermost first: exactly those
+binders and no others, so ``len(env)`` is the number of Lam/Seq binders in
+scope.  A bind makes one cell on top of the chain; a variable is found by
+its binder's level, the number of cells up to and including the binder's,
+so a lookup walks only the static distance.  letrec needs no cells at all:
+looking up a recursive name fabricates a closure whose entry is the
+definition's path, over the chain cut back to the letrec's scope.  The
 argument stack delays closure creation for application arguments until a
 force converts the pending frames into continuation frames (the δ function).
 
@@ -19,22 +24,22 @@ at a position are worked out once per id, and every next program counter
 is a child's shared path taken from the index, so neither a step nor one
 level of an unload slices or hashes a path.  States keep path tuples.
 
-Unloads are hash-consed.  Every CEK value, environment cell and sequence
-frame an unload builds comes from one table in the program's ``tables``,
-keyed by the position it stands for and the ids of its parts, which came
-from the same table; the table keeps every entry alive as long as the
-Prog, so an id in a key never names a dead object.  Equal unloads are
-therefore the same objects, which lets cek keep a closure's or a frame's
-flattening on the object and lets ``alpha_eq`` stop at a shared subterm.
-Nothing is keyed by the identity of an environment dict, or of a closure
-or frame that carries one: machines treat those dicts as immutable only by
-convention, so every unload reads the bindings afresh and builds its keys
-from what it read, and a machine that writes into an old dict is caught at
-the step where the write first shows.
+Unloads are memoized by cell.  A cell cannot be written to, so what it
+unloads to under a program is fixed: its CEK binding, its environment at
+each anchor position, the closures over it and the sequence frames on it
+are kept on the cell (``Env.memo_of``) and die with it, and an unload pays
+only for the cells that are new since the last one.  Every CEK value,
+environment cell and sequence frame an unload builds also comes from one
+weak table in the program's ``tables``, keyed by the position it stands for
+and the ids of its parts; each entry holds those parts, so an id in a live
+key never names a dead object.  Equal unloads are therefore the same
+objects, which lets cek keep a closure's or a frame's flattening on the
+object and lets ``alpha_eq`` stop at a shared subterm.
 """
 
 from dataclasses import dataclass
 from typing import Union
+from weakref import WeakValueDictionary
 
 from . import cek
 from .cek import CekState, Closure, NumC, SymVar
@@ -66,6 +71,134 @@ from .syntax import (
 )
 
 # ---------------------------------------------------------------------------
+# environments
+
+
+class MissingBinding(Exception):
+    """A binder path had no entry in the environment (ill-formed state)."""
+
+
+class Env:
+    """One immutable environment cell: a Lam or Seq binder's path, the value
+    bound to it, and the chain of the binders outside it.  ``size`` caches
+    the chain's length, this cell included, and ``EMPTY`` ends every chain.
+
+    Equality is structural.  It walks the chain and the closures on it with
+    an explicit stack, so neither a long chain nor deeply nested closures
+    can overflow Python's stack, and it stops at a pair of cells that are
+    one object or were found equal before: ``twin`` is the last cell this
+    one was found equal to.  Checks compare two machines' chains at every
+    step, and each step adds a cell on top of chains already compared, so
+    that is all a comparison walks.  ``memo`` is what a program's checks
+    have worked out about the cell (see ``memo_of``).  Neither takes part
+    in equality.
+    """
+
+    __slots__ = ("binder", "value", "parent", "size", "memo", "twin", "__weakref__")
+
+    def __init__(self, binder, value, parent):
+        self.binder = binder
+        self.value = value
+        self.parent = parent
+        self.size = parent.size + 1
+        self.memo = self.twin = None
+
+    def __len__(self):
+        return self.size
+
+    def cut(self, k: int):
+        """The chain's outermost ``k`` cells."""
+        e = self
+        while e.size > k:
+            e = e.parent
+        return e
+
+    def find(self, binder: tuple, level: int):
+        """The value of ``binder``, whose cell is the ``level``-th from the
+        end of the chain: a walk of the static distance, then one check."""
+        e = self
+        while e.size > level:
+            e = e.parent
+        if e.size == level and (e.binder is binder or e.binder == binder):
+            return e.value
+        raise MissingBinding(f"no value for binder at {path_text(binder)}")
+
+    def items(self):
+        """The (binder, value) pairs of the chain, innermost first."""
+        e = self
+        while e.size:
+            yield e.binder, e.value
+            e = e.parent
+
+    def memo_of(self, prog) -> dict:
+        """The cell's memo table under ``prog``.  A cell cannot be written
+        to, so what a program's checks derive from it stays true while it
+        lives, and dies with it.  The end of the chain is shared by every
+        program, so its entries, one per position at most, live in the
+        program's tables instead."""
+        if not self.size:
+            return prog.tables["empty"]
+        m = self.memo
+        if m is None or m[0] is not prog:
+            m = self.memo = (prog, {})
+        return m[1]
+
+    def __eq__(self, other):
+        if type(other) is not Env:
+            return NotImplemented
+        return _chains_equal(self, other)
+
+    __hash__ = None  # compared structurally, so never a key
+
+    def __repr__(self):
+        inner = ", ".join(f"{path_text(b)}: {v!r}" for b, v in self.items())
+        return f"Env({{{inner}}})"
+
+
+EMPTY = object.__new__(Env)
+EMPTY.binder = EMPTY.value = EMPTY.parent = EMPTY.memo = EMPTY.twin = None
+EMPTY.size = 0
+
+
+def chain(*pairs) -> Env:
+    """The chain binding each (binder path, value) pair, outermost first."""
+    e = EMPTY
+    for binder, value in pairs:
+        e = Env(binder, value, e)
+    return e
+
+
+def _chains_equal(a: Env, b: Env) -> bool:
+    todo, walked, seen = [(a, b)], [], set()
+    while todo:
+        a, b = todo.pop()
+        while a is not b and a.twin is not b:
+            if a.size != b.size:
+                return False
+            if not a.size:
+                break
+            pair = (id(a), id(b))  # both stay alive in the chains compared
+            if pair in seen:
+                break
+            seen.add(pair)
+            walked.append((a, b))
+            if a.binder is not b.binder and a.binder != b.binder:
+                return False
+            va, vb = a.value, b.value
+            if va is not vb:
+                if type(va) is PClosure and type(vb) is PClosure:
+                    if va.entry != vb.entry:
+                        return False
+                    todo.append((va.env, vb.env))
+                elif va != vb:
+                    return False
+            a, b = a.parent, b.parent
+    for a, b in walked:
+        a.twin = b
+    return True
+
+
+# ---------------------------------------------------------------------------
 # machine values, frames, states
 
 
@@ -77,7 +210,7 @@ class NumP:
 @dataclass(frozen=True)
 class PClosure:
     entry: tuple  # Path of a computation subterm
-    env: dict
+    env: Env  # exactly the Lam/Seq binders in scope at the entry
 
 
 PVal = Union[SymVar, NumP, PClosure]
@@ -101,60 +234,132 @@ class KArg:
 @dataclass(frozen=True)
 class KSeq:
     path: tuple
-    env: dict
+    env: Env  # the chain in scope at the Seq node
     rest_args: tuple
 
 
 @dataclass(frozen=True)
 class PeakState:
     pc: tuple
-    env: dict  # Path -> PVal; treated as immutable, updates copy
+    env: Env  # the Lam/Seq binders in scope at pc, innermost first
     args: tuple  # of ARG/SEQ, innermost frame first
     kont: tuple  # of KArg/KSeq, top first
 
 
-class MissingBinding(Exception):
-    """A binder path had no entry in the environment (ill-formed state)."""
+# ---------------------------------------------------------------------------
+# static scope, by position id
+
+
+def _scope(prog, i: int):
+    """The binders a position sits under, innermost first, as a cons list
+    of ``(binder id, rest, n)`` cells ending in None: every Lam entered
+    through its body, every Seq entered through its right component and
+    every LetRec entered through any child; ``n`` counts the Lam and Seq
+    binders in the list.  Each cell is made once, and a position's list
+    shares its parent's."""
+    tab = prog.tables["scope"]
+    if i in tab:
+        return tab[i]
+    nodes, parents, heads = prog.nodes, prog.parents, prog.heads
+    pending = []  # climb to the nearest position with a list (or the root)
+    while i not in tab:
+        pending.append(i)
+        if not i:
+            r = None
+            break
+        i = parents[i]
+    else:
+        r = tab[i]
+    for q in reversed(pending):
+        if q:
+            par, head = parents[q], heads[q]
+            t = type(nodes[par])
+            if (t is Lam and head == 0) or (t is Seq and head == 1) or t is LetRec:
+                r = (par, r, (r[2] if r else 0) + (t is not LetRec))
+        tab[q] = r
+    return r
+
+
+def _depth(prog, i: int) -> int:
+    """The number of Lam/Seq binders in scope at position ``i``: the length
+    of the chain there."""
+    cell = _scope(prog, i)
+    return cell[2] if cell else 0
+
+
+def _frame(prog, i: int):
+    """What the chain at position ``i`` must be: ``(letrecs, b, n)`` with the
+    letrecs between ``i`` and its innermost Lam/Seq binder (innermost
+    first), that binder's id (-1 without one) and the chain's length."""
+    tab = prog.tables["frame"]
+    hit = tab.get(i)
+    if hit is None:
+        recs, cell, nodes = [], _scope(prog, i), prog.nodes
+        while cell and type(nodes[cell[0]]) is LetRec:
+            recs.append(cell[0])
+            cell = cell[1]
+        hit = tab[i] = (tuple(recs), cell[0], cell[2]) if cell else (tuple(recs), -1, 0)
+    return hit
 
 
 # ---------------------------------------------------------------------------
 # value resolution
 
-
-def lookup_var(P, p: tuple, e: dict) -> PVal:
-    prog = as_prog(P)
-    return _lookup_var(prog, prog.pos(p), e)
+_LOC, _CLO, _SYM = range(3)
 
 
-def _lookup_var(prog, i: int, e: dict) -> PVal:
+def _resolve(prog, i: int, entry):
+    """How the value at position ``i`` is read off a chain: ``(_LOC, binder
+    path, level)``, ``(_CLO, entry, cells kept)`` or ``(_SYM, SymVar, 0)``.
+    ``entry(prog, i, j)`` names the code of child ``j`` of ``i``.  A thunk
+    keeps the chain in scope at itself, a recursive name the chain in
+    scope at its letrec."""
+    if type(prog.nodes[i]) is ThunkV:
+        return _CLO, entry(prog, i, 0), _depth(prog, i)
     ref, q = binder_of(prog, i)
     t = type(ref)
     if t is FreeVar:
-        return SymVar(ref.name)
+        return _SYM, SymVar(ref.name), 0
     if t is RecBind:
-        return PClosure(prog.path(prog.kid(q, ref.index)), e)
-    v = e.get(ref.path)
-    if v is None:
-        raise MissingBinding(f"no value for binder at {path_text(ref.path)}")
-    return v
+        return _CLO, entry(prog, q, ref.index), _depth(prog, q)
+    return _LOC, ref.path, _depth(prog, q) + 1
 
 
-def gamma(P, p: tuple, e: dict) -> PVal:
+def _child(prog, i: int, j: int) -> tuple:
+    return prog.path(prog.kid(i, j))
+
+
+def lookup_var(P, p: tuple, e: Env) -> PVal:
+    prog = as_prog(P)
+    i = prog.pos(p)
+    binder_of(prog, i)  # raises off a variable
+    return _gamma(prog, i, e)
+
+
+def gamma(P, p: tuple, e: Env) -> PVal:
     prog = as_prog(P)
     return _gamma(prog, prog.pos(p), e)
 
 
-def _gamma(prog, i: int, e: dict) -> PVal:
+def _gamma(prog, i: int, e: Env) -> PVal:
     v = prog.nodes[i]
-    t = type(v)
-    if t is NumV:
+    if type(v) is NumV:
         return NumP(v.n)
-    if t is ThunkV:
-        return PClosure(prog.path(prog.kid(i, 0)), e)
-    return _lookup_var(prog, i, e)
+    tab = prog.tables["peak.value"]
+    hit = tab.get(i)
+    if hit is None:
+        hit = tab[i] = _resolve(prog, i, _child)
+    kind, x, k = hit
+    if kind is _LOC:
+        if e.size == k and e.binder is x:  # the innermost binding, the commonest
+            return e.value
+        return e.find(x, k)
+    if kind is _CLO:
+        return PClosure(x, e if e.size == k else e.cut(k))
+    return x
 
 
-def _operand(prog, i: int, j: int, v, e: dict):
+def _operand(prog, i: int, j: int, v, e: Env):
     """``_gamma`` of ``v``, child ``j`` of position ``i``: a numeral is read
     off the node, without visiting its position."""
     if type(v) is NumV:
@@ -162,7 +367,19 @@ def _operand(prog, i: int, j: int, v, e: dict):
     return _gamma(prog, prog.kid(i, j), e)
 
 
-def delta(P, e: dict, args: tuple) -> tuple:
+def _seq_exit(prog, p: tuple):
+    """Where a value bound by Seq ``p`` resumes, its right component, and
+    how many cells of the chain the binding goes on: those in scope at the
+    Seq."""
+    i = prog.pos(p)
+    tab = prog.tables["peak.seq"]
+    hit = tab.get(i)
+    if hit is None:
+        hit = tab[i] = (_child(prog, i, 1), _depth(prog, i))
+    return hit
+
+
+def delta(P, e: Env, args: tuple) -> tuple:
     """Convert pending argument frames up to and including the first SEQ."""
     prog = as_prog(P)
     out = []
@@ -171,7 +388,7 @@ def delta(P, e: dict, args: tuple) -> tuple:
             i = prog.pos(f.path)
             out.append(KArg(_operand(prog, i, 0, prog.nodes[i].arg, e)))
         else:
-            out.append(KSeq(f.path, e, tuple(args[k + 1 :])))
+            out.append(KSeq(f.path, e.cut(_seq_exit(prog, f.path)[1]), tuple(args[k + 1 :])))
             break
     return tuple(out)
 
@@ -181,7 +398,7 @@ def delta(P, e: dict, args: tuple) -> tuple:
 
 
 def load(m) -> PeakState:
-    return PeakState((), {}, (), ())
+    return PeakState((), EMPTY, (), ())
 
 
 def advance(P, rho: PeakState) -> PeakState:
@@ -250,13 +467,16 @@ def _fire(prog, i: int, st: PeakState):
             if type(f) is ARG:
                 return Stuck(StuckReason.ApplyNonFunction)
             v = _operand(prog, i, 0, node.value, e)
-            return PeakState(_right(prog, f.path), {**e, f.path: v}, args[1:], kont)
+            right, keep = _seq_exit(prog, f.path)
+            rest = e if e.size == keep else e.cut(keep)
+            return PeakState(right, Env(f.path, v, rest), args[1:], kont)
         if kont:
             f = kont[0]
             if type(f) is KArg:
                 return Stuck(StuckReason.ApplyNonFunction)
             v = _operand(prog, i, 0, node.value, e)
-            return PeakState(_right(prog, f.path), {**f.env, f.path: v}, f.rest_args, kont[1:])
+            right = _seq_exit(prog, f.path)[0]
+            return PeakState(right, Env(f.path, v, f.env), f.rest_args, kont[1:])
         return Terminal(ProducedValue(_operand(prog, i, 0, node.value, e)))
 
     if t is Lam:
@@ -266,12 +486,12 @@ def _fire(prog, i: int, st: PeakState):
                 return Stuck(StuckReason.SequencedNonProducer)
             q = prog.pos(f.path)
             v = _operand(prog, q, 0, prog.nodes[q].arg, e)
-            return PeakState(prog.path(prog.kid(i, 0)), {**e, pc: v}, args[1:], kont)
+            return PeakState(prog.path(prog.kid(i, 0)), Env(pc, v, e), args[1:], kont)
         if kont:
             f = kont[0]
             if type(f) is KSeq:
                 return Stuck(StuckReason.SequencedNonProducer)
-            return PeakState(prog.path(prog.kid(i, 0)), {**e, pc: f.value}, (), kont[1:])
+            return PeakState(prog.path(prog.kid(i, 0)), Env(pc, f.value, e), (), kont[1:])
         return Terminal(AwaitingArgument())
 
     if t is Op:
@@ -286,18 +506,16 @@ def _fire(prog, i: int, st: PeakState):
         n = NumP(node.op.apply(l.n, r.n))
         if args:
             f = args[0]
-            return PeakState(_right(prog, f.path), {**e, f.path: n}, args[1:], kont)
+            right, keep = _seq_exit(prog, f.path)
+            rest = e if e.size == keep else e.cut(keep)
+            return PeakState(right, Env(f.path, n, rest), args[1:], kont)
         if kont:
             f = kont[0]
-            return PeakState(_right(prog, f.path), {**f.env, f.path: n}, f.rest_args, kont[1:])
+            right = _seq_exit(prog, f.path)[0]
+            return PeakState(right, Env(f.path, n, f.env), f.rest_args, kont[1:])
         return Terminal(BareArith(n.n))
 
     raise TypeError(f"pc does not address a computation: {node!r}")
-
-
-def _right(prog, p: tuple) -> tuple:
-    """The path of a Seq's right component: where a bound value resumes."""
-    return prog.path(prog.kid(prog.pos(p), 1))
 
 
 # ---------------------------------------------------------------------------
@@ -348,66 +566,76 @@ def _entry_code(prog, i: int):
     return prog.nodes[i], i
 
 
-def _scope(prog, i: int):
-    """The binders a position sits under, innermost first, as a cons list
-    of ``(binder id, rest)`` cells ending in None: every Lam entered through
-    its body, every Seq entered through its right component and every
-    LetRec entered through any child.  Each cell is made once, and a
-    position's list shares its parent's."""
-    tab = prog.tables["scope"]
-    if i in tab:
-        return tab[i]
-    nodes, parents, heads = prog.nodes, prog.parents, prog.heads
-    pending = []  # climb to the nearest position with a list (or the root)
-    while i not in tab:
-        pending.append(i)
-        if not i:
-            r = None
+def _cons(prog) -> WeakValueDictionary:
+    """The program's hash-consing table of unloaded objects.  It holds them
+    weakly: an entry lasts while something, such as a cell's memo, holds
+    its object, so a long check's table does not grow with its length."""
+    tab = prog.tables.get("cons")
+    if tab is None:
+        tab = prog.tables["cons"] = WeakValueDictionary()
+    return tab
+
+
+_MISS = object()
+_BIND = -1  # memo key of a cell's own CEK binding; anchors are ids >= 0
+
+
+def _unload_e(prog, i: int, e: Env):
+    """The CEK environment at position ``i`` under chain ``e``, innermost
+    first, or IllFormedState when ``e`` is not the chain of binders in
+    scope there.  Memoized on the cells, so only the cells an earlier
+    unload did not reach are walked, outermost first."""
+    env = e.memo_of(prog).get(i, _MISS)
+    if env is not _MISS:
+        return env
+    # Climb to what an earlier unload reached: (anchor, cell, letrecs above
+    # the anchor, its innermost Lam/Seq binder or -1, make the cell's binding?)
+    todo = []
+    while True:
+        recs, b, n = _frame(prog, i)
+        if not n or not e.size:
+            todo.append((i, e, recs, b, False))
+            env = None
             break
-        i = parents[i]
-    else:
-        r = tab[i]
-    for q in reversed(pending):
-        if q:
-            par, head = parents[q], heads[q]
-            t = type(nodes[par])
-            if (t is Lam and head == 0) or (t is Seq and head == 1) or t is LetRec:
-                r = (par, r)
-        tab[q] = r
-    return r
-
-
-def _unload_e(prog, i: int, e: dict):
-    """CEK environment frames for the binders above position ``i``,
-    innermost first, each cell taken from the hash-consing table.  The
-    walk over the scope, reading each binding from ``e``, is what an
-    unload still costs per binder in scope."""
-    binders = []
-    cell = _scope(prog, i)
-    while cell is not None:
-        binders.append(cell[0])
-        cell = cell[1]
-    env = None
-    nodes, path = prog.nodes, prog.path
-    cons = prog.tables["cons"]
-    for b in reversed(binders):
-        node = nodes[b]
-        if type(node) is LetRec:
-            key = (cek.RecFrame, b, id(env))
+        env = e.memo_of(prog).get(_BIND)
+        todo.append((i, e, recs, b, env is None))
+        if env is not None:
+            break
+        i, e = b, e.parent
+        env = e.memo_of(prog).get(i, _MISS)
+        if env is not _MISS:
+            break
+    # Check the binders outermost first, where each path extends one already
+    # built, and report the innermost level that is wrong.
+    fault = None
+    for i, e, _, b, _ in reversed(todo):
+        if b < 0:
+            if e.size:
+                fault = f"binder at {path_text(e.binder)} bound outside the scope of"
+                fault += f" {path_text(prog.path(i))}"
+            continue
+        q = prog.path(b)
+        if not e.size or (e.binder is not q and e.binder != q):
+            fault = f"no value for binder at {path_text(q)} at {path_text(prog.path(i))}"
+    if fault is not None:
+        raise cek.IllFormedState(fault)
+    cons = _cons(prog)
+    for i, e, recs, b, make in reversed(todo):
+        memo = e.memo_of(prog)
+        if make:
+            v = unload_v(prog, e.value)
+            key = (cek.Bind, b, id(v), id(env))
             hit = cons.get(key)
             if hit is None:
-                hit = cons[key] = cek.RecFrame(node.defs, env)
+                hit = cons[key] = cek.Bind(prog.nodes[b].binder, v, env)
+            env = memo[_BIND] = hit
+        for r in reversed(recs):
+            key = (cek.RecFrame, r, id(env))
+            hit = cons.get(key)
+            if hit is None:
+                hit = cons[key] = cek.RecFrame(prog.nodes[r].defs, env)
             env = hit
-            continue
-        v = e.get(path(b))
-        if v is None:
-            raise cek.IllFormedState(f"no value for binder at {path_text(path(b))}")
-        v = unload_v(prog, v)
-        key = (cek.Bind, b, id(v), id(env))
-        hit = cons.get(key)
-        if hit is None:
-            hit = cons[key] = cek.Bind(node.binder, v, env)
-        env = hit
+        memo[i] = env
     return env
 
 
@@ -416,40 +644,46 @@ def unload_v(prog, v):
     and numeric values go through the table too, so that an environment
     cell's key can name its value by id."""
     t = type(v)
-    if t is SymVar:
-        key = (SymVar, v.name)
-    elif t is NumP:
-        key = (NumC, v.n)
-    else:
-        entry, _ = _ascend(prog, prog.pos(v.entry), None)
-        code, anchor = _entry_code(prog, entry)
-        env = _unload_e(prog, anchor, v.env)
-        key = (Closure, entry, id(env))
-    cons = prog.tables["cons"]
+    if t is PClosure:
+        i = prog.pos(v.entry)
+        memo = v.env.memo_of(prog)
+        hit = memo.get((Closure, i))
+        if hit is None:
+            entry, _ = _ascend(prog, i, None)
+            code, anchor = _entry_code(prog, entry)
+            env = _unload_e(prog, anchor, v.env)
+            key = (Closure, entry, id(env))
+            cons = _cons(prog)
+            hit = cons.get(key)
+            if hit is None:
+                hit = cons[key] = Closure(code, env)
+            memo[Closure, i] = hit
+        return hit
+    key = (SymVar, v.name) if t is SymVar else (NumC, v.n)
+    cons = _cons(prog)
     hit = cons.get(key)
     if hit is None:
-        if t is SymVar:
-            hit = v
-        elif t is NumP:
-            hit = NumC(v.n)
-        else:
-            hit = Closure(code, env)
-        cons[key] = hit
+        hit = cons[key] = v if t is SymVar else NumC(v.n)
     return hit
 
 
-def _unload_k(prog, e: dict, args, kont) -> tuple:
+def _unload_k(prog, e: Env, args, kont) -> tuple:
     out = []
-    cons = prog.tables["cons"]
 
     def seq_frame(p, env):
         i = prog.pos(p)
-        env = _unload_e(prog, i, env)
-        key = (cek.SeqF, i, id(env))
-        hit = cons.get(key)
+        env = env.cut(_depth(prog, i))  # a pending frame's Seq may sit outside binders
+        memo = env.memo_of(prog)
+        hit = memo.get((cek.SeqF, i))
         if hit is None:
-            node = prog.nodes[i]
-            hit = cons[key] = cek.SeqF(node.binder, node.right, env)
+            cenv = _unload_e(prog, i, env)
+            key = (cek.SeqF, i, id(cenv))
+            cons = _cons(prog)
+            hit = cons.get(key)
+            if hit is None:
+                node = prog.nodes[i]
+                hit = cons[key] = cek.SeqF(node.binder, node.right, cenv)
+            memo[cek.SeqF, i] = hit
         return hit
 
     def emit_args(env, frames):
@@ -498,17 +732,53 @@ class WfReport:
         return self.ok
 
 
-def _scope_entries(prog, p: tuple):
-    """Binder paths a position's environment must cover: every Lam entered
-    through its body and every Seq entered through its right component."""
-    need = []
-    cell = _scope(prog, prog.pos(p))
-    while cell is not None:
-        b = cell[0]
-        if type(prog.nodes[b]) is not LetRec:
-            need.append(prog.path(b))
-        cell = cell[1]
-    return need
+def _chain_faults(prog, p: tuple, e: Env, what: str, out: list, seen: set, entry_fault=None):
+    """Append to ``out`` how chain ``e`` fails to be exactly the binders in
+    scope at position ``p``, with every closure on it well-formed too.
+
+    ``entry_fault(prog, entry)`` adds a machine's own demand on closure
+    entries.  The walk climbs from ``p`` to each cell's binder in turn,
+    and stops at a cell an earlier check under the same demand found
+    sound, or one this check has been through already; a cell is marked
+    sound when nothing was found at or above it, so a check pays once per
+    cell and not once per binder in scope."""
+    key = ("wf", entry_fault)
+    mark, before = [], len(out)
+    i = prog.pos(p)
+    while True:
+        _, b, n = _frame(prog, i)
+        if not n:
+            if e.size:
+                out.append(
+                    f"{what}: binder at {path_text(e.binder)} bound outside the scope"
+                    f" of position {path_text(prog.path(i))}"
+                )
+            break
+        q = prog.path(b)
+        if not e.size or (e.binder is not q and e.binder != q):
+            out.append(
+                f"{what}: binder at {path_text(q)} unbound for position {path_text(prog.path(i))}"
+            )
+            break
+        memo = e.memo_of(prog)
+        if key in memo or id(e) in seen:
+            break
+        seen.add(id(e))
+        mark.append(memo)
+        if type(e.value) is PClosure:
+            _closure_faults(prog, e.value, "closure entry", out, seen, entry_fault)
+        i, e = b, e.parent
+    if len(out) == before:
+        for memo in mark:
+            memo[key] = True
+
+
+def _closure_faults(prog, v: PClosure, what: str, out: list, seen: set, entry_fault=None):
+    if entry_fault is not None:
+        fault = entry_fault(prog, v.entry)
+        if fault:
+            out.append(f"{what}: {fault}")
+    _chain_faults(prog, v.entry, v.env, what, out, seen, entry_fault)
 
 
 def wf_check(P, rho: PeakState) -> WfReport:
@@ -516,30 +786,14 @@ def wf_check(P, rho: PeakState) -> WfReport:
     violations = []
     seen = set()
 
-    def check_scoped(p, e, what):
-        for q in _scope_entries(prog, p):
-            if q not in e:
-                violations.append(
-                    f"{what}: binder at {path_text(q)} unbound for position {path_text(p)}"
-                )
-        check_env(e)
-
-    def check_env(e):
-        if id(e) in seen:
-            return
-        seen.add(id(e))
-        for v in e.values():
-            if type(v) is PClosure:
-                check_scoped(v.entry, v.env, "closure entry")
-
     # WF1
-    check_scoped(rho.pc, rho.env, "pc")
+    _chain_faults(prog, rho.pc, rho.env, "pc", violations, seen)
     for f in rho.kont:
         if type(f) is KArg:
             if type(f.value) is PClosure:
-                check_scoped(f.value.entry, f.value.env, "argument closure")
+                _closure_faults(prog, f.value, "argument closure", violations, seen)
         else:
-            check_scoped(f.path, f.env, "continuation frame")
+            _chain_faults(prog, f.path, f.env, "continuation frame", violations, seen)
 
     # WF2
     prev = rho.pc

@@ -14,15 +14,24 @@ The static tables (``aframes``, ``eta``, binder resolution) are keyed by the
 integer ids of the program's position index (``syntax.Prog``) and filled
 once per position.  A step finds its pc by identity, reads the next one off
 the index instead of building it, and so does the same static work however
-deep the program is; only hashing the environment's path keys still grows
-with depth.  States, frames and the public functions keep path tuples.
+deep the program is.  States, frames and the public functions keep path
+tuples.
+
+Environments are peak's immutable ``Env`` chains: exactly the Lam/Seq
+binders in scope at the position they belong to.  A bind makes one cell,
+a lookup walks the static distance to its binder's level, and a closure
+or a return frame keeps the chain cut back to the scope of its entry or
+its Seq.  ``wf_check`` marks each cell it finds sound, so a check pays
+once per cell rather than once per binder in scope.
 """
 
 from dataclasses import dataclass
 
 from .peak import (
     ARG,
+    EMPTY,
     SEQ,
+    Env,
     KArg,
     KSeq,
     MissingBinding,
@@ -30,9 +39,13 @@ from .peak import (
     PClosure,
     PeakState,
     WfReport,
-    _scope_entries,
+    _CLO,
+    _LOC,
+    _chain_faults,
+    _closure_faults,
+    _depth,
+    _resolve,
 )
-from .cek import SymVar
 from .sos import (
     AwaitingArgument,
     BareArith,
@@ -51,9 +64,6 @@ from .syntax import (
     Op,
     Prd,
     Seq,
-    ThunkV,
-    FreeVar,
-    RecBind,
     as_prog,
     binder_of,
     path_text,
@@ -66,13 +76,13 @@ _INSTRUCTIONS = (Force, Prd, Lam, If0, Op)
 class KRet:
     bind_path: tuple  # the Seq node whose binder receives the value
     resume_path: tuple  # instruction position of the Seq's right component
-    env: dict
+    env: Env  # the chain in scope at the Seq node
 
 
 @dataclass(frozen=True)
 class PekState:
     pc: tuple  # always an instruction position
-    env: dict
+    env: Env  # the Lam/Seq binders in scope at pc, innermost first
     kont: tuple  # of KArg/KRet, top first
 
 
@@ -147,44 +157,51 @@ def _next(prog, i: int, j: int) -> tuple:
     return eta(prog, prog.path(prog.kid(i, j)))
 
 
+def _seq_exit(prog, i: int):
+    """Where a value bound by Seq ``i`` resumes, and how many cells of the
+    chain the binding goes on: those in scope at the Seq."""
+    tab = prog.tables["pek.seq"]
+    hit = tab.get(i)
+    if hit is None:
+        hit = tab[i] = (_next(prog, i, 1), _depth(prog, i))
+    return hit
+
+
 # ---------------------------------------------------------------------------
 # value resolution
 
 
-def lookup_var(P, p: tuple, e: dict):
+def lookup_var(P, p: tuple, e: Env):
     prog = as_prog(P)
-    return _lookup_var(prog, prog.pos(p), e)
+    i = prog.pos(p)
+    binder_of(prog, i)  # raises off a variable
+    return _gamma(prog, i, e)
 
 
-def _lookup_var(prog, i: int, e: dict):
-    ref, q = binder_of(prog, i)
-    t = type(ref)
-    if t is FreeVar:
-        return SymVar(ref.name)
-    if t is RecBind:
-        return PClosure(_next(prog, q, ref.index), e)
-    v = e.get(ref.path)
-    if v is None:
-        raise MissingBinding(f"no value for binder at {path_text(ref.path)}")
-    return v
-
-
-def gamma(P, p: tuple, e: dict):
+def gamma(P, p: tuple, e: Env):
     prog = as_prog(P)
     return _gamma(prog, prog.pos(p), e)
 
 
-def _gamma(prog, i: int, e: dict):
+def _gamma(prog, i: int, e: Env):
     v = prog.nodes[i]
-    t = type(v)
-    if t is NumV:
+    if type(v) is NumV:
         return NumP(v.n)
-    if t is ThunkV:
-        return PClosure(_next(prog, i, 0), e)
-    return _lookup_var(prog, i, e)
+    tab = prog.tables["pek.value"]
+    hit = tab.get(i)
+    if hit is None:
+        hit = tab[i] = _resolve(prog, i, _next)
+    kind, x, k = hit
+    if kind is _LOC:
+        if e.size == k and e.binder is x:  # the innermost binding, the commonest
+            return e.value
+        return e.find(x, k)
+    if kind is _CLO:
+        return PClosure(x, e if e.size == k else e.cut(k))
+    return x
 
 
-def _operand(prog, i: int, j: int, v, e: dict):
+def _operand(prog, i: int, j: int, v, e: Env):
     """``_gamma`` of ``v``, child ``j`` of position ``i``: a numeral is read
     off the node, without visiting its position."""
     if type(v) is NumV:
@@ -192,7 +209,7 @@ def _operand(prog, i: int, j: int, v, e: dict):
     return _gamma(prog, prog.kid(i, j), e)
 
 
-def delta(P, e: dict, args: tuple) -> tuple:
+def delta(P, e: Env, args: tuple) -> tuple:
     """Convert pending frames; a return frame replaces everything from the
     first SEQ on, since the remainder is recomputable from its path."""
     prog = as_prog(P)
@@ -202,7 +219,8 @@ def delta(P, e: dict, args: tuple) -> tuple:
         if type(f) is ARG:
             out.append(KArg(_operand(prog, i, 0, prog.nodes[i].arg, e)))
         else:
-            out.append(KRet(f.path, _next(prog, i, 1), e))
+            resume, keep = _seq_exit(prog, i)
+            out.append(KRet(f.path, resume, e if e.size == keep else e.cut(keep)))
             break
     return tuple(out)
 
@@ -213,7 +231,7 @@ def delta(P, e: dict, args: tuple) -> tuple:
 
 def load(P) -> PekState:
     prog = as_prog(P)
-    return PekState(eta(prog, ()), {}, ())
+    return PekState(eta(prog, ()), EMPTY, ())
 
 
 def step(P, s: PekState):
@@ -249,13 +267,15 @@ def _fire(prog, s: PekState):
             if type(f) is ARG:
                 return Stuck(StuckReason.ApplyNonFunction)
             v = _operand(prog, i, 0, node.value, e)
-            return PekState(_next(prog, prog.pos(f.path), 1), {**e, f.path: v}, kont)
+            resume, keep = _seq_exit(prog, prog.pos(f.path))
+            rest = e if e.size == keep else e.cut(keep)
+            return PekState(resume, Env(f.path, v, rest), kont)
         if kont:
             f = kont[0]
             if type(f) is KArg:
                 return Stuck(StuckReason.ApplyNonFunction)
             v = _operand(prog, i, 0, node.value, e)
-            return PekState(f.resume_path, {**f.env, f.bind_path: v}, kont[1:])
+            return PekState(f.resume_path, Env(f.bind_path, v, f.env), kont[1:])
         return Terminal(ProducedValue(_operand(prog, i, 0, node.value, e)))
 
     if t is Lam:
@@ -265,12 +285,12 @@ def _fire(prog, s: PekState):
                 return Stuck(StuckReason.SequencedNonProducer)
             q = prog.pos(f.path)
             v = _operand(prog, q, 0, prog.nodes[q].arg, e)
-            return PekState(_next(prog, i, 0), {**e, pc: v}, kont)
+            return PekState(_next(prog, i, 0), Env(pc, v, e), kont)
         if kont:
             f = kont[0]
             if type(f) is KRet:
                 return Stuck(StuckReason.SequencedNonProducer)
-            return PekState(_next(prog, i, 0), {**e, pc: f.value}, kont[1:])
+            return PekState(_next(prog, i, 0), Env(pc, f.value, e), kont[1:])
         return Terminal(AwaitingArgument())
 
     if t is Op:
@@ -285,10 +305,12 @@ def _fire(prog, s: PekState):
         n = NumP(node.op.apply(l.n, r.n))
         if a:
             f = a[0]
-            return PekState(_next(prog, prog.pos(f.path), 1), {**e, f.path: n}, kont)
+            resume, keep = _seq_exit(prog, prog.pos(f.path))
+            rest = e if e.size == keep else e.cut(keep)
+            return PekState(resume, Env(f.path, n, rest), kont)
         if kont:
             f = kont[0]
-            return PekState(f.resume_path, {**f.env, f.bind_path: n}, kont[1:])
+            return PekState(f.resume_path, Env(f.bind_path, n, f.env), kont[1:])
         return Terminal(BareArith(n.n))
 
     raise TypeError(f"pc does not address an instruction: {node!r}")
@@ -311,42 +333,31 @@ def unload(P, s: PekState) -> PeakState:
 # well-formedness
 
 
+def _entry_fault(prog, entry: tuple):
+    if not isinstance(prog.at(entry), _INSTRUCTIONS):
+        return f"{path_text(entry)} is not an instruction position"
+    return None
+
+
 def wf_check(P, s: PekState) -> WfReport:
     prog = as_prog(P)
     violations = []
     seen = set()
 
     def check_position(p, what):
-        if not isinstance(prog.at(p), _INSTRUCTIONS):
-            violations.append(f"{what}: {path_text(p)} is not an instruction position")
-
-    def check_scoped(p, e, what):
-        for q in _scope_entries(prog, p):
-            if q not in e:
-                violations.append(
-                    f"{what}: binder at {path_text(q)} unbound for position {path_text(p)}"
-                )
-        check_env(e)
-
-    def check_env(e):
-        if id(e) in seen:
-            return
-        seen.add(id(e))
-        for v in e.values():
-            if type(v) is PClosure:
-                check_position(v.entry, "closure entry")
-                check_scoped(v.entry, v.env, "closure entry")
+        fault = _entry_fault(prog, p)
+        if fault:
+            violations.append(f"{what}: {fault}")
 
     check_position(s.pc, "pc")
-    check_scoped(s.pc, s.env, "pc")
+    _chain_faults(prog, s.pc, s.env, "pc", violations, seen, _entry_fault)
     for f in s.kont:
         if type(f) is KArg:
             if type(f.value) is PClosure:
-                check_position(f.value.entry, "argument closure")
-                check_scoped(f.value.entry, f.value.env, "argument closure")
+                _closure_faults(prog, f.value, "argument closure", violations, seen, _entry_fault)
         else:
             check_position(f.resume_path, "return frame")
-            check_scoped(f.bind_path, f.env, "return frame")
+            _chain_faults(prog, f.bind_path, f.env, "return frame", violations, seen, _entry_fault)
 
     return WfReport(tuple(violations))
 

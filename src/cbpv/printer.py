@@ -10,7 +10,9 @@ one ``join`` of the parts, so its cost is linear in the output and its depth
 is not bounded by Python's recursion limit.
 """
 
-from .syntax import App, Force, If0, Lam, LetRec, NumV, Op, Prd, Seq, ThunkV, VarV
+from .syntax import (
+    App, Force, If0, Lam, LetRec, NumV, Op, Prd, Seq, ThunkV, VarV, numeral_text,
+)
 
 # heads that cannot extend past a following "to"
 _CLOSED = (Force, Prd, If0, Op)
@@ -34,7 +36,10 @@ def print_term(m) -> str:
             if t is str:
                 out.append(m)
             elif t is NumV:
-                out.append(str(m.n))
+                try:
+                    out.append(str(m.n))
+                except ValueError:  # past Python's limit on decimal conversions
+                    out.append(numeral_text(m.n))
             elif t is Prd:
                 out.append("prd ")
                 m = m.value

@@ -18,6 +18,7 @@ Paths are tuples of child indices with the innermost component first, so
 from __future__ import annotations
 
 import enum
+import sys
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from typing import Iterator, Mapping, Optional, Union
@@ -49,6 +50,52 @@ class ArithOp(enum.Enum):
         if self is ArithOp.SUB:
             return a - b
         return a * b
+
+
+# ---------------------------------------------------------------------------
+# numerals in decimal, at any size
+#
+# Python refuses decimal conversions of integers past a set number of digits
+# (``sys.get_int_max_str_digits``, 4,300 by default).  A numeral of the
+# language has no such bound, so a conversion the interpreter refuses is
+# redone in halves, each under the limit, and the limit is left as it is.
+
+
+def numeral_value(text: str) -> int:
+    """The integer a decimal numeral, optionally signed, denotes."""
+    try:
+        return int(text)
+    except ValueError:
+        if not text.lstrip("+-").isdigit():
+            raise
+    sign = -1 if text[0] == "-" else 1
+    return sign * _digits_value(text.lstrip("+-"))
+
+
+def _digits_value(digits: str) -> int:
+    limit = sys.get_int_max_str_digits()
+    if len(digits) <= limit:
+        return int(digits)
+    k = len(digits) // 2
+    return _digits_value(digits[:-k]) * 10**k + _digits_value(digits[-k:])
+
+
+def numeral_text(n: int) -> str:
+    """``str(n)``, whatever the number of digits."""
+    try:
+        return str(n)
+    except ValueError:
+        return "-" + _digits_text(-n, 0) if n < 0 else _digits_text(n, 0)
+
+
+def _digits_text(n: int, width: int) -> str:
+    """The digits of ``n`` >= 0, zero-padded on the left to ``width``."""
+    size = n.bit_length() * 30103 // 100000 + 1  # at least its digit count
+    if size < sys.get_int_max_str_digits():
+        return str(n).zfill(width)
+    k = size // 2
+    hi, lo = divmod(n, 10**k)
+    return (_digits_text(hi, 0) + _digits_text(lo, k)).zfill(width)
 
 
 # ---------------------------------------------------------------------------

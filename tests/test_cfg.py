@@ -37,7 +37,7 @@ from cbpv.cfg import (
 )
 from cbpv.harness import gen_term
 from cbpv.parser import parse_term
-from cbpv.peak import KArg, MissingBinding, NumP, PClosure
+from cbpv.peak import EMPTY, KArg, MissingBinding, NumP, PClosure, chain
 from cbpv.pek import KRet, PekState
 from cbpv.sos import ProducedValue, Stuck, StuckReason, Terminal
 from cbpv.syntax import (
@@ -81,12 +81,19 @@ MULT_LISTING = "\n".join(
 
 
 def test_operand_forms():
-    assert operand_of(MULT, (0, 0)) == LBL((1,))  # the recursive name
+    assert operand_of(MULT, (0, 0)) == LBL((1,), 0)  # the recursive name
     assert operand_of(fx.BRANCH_ZERO, (0,)) == NAT(0)
     assert operand_of(fx.OPEN_ADD, (0,)) == VAR("a")
-    assert operand_of(fx.ARITH_SEQ, (0, 1)) == LOC(())  # x under its Seq
+    assert operand_of(fx.ARITH_SEQ, (0, 1)) == LOC((), 1)  # x under its Seq
     prog = as_prog(fx.FORCE_THUNK)
-    assert operand_of(prog, (0,)) == LBL((0, 0))
+    assert operand_of(prog, (0,)) == LBL((0, 0), 0)
+    # levels and cuts count the Lam/Seq binders in scope: the thunk sits
+    # under x and y, the recursive name's letrec under x only
+    prog = as_prog(parse_term(
+        "prd 1 to x in letrec f = prd x in \\y. force thunk { force f }"))
+    assert operand_of(prog, (0, 0, 0, 1)) == LBL((0, 0, 0, 0, 1), 2)
+    assert operand_of(prog, (0, 0, 0, 0, 0, 1)) == LBL((1, 1), 1)
+    assert operand_of(prog, (0, 1, 1)) == LOC((), 1)
 
 
 def test_operand_rejects_computations():
@@ -95,14 +102,17 @@ def test_operand_rejects_computations():
 
 
 def test_eval_operand_table():
-    e = {(): NumP(5)}
+    e = chain(((), NumP(5)))
     assert eval_operand(e, NAT(3)) == NumP(3)
     assert eval_operand(e, VAR("a")).name == "a"
-    assert eval_operand(e, LOC(())) == NumP(5)
-    v = eval_operand(e, LBL((1,)))
+    assert eval_operand(e, LOC((), 1)) == NumP(5)
+    v = eval_operand(e, LBL((1,), 1))
     assert v == PClosure((1,), e) and v.env is e
+    assert eval_operand(e, LBL((1,), 0)).env is EMPTY  # cut back to the target's scope
     with pytest.raises(MissingBinding):
-        eval_operand({}, LOC((0,)))
+        eval_operand(EMPTY, LOC((0,), 1))
+    with pytest.raises(MissingBinding):
+        eval_operand(e, LOC((0,), 1))  # the cell at level 1 binds another binder
 
 
 def _value_positions(prog):
@@ -123,12 +133,12 @@ def test_operand_evaluation_agrees_with_gamma(t):
     prog = as_prog(t)
     for p in _value_positions(prog):
         try:
-            want = pek.gamma(prog, p, {})
+            want = pek.gamma(prog, p, EMPTY)
         except MissingBinding:
             with pytest.raises(MissingBinding):
-                eval_operand({}, operand_of(prog, p))
+                eval_operand(EMPTY, operand_of(prog, p))
             continue
-        assert eval_operand({}, operand_of(prog, p)) == want
+        assert eval_operand(EMPTY, operand_of(prog, p)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +176,7 @@ def test_compile_stuck_positions():
 def test_compile_call_saves_binding_site():
     g = compile(parse_term("force thunk { prd 5 } to x in prd x"))
     instr, succs = g.blocks[(0,)]
-    assert instr == CALL(LBL((0, 0, 0)), (), ())
+    assert instr == CALL(LBL((0, 0, 0), 0), (), (), 0)
     assert succs == ((1,),)
 
 
@@ -200,37 +210,37 @@ def test_generated_graphs_are_closed(t):
 
 def test_arith_seq_runs_on_the_graph():
     g, s = load(fx.ARITH_SEQ)
-    assert g.blocks[s.pc][0] == OP(NAT(1), ArithOp.ADD, NAT(2), ())
+    assert g.blocks[s.pc][0] == OP(NAT(1), ArithOp.ADD, NAT(2), (), 0)
     s1 = step(g, s)
-    assert s1 == PekState((1,), {(): NumP(3)}, ())
+    assert s1 == PekState((1,), chain(((), NumP(3))), ())
     assert step(g, s1) == Terminal(ProducedValue(NumP(3)))
 
 
 def test_call_saves_caller_environment():
     g, s = load(parse_term("force thunk { prd 5 } to x in prd x"))
     s1 = step(g, s)
-    assert s1 == PekState((0, 0, 0), {}, (KRet((), (1,), {}),))
+    assert s1 == PekState((0, 0, 0), EMPTY, (KRet((), (1,), EMPTY),))
     s2 = step(g, s1)
-    assert s2 == PekState((1,), {(): NumP(5)}, ())
+    assert s2 == PekState((1,), chain(((), NumP(5))), ())
     assert step(g, s2) == Terminal(ProducedValue(NumP(5)))
 
 
 def test_tail_call_pushes_no_return_frame():
     g, s = load(fx.MULT_CALL)
     s1 = step(g, s)
-    assert s1 == PekState((1,), {}, (KArg(NumP(2)), KArg(NumP(3)), KArg(NumP(0))))
+    assert s1 == PekState((1,), EMPTY, (KArg(NumP(2)), KArg(NumP(3)), KArg(NumP(0))))
 
 
 def test_unknown_pc_raises():
     g, _ = load(fx.ARITH_SEQ)
     with pytest.raises(UnknownPc):
-        step(g, PekState((9, 9), {}, ()))
+        step(g, PekState((9, 9), EMPTY, ()))
 
 
 def test_describe_of_an_unknown_pc_raises_unknown_pc():
     g, _ = load(fx.ARITH_SEQ)
     with pytest.raises(UnknownPc, match=r"^9\.9$"):
-        describe(g, PekState((9, 9), {}, ()), 0)
+        describe(g, PekState((9, 9), EMPTY, ()), 0)
 
 
 def test_blocks_are_found_by_identity_then_by_equality():

@@ -6,6 +6,7 @@ files under fixtures/ are exercised directly and kept in sync with the
 in-package sources.
 """
 
+import sys
 from pathlib import Path
 
 import hypothesis.strategies as st
@@ -146,6 +147,36 @@ def test_run_fuel_exhaustion_exits_2(source_file, capsys):
     for machine in ("sos", "cek", "cfg"):
         assert main(["run", f"--machine={machine}", "--fuel=20", path]) == 2
         assert capsys.readouterr().err == "fuel exhausted after 20 steps\n"
+
+
+# numerals past Python's 4,300-digit limit on decimal conversions, which
+# stays as it is
+
+BIG = "1234567890" * 500  # 5,000 digits
+
+
+@pytest.mark.parametrize("machine", ["sos", "cek", "peak", "pek", "cfg"])
+def test_run_prints_a_5000_digit_literal(machine, source_file, capsys):
+    assert main(["run", f"--machine={machine}", source_file(f"prd {BIG}")]) == 0
+    assert capsys.readouterr().out == f"result: {BIG}\n"
+    assert main(["run", f"--machine={machine}", source_file(f"0 - {BIG}")]) == 0
+    assert capsys.readouterr().out == f"result: -{BIG}\n"
+
+
+def test_run_prints_a_computed_8193_digit_result(source_file, capsys):
+    squares = "".join(f"a{i} * a{i} to a{i + 1} in " for i in range(12))
+    path = source_file(f"10 * 10 to a0 in {squares}prd a12")  # 10 ** (2 ** 13)
+    assert main(["run", path]) == 0
+    assert capsys.readouterr().out == "result: 1" + "0" * 8192 + "\n"
+    assert sys.get_int_max_str_digits() in (0, 4300)  # untouched
+
+
+def test_big_numerals_print_and_parse_back(source_file, capsys):
+    m = parse_term(f"prd -{BIG}")
+    assert m == Prd(NumV(-int(BIG[:4000]) * 10**1000 - int(BIG[4000:])))
+    assert print_term(m) == f"prd -{BIG}"
+    assert main(["compile", "--emit=records", source_file(f"prd {BIG}")]) == 0
+    assert capsys.readouterr().out == f"0\tε\tRET\tNAT:{BIG}\t\n"
 
 
 # ---------------------------------------------------------------------------

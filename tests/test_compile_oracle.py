@@ -44,6 +44,7 @@ from cbpv.syntax import (
     Op,
     Prd,
     RecBind,
+    Seq,
     ThunkV,
     as_prog,
     is_value,
@@ -57,20 +58,31 @@ from conftest import terms
 # the oracle
 
 
+def _oracle_depth(prog, p):
+    """The Lam/Seq binders in scope at ``p``, counted up its path: every Lam
+    entered through its body and every Seq through its right component."""
+    n = 0
+    for k in range(len(p)):
+        t = type(prog.at(p[k + 1 :]))
+        if (t is Lam and p[k] == 0) or (t is Seq and p[k] == 1):
+            n += 1
+    return n
+
+
 def _oracle_operand(prog, p):
     v = prog.at(p)
     t = type(v)
     if t is NumV:
         return NAT(v.n)
     if t is ThunkV:
-        return LBL(pek.eta(prog, (0,) + p))
+        return LBL(pek.eta(prog, (0,) + p), _oracle_depth(prog, p))
     ref = resolve_binder(prog, p)
     rt = type(ref)
     if rt is FreeVar:
         return VAR(ref.name)
     if rt is RecBind:
-        return LBL(pek.eta(prog, (ref.index,) + ref.path))
-    return LOC(ref.path)
+        return LBL(pek.eta(prog, (ref.index,) + ref.path), _oracle_depth(prog, ref.path))
+    return LOC(ref.path, _oracle_depth(prog, ref.path) + 1)
 
 
 def _oracle_block(prog, p, node):
@@ -91,7 +103,7 @@ def _oracle_block(prog, p, node):
         if seq is None:
             return TAIL(fn, operands), ()
         resume = pek.eta(prog, (1,) + seq.path)
-        return CALL(fn, operands, seq.path), (resume,)
+        return CALL(fn, operands, seq.path, _oracle_depth(prog, seq.path)), (resume,)
 
     if t is If0:
         zero = pek.eta(prog, (1,) + p)
@@ -103,7 +115,8 @@ def _oracle_block(prog, p, node):
             f = a[0]
             if type(f) is ARG:
                 return STUCK(StuckReason.ApplyNonFunction), ()
-            return MOV(op((0,) + p), f.path), (pek.eta(prog, (1,) + f.path),)
+            keep = _oracle_depth(prog, f.path)
+            return MOV(op((0,) + p), f.path, keep), (pek.eta(prog, (1,) + f.path),)
         return RET(op((0,) + p)), ()
 
     if t is Lam:
@@ -111,7 +124,8 @@ def _oracle_block(prog, p, node):
             f = a[0]
             if type(f) is SEQ:
                 return STUCK(StuckReason.SequencedNonProducer), ()
-            return MOV(op((0,) + f.path), p), (pek.eta(prog, (0,) + p),)
+            keep = _oracle_depth(prog, p)
+            return MOV(op((0,) + f.path), p, keep), (pek.eta(prog, (0,) + p),)
         return POP(p), (pek.eta(prog, (0,) + p),)
 
     lhs = op((0,) + p)
@@ -120,7 +134,8 @@ def _oracle_block(prog, p, node):
         f = a[0]
         if type(f) is ARG:
             return STUCK(StuckReason.ApplyNonFunction), ()
-        return OP(lhs, node.op, rhs, f.path), (pek.eta(prog, (1,) + f.path),)
+        keep = _oracle_depth(prog, f.path)
+        return OP(lhs, node.op, rhs, f.path, keep), (pek.eta(prog, (1,) + f.path),)
     return OPRET(lhs, node.op, rhs), ()
 
 

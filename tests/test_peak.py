@@ -7,13 +7,16 @@ from cbpv import fixtures as fx
 from cbpv.parser import parse_term
 from cbpv.peak import (
     ARG,
+    EMPTY,
     SEQ,
+    Env,
     KArg,
     KSeq,
     NumP,
     PClosure,
     PeakState,
     advance,
+    chain,
     delta,
     describe,
     gamma,
@@ -39,7 +42,7 @@ from conftest import close_term, terms
 MULT = as_prog(fx.MULT)
 
 # environment for the multiplier's body with n=2, x=3, a=0 already bound
-E_MULT = {(1,): NumP(2), (0, 1): NumP(3), (0, 0, 1): NumP(0)}
+E_MULT = chain(((1,), NumP(2)), ((0, 1), NumP(3)), ((0, 0, 1), NumP(0)))
 
 
 # ---------------------------------------------------------------------------
@@ -54,20 +57,22 @@ def test_lookup_bound_variable():
 def test_lookup_recursive_name_builds_closure():
     occ = path_from_text("1.0.0.0.2.1.2.1.1.1.1.0")  # force site
     v = lookup_var(MULT, occ, E_MULT)
-    assert v == PClosure((1,), E_MULT)
-    assert v.env is E_MULT  # shared, not copied
+    assert v == PClosure((1,), EMPTY)
+    assert v.env is EMPTY  # cut back to the letrec's scope, not copied
+    inner = Env((0, 1, 0, 0, 1), NumP(7), E_MULT)  # a binder of the body on top
+    assert lookup_var(MULT, occ, inner).env is EMPTY
 
 
 def test_lookup_free_variable_is_symbolic():
     prog = as_prog(fx.OPEN_ADD)
-    assert lookup_var(prog, (0,), {}) == cek.SymVar("a")
+    assert lookup_var(prog, (0,), EMPTY) == cek.SymVar("a")
 
 
 def test_gamma_on_literals_and_thunks():
-    assert gamma(fx.ARITH_SEQ, (0, 0), {}) == NumP(1)
-    e = {}
+    assert gamma(fx.ARITH_SEQ, (0, 0), EMPTY) == NumP(1)
+    e = EMPTY
     v = gamma(fx.FORCE_THUNK, (0,), e)
-    assert v == PClosure((0, 0), {})
+    assert v == PClosure((0, 0), EMPTY)
     assert v.env is e
 
 
@@ -75,9 +80,9 @@ def test_delta_converts_up_to_first_seq():
     prog = as_prog(parse_term("1 . (2 . force f) to x in prd x"))
     st = advance(prog, load(prog.term))
     assert st.args == (ARG((0, 1)), SEQ((1,)), ARG(()))
-    assert delta(prog, {}, st.args) == (
+    assert delta(prog, EMPTY, st.args) == (
         KArg(NumP(2)),
-        KSeq((1,), {}, (ARG(()),)),
+        KSeq((1,), EMPTY, (ARG(()),)),
     )
 
 
@@ -89,7 +94,7 @@ def test_advance_descends_application_chain():
     st = advance(fx.MULT_CALL, load(fx.MULT_CALL))
     assert st.pc == (1, 1, 1, 0)
     assert st.args == (ARG((1, 1, 0)), ARG((1, 0)), ARG((0,)))
-    assert st.env == {} and st.kont == ()
+    assert st.env is EMPTY and st.kont == ()
 
 
 def test_advance_is_idempotent():
@@ -106,14 +111,14 @@ def test_advance_is_idempotent():
 def test_arith_seq_runs_to_produced_numeral():
     prog = as_prog(fx.ARITH_SEQ)
     s1 = step(prog, load(prog.term))
-    assert s1 == PeakState((1,), {(): NumP(3)}, (), ())
+    assert s1 == PeakState((1,), chain(((), NumP(3))), (), ())
     assert step(prog, s1) == Terminal(ProducedValue(NumP(3)))
 
 
 def test_force_enters_thunk_entry():
     prog = as_prog(fx.FORCE_THUNK)
     s1 = step(prog, load(prog.term))
-    assert s1 == PeakState((0, 0), {}, (), ())
+    assert s1 == PeakState((0, 0), EMPTY, (), ())
     assert step(prog, s1) == Terminal(ProducedValue(NumP(0)))
 
 
@@ -121,26 +126,26 @@ def test_force_converts_pending_arguments():
     prog = as_prog(fx.MULT_CALL)
     s1 = step(prog, load(prog.term))
     assert s1 == PeakState(
-        (1,), {}, (), (KArg(NumP(2)), KArg(NumP(3)), KArg(NumP(0)))
+        (1,), EMPTY, (), (KArg(NumP(2)), KArg(NumP(3)), KArg(NumP(0)))
     )
 
 
 def test_lambda_binds_from_argument_stack():
     prog = as_prog(fx.APPLY_ID)
     s1 = step(prog, load(prog.term))
-    assert s1 == PeakState((0, 1), {(1,): NumP(5)}, (), ())
+    assert s1 == PeakState((0, 1), chain(((1,), NumP(5))), (), ())
     assert step(prog, s1) == Terminal(ProducedValue(NumP(5)))
 
 
 def test_lambda_binds_from_continuation():
     prog = as_prog(fx.APPLY_ID)
-    st = PeakState((1,), {}, (), (KArg(NumP(5)),))
-    assert step(prog, st) == PeakState((0, 1), {(1,): NumP(5)}, (), ())
+    st = PeakState((1,), EMPTY, (), (KArg(NumP(5)),))
+    assert step(prog, st) == PeakState((0, 1), chain(((1,), NumP(5))), (), ())
 
 
 def test_branch_selects_child():
     prog = as_prog(fx.BRANCH_ZERO)
-    assert step(prog, load(prog.term)) == PeakState((1,), {}, (), ())
+    assert step(prog, load(prog.term)) == PeakState((1,), EMPTY, (), ())
 
 
 def test_bare_arith_terminal():
@@ -181,14 +186,14 @@ def test_apply_arith_checks_context_before_operands():
     # the operands are unevaluated symbols, but the application wins
     prog = as_prog(parse_term("1 . a + b"))
     assert step(prog, load(prog.term)) == Stuck(StuckReason.ApplyNonFunction)
-    st = PeakState((1,), {}, (), (KArg(NumP(9)),))
+    st = PeakState((1,), EMPTY, (), (KArg(NumP(9)),))
     assert step(prog, st) == Stuck(StuckReason.ApplyNonFunction)
 
 
 def test_sequence_non_producer():
     prog = as_prog(parse_term("(\\x. prd x) to w in prd w"))
     assert step(prog, load(prog.term)) == Stuck(StuckReason.SequencedNonProducer)
-    st = PeakState((0,), {}, (), (KSeq((), {}, ()),))
+    st = PeakState((0,), EMPTY, (), (KSeq((), EMPTY, ()),))
     assert step(prog, st) == Stuck(StuckReason.SequencedNonProducer)
 
 
@@ -199,7 +204,7 @@ def test_arith_non_numeral():
 
 def test_missing_binding_reported_as_unbound_path():
     prog = as_prog(fx.APPLY_ID)
-    st = PeakState((0, 1), {}, (), ())  # inside the lambda, x never bound
+    st = PeakState((0, 1), EMPTY, (), ())  # inside the lambda, x never bound
     assert step(prog, st) == Stuck(StuckReason.UnboundPath)
 
 
@@ -214,14 +219,14 @@ def test_unload_of_load_is_initial_cek_state():
 
 
 def test_unload_mid_run_state():
-    st = PeakState((1,), {(): NumP(3)}, (), ())
+    st = PeakState((1,), chain(((), NumP(3))), (), ())
     assert unload(fx.ARITH_SEQ, st) == cek.CekState(
         Prd(VarV("x")), cek.Bind("x", cek.NumC(3), None), ()
     )
 
 
 def test_unload_recursive_closure_matches_cek_lookup():
-    got = unload_v(MULT, PClosure((1,), {}))
+    got = unload_v(MULT, PClosure((1,), EMPTY))
     want = cek.lookup_value(VarV("mult"), cek.RecFrame(MULT.term.defs, None))
     assert got == want
     assert got.code == LetRec(MULT.term.defs, MULT.term.defs[0][1])
@@ -292,14 +297,14 @@ def test_wf_holds_along_runs():
 
 def test_wf_reports_unbound_scope():
     prog = as_prog(fx.APPLY_ID)
-    report = wf_check(prog, PeakState((0, 1), {}, (), ()))
+    report = wf_check(prog, PeakState((0, 1), EMPTY, (), ()))
     assert not report.ok
     assert "binder at 1" in report.violations[0]
 
 
 def test_wf_reports_argument_frame_out_of_scope():
     prog = as_prog(fx.APPLY_ID)
-    report = wf_check(prog, PeakState((), {}, (ARG((0,)),), ()))
+    report = wf_check(prog, PeakState((), EMPTY, (ARG((0,)),), ()))
     assert not report.ok
 
 
@@ -318,5 +323,5 @@ def test_states_are_not_mutated_by_later_steps():
 
 def test_describe_format():
     assert describe(load(fx.MULT), 0) == "peak 0: pc=ε env=0 args=0 kont=0"
-    st = PeakState((1,), {(): NumP(3)}, (), ())
+    st = PeakState((1,), chain(((), NumP(3))), (), ())
     assert describe(st, 3) == "peak 3: pc=1 env=1 args=0 kont=0"

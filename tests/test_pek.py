@@ -1,11 +1,13 @@
 """Instruction-pointer machine: static frames, eta advancement, PEAK agreement."""
 
+import pytest
 from hypothesis import given, settings
 
-from cbpv import cek, peak
+from cbpv import cek, cfg, harness, peak
 from cbpv import fixtures as fx
 from cbpv.parser import parse_term
-from cbpv.peak import ARG, SEQ, KArg, KSeq, NumP, PClosure, PeakState
+from cbpv.harness import gen_term
+from cbpv.peak import ARG, EMPTY, SEQ, Env, KArg, KSeq, NumP, PClosure, PeakState, chain
 from cbpv.pek import (
     KRet,
     PekState,
@@ -27,7 +29,7 @@ from cbpv.sos import (
     StuckReason,
     Terminal,
 )
-from cbpv.syntax import alpha_eq, as_prog, path_from_text
+from cbpv.syntax import Lam, Seq, alpha_eq, as_prog, path_from_text
 
 from conftest import close_term, terms
 
@@ -81,20 +83,20 @@ def test_eta_descends_search_nodes():
 
 def test_gamma_thunk_entry_is_advanced():
     prog = as_prog(parse_term("force thunk { 1 + 2 to x in prd x }"))
-    assert gamma(prog, (0,), {}) == PClosure((0, 0, 0), {})
+    assert gamma(prog, (0,), EMPTY) == PClosure((0, 0, 0), EMPTY)
 
 
 def test_recursive_closure_entry_is_advanced():
     prog = as_prog(parse_term("letrec f = prd 0 to r in prd r in force f"))
     s1 = step(prog, load(prog))
-    assert s1 == PekState((0, 1), {}, ())
+    assert s1 == PekState((0, 1), EMPTY, ())
 
 
 def test_delta_replaces_tail_with_return_frame():
     prog = as_prog(parse_term("1 . (2 . force f) to x in prd x"))
     a = aframes(prog, (1, 0, 1))
     assert a == (ARG((0, 1)), SEQ((1,)), ARG(()))
-    assert delta(prog, {}, a) == (KArg(NumP(2)), KRet((1,), (1, 1), {}))
+    assert delta(prog, EMPTY, a) == (KArg(NumP(2)), KRet((1,), (1, 1), EMPTY))
 
 
 # ---------------------------------------------------------------------------
@@ -102,38 +104,38 @@ def test_delta_replaces_tail_with_return_frame():
 
 
 def test_load_positions():
-    assert load(fx.ARITH_SEQ) == PekState((0,), {}, ())
-    assert load(fx.FORCE_THUNK) == PekState((), {}, ())
-    assert load(MULT) == PekState((0,), {}, ())
+    assert load(fx.ARITH_SEQ) == PekState((0,), EMPTY, ())
+    assert load(fx.FORCE_THUNK) == PekState((), EMPTY, ())
+    assert load(MULT) == PekState((0,), EMPTY, ())
 
 
 def test_arith_seq_runs_to_produced_numeral():
     prog = as_prog(fx.ARITH_SEQ)
     s1 = step(prog, load(prog))
-    assert s1 == PekState((1,), {(): NumP(3)}, ())
+    assert s1 == PekState((1,), chain(((), NumP(3))), ())
     assert step(prog, s1) == Terminal(ProducedValue(NumP(3)))
 
 
 def test_force_enters_thunk():
     prog = as_prog(fx.FORCE_THUNK)
     s1 = step(prog, load(prog))
-    assert s1 == PekState((0, 0), {}, ())
+    assert s1 == PekState((0, 0), EMPTY, ())
     assert step(prog, s1) == Terminal(ProducedValue(NumP(0)))
 
 
 def test_force_converts_static_frames():
     prog = as_prog(fx.MULT_CALL)
-    assert load(prog) == PekState((1, 1, 1, 0), {}, ())
+    assert load(prog) == PekState((1, 1, 1, 0), EMPTY, ())
     s1 = step(prog, load(prog))
     assert s1 == PekState(
-        (1,), {}, (KArg(NumP(2)), KArg(NumP(3)), KArg(NumP(0)))
+        (1,), EMPTY, (KArg(NumP(2)), KArg(NumP(3)), KArg(NumP(0)))
     )
 
 
 def test_lambda_binds_from_static_frame():
     prog = as_prog(fx.APPLY_ID)
     s1 = step(prog, load(prog))
-    assert s1 == PekState((0, 1), {(1,): NumP(5)}, ())
+    assert s1 == PekState((0, 1), chain(((1,), NumP(5))), ())
 
 
 def test_lambda_binds_from_continuation():
@@ -141,9 +143,9 @@ def test_lambda_binds_from_continuation():
     # so the argument arrives through the continuation
     prog = as_prog(parse_term("5 . force thunk { \\x. prd x }"))
     s1 = step(prog, load(prog))
-    assert s1 == PekState((0, 0, 1), {}, (KArg(NumP(5)),))
+    assert s1 == PekState((0, 0, 1), EMPTY, (KArg(NumP(5)),))
     s2 = step(prog, s1)
-    assert s2 == PekState((0, 0, 0, 1), {(0, 0, 1): NumP(5)}, ())
+    assert s2 == PekState((0, 0, 0, 1), chain(((0, 0, 1), NumP(5))), ())
     assert step(prog, s2) == Terminal(ProducedValue(NumP(5)))
 
 
@@ -151,9 +153,9 @@ def test_curried_arguments_bind_innermost_first():
     prog = as_prog(parse_term("5 . 7 . \\x. \\y. prd y"))
     s = load(prog)
     s = step(prog, s)
-    assert s == PekState((0, 1, 1), {(1, 1): NumP(7)}, ())
+    assert s == PekState((0, 1, 1), chain(((1, 1), NumP(7))), ())
     s = step(prog, s)
-    assert s == PekState((0, 0, 1, 1), {(1, 1): NumP(7), (0, 1, 1): NumP(5)}, ())
+    assert s == PekState((0, 0, 1, 1), chain(((1, 1), NumP(7)), ((0, 1, 1), NumP(5))), ())
     assert step(prog, s) == Terminal(ProducedValue(NumP(5)))
 
 
@@ -186,7 +188,7 @@ def test_stuck_reasons_mirror_structural_semantics():
 
 def test_missing_binding_reported_as_unbound_path():
     prog = as_prog(fx.APPLY_ID)
-    assert step(prog, PekState((0, 1), {}, ())) == Stuck(StuckReason.UnboundPath)
+    assert step(prog, PekState((0, 1), EMPTY, ())) == Stuck(StuckReason.UnboundPath)
 
 
 # ---------------------------------------------------------------------------
@@ -195,19 +197,19 @@ def test_missing_binding_reported_as_unbound_path():
 
 def test_unload_recomputes_static_frames():
     prog = as_prog(fx.ARITH_SEQ)
-    assert unload(prog, load(prog)) == PeakState((0,), {}, (SEQ(()),), ())
+    assert unload(prog, load(prog)) == PeakState((0,), EMPTY, (SEQ(()),), ())
 
 
 def test_unload_expands_return_frame():
     prog = as_prog(parse_term("1 . (2 . force f) to x in prd x"))
-    st = PekState((1, 1), {}, (KRet((1,), (1, 1), {}),))
+    st = PekState((1, 1), EMPTY, (KRet((1,), (1, 1), EMPTY),))
     got = unload(prog, st)
-    assert got.kont == (KSeq((1,), {}, (ARG(()),)),)
+    assert got.kont == (KSeq((1,), EMPTY, (ARG(()),)),)
 
 
 def test_unload_of_trivial_state_is_trivial():
     prog = as_prog(fx.FORCE_THUNK)
-    assert unload(prog, PekState((), {}, ())) == PeakState((), {}, (), ())
+    assert unload(prog, PekState((), EMPTY, ())) == PeakState((), EMPTY, (), ())
 
 
 def test_source_recovered_through_both_unloads():
@@ -228,7 +230,7 @@ def _canon_val(prog, v):
 
 
 def _canon_env(prog, e):
-    return {q: _canon_val(prog, v) for q, v in e.items()}
+    return chain(*[(q, _canon_val(prog, v)) for q, v in reversed(list(e.items()))])
 
 
 def _canon_kont(prog, kont):
@@ -309,16 +311,125 @@ def test_pc_stays_on_instructions_and_wf_holds():
 
 def test_wf_rejects_search_position():
     prog = as_prog(fx.ARITH_SEQ)
-    report = wf_check(prog, PekState((), {}, ()))
+    report = wf_check(prog, PekState((), EMPTY, ()))
     assert not report.ok
     assert "instruction position" in report.violations[0]
 
 
 def test_wf_rejects_unbound_scope():
     prog = as_prog(fx.APPLY_ID)
-    assert not wf_check(prog, PekState((0, 1), {}, ())).ok
+    assert not wf_check(prog, PekState((0, 1), EMPTY, ())).ok
+
+
+def test_wf_rejects_a_chain_that_is_not_the_scope():
+    prog = as_prog(fx.APPLY_ID)  # 5 . \x. prd x
+    assert wf_check(prog, PekState((0, 1), chain(((1,), NumP(5))), ()))
+    extra = chain(((0,), NumP(4)), ((1,), NumP(5)))  # a binder outside the lambda
+    [v] = wf_check(prog, PekState((0, 1), extra, ())).violations
+    assert v == "pc: binder at 0 bound outside the scope of position 1"
+    other = chain(((0,), NumP(5)))
+    [v] = wf_check(prog, PekState((0, 1), other, ())).violations
+    assert v == "pc: binder at 1 unbound for position 1.0"
+    closure = PClosure((0, 1), extra)  # checked wherever it sits
+    [v] = wf_check(prog, PekState((), EMPTY, (KArg(closure),))).violations[1:]
+    assert v == "argument closure: binder at 0 bound outside the scope of position 1"
 
 
 def test_describe_format():
     assert describe(load(fx.ARITH_SEQ), 0) == "pek 0: pc=0 env=0 kont=0"
-    assert describe(PekState((), {}, ()), 2) == "pek 2: pc=ε env=0 kont=0"
+    assert describe(PekState((), EMPTY, ()), 2) == "pek 2: pc=ε env=0 kont=0"
+
+
+# ---------------------------------------------------------------------------
+# environments as scope chains
+
+
+def _in_scope(prog, p):
+    """The Lam/Seq binders in scope at ``p``, counted up its path: every
+    Lam entered through its body and every Seq through its right component."""
+    n = 0
+    for k in range(len(p)):
+        t = type(prog.at(p[k + 1 :]))
+        if (t is Lam and p[k] == 0) or (t is Seq and p[k] == 1):
+            n += 1
+    return n
+
+
+def _long_chain(n, closures):
+    e = EMPTY
+    for k in range(n):
+        e = Env((k,), PClosure((k,), e) if closures else NumP(k), e)
+    return e
+
+
+def test_equality_of_100k_cell_chains_walks_no_stack():
+    for closures in (False, True):  # each closure over the chain below it
+        a, b = _long_chain(100_000, closures), _long_chain(100_000, closures)
+        assert len(a) == 100_000 and a is not b
+        assert a == b
+        assert a == b  # the second time from the twins the first one left
+        c = Env((1,), NumP(-1), _long_chain(99_999, closures))  # differs at the top
+        assert a != c and c != b
+
+
+def test_a_chain_differing_deep_down_is_unequal():
+    a = _long_chain(5_000, False)
+    b = EMPTY
+    for k in range(5_000):
+        b = Env((k,), NumP(-1 if k == 7 else k), b)
+    assert a != b and b != a
+    assert chain(((1,), NumP(1))) != chain(((2,), NumP(1)))
+    assert chain(((1,), NumP(1))) != EMPTY and EMPTY == EMPTY
+
+
+def _runs(prog):
+    g = cfg.compile(prog)
+    yield from _states(lambda s: step(prog, s), load(prog))
+    yield from _states(lambda s: cfg.step(g, s), load(prog))
+
+
+def _states(step_fn, s, fuel=300):
+    for _ in range(fuel):
+        yield s
+        s = step_fn(s)
+        if type(s) is not PekState:
+            return
+
+
+@pytest.mark.parametrize("seed", range(0, 400, 7))
+def test_env_holds_exactly_the_binders_in_scope(seed):
+    for m in (gen_term(seed, seed % 26), gen_term(seed, seed % 26, closed=False)):
+        prog = as_prog(m)
+        for s in _runs(prog):
+            assert len(s.env) == _in_scope(prog, s.pc)
+            for f in s.kont:
+                if type(f) is KRet:
+                    assert len(f.env) == _in_scope(prog, f.bind_path)
+        rho = peak.load(prog)
+        while type(rho) is PeakState:
+            assert len(rho.env) == _in_scope(prog, rho.pc)
+            rho = peak.step(prog, rho)
+
+
+def test_fixture_envs_hold_exactly_the_binders_in_scope():
+    for m in fx.PROGRAMS.values():
+        prog = as_prog(m)
+        for s in _runs(prog):
+            assert len(s.env) == _in_scope(prog, s.pc)
+
+
+def test_a_recursive_call_keeps_only_the_letrecs_scope():
+    prog = as_prog(fx.mult_call(3, 4, 0))
+    entry = eta(prog, (1,))  # mult's definition, \n
+    inner = []
+    for s in _runs(prog):
+        if s.pc == FORCE_SITE:
+            assert len(s.env) == 5  # n, x, a, y and b
+            mult = gamma(prog, (0,) + FORCE_SITE, s.env)
+            assert mult.entry == entry and mult.env is EMPTY
+        if s.pc == entry:
+            inner.append(s)
+    assert len(inner) == 2 * 4  # one call for each x from 4 down to 1, on pek and on cfg
+    assert all(s.env is EMPTY for s in inner)
+    report = harness.lockstep_check(prog, harness.LevelPair.PEK_CFG)
+    assert report.ok and report.steps_checked > 30

@@ -164,19 +164,25 @@ class Oracle:
 
     # peak's unload
 
+    def cut(self, e, p):
+        """``e`` without the cells of binders out of scope at ``p``."""
+        while len(e) > len(self.scope_entries(p)):
+            e = e.parent
+        return e
+
     def gamma(self, p, e):
         v = self.at(p)
         t = type(v)
         if t is NumV:
             return NumP(v.n)
         if t is ThunkV:
-            return PClosure((0,) + p, e)
+            return PClosure((0,) + p, self.cut(e, p))
         ref = self.resolve_binder(p)
         if type(ref) is FreeVar:
             return SymVar(ref.name)
         if type(ref) is RecBind:
-            return PClosure((ref.index,) + ref.path, e)
-        v = e.get(ref.path)
+            return PClosure((ref.index,) + ref.path, self.cut(e, ref.path))
+        v = dict(e.items()).get(ref.path)
         if v is None:
             raise peak.MissingBinding(path_text(ref.path))
         return v
@@ -215,7 +221,26 @@ class Oracle:
                 return LetRec(parent_node.defs, self.at(p)), parent
         return self.at(p), p
 
+    def check_chain(self, p, e):
+        """Raise as peak's unload does unless ``e`` holds exactly the
+        binders in scope at ``p``, innermost first."""
+        while True:
+            need = self.scope_entries(p)
+            if not need:
+                if len(e):
+                    raise cek.IllFormedState(
+                        f"binder at {path_text(e.binder)} bound outside the scope of {path_text(p)}"
+                    )
+                return
+            if not len(e) or e.binder != need[0]:
+                raise cek.IllFormedState(
+                    f"no value for binder at {path_text(need[0])} at {path_text(p)}"
+                )
+            p, e = need[0], e.parent
+
     def unload_e(self, p, e):
+        self.check_chain(p, e)
+        e = dict(e.items())
         frames = []
         for k in range(len(p)):
             head, parent = p[k], p[k + 1 :]
@@ -257,6 +282,7 @@ class Oracle:
                     out.append(cek.ArgF(self.unload_v(self.gamma((0,) + f.path, env))))
                 else:
                     node = self.at(f.path)
+                    env = self.cut(env, f.path)
                     out.append(cek.SeqF(node.binder, node.right, self.unload_e(f.path, env)))
 
         emit_args(e, args)
@@ -309,27 +335,37 @@ GROUPS = {
 # every position, through the index's own path and through an equal tuple
 
 
-def _binder_env(term):
-    """A value for every Lam and Seq binder of ``term``."""
-    return {p: NumP(k) for k, (p, node) in enumerate(iter_subterms(term))
-            if type(node) in (Lam, Seq)}
+def _binder_env(o, p):
+    """A value for every Lam and Seq binder in scope at ``p``."""
+    return peak.chain(*[(q, NumP(len(q))) for q in reversed(o.scope_entries(p))])
 
 
-def _agrees_at(prog, o, p, e):
+def _scope_entries(prog, p):
+    need, cell = [], peak._scope(prog, prog.pos(p))
+    while cell is not None:
+        if type(prog.nodes[cell[0]]) is not LetRec:
+            need.append(prog.path(cell[0]))
+        cell = cell[1]
+    return need
+
+
+def _agrees_at(prog, o, p):
+    e = _binder_env(o, p)
     assert prog.at(p) is o.at(p)
     assert pek.aframes(prog, p) == o.aframes(p)
-    assert peak._scope_entries(prog, p) == o.scope_entries(p)
+    assert _scope_entries(prog, p) == o.scope_entries(p)
+    assert peak._depth(prog, prog.pos(p)) == len(e)
     assert peak._unload_e(prog, prog.pos(p), e) == o.unload_e(p, e)
     node = o.at(p)
     if is_term(node):
         assert pek.eta(prog, p) == o.eta(p)
-        rho = PeakState(p, {}, (), ())
+        rho = PeakState(p, peak.EMPTY, (), ())
         assert peak.advance(prog, rho) == o.advance(rho)
     else:
         want = o.gamma(p, e)
         assert peak.gamma(prog, p, e) == want
         if type(want) is PClosure:
-            want = PClosure(o.eta(want.entry), e)
+            want = PClosure(o.eta(want.entry), want.env)
         assert pek.gamma(prog, p, e) == want
     if type(node) is VarV:
         assert resolve_binder(prog, p) == o.resolve_binder(p)
@@ -337,13 +373,12 @@ def _agrees_at(prog, o, p, e):
 
 def _check_positions(term, order):
     prog, o = as_prog(term), Oracle(term)
-    e = _binder_env(term)
     for p in order:
         own = prog.path(prog.pos(tuple(list(p))))
         assert own == p
         assert prog.path(prog.pos(own)) is own  # the index hands out one tuple
-        _agrees_at(prog, o, own, e)
-        _agrees_at(prog, o, tuple(list(p)), e)
+        _agrees_at(prog, o, own)
+        _agrees_at(prog, o, tuple(list(p)))
 
 
 @pytest.mark.parametrize("group", GROUPS)

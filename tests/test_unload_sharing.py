@@ -15,6 +15,7 @@ changed nothing but the cost.
 
 import dataclasses
 import gc
+import random
 import weakref
 
 import hypothesis.strategies as st
@@ -24,10 +25,10 @@ from hypothesis import given, settings
 import cbpv.fixtures as fx
 from cbpv import cek, cfg, harness, peak, pek, syntax
 from cbpv.cek import ArgF, Bind, CekState, Closure, NumC, RecFrame, SeqF, SymVar
-from cbpv.cfg import MOV, OP, OPRET, POP, RET, eval_operand
+from cbpv.cfg import MOV, OP
 from cbpv.harness import LevelPair, gen_term
 from cbpv.parser import parse_term
-from cbpv.peak import ARG, KArg, KSeq, NumP, PClosure, PeakState
+from cbpv.peak import ARG, Env, KArg, KSeq, NumP, PClosure, PeakState, chain
 from cbpv.pek import KRet, PekState
 from cbpv.printer import print_term
 from cbpv.sos import Stuck, Terminal
@@ -48,6 +49,7 @@ from cbpv.syntax import (
     as_prog,
     free_vars,
     freshen,
+    iter_subterms,
     path_text,
     substitute,
 )
@@ -115,16 +117,28 @@ def oracle_unload_e(prog, i, e):
     while cell is not None:
         binders.append(cell[0])
         cell = cell[1]
+    anchor, rest = i, e  # the chain holds exactly the Lam/Seq binders, innermost first
+    for b in binders:
+        if type(prog.nodes[b]) is LetRec:
+            continue
+        if not len(rest) or rest.binder != prog.path(b):
+            raise cek.IllFormedState(
+                f"no value for binder at {path_text(prog.path(b))} at {path_text(prog.path(anchor))}"
+            )
+        anchor, rest = b, rest.parent
+    if len(rest):
+        raise cek.IllFormedState(
+            f"binder at {path_text(rest.binder)} bound outside the scope of"
+            f" {path_text(prog.path(anchor))}"
+        )
+    values = dict(e.items())
     env = None
     for b in reversed(binders):
         node = prog.nodes[b]
         if type(node) is LetRec:
             env = RecFrame(node.defs, env)
             continue
-        v = e.get(prog.path(b))
-        if v is None:
-            raise cek.IllFormedState(f"no value for binder at {path_text(prog.path(b))}")
-        env = Bind(node.binder, oracle_unload_v(prog, v), env)
+        env = Bind(node.binder, oracle_unload_v(prog, values[prog.path(b)]), env)
     return env
 
 
@@ -145,6 +159,8 @@ def oracle_unload_k(prog, e, args, kont):
     def seq_frame(p, env):
         i = prog.pos(p)
         node = prog.nodes[i]
+        while len(env) > peak._depth(prog, i):  # binders inside the Seq's left
+            env = env.parent
         return SeqF(node.binder, node.right, oracle_unload_e(prog, i, env))
 
     def emit_args(env, frames):
@@ -304,6 +320,21 @@ def test_unloads_agree_with_the_oracle_along_runs(group):
         _unloads_agree(term)
 
 
+def test_chains_that_are_not_the_scope_fail_like_the_oracle():
+    # random chains of the program's binders, at every position: the same
+    # environment, or the same first wrong level in the same words
+    rng = random.Random(5)
+    for seed in range(0, 300, 3):
+        m = gen_term(seed, seed % 26)
+        prog = as_prog(m)
+        binders = [p for p, node in iter_subterms(m) if type(node) in (Lam, Seq)] or [(9,)]
+        for p, _ in iter_subterms(m):
+            for _ in range(3):
+                e = chain(*[(rng.choice(binders), NumP(1)) for _ in range(rng.randint(0, 3))])
+                i = prog.pos(p)
+                assert _outcome(peak._unload_e, prog, i, e) == _outcome(oracle_unload_e, prog, i, e)
+
+
 def test_rebound_frame_binders_unload_like_the_oracle():
     env = Bind("z", NumC(9), None)
     masked = CekState(Prd(VarV("z")), env,
@@ -324,10 +355,12 @@ def _run(mod, prog, fuel=10**6):
 
 
 def test_equal_unloads_are_one_object_whatever_dict_holds_the_bindings():
+    # the bindings held by separately built cells
     prog = as_prog(fx.MULT_CALL)
     for rho in _run(peak, prog):
         once = peak.unload(prog, rho)
-        copied = PeakState(rho.pc, dict(rho.env), rho.args, rho.kont)
+        copied = PeakState(rho.pc, chain(*reversed(list(rho.env.items()))), rho.args, rho.kont)
+        assert copied.env == rho.env and (copied.env is not rho.env or not rho.env)
         again = peak.unload(prog, copied)
         assert again.env is once.env
         assert all(a is b for a, b in zip(again.kont, once.kont) if type(a) is SeqF)
@@ -338,47 +371,68 @@ def test_the_table_lives_in_the_checks_prog_and_dies_with_it():
     prog = as_prog(parse_term(sum_text(7)))
     assert harness.tower_check(prog).ok
     table = prog.tables["cons"]
+    states = [pek.unload(prog, s) for s in _run(pek, prog)]
+    sigmas = [peak.unload(prog, rho) for rho in states]
     kinds = {type(x) for x in table.values()}
     assert {NumC, Bind, RecFrame, SeqF} <= kinds
-    last = pek.unload(prog, _run(pek, prog)[-1])
-    sigma = peak.unload(prog, last)
+    sigma = sigmas[-1]
     held = {id(x) for x in table.values()}
     assert id(sigma.env) in held
     assert all(id(f) in held for f in sigma.kont if type(f) is SeqF)
     alive = [weakref.ref(x) for x in table.values()]
     assert "cons" not in as_prog(prog.term).tables  # nothing shared between Progs
-    del prog, table, last, sigma, held
+    del prog, table, states, sigmas, sigma, held
     gc.collect()
     assert all(r() is None for r in alive)
 
 
+@pytest.mark.parametrize("m", [100, 400, 1600])
+def test_a_long_checks_table_holds_only_what_its_live_states_reach(m):
+    # the table is weak and the memos live on the cells, so what a check
+    # keeps does not grow with the number of steps it takes
+    prog = as_prog(fx.mult_call(3, m, 0))
+    mid = []
+
+    def sample(real):
+        def step(g, s):
+            r = real(g, s)
+            if len(mid) < 2 and type(r) is PekState and len(r.env) == 5:
+                mid.append(weakref.ref(r.env))
+            return r
+        return step
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cfg, "step", sample(cfg.step))
+        report = harness.tower_check(prog, fuel=10 * m)
+    assert report.ok and report.steps_checked > 4 * m
+    gc.collect()
+    assert mid and all(r() is None for r in mid)  # the cells died, memos and all
+    # what is left hangs off the empty chain, one entry per position at most:
+    # the letrec frame every environment of the run ends in
+    assert [type(x) for x in prog.tables["cons"].values()] == [RecFrame]
+    assert len(prog.tables["empty"]) == 2
+
+
 # ---------------------------------------------------------------------------
-# soundness of the memos: a graph machine that updates environments in place
+# soundness of the memos: a graph machine that binds onto a stale parent cell
+#
+# Cells cannot be written to, so the memos kept on them cannot go stale.
+# The nearest bug that can still happen is a bind onto the wrong chain: a
+# graph machine whose MOV and OP put the new cell on the return frame's
+# chain, when one is on top of the continuation, instead of the current
+# one.  The memos must not hide it from any check.
 
 
-def _in_place(real):
-    """``cfg._execute``, but MOV, OP, POP, RET and OPRET write the new
-    binding into the environment dict they read, which stays in the old
-    state and in every frame and closure sharing it."""
+def _stale_parent(real):
+    """``cfg._execute``, but MOV and OP bind onto the chain of the return
+    frame on top of the continuation, where the current chain belongs."""
 
     def execute(instr, succs, s):
-        t, e, kont = type(instr), s.env, s.kont
-        if t is MOV:
-            e[instr.dst] = eval_operand(e, instr.src)
-            return PekState(succs[0], e, kont)
-        if t is POP and kont and type(kont[0]) is KArg:
-            e[instr.dst] = kont[0].value
-            return PekState(succs[0], e, kont[1:])
         r = real(instr, succs, s)
-        if type(r) is not PekState:
-            return r
-        if t is OP:
-            e[instr.dst] = r.env[instr.dst]
-            return PekState(r.pc, e, r.kont)
-        if (t is RET or t is OPRET) and kont and type(kont[0]) is KRet:
-            f = kont[0]
-            f.env[f.bind_path] = r.env[f.bind_path]
-            return PekState(r.pc, f.env, r.kont)
+        t = type(instr)
+        if (t is MOV or t is OP) and type(r) is PekState and s.kont and type(s.kont[0]) is KRet:
+            cell = r.env
+            return PekState(r.pc, Env(cell.binder, cell.value, s.kont[0].env), r.kont)
         return r
 
     return execute
@@ -405,22 +459,21 @@ def _with_oracles(monkeypatch):
     monkeypatch.setattr(harness, "alpha_eq", lambda a, b: oracle_aeq(a, b))
 
 
-@pytest.mark.parametrize("in_place", [False, True])
-def test_every_report_equals_the_oracles(monkeypatch, in_place):
-    if in_place:
-        monkeypatch.setattr(cfg, "_execute", _in_place(cfg._execute))
+@pytest.mark.parametrize("stale", [False, True])
+def test_every_report_equals_the_oracles(monkeypatch, stale):
+    if stale:
+        monkeypatch.setattr(cfg, "_execute", _stale_parent(cfg._execute))
     programs = [parse_term(sum_text(5)), *fx.PROGRAMS.values()]
     got = [_every_check(m) for m in programs]
     _with_oracles(monkeypatch)
     want = [_every_check(m) for m in programs]
-    if in_place:  # a closure can now sit in the dict it closes over: compare the text
-        summary = lambda reports: [[_summary(r) for r in rs] for rs in reports]
-        assert summary(got) == summary(want)
-    else:
-        assert got == want
-    tower = got[0][0]
-    if in_place:  # caught at the step where the first write shows
-        assert not tower.ok and tower.steps_checked == 5
+    summary = lambda reports: [[_summary(r) for r in rs] for rs in reports]
+    assert summary(got) == summary(want)
+    assert got == want
+    tower, pek_cfg = got[0][0], got[0][-2:]
+    if stale:  # sum's first inner bind: caught by both at the step it happens
+        assert not tower.ok and tower.failures[0].step == 8
+        assert [r.failures[0].step for r in pek_cfg] == [8, 8]
     else:
         assert all(rs[0].ok for rs in got)
 
@@ -441,18 +494,20 @@ def _carriers(states):
         if id(x) in seen:
             continue
         seen.add(id(x))
-        if type(x) is dict:
-            todo.extend(x.values())
+        if type(x) is Env:
+            if len(x):
+                todo += (x.value, x.parent)
         elif type(x) in (PClosure, KSeq, KRet):
             out.append(x)
             todo.append(x.env)
     return out
 
 
-@pytest.mark.parametrize("in_place", [False, True])
-def test_no_memo_is_kept_on_an_object_that_carries_an_env_dict(monkeypatch, in_place):
-    if in_place:
-        monkeypatch.setattr(cfg, "_execute", _in_place(cfg._execute))
+@pytest.mark.parametrize("stale", [False, True])
+def test_no_memo_is_kept_on_an_object_that_carries_an_env_dict(monkeypatch, stale):
+    # memos live on the immutable cells, never on what carries a chain
+    if stale:
+        monkeypatch.setattr(cfg, "_execute", _stale_parent(cfg._execute))
     seen = []
 
     def recording(fn):
