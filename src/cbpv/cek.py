@@ -15,6 +15,13 @@ one frame per letrec node crossed).
 Free variables are not errors: looking one up yields a symbolic value, so
 open programs run until they genuinely get stuck, mirroring the semantics.
 
+Equality of environments and closures is structural, walked with an
+explicit stack, so a chain of any length compares without overflowing
+Python's stack.  It stops at a pair that is one object or was found equal
+before (kept on the left one as ``_twin``): the checks compare this
+machine's state with one unloaded from below at every step, and each step
+adds one frame on top of environments compared already.
+
 Unloading flattens environments into terms by substitution, lazily: only
 the frames whose names are still free in the term are substituted.  The
 flattening of a closure and of a sequence frame is kept on the frozen
@@ -57,6 +64,53 @@ from .syntax import (
 # machine values
 
 
+def _equal(a, b) -> bool:
+    """Structural equality of two environments or values, with an explicit
+    stack; a pair met twice, or found equal by an earlier call, is not
+    walked again.  Every pair walked is equal when this returns True, so
+    each left one keeps the right one as its twin."""
+    todo, walked, seen = [(a, b)], [], set()
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        t = type(a)
+        if t is not type(b):
+            return False
+        if t is Bind or t is RecFrame or t is Closure:
+            if a.__dict__.get("_twin") is b:
+                continue
+            pair = (id(a), id(b))  # both stay alive in what is compared
+            if pair in seen:
+                continue
+            seen.add(pair)
+            walked.append((a, b))
+            if t is Bind:
+                if a.name != b.name:
+                    return False
+                todo.append((a.rest, b.rest))
+                todo.append((a.value, b.value))
+            elif t is RecFrame:
+                if a.defs is not b.defs and a.defs != b.defs:
+                    return False
+                todo.append((a.rest, b.rest))
+            else:
+                if a.code is not b.code and a.code != b.code:
+                    return False
+                todo.append((a.env, b.env))
+        elif a != b:  # SymVar, NumC
+            return False
+    for a, b in walked:
+        object.__setattr__(a, "_twin", b)  # frozen, so equal for good
+    return True
+
+
+def _eq(self, other):
+    if type(other) is not type(self):
+        return NotImplemented
+    return _equal(self, other)
+
+
 @dataclass(frozen=True)
 class SymVar:
     """A free variable treated as an opaque value."""
@@ -74,6 +128,8 @@ class Closure:
     code: object  # Term
     env: Optional["CekEnv"]
 
+    __eq__ = _eq
+
 
 CekVal = Union[SymVar, NumC, Closure]
 
@@ -88,11 +144,15 @@ class Bind:
     value: CekVal
     rest: Optional["CekEnv"]
 
+    __eq__ = _eq
+
 
 @dataclass(frozen=True)
 class RecFrame:
     defs: tuple  # ((name, Term), ...)
     rest: Optional["CekEnv"]
+
+    __eq__ = _eq
 
 
 CekEnv = Union[Bind, RecFrame]

@@ -1,7 +1,11 @@
 """Compilation to a control-flow graph and the machine that executes it.
 
 Each instruction position of a program (Force, Prd, Lam, If0, Op node)
-becomes one block: an instruction plus its successor program points.  The
+becomes one block: an instruction plus its successor program points.
+Blocks are labelled by their position's id in the program's index
+(``syntax.Prog``), and so is every successor, code label, binder and
+destination: neither compile nor a step builds a path, and only
+``print_cfg``, ``records``, ``describe`` and ``UnknownPc`` show them.  The
 operand shapes are decided entirely at compile time from the static frames,
 so the machine dispatches on instructions alone and never inspects the term.
 States are shared with the instruction-pointer machine — only the transition
@@ -10,9 +14,10 @@ function changes — which keeps the two machines comparable step by step.
 compile is one iterative preorder walk, linear in the number of nodes: it
 carries the static argument frames and the lexical scope down the tree and
 computes advancement (eta) bottom-up over the same walk.  It calls none of
-pek's per-position routes (``pek.aframes``, ``pek.eta``) nor
-``resolve_binder``.  Those stay the pek machine's own, so the pek/cfg
-lockstep check compares two independent derivations of the static structure.
+pek's per-position routes (``pek.aframes``, ``pek.eta``) nor peak's value
+resolution nor ``binder_of``.  Those stay the pek machine's own, so the
+pek/cfg lockstep check compares two independent derivations of the static
+structure; only the naming of positions is shared.
 
 Environments are peak's immutable ``Env`` chains of the Lam/Seq binders in
 scope.  The same walk counts those binders, so every operand and
@@ -73,7 +78,7 @@ class NotAValue(TypeError):
 
 class UnknownPc(Exception):
     """The program counter addresses no block — a compiler bug, not a
-    property of the program being run."""
+    property of the program being run.  The message is the pc's path."""
 
 
 # ---------------------------------------------------------------------------
@@ -92,13 +97,13 @@ class NAT:
 
 @dataclass(frozen=True)
 class LOC:
-    binder: tuple  # a Lam or Seq node
+    binder: int  # a Lam or Seq node
     level: int  # Lam/Seq binders in scope inside it: the chain's length at its cell
 
 
 @dataclass(frozen=True)
 class LBL:
-    target: tuple  # an instruction position
+    target: int  # an instruction position
     keep: int  # Lam/Seq binders in scope at the target: the cells its closure keeps
 
 
@@ -109,7 +114,7 @@ Operand = Union[VAR, NAT, LOC, LBL]
 class CALL:
     fn: Operand
     args: tuple  # innermost application first: popped first by the callee
-    bind: tuple
+    bind: int  # a Seq node
     keep: int  # Lam/Seq binders in scope at the Seq ``bind``: the return frame's cells
 
 
@@ -122,7 +127,7 @@ class TAIL:
 @dataclass(frozen=True)
 class MOV:
     src: Operand
-    dst: tuple
+    dst: int  # a Lam or Seq node
     keep: int  # Lam/Seq binders in scope at ``dst``: the cells the binding goes on
 
 
@@ -133,14 +138,14 @@ class RET:
 
 @dataclass(frozen=True)
 class POP:
-    dst: tuple
+    dst: int
 
 
 @dataclass(frozen=True)
 class IF0:
     guard: Operand
-    zero: tuple
-    nonzero: tuple
+    zero: int
+    nonzero: int
 
 
 @dataclass(frozen=True)
@@ -148,7 +153,7 @@ class OP:
     lhs: Operand
     op: ArithOp
     rhs: Operand
-    dst: tuple
+    dst: int
     keep: int  # as MOV's
 
 
@@ -166,19 +171,12 @@ class STUCK:
 
 @dataclass(frozen=True)
 class Cfg:
-    entry: tuple
-    blocks: dict  # Path -> (Instruction, successor paths); preorder
-    prog: object = field(compare=False, repr=False)
-    # (binder path, listing name) pairs from compile's pass; None on a graph
-    # built by hand, whose names print_cfg then derives from the program
-    locs: list = field(default=None, compare=False, repr=False)
-    # id() of each key of ``blocks`` -> its block, worked out from blocks.
-    # The keys stay alive in ``blocks``, so their ids are unique; blocks is
-    # never changed once the graph is built.
-    by_id: dict = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "by_id", _ids(self.blocks.items()))
+    entry: int
+    blocks: dict  # position id -> (Instruction, successor ids); preorder
+    prog: object = field(compare=False, repr=False)  # the Prog the ids name positions of
+    # (binder id, name) of every Lam and Seq from compile's pass; None on a
+    # graph built by hand, whose binders print_cfg then derives from the program
+    binders: list = field(default=None, compare=False, repr=False)
 
 
 CfgState = PekState
@@ -193,7 +191,7 @@ def operand_of(P, p: tuple) -> Operand:
     prog = as_prog(P)
     if not is_value(prog.at(p)):
         raise NotAValue(f"no operand for computation at {path_text(p)}")
-    ix = _Index(prog.term)
+    ix = _Index(prog)
     i = 0
     for j in reversed(p):
         i = ix.first[i] + j
@@ -206,10 +204,9 @@ def eval_operand(e: Env, o: Operand):
         k = o.level
         while e.size > k:
             e = e.parent
-        b = e.binder
-        if e.size == k and (b is o.binder or b == o.binder):
+        if e.size == k and e.binder == o.binder:
             return e.value
-        raise MissingBinding(f"no value for binder at {path_text(o.binder)}")
+        raise MissingBinding(o.binder)
     if t is NAT:
         return NumP(o.n)
     if t is LBL:
@@ -229,9 +226,10 @@ def compile(P) -> Cfg:
     prog = as_prog(P)
     if is_value(prog.term):
         raise NotAComputation("values have no control flow")
-    ix = _Index(prog.term)
-    blocks = {ix.paths[i]: _block(ix, i, node, a) for i, node, a in ix.plans}
-    return Cfg(ix.target(0), blocks, prog, ix.locs())
+    ix = _Index(prog)
+    pid = ix.pid
+    blocks = {pid[i]: _block(ix, i, node, a) for i, node, a in ix.plans}
+    return Cfg(ix.target(0), blocks, prog, ix.binders)
 
 
 # The static argument frames of ``pek.aframes`` as cons cells, innermost
@@ -242,7 +240,7 @@ _ARG, _SEQ = "arg", "seq"
 
 class _Index:
     """One iterative preorder walk over a program: what compile needs of
-    every node, by integer id.
+    every node, by the walk's own integer id.
 
     A node's children get consecutive ids when it is visited, so every id
     is above its parent's.  Down the tree the walk carries the static
@@ -253,34 +251,32 @@ class _Index:
     descends into; one sweep from the top id down then turns those links
     into the instruction position eta reaches.
 
-    Only instruction positions and Seq binders get a path, built once: that
-    tuple is the block key, LOC/LBL target, destination and successor
-    wherever the node shows up.  A path costs its depth to build, so the
-    other nodes carry just the child indices below their nearest ancestor
-    with a path.
+    Blocks, operands, destinations and successors name a position by its
+    id in the program's index, which the walk takes with
+    ``prog.first_child`` as it visits each node's children (``pid``): no
+    path is built.
     """
 
-    __slots__ = ("paths", "first", "eta", "ops", "plans", "binders", "bound")
+    __slots__ = ("pid", "first", "eta", "ops", "plans", "binders", "bound")
 
-    def __init__(self, term):
-        paths = {}  # id -> path, for instruction positions and Seq nodes
+    def __init__(self, prog):
+        first_child = prog.first_child
+        pid = [0]  # id -> the position's id in prog
         first = [0]  # id -> id of its first child
         eta = [0]  # id -> descent child (or itself); after the sweep, eta's result
         ops = [None]  # id -> Operand, or (id whose eta an LBL targets, cells kept)
         plans = []  # (id, node, frames) of instruction positions, in preorder
-        binders = []  # (path, name) of Lam and Seq nodes
-        bound = {}  # id -> Lam/Seq binders in scope, for nodes with a path
+        binders = []  # (position id, name) of Lam and Seq nodes
+        bound = {}  # id -> Lam/Seq binders in scope, for instruction positions and Seqs
         scope = {}  # name -> LOC of a Lam/Seq binder, or (id, cells kept) of a letrec definition
         undo = []  # (depth of the binder, name, shadowed ref or None)
-        # Entries are (id, node, frames, binds, head, base, d).  binds take
-        # effect at the node and last until its parent's subtree is left.  The
-        # node's path is head + base: base is the path of its nearest ancestor
-        # that has one, head the child indices below that ancestor.  d counts
-        # the Lam/Seq binders in scope at the node.
-        stack = [(0, term, (), (), (), (), 0)]
+        # Entries are (id, node, frames, binds, depth, d).  binds take effect
+        # at the node and last until its parent's subtree is left.  depth is
+        # the node's depth in the tree, d counts the Lam/Seq binders in scope
+        # at the node.
+        stack = [(0, prog.term, (), (), 0, 0)]
         while stack:
-            i, node, a, binds, head, base, d = stack.pop()
-            depth = len(head) + len(base)
+            i, node, a, binds, depth, d = stack.pop()
             while undo and undo[-1][0] >= depth:
                 _, name, old = undo.pop()
                 if old is None:
@@ -300,77 +296,72 @@ class _Index:
                     ops[i] = VAR(node.name) if ref is None else ref
                 continue
             c = first[i] = len(eta)
+            p = pid[i]
+            q = first_child(p)
+            pid += range(q, q + k)
             first.extend([0] * k)
             eta.extend(range(c, c + k))
             ops.extend([None] * k)
             push = stack.append
+            depth += 1  # the children's
             if t is ThunkV:
                 ops[i] = (c, d)
-                push((c, node.body, (), (), (0,) + head, base, d))
+                push((c, node.body, (), (), depth, d))
                 continue
             if t is App:
                 eta[i] = c + 1
-                push((c + 1, node.body, (_ARG, c, a), (), (1,) + head, base, d))
-                push((c, node.arg, (), (), (0,) + head, base, d))
+                push((c + 1, node.body, (_ARG, c, a), (), depth, d))
+                push((c, node.arg, (), (), depth, d))
                 continue
             if t is LetRec:
                 eta[i] = c
                 for j in range(k - 1, 0, -1):
-                    push((c + j, node.defs[j - 1][1], (), (), (j,) + head, base, d))
+                    push((c + j, node.defs[j - 1][1], (), (), depth, d))
                 names = {}
                 for j, (name, _) in enumerate(node.defs, 1):
                     names.setdefault(name, (c + j, d))  # the leftmost duplicate wins
-                push((c, node.body, a, tuple(names.items()), (0,) + head, base, d))
+                push((c, node.body, a, tuple(names.items()), depth, d))
                 continue
-            p = paths[i] = head + base
             bound[i] = d
             if t is Seq:
                 eta[i] = c
                 binders.append((p, node.binder))
-                push((c + 1, node.right, a, ((node.binder, LOC(p, d + 1)),), (1,), p, d + 1))
-                push((c, node.left, (_SEQ, i, a), (), (0,), p, d))
+                push((c + 1, node.right, a, ((node.binder, LOC(p, d + 1)),), depth, d + 1))
+                push((c, node.left, (_SEQ, i, a), (), depth, d))
                 continue
             plans.append((i, node, a))
             if t is Lam:
                 binders.append((p, node.binder))
                 rest = a[2] if a and a[0] is _ARG else a
-                push((c, node.body, rest, ((node.binder, LOC(p, d + 1)),), (0,), p, d + 1))
+                push((c, node.body, rest, ((node.binder, LOC(p, d + 1)),), depth, d + 1))
             elif t is If0:
-                push((c + 2, node.orelse, a, (), (2,), p, d))
-                push((c + 1, node.then, a, (), (1,), p, d))
-                push((c, node.guard, (), (), (0,), p, d))
+                push((c + 2, node.orelse, a, (), depth, d))
+                push((c + 1, node.then, a, (), depth, d))
+                push((c, node.guard, (), (), depth, d))
             elif t is Op:
-                push((c + 1, node.rhs, (), (), (1,), p, d))
-                push((c, node.lhs, (), (), (0,), p, d))
+                push((c + 1, node.rhs, (), (), depth, d))
+                push((c, node.lhs, (), (), depth, d))
             else:  # Force, Prd
-                push((c, node.value, (), (), (0,), p, d))
+                push((c, node.value, (), (), depth, d))
         for i in range(len(eta) - 1, -1, -1):
             d = eta[i]
             if d != i:
                 eta[i] = eta[d]
-        self.paths, self.first, self.eta, self.ops = paths, first, eta, ops
+        self.pid, self.first, self.eta, self.ops = pid, first, eta, ops
         self.plans, self.binders, self.bound = plans, binders, bound
 
-    def target(self, i: int) -> tuple:
-        """The instruction position eta reaches from node ``i``."""
-        return self.paths[self.eta[i]]
+    def target(self, i: int) -> int:
+        """The position id of the instruction eta reaches from node ``i``."""
+        return self.pid[self.eta[i]]
 
     def seq_exit(self, s: int):
         """Where a value produced for Seq ``s`` is bound, the successors
         that resume at its right component, and the cells in scope at it."""
-        return self.paths[s], (self.target(self.first[s] + 1),), self.bound[s]
+        return self.pid[s], (self.target(self.first[s] + 1),), self.bound[s]
 
     def operand(self, i: int) -> Operand:
         o = self.ops[i]
         return LBL(self.target(o[0]), o[1]) if type(o) is tuple else o
-
-    def locs(self) -> list:
-        """Listing names of the binders; a duplicated name gets its path."""
-        counts = Counter(name for _, name in self.binders)
-        return [
-            (p, name if counts[name] == 1 else f"{name}#{path_text(p)}")
-            for p, name in self.binders
-        ]
 
 
 def _block(ix: _Index, i: int, node, a):
@@ -402,7 +393,7 @@ def _block(ix: _Index, i: int, node, a):
         return RET(ix.operand(c)), ()
 
     if t is Lam:
-        p = ix.paths[i]
+        p = ix.pid[i]
         if a:
             if a[0] is _SEQ:
                 return STUCK(StuckReason.SequencedNonProducer), ()
@@ -428,23 +419,18 @@ def load(M):
     return compile(prog), pek.load(prog)
 
 
-def block_at(G: Cfg, pc: tuple):
-    """The (instruction, successors) block at ``pc``.
-
-    compile's successors, targets and return frames reuse its block keys,
-    so its own program counters are found by identity and no deep path is
-    hashed; any other pc falls back to equality.
-    """
-    block = G.by_id.get(id(pc))
+def block_at(G: Cfg, pc: int):
+    """The (instruction, successors) block at position id ``pc``."""
+    block = G.blocks.get(pc)
     if block is None:
-        block = G.blocks.get(pc)
-        if block is None:
-            raise UnknownPc(path_text(pc))
+        prog = as_prog(G.prog)
+        known = type(pc) is int and 0 <= pc < len(prog.nodes)
+        raise UnknownPc(prog.path_text(pc) if known else f"no position {pc!r}")
     return block
 
 
 def step(G: Cfg, s: PekState):
-    block = G.by_id.get(id(s.pc))  # block_at's first try, inlined
+    block = G.blocks.get(s.pc)
     if block is None:
         block = block_at(G, s.pc)
     instr, succs = block
@@ -484,7 +470,7 @@ def _execute(instr, succs, s: PekState):
             if type(f) is KArg:
                 return Stuck(StuckReason.ApplyNonFunction)
             v = eval_operand(e, instr.src)
-            return PekState(f.resume_path, Env(f.bind_path, v, f.env), kont[1:])
+            return PekState(f.resume, Env(f.bind, v, f.env), kont[1:])
         return Terminal(ProducedValue(eval_operand(e, instr.src)))
 
     if t is POP:
@@ -520,7 +506,7 @@ def _execute(instr, succs, s: PekState):
         n = NumP(instr.op.apply(l.n, r.n))
         if kont:
             f = kont[0]
-            return PekState(f.resume_path, Env(f.bind_path, n, f.env), kont[1:])
+            return PekState(f.resume, Env(f.bind, n, f.env), kont[1:])
         return Terminal(BareArith(n.n))
 
     # STUCK
@@ -536,40 +522,9 @@ def unload(P, s: PekState):
 # textual emission
 
 
-_MISS = object()
-
-
-def _ids(pairs) -> dict:
-    """id() of each key -> its value; the caller keeps the keys alive."""
-    return {id(p): v for p, v in pairs}
-
-
-def _lookup(pairs):
-    """A path -> value lookup that tries the path object's identity first.
-
-    compile hands out one tuple per position, so its graphs are found by
-    identity and no deep path is hashed (hashing costs the path's length).
-    Anything else, such as a graph built by hand, falls back to equality.
-    """
-    pairs = list(pairs)  # keeps every keyed object alive, so ids stay unique
-    by_id = _ids(pairs)
-    by_path = None
-
-    def get(p):
-        nonlocal by_path
-        v = by_id.get(id(p), _MISS)
-        if v is _MISS:
-            if by_path is None:
-                by_path = dict(pairs)
-            v = by_path[p]
-        return v
-
-    return get
-
-
 def _parts(instr) -> list:
     """An instruction's parts in printed order: each an operand, a
-    destination path or a word such as ``ADD``."""
+    destination id or a word such as ``ADD``."""
     t = type(instr)
     if t is CALL:
         return [instr.fn, *instr.args, instr.bind]
@@ -595,7 +550,7 @@ def _listed(part, label, loc) -> str:
     t = type(part)
     if t is str:
         return part
-    if t is tuple:
+    if t is int:
         return loc(part)
     if t is NAT:
         return numeral_text(part.n)
@@ -606,26 +561,37 @@ def _listed(part, label, loc) -> str:
     return f"@{label(part.target)}"
 
 
-def _recorded(part) -> str:
+def _recorded(part, text) -> str:
     """A part as ``records`` shows it: tagged, with root-first paths."""
     t = type(part)
     if t is str:
         return part
-    if t is tuple:
-        return f"DST:{path_text(part)}"
+    if t is int:
+        return f"DST:{text(part)}"
     if t is NAT:
         return f"NAT:{numeral_text(part.n)}"
     if t is VAR:
         return f"VAR:{part.name}"
     if t is LOC:
-        return f"LOC:{path_text(part.binder)}"
-    return f"LBL:{path_text(part.target)}"
+        return f"LOC:{text(part.binder)}"
+    return f"LBL:{text(part.target)}"
+
+
+def loc_names(G: Cfg) -> list:
+    """``(binder id, listing name)`` of every Lam and Seq binder: its name,
+    or ``name#path`` when the name is bound more than once."""
+    prog = as_prog(G.prog)
+    binders = G.binders if G.binders is not None else _Index(prog).binders
+    counts = Counter(name for _, name in binders)
+    return [
+        (b, name if counts[name] == 1 else f"{name}#{prog.path_text(b)}")
+        for b, name in binders
+    ]
 
 
 def print_cfg(G: Cfg) -> str:
-    label = _lookup((p, i) for i, p in enumerate(G.blocks))
-    locs = G.locs if G.locs is not None else _Index(as_prog(G.prog).term).locs()
-    loc = _lookup(locs)
+    label = {p: i for i, p in enumerate(G.blocks)}.__getitem__
+    loc = dict(loc_names(G)).__getitem__
     lines = []
     for i, (instr, succs) in enumerate(G.blocks.values()):
         words = [type(instr).__name__] + [_listed(x, label, loc) for x in _parts(instr)]
@@ -635,17 +601,19 @@ def print_cfg(G: Cfg) -> str:
 
 
 def records(G: Cfg) -> str:
-    label = _lookup((p, i) for i, p in enumerate(G.blocks))
+    prog = as_prog(G.prog)
+    text = prog.path_text
+    label = {p: i for i, p in enumerate(G.blocks)}
     rows = []
     for i, (p, (instr, succs)) in enumerate(G.blocks.items()):
         rows.append(
             "\t".join(
                 [
                     str(i),
-                    path_text(p),
+                    text(p),
                     type(instr).__name__,
-                    ",".join(map(_recorded, _parts(instr))),
-                    ",".join(str(label(q)) for q in succs),
+                    ",".join(_recorded(x, text) for x in _parts(instr)),
+                    ",".join(str(label[q]) for q in succs),
                 ]
             )
         )
@@ -659,6 +627,6 @@ def records(G: Cfg) -> str:
 def describe(G: Cfg, s: PekState, i: int) -> str:
     instr, _ = block_at(G, s.pc)
     return (
-        f"cfg {i}: pc={path_text(s.pc)} instr={type(instr).__name__}"
+        f"cfg {i}: pc={as_prog(G.prog).path_text(s.pc)} instr={type(instr).__name__}"
         f" env={len(s.env)} kont={len(s.kont)}"
     )

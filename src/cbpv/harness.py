@@ -140,7 +140,7 @@ def _canon_kont(prog, kont):
         if type(f) is KArg:
             out.append(KArg(_canon_val(prog, f.value)))
         else:
-            out.append(KSeq(f.path, _canon_env(prog, f.env), f.rest_args))
+            out.append(KSeq(f.pos, _canon_env(prog, f.env), f.rest_args))
     return tuple(out)
 
 
@@ -192,10 +192,14 @@ def machine(name: str, m) -> Machine:
     value = lambda v: cek.unload_val(peak.unload_v(prog, v))
     if name == "peak":
         unload = lambda s: cek.unload(peak.unload(prog, s))
-        return Machine(peak.load(prog), partial(peak.step, prog), peak.describe, unload, value)
+        return Machine(
+            peak.load(prog), partial(peak.step, prog), partial(peak.describe, prog), unload, value
+        )
     unload = partial(cfg.unload, prog)  # cfg runs on pek's states
     if name == "pek":
-        return Machine(pek.load(prog), partial(pek.step, prog), pek.describe, unload, value)
+        return Machine(
+            pek.load(prog), partial(pek.step, prog), partial(pek.describe, prog), unload, value
+        )
     if name != "cfg":
         raise ValueError(f"unknown machine: {name!r}")
     g, s = cfg.load(prog)

@@ -1,6 +1,9 @@
 """The PEAK machine: program counter, scope-chain environment, argument stack.
 
-States address subterms of a fixed program by path instead of carrying code.
+States address subterms of a fixed program by position instead of
+carrying code: the program counter, every frame, every environment cell's
+binder and every closure's entry is a position id of the program's index
+(``syntax.Prog``), and an id means something only under that Prog.
 The environment is a chain of immutable ``Env`` cells, one per Lam or Seq
 binder in scope at the program counter, innermost first: exactly those
 binders and no others, so ``len(env)`` is the number of Lam/Seq binders in
@@ -8,7 +11,7 @@ scope.  A bind makes one cell on top of the chain; a variable is found by
 its binder's level, the number of cells up to and including the binder's,
 so a lookup walks only the static distance.  letrec needs no cells at all:
 looking up a recursive name fabricates a closure whose entry is the
-definition's path, over the chain cut back to the letrec's scope.  The
+definition's position, over the chain cut back to the letrec's scope.  The
 argument stack delays closure creation for application arguments until a
 force converts the pending frames into continuation frames (the δ function).
 
@@ -18,11 +21,12 @@ the top of ``unload`` is a no-op for states this machine produces; it exists
 for the instruction-pointer machines layered on top, whose resting positions
 sit at the bottom of a descent chain.
 
-Positions are handled by their ids in the program's position index
-(``syntax.Prog``): advancement, binder resolution and the binders in scope
-at a position are worked out once per id, and every next program counter
-is a child's shared path taken from the index, so neither a step nor one
-level of an unload slices or hashes a path.  States keep path tuples.
+Advancement, binder resolution and the binders in scope at a position are
+worked out once per id, and every next program counter is a child's id
+taken from the index, so neither a step nor an unload builds, slices or
+hashes a path.  Paths are made only at the edge: ``describe``, the public
+functions that take a path (``gamma``, ``lookup_var``), and the messages
+of ``wf_check`` and of an unload that fails.
 
 Unloads are memoized by cell.  A cell cannot be written to, so what it
 unloads to under a program is fixed: its CEK binding, its environment at
@@ -62,12 +66,8 @@ from .syntax import (
     Prd,
     Seq,
     ThunkV,
-    FreeVar,
-    RecBind,
     as_prog,
     binder_of,
-    is_suffix,
-    path_text,
 )
 
 # ---------------------------------------------------------------------------
@@ -75,11 +75,12 @@ from .syntax import (
 
 
 class MissingBinding(Exception):
-    """A binder path had no entry in the environment (ill-formed state)."""
+    """A binder had no entry in the environment (ill-formed state); the
+    argument is the binder's position id."""
 
 
 class Env:
-    """One immutable environment cell: a Lam or Seq binder's path, the value
+    """One immutable environment cell: a Lam or Seq binder's position id, the value
     bound to it, and the chain of the binders outside it.  ``size`` caches
     the chain's length, this cell included, and ``EMPTY`` ends every chain.
 
@@ -113,15 +114,15 @@ class Env:
             e = e.parent
         return e
 
-    def find(self, binder: tuple, level: int):
+    def find(self, binder: int, level: int):
         """The value of ``binder``, whose cell is the ``level``-th from the
         end of the chain: a walk of the static distance, then one check."""
         e = self
         while e.size > level:
             e = e.parent
-        if e.size == level and (e.binder is binder or e.binder == binder):
+        if e.size == level and e.binder == binder:
             return e.value
-        raise MissingBinding(f"no value for binder at {path_text(binder)}")
+        raise MissingBinding(binder)
 
     def items(self):
         """The (binder, value) pairs of the chain, innermost first."""
@@ -151,7 +152,7 @@ class Env:
     __hash__ = None  # compared structurally, so never a key
 
     def __repr__(self):
-        inner = ", ".join(f"{path_text(b)}: {v!r}" for b, v in self.items())
+        inner = ", ".join(f"{b}: {v!r}" for b, v in self.items())
         return f"Env({{{inner}}})"
 
 
@@ -161,7 +162,7 @@ EMPTY.size = 0
 
 
 def chain(*pairs) -> Env:
-    """The chain binding each (binder path, value) pair, outermost first."""
+    """The chain binding each (binder id, value) pair, outermost first."""
     e = EMPTY
     for binder, value in pairs:
         e = Env(binder, value, e)
@@ -182,7 +183,7 @@ def _chains_equal(a: Env, b: Env) -> bool:
                 break
             seen.add(pair)
             walked.append((a, b))
-            if a.binder is not b.binder and a.binder != b.binder:
+            if a.binder != b.binder:
                 return False
             va, vb = a.value, b.value
             if va is not vb:
@@ -209,7 +210,7 @@ class NumP:
 
 @dataclass(frozen=True)
 class PClosure:
-    entry: tuple  # Path of a computation subterm
+    entry: int  # position id of a computation subterm
     env: Env  # exactly the Lam/Seq binders in scope at the entry
 
 
@@ -218,12 +219,12 @@ PVal = Union[SymVar, NumP, PClosure]
 
 @dataclass(frozen=True)
 class ARG:
-    path: tuple  # an App node
+    pos: int  # an App node
 
 
 @dataclass(frozen=True)
 class SEQ:
-    path: tuple  # a Seq node
+    pos: int  # a Seq node
 
 
 @dataclass(frozen=True)
@@ -233,14 +234,14 @@ class KArg:
 
 @dataclass(frozen=True)
 class KSeq:
-    path: tuple
+    pos: int  # a Seq node
     env: Env  # the chain in scope at the Seq node
     rest_args: tuple
 
 
 @dataclass(frozen=True)
 class PeakState:
-    pc: tuple
+    pc: int  # position id
     env: Env  # the Lam/Seq binders in scope at pc, innermost first
     args: tuple  # of ARG/SEQ, innermost frame first
     kont: tuple  # of KArg/KSeq, top first
@@ -310,23 +311,22 @@ _LOC, _CLO, _SYM = range(3)
 
 def _resolve(prog, i: int, entry):
     """How the value at position ``i`` is read off a chain: ``(_LOC, binder
-    path, level)``, ``(_CLO, entry, cells kept)`` or ``(_SYM, SymVar, 0)``.
+    id, level)``, ``(_CLO, entry id, cells kept)`` or ``(_SYM, SymVar, 0)``.
     ``entry(prog, i, j)`` names the code of child ``j`` of ``i``.  A thunk
     keeps the chain in scope at itself, a recursive name the chain in
     scope at its letrec."""
     if type(prog.nodes[i]) is ThunkV:
         return _CLO, entry(prog, i, 0), _depth(prog, i)
-    ref, q = binder_of(prog, i)
-    t = type(ref)
-    if t is FreeVar:
-        return _SYM, SymVar(ref.name), 0
-    if t is RecBind:
-        return _CLO, entry(prog, q, ref.index), _depth(prog, q)
-    return _LOC, ref.path, _depth(prog, q) + 1
+    q, j = binder_of(prog, i)
+    if q is None:
+        return _SYM, SymVar(prog.nodes[i].name), 0
+    if j:
+        return _CLO, entry(prog, q, j), _depth(prog, q)
+    return _LOC, q, _depth(prog, q) + 1
 
 
-def _child(prog, i: int, j: int) -> tuple:
-    return prog.path(prog.kid(i, j))
+def _child(prog, i: int, j: int) -> int:
+    return prog.kid(i, j)
 
 
 def lookup_var(P, p: tuple, e: Env) -> PVal:
@@ -351,7 +351,7 @@ def _gamma(prog, i: int, e: Env) -> PVal:
         hit = tab[i] = _resolve(prog, i, _child)
     kind, x, k = hit
     if kind is _LOC:
-        if e.size == k and e.binder is x:  # the innermost binding, the commonest
+        if e.size == k and e.binder == x:  # the innermost binding, the commonest
             return e.value
         return e.find(x, k)
     if kind is _CLO:
@@ -367,11 +367,10 @@ def _operand(prog, i: int, j: int, v, e: Env):
     return _gamma(prog, prog.kid(i, j), e)
 
 
-def _seq_exit(prog, p: tuple):
-    """Where a value bound by Seq ``p`` resumes, its right component, and
+def _seq_exit(prog, i: int):
+    """Where a value bound by Seq ``i`` resumes, its right component, and
     how many cells of the chain the binding goes on: those in scope at the
     Seq."""
-    i = prog.pos(p)
     tab = prog.tables["peak.seq"]
     hit = tab.get(i)
     if hit is None:
@@ -384,11 +383,11 @@ def delta(P, e: Env, args: tuple) -> tuple:
     prog = as_prog(P)
     out = []
     for k, f in enumerate(args):
+        i = f.pos
         if type(f) is ARG:
-            i = prog.pos(f.path)
             out.append(KArg(_operand(prog, i, 0, prog.nodes[i].arg, e)))
         else:
-            out.append(KSeq(f.path, e.cut(_seq_exit(prog, f.path)[1]), tuple(args[k + 1 :])))
+            out.append(KSeq(i, e.cut(_seq_exit(prog, i)[1]), tuple(args[k + 1 :])))
             break
     return tuple(out)
 
@@ -398,32 +397,32 @@ def delta(P, e: Env, args: tuple) -> tuple:
 
 
 def load(m) -> PeakState:
-    return PeakState((), EMPTY, (), ())
+    return PeakState(0, EMPTY, (), ())
 
 
 def advance(P, rho: PeakState) -> PeakState:
     """Descend search edges: Seq left, App body, letrec body."""
     prog = as_prog(P)
-    return _advance(prog, prog.pos(rho.pc), rho)[1]
+    return _advance(prog, rho.pc, rho)[1]
 
 
 def _advance(prog, i: int, rho: PeakState):
-    """``advance`` from position ``i``, the id of ``rho.pc``; also returns
-    the id the program counter lands on."""
+    """``advance`` from position ``i``, ``rho.pc``; also returns the id
+    the program counter lands on."""
     t = type(prog.nodes[i])
     if t is not Seq and t is not App and t is not LetRec:
         return i, rho
     tab = prog.tables["advance"]
     hit = tab.get(i)
     if hit is None:
-        nodes, path, kid = prog.nodes, prog.path, prog.kid
+        nodes, kid = prog.nodes, prog.kid
         j, pushed = i, []  # the frames pushed, outermost first
         while True:
             if t is Seq:
-                pushed.append(SEQ(path(j)))
+                pushed.append(SEQ(j))
                 j = kid(j, 0)
             elif t is App:
-                pushed.append(ARG(path(j)))
+                pushed.append(ARG(j))
                 j = kid(j, 1)
             elif t is LetRec:
                 j = kid(j, 0)
@@ -432,12 +431,12 @@ def _advance(prog, i: int, rho: PeakState):
             t = type(nodes[j])
         hit = tab[i] = (j, tuple(reversed(pushed)))
     j, pushed = hit
-    return j, PeakState(prog.path(j), rho.env, pushed + rho.args, rho.kont)
+    return j, PeakState(j, rho.env, pushed + rho.args, rho.kont)
 
 
 def step(P, rho: PeakState):
     prog = as_prog(P)
-    i, st = _advance(prog, prog.pos(rho.pc), rho)
+    i, st = _advance(prog, rho.pc, rho)
     try:
         return _fire(prog, i, st)
     except MissingBinding:
@@ -447,7 +446,7 @@ def step(P, rho: PeakState):
 def _fire(prog, i: int, st: PeakState):
     node = prog.nodes[i]
     t = type(node)
-    pc, e, args, kont = st.pc, st.env, st.args, st.kont
+    e, args, kont = st.env, st.args, st.kont
 
     if t is Force:
         v = _operand(prog, i, 0, node.value, e)
@@ -459,7 +458,7 @@ def _fire(prog, i: int, st: PeakState):
         g = _operand(prog, i, 0, node.guard, e)
         if type(g) is not NumP:
             return Stuck(StuckReason.GuardNotNumeral)
-        return PeakState(prog.path(prog.kid(i, 1 if g.n == 0 else 2)), e, args, kont)
+        return PeakState(prog.kid(i, 1 if g.n == 0 else 2), e, args, kont)
 
     if t is Prd:
         if args:
@@ -467,16 +466,16 @@ def _fire(prog, i: int, st: PeakState):
             if type(f) is ARG:
                 return Stuck(StuckReason.ApplyNonFunction)
             v = _operand(prog, i, 0, node.value, e)
-            right, keep = _seq_exit(prog, f.path)
+            right, keep = _seq_exit(prog, f.pos)
             rest = e if e.size == keep else e.cut(keep)
-            return PeakState(right, Env(f.path, v, rest), args[1:], kont)
+            return PeakState(right, Env(f.pos, v, rest), args[1:], kont)
         if kont:
             f = kont[0]
             if type(f) is KArg:
                 return Stuck(StuckReason.ApplyNonFunction)
             v = _operand(prog, i, 0, node.value, e)
-            right = _seq_exit(prog, f.path)[0]
-            return PeakState(right, Env(f.path, v, f.env), f.rest_args, kont[1:])
+            right = _seq_exit(prog, f.pos)[0]
+            return PeakState(right, Env(f.pos, v, f.env), f.rest_args, kont[1:])
         return Terminal(ProducedValue(_operand(prog, i, 0, node.value, e)))
 
     if t is Lam:
@@ -484,14 +483,14 @@ def _fire(prog, i: int, st: PeakState):
             f = args[0]
             if type(f) is SEQ:
                 return Stuck(StuckReason.SequencedNonProducer)
-            q = prog.pos(f.path)
+            q = f.pos
             v = _operand(prog, q, 0, prog.nodes[q].arg, e)
-            return PeakState(prog.path(prog.kid(i, 0)), Env(pc, v, e), args[1:], kont)
+            return PeakState(prog.kid(i, 0), Env(i, v, e), args[1:], kont)
         if kont:
             f = kont[0]
             if type(f) is KSeq:
                 return Stuck(StuckReason.SequencedNonProducer)
-            return PeakState(prog.path(prog.kid(i, 0)), Env(pc, f.value, e), (), kont[1:])
+            return PeakState(prog.kid(i, 0), Env(i, f.value, e), (), kont[1:])
         return Terminal(AwaitingArgument())
 
     if t is Op:
@@ -506,13 +505,13 @@ def _fire(prog, i: int, st: PeakState):
         n = NumP(node.op.apply(l.n, r.n))
         if args:
             f = args[0]
-            right, keep = _seq_exit(prog, f.path)
+            right, keep = _seq_exit(prog, f.pos)
             rest = e if e.size == keep else e.cut(keep)
-            return PeakState(right, Env(f.path, n, rest), args[1:], kont)
+            return PeakState(right, Env(f.pos, n, rest), args[1:], kont)
         if kont:
             f = kont[0]
-            right = _seq_exit(prog, f.path)[0]
-            return PeakState(right, Env(f.path, n, f.env), f.rest_args, kont[1:])
+            right = _seq_exit(prog, f.pos)[0]
+            return PeakState(right, Env(f.pos, n, f.env), f.rest_args, kont[1:])
         return Terminal(BareArith(n.n))
 
     raise TypeError(f"pc does not address a computation: {node!r}")
@@ -536,10 +535,7 @@ def _ascend(prog, i: int, args):
         if (t is Seq and head == 0) or (t is App and head == 1):
             if args is not None:
                 f = args[0] if args else None
-                if type(f) is not (SEQ if t is Seq else ARG):
-                    break
-                p = prog.path(par)
-                if f.path is not p and f.path != p:
+                if type(f) is not (SEQ if t is Seq else ARG) or f.pos != par:
                     break
                 args = args[1:]
             i = par
@@ -605,20 +601,18 @@ def _unload_e(prog, i: int, e: Env):
         env = e.memo_of(prog).get(i, _MISS)
         if env is not _MISS:
             break
-    # Check the binders outermost first, where each path extends one already
-    # built, and report the innermost level that is wrong.
-    fault = None
-    for i, e, _, b, _ in reversed(todo):
+    # Check every level and report the innermost one that is wrong.
+    for i, e, _, b, _ in todo:
         if b < 0:
             if e.size:
-                fault = f"binder at {path_text(e.binder)} bound outside the scope of"
-                fault += f" {path_text(prog.path(i))}"
-            continue
-        q = prog.path(b)
-        if not e.size or (e.binder is not q and e.binder != q):
-            fault = f"no value for binder at {path_text(q)} at {path_text(prog.path(i))}"
-    if fault is not None:
-        raise cek.IllFormedState(fault)
+                raise cek.IllFormedState(
+                    f"binder at {prog.path_text(e.binder)} bound outside the scope of"
+                    f" {prog.path_text(i)}"
+                )
+        elif not e.size or e.binder != b:
+            raise cek.IllFormedState(
+                f"no value for binder at {prog.path_text(b)} at {prog.path_text(i)}"
+            )
     cons = _cons(prog)
     for i, e, recs, b, make in reversed(todo):
         memo = e.memo_of(prog)
@@ -645,7 +639,7 @@ def unload_v(prog, v):
     cell's key can name its value by id."""
     t = type(v)
     if t is PClosure:
-        i = prog.pos(v.entry)
+        i = v.entry
         memo = v.env.memo_of(prog)
         hit = memo.get((Closure, i))
         if hit is None:
@@ -670,8 +664,7 @@ def unload_v(prog, v):
 def _unload_k(prog, e: Env, args, kont) -> tuple:
     out = []
 
-    def seq_frame(p, env):
-        i = prog.pos(p)
+    def seq_frame(i, env):
         env = env.cut(_depth(prog, i))  # a pending frame's Seq may sit outside binders
         memo = env.memo_of(prog)
         hit = memo.get((cek.SeqF, i))
@@ -688,26 +681,26 @@ def _unload_k(prog, e: Env, args, kont) -> tuple:
 
     def emit_args(env, frames):
         for f in frames:
+            q = f.pos
             if type(f) is ARG:
-                q = prog.pos(f.path)
                 v = _operand(prog, q, 0, prog.nodes[q].arg, env)
                 out.append(cek.ArgF(unload_v(prog, v)))
             else:
-                out.append(seq_frame(f.path, env))
+                out.append(seq_frame(q, env))
 
     emit_args(e, args)
     for f in kont:
         if type(f) is KArg:
             out.append(cek.ArgF(unload_v(prog, f.value)))
         else:
-            out.append(seq_frame(f.path, f.env))
+            out.append(seq_frame(f.pos, f.env))
             emit_args(f.env, f.rest_args)
     return tuple(out)
 
 
 def unload(P, rho: PeakState) -> CekState:
     prog = as_prog(P)
-    pc, args = _ascend(prog, prog.pos(rho.pc), rho.args)
+    pc, args = _ascend(prog, rho.pc, rho.args)
     code, anchor = _entry_code(prog, pc)
     return CekState(
         code,
@@ -732,32 +725,30 @@ class WfReport:
         return self.ok
 
 
-def _chain_faults(prog, p: tuple, e: Env, what: str, out: list, seen: set, entry_fault=None):
+def _chain_faults(prog, i: int, e: Env, what: str, out: list, seen: set, entry_fault=None):
     """Append to ``out`` how chain ``e`` fails to be exactly the binders in
-    scope at position ``p``, with every closure on it well-formed too.
+    scope at position ``i``, with every closure on it well-formed too.
 
     ``entry_fault(prog, entry)`` adds a machine's own demand on closure
-    entries.  The walk climbs from ``p`` to each cell's binder in turn,
+    entries.  The walk climbs from ``i`` to each cell's binder in turn,
     and stops at a cell an earlier check under the same demand found
     sound, or one this check has been through already; a cell is marked
     sound when nothing was found at or above it, so a check pays once per
     cell and not once per binder in scope."""
     key = ("wf", entry_fault)
     mark, before = [], len(out)
-    i = prog.pos(p)
     while True:
         _, b, n = _frame(prog, i)
         if not n:
             if e.size:
                 out.append(
-                    f"{what}: binder at {path_text(e.binder)} bound outside the scope"
-                    f" of position {path_text(prog.path(i))}"
+                    f"{what}: binder at {prog.path_text(e.binder)} bound outside the scope"
+                    f" of position {prog.path_text(i)}"
                 )
             break
-        q = prog.path(b)
-        if not e.size or (e.binder is not q and e.binder != q):
+        if not e.size or e.binder != b:
             out.append(
-                f"{what}: binder at {path_text(q)} unbound for position {path_text(prog.path(i))}"
+                f"{what}: binder at {prog.path_text(b)} unbound for position {prog.path_text(i)}"
             )
             break
         memo = e.memo_of(prog)
@@ -793,16 +784,16 @@ def wf_check(P, rho: PeakState) -> WfReport:
             if type(f.value) is PClosure:
                 _closure_faults(prog, f.value, "argument closure", violations, seen)
         else:
-            _chain_faults(prog, f.path, f.env, "continuation frame", violations, seen)
+            _chain_faults(prog, f.pos, f.env, "continuation frame", violations, seen)
 
     # WF2
     prev = rho.pc
     for f in rho.args:
-        if not is_suffix(f.path, prev):
+        if not _encloses(prog, f.pos, prev):
             violations.append(
-                f"argument frame {path_text(f.path)} is not a suffix of {path_text(prev)}"
+                f"argument frame {prog.path_text(f.pos)} is not a suffix of {prog.path_text(prev)}"
             )
-        prev = f.path
+        prev = f.pos
 
     return WfReport(tuple(violations))
 
@@ -811,8 +802,18 @@ def wf_check(P, rho: PeakState) -> WfReport:
 # trace support
 
 
-def describe(rho: PeakState, i: int) -> str:
+def _encloses(prog, a: int, i: int) -> bool:
+    """Whether position ``a`` is ``i`` or one of its ancestors: the path of
+    ``a`` is a suffix of the path of ``i``.  A child's id is above its
+    parent's, so the climb stops at the first id not above ``a``."""
+    parents = prog.parents
+    while i > a:
+        i = parents[i]
+    return i == a
+
+
+def describe(P, rho: PeakState, i: int) -> str:
     return (
-        f"peak {i}: pc={path_text(rho.pc)} env={len(rho.env)}"
+        f"peak {i}: pc={as_prog(P).path_text(rho.pc)} env={len(rho.env)}"
         f" args={len(rho.args)} kont={len(rho.kont)}"
     )

@@ -3,19 +3,22 @@
 The argument stack a PEAK state would carry is a function of the program
 counter alone, so this machine drops it from the state and recomputes it
 with ``aframes`` on demand.  ``eta`` plays the role of PEAK's advancement,
-projected onto the path: every transition lands the program counter on an
-instruction position (Force, Prd, Lam, If0, Op), never on a search node.
+projected onto the program counter: every transition lands the program
+counter on an instruction position (Force, Prd, Lam, If0, Op), never on a
+search node.
 
 Return frames replace PEAK's sequence frames: because the frames remaining
 under a sequence are statically recoverable, a return frame only records
 where to bind and where to resume.
 
-The static tables (``aframes``, ``eta``, binder resolution) are keyed by the
-integer ids of the program's position index (``syntax.Prog``) and filled
-once per position.  A step finds its pc by identity, reads the next one off
-the index instead of building it, and so does the same static work however
-deep the program is.  States, frames and the public functions keep path
-tuples.
+Positions are named by the integer ids of the program's position index
+(``syntax.Prog``): the program counter, return frames, environment cells
+and closure entries hold ids, and the static tables (``aframes``, ``eta``,
+binder resolution) are keyed by them and filled once per position.  A step
+reads the next program counter off the index instead of building it, and
+so does the same static work however deep the program is.  Paths are made
+only at the edge: ``describe``, the functions that take a path
+(``aframes``, ``gamma``, ``lookup_var``) and ``wf_check``'s messages.
 
 Environments are peak's immutable ``Env`` chains: exactly the Lam/Seq
 binders in scope at the position they belong to.  A bind makes one cell,
@@ -66,7 +69,6 @@ from .syntax import (
     Seq,
     as_prog,
     binder_of,
-    path_text,
 )
 
 _INSTRUCTIONS = (Force, Prd, Lam, If0, Op)
@@ -74,14 +76,14 @@ _INSTRUCTIONS = (Force, Prd, Lam, If0, Op)
 
 @dataclass(frozen=True)
 class KRet:
-    bind_path: tuple  # the Seq node whose binder receives the value
-    resume_path: tuple  # instruction position of the Seq's right component
+    bind: int  # the Seq node whose binder receives the value
+    resume: int  # instruction position of the Seq's right component
     env: Env  # the chain in scope at the Seq node
 
 
 @dataclass(frozen=True)
 class PekState:
-    pc: tuple  # always an instruction position
+    pc: int  # the id of an instruction position
     env: Env  # the Lam/Seq binders in scope at pc, innermost first
     kont: tuple  # of KArg/KRet, top first
 
@@ -101,7 +103,7 @@ def _aframes(prog, i: int) -> tuple:
     r = tab.get(i)
     if r is not None:
         return r
-    nodes, parents, heads, path = prog.nodes, prog.parents, prog.heads, prog.path
+    nodes, parents, heads = prog.nodes, prog.parents, prog.heads
     pending = []  # climb to the nearest position with an entry (or the root)
     while r is None:
         pending.append(i)
@@ -112,12 +114,12 @@ def _aframes(prog, i: int) -> tuple:
         if par >= 0:
             head, t = heads[q], type(nodes[par])
             if t is App and head == 1:
-                r = (ARG(path(par)),) + r
+                r = (ARG(par),) + r
             elif t is Lam and head == 0:
                 if r and type(r[0]) is ARG:
                     r = r[1:]
             elif t is Seq and head == 0:
-                r = (SEQ(path(par)),) + r
+                r = (SEQ(par),) + r
             elif not (
                 (t is LetRec and head == 0)
                 or (t is Seq and head == 1)
@@ -128,10 +130,10 @@ def _aframes(prog, i: int) -> tuple:
     return r
 
 
-def eta(P, p: tuple) -> tuple:
-    """Advance a path through search nodes to the next instruction position."""
+def eta(P, i: int) -> int:
+    """Advance position ``i`` through search nodes to the next instruction
+    position."""
     prog = as_prog(P)
-    i = prog.pos(p)
     tab = prog.tables["eta"]
     r = tab.get(i)
     if r is None:
@@ -146,15 +148,15 @@ def eta(P, p: tuple) -> tuple:
                 break
             passed.append(i)
             i = prog.kid(i, j)
-        r = tab[i] = prog.path(i)
+        r = tab[i] = i
         for q in passed:
             tab[q] = r
     return r
 
 
-def _next(prog, i: int, j: int) -> tuple:
+def _next(prog, i: int, j: int) -> int:
     """Where the program counter goes on entering child ``j`` of ``i``."""
-    return eta(prog, prog.path(prog.kid(i, j)))
+    return eta(prog, prog.kid(i, j))
 
 
 def _seq_exit(prog, i: int):
@@ -193,7 +195,7 @@ def _gamma(prog, i: int, e: Env):
         hit = tab[i] = _resolve(prog, i, _next)
     kind, x, k = hit
     if kind is _LOC:
-        if e.size == k and e.binder is x:  # the innermost binding, the commonest
+        if e.size == k and e.binder == x:  # the innermost binding, the commonest
             return e.value
         return e.find(x, k)
     if kind is _CLO:
@@ -211,16 +213,16 @@ def _operand(prog, i: int, j: int, v, e: Env):
 
 def delta(P, e: Env, args: tuple) -> tuple:
     """Convert pending frames; a return frame replaces everything from the
-    first SEQ on, since the remainder is recomputable from its path."""
+    first SEQ on, since the remainder is recomputable from its position."""
     prog = as_prog(P)
     out = []
     for f in args:
-        i = prog.pos(f.path)
+        i = f.pos
         if type(f) is ARG:
             out.append(KArg(_operand(prog, i, 0, prog.nodes[i].arg, e)))
         else:
             resume, keep = _seq_exit(prog, i)
-            out.append(KRet(f.path, resume, e if e.size == keep else e.cut(keep)))
+            out.append(KRet(i, resume, e if e.size == keep else e.cut(keep)))
             break
     return tuple(out)
 
@@ -231,7 +233,7 @@ def delta(P, e: Env, args: tuple) -> tuple:
 
 def load(P) -> PekState:
     prog = as_prog(P)
-    return PekState(eta(prog, ()), EMPTY, ())
+    return PekState(eta(prog, 0), EMPTY, ())
 
 
 def step(P, s: PekState):
@@ -243,8 +245,7 @@ def step(P, s: PekState):
 
 
 def _fire(prog, s: PekState):
-    pc, e, kont = s.pc, s.env, s.kont
-    i = prog.pos(pc)
+    i, e, kont = s.pc, s.env, s.kont
     node = prog.nodes[i]
     t = type(node)
     a = _aframes(prog, i)
@@ -267,15 +268,15 @@ def _fire(prog, s: PekState):
             if type(f) is ARG:
                 return Stuck(StuckReason.ApplyNonFunction)
             v = _operand(prog, i, 0, node.value, e)
-            resume, keep = _seq_exit(prog, prog.pos(f.path))
+            resume, keep = _seq_exit(prog, f.pos)
             rest = e if e.size == keep else e.cut(keep)
-            return PekState(resume, Env(f.path, v, rest), kont)
+            return PekState(resume, Env(f.pos, v, rest), kont)
         if kont:
             f = kont[0]
             if type(f) is KArg:
                 return Stuck(StuckReason.ApplyNonFunction)
             v = _operand(prog, i, 0, node.value, e)
-            return PekState(f.resume_path, Env(f.bind_path, v, f.env), kont[1:])
+            return PekState(f.resume, Env(f.bind, v, f.env), kont[1:])
         return Terminal(ProducedValue(_operand(prog, i, 0, node.value, e)))
 
     if t is Lam:
@@ -283,14 +284,14 @@ def _fire(prog, s: PekState):
             f = a[0]
             if type(f) is SEQ:
                 return Stuck(StuckReason.SequencedNonProducer)
-            q = prog.pos(f.path)
+            q = f.pos
             v = _operand(prog, q, 0, prog.nodes[q].arg, e)
-            return PekState(_next(prog, i, 0), Env(pc, v, e), kont)
+            return PekState(_next(prog, i, 0), Env(i, v, e), kont)
         if kont:
             f = kont[0]
             if type(f) is KRet:
                 return Stuck(StuckReason.SequencedNonProducer)
-            return PekState(_next(prog, i, 0), Env(pc, f.value, e), kont[1:])
+            return PekState(_next(prog, i, 0), Env(i, f.value, e), kont[1:])
         return Terminal(AwaitingArgument())
 
     if t is Op:
@@ -305,12 +306,12 @@ def _fire(prog, s: PekState):
         n = NumP(node.op.apply(l.n, r.n))
         if a:
             f = a[0]
-            resume, keep = _seq_exit(prog, prog.pos(f.path))
+            resume, keep = _seq_exit(prog, f.pos)
             rest = e if e.size == keep else e.cut(keep)
-            return PekState(resume, Env(f.path, n, rest), kont)
+            return PekState(resume, Env(f.pos, n, rest), kont)
         if kont:
             f = kont[0]
-            return PekState(f.resume_path, Env(f.bind_path, n, f.env), kont[1:])
+            return PekState(f.resume, Env(f.bind, n, f.env), kont[1:])
         return Terminal(BareArith(n.n))
 
     raise TypeError(f"pc does not address an instruction: {node!r}")
@@ -323,19 +324,19 @@ def _fire(prog, s: PekState):
 def unload(P, s: PekState) -> PeakState:
     prog = as_prog(P)
     kont = tuple(
-        f if type(f) is KArg else KSeq(f.bind_path, f.env, aframes(prog, f.bind_path))
+        f if type(f) is KArg else KSeq(f.bind, f.env, _aframes(prog, f.bind))
         for f in s.kont
     )
-    return PeakState(s.pc, s.env, aframes(prog, s.pc), kont)
+    return PeakState(s.pc, s.env, _aframes(prog, s.pc), kont)
 
 
 # ---------------------------------------------------------------------------
 # well-formedness
 
 
-def _entry_fault(prog, entry: tuple):
-    if not isinstance(prog.at(entry), _INSTRUCTIONS):
-        return f"{path_text(entry)} is not an instruction position"
+def _entry_fault(prog, entry: int):
+    if not isinstance(prog.nodes[entry], _INSTRUCTIONS):
+        return f"{prog.path_text(entry)} is not an instruction position"
     return None
 
 
@@ -344,8 +345,8 @@ def wf_check(P, s: PekState) -> WfReport:
     violations = []
     seen = set()
 
-    def check_position(p, what):
-        fault = _entry_fault(prog, p)
+    def check_position(i, what):
+        fault = _entry_fault(prog, i)
         if fault:
             violations.append(f"{what}: {fault}")
 
@@ -356,8 +357,8 @@ def wf_check(P, s: PekState) -> WfReport:
             if type(f.value) is PClosure:
                 _closure_faults(prog, f.value, "argument closure", violations, seen, _entry_fault)
         else:
-            check_position(f.resume_path, "return frame")
-            _chain_faults(prog, f.bind_path, f.env, "return frame", violations, seen, _entry_fault)
+            check_position(f.resume, "return frame")
+            _chain_faults(prog, f.bind, f.env, "return frame", violations, seen, _entry_fault)
 
     return WfReport(tuple(violations))
 
@@ -366,5 +367,5 @@ def wf_check(P, s: PekState) -> WfReport:
 # trace support
 
 
-def describe(s: PekState, i: int) -> str:
-    return f"pek {i}: pc={path_text(s.pc)} env={len(s.env)} kont={len(s.kont)}"
+def describe(P, s: PekState, i: int) -> str:
+    return f"pek {i}: pc={as_prog(P).path_text(s.pc)} env={len(s.env)} kont={len(s.kont)}"

@@ -3,11 +3,13 @@
 Terms are split into values (variables, numerals, thunks) and computations
 (force, produce, application, abstraction, sequencing, letrec, zero-test,
 arithmetic).  Everything downstream — the machines, the compiler, the
-rewriter — addresses subterms of a fixed program by *path*, so the path
-helpers and the binder-resolution logic live here as well.
+rewriter — addresses subterms of a fixed program by position: by *path* at
+the edge, and inside the machines and the compiler by the integer ids of a
+position index (``Prog``).  So the path helpers, the index and the
+binder-resolution logic live here as well.
 
 A node's shape is defined in one place, the child table ``_CHILDREN``, which
-``child``, ``arity`` and ``with_child`` read.
+``child``, ``children``, ``arity`` and ``with_child`` read.
 
 Paths are tuples of child indices with the innermost component first, so
 ``(0, 2, 1)`` names "child 1 of the root, then child 2 of that, then child
@@ -21,6 +23,7 @@ import enum
 import sys
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import Iterator, Mapping, Optional, Union
 
 # ---------------------------------------------------------------------------
@@ -216,12 +219,6 @@ def path_from_text(text: str) -> Path:
     return tuple(int(part) for part in reversed(text.split(".")))
 
 
-def is_suffix(q: Path, p: Path) -> bool:
-    """True when q is the outer part of p (q addresses an ancestor-or-self)."""
-    n = len(q)
-    return n <= len(p) and (n == 0 or p[-n:] == q)
-
-
 # The shape of every node: its child fields, in child-index order.  Leaves
 # have no entry.  A LetRec is kept apart because its children are its body
 # and then each definition.
@@ -272,6 +269,27 @@ def with_child(node: Node, i: int, new: Node) -> Node:
     raise InvalidPath(f"{type(node).__name__} has no child {i}")
 
 
+def _getter(names):
+    if len(names) == 1:
+        get = attrgetter(names[0])
+        return lambda node: (get(node),)
+    return attrgetter(*names)
+
+
+# each node type -> the function that reads its children off a node
+_KIDS = {t: _getter(names) for t, names in _CHILDREN.items()}
+_KIDS[LetRec] = lambda node: (node.body, *(d for _, d in node.defs))
+_KIDS[VarV] = _KIDS[NumV] = lambda node: ()
+
+
+def children(node: Node) -> tuple:
+    """The children of ``node`` in child-index order, none on a leaf."""
+    get = _KIDS.get(type(node))
+    if get is None:
+        raise TypeError(f"not a term: {node!r}")
+    return get(node)
+
+
 def iter_subterms(root: Node) -> Iterator[tuple]:
     """Preorder walk over (path, node) pairs, children in index order."""
     stack = [((), root)]
@@ -286,27 +304,28 @@ def iter_subterms(root: Node) -> Iterator[tuple]:
 # programs with a lazily filled position index
 
 
-# the empty tuple is one object that lives as long as the process
-_ROOT_ID = id(())
+_HEADS = ((), (0,), (0, 1), (0, 1, 2))  # the child indices of k < 4 children
 
 
 class Prog:
     """A fixed program plus an index of the positions visited so far.
 
     Every visited position gets one integer id, handed out in visiting
-    order, with the root as 0.  By id the index keeps the position's node
-    (``nodes``), its parent's id (``parents``, -1 at the root) and the child
-    index it hangs from (``heads``).  ``kid`` visits a child; nothing is
-    visited when a Prog is built.
+    order, with the root as 0; a child's id is always above its parent's.
+    By id the index keeps the position's node (``nodes``), its parent's id
+    (``parents``, -1 at the root) and the child index it hangs from
+    (``heads``).  ``kid`` visits a position's children, all of them at
+    once, so they get consecutive ids and child ``j`` of ``i`` is
+    ``first_child(i) + j``; nothing is visited when a Prog is built.
 
-    Path tuples stay the external names of positions.  ``path(i)`` gives a
-    position one shared tuple, built the first time it is asked for (most
-    value positions never are).  ``pos`` finds a path by the object's
-    identity first, so a path the index handed out costs one dictionary
-    lookup whatever its length.  Any other path is found by equality; one
-    not seen before is filled in by walking down from the root through the
-    known ids, with one ``child`` call per newly visited position, and
-    becomes the position's shared tuple if it has none yet.
+    Ids are the names of positions inside the machines: program counters,
+    frames, environment cells, closure entries and compiled blocks all hold
+    them, so a step or a compile builds no path.  An id means something only
+    under the Prog that handed it out.  Path tuples are the external names,
+    made at the edge: ``path(i)`` gives a position one shared tuple, built
+    the first time it is asked for, for traces, listings and messages; and
+    ``pos`` turns a path a caller passes in into its id, walking down from
+    the root the first time it meets the path.
 
     ``tables[name]`` is a per-position table of the machines, keyed by id
     and made on first use.
@@ -315,8 +334,7 @@ class Prog:
     or a Prog.
     """
 
-    __slots__ = ("term", "nodes", "parents", "heads", "tables", "_paths", "_kids",
-                 "_ids", "_by_path")
+    __slots__ = ("term", "nodes", "parents", "heads", "tables", "_paths", "_first", "_by_path")
 
     def __init__(self, term: Term):
         self.term = term
@@ -324,69 +342,73 @@ class Prog:
         self.parents = [-1]
         self.heads = [-1]
         self.tables = defaultdict(dict)  # name -> {position id: entry}
-        self._kids = {}  # id -> {child index: child id}, once one is visited
-        self._paths = [()]  # id -> shared path, or None until asked for
-        self._ids = {_ROOT_ID: 0}  # id() of a shared path -> position id
-        self._by_path = None  # any other path looked up -> position id
+        self._first = [-1]  # id -> id of its first child, -1 until they are visited
+        self._paths = {0: ()}  # id -> shared path, once asked for
+        self._by_path = {}  # every path looked up -> position id
 
     def pos(self, p: Path) -> int:
         """The id of the position at ``p``, visiting it if need be."""
-        i = self._ids.get(id(p))
+        i = self._by_path.get(p)
         if i is None:
-            by_path = self._by_path
-            if by_path is None:
-                by_path = self._by_path = {}
-            i = by_path.get(p)
-            if i is None:
-                i, kids = 0, self._kids
-                for j in reversed(p):
-                    known = kids.get(i)
-                    c = None if known is None else known.get(j)
-                    i = self.kid(i, j) if c is None else c
-                by_path[p] = i
-                if self._paths[i] is None and type(p) is tuple:
-                    self._paths[i] = p  # kept alive here, so its id stays unique
-                    self._ids[id(p)] = i
+            i, kid = 0, self.kid
+            for j in reversed(p):
+                i = kid(i, j)
+            self._by_path[p] = i
+            if i not in self._paths and type(p) is tuple:
+                self._paths[i] = p
         return i
 
     def kid(self, i: int, j: int) -> int:
-        """The id of child ``j`` of position ``i``, visiting it if need be."""
-        kids = self._kids.get(i)
-        if kids is None:
-            kids = self._kids[i] = {}
-        else:
-            c = kids.get(j)
-            if c is not None:
+        """The id of child ``j`` of position ``i``, visiting the children of
+        ``i`` if need be."""
+        c = self._first[i]
+        if c < 0:
+            c = self.first_child(i)
+        c += j
+        try:
+            if j >= 0 and self.parents[c] == i:
                 return c
-        nodes = self.nodes
-        node = child(nodes[i], j)
-        c = kids[j] = len(nodes)
-        nodes.append(node)
-        self.parents.append(i)
-        self.heads.append(j)
-        self._paths.append(None)
+        except IndexError:
+            pass
+        raise InvalidPath(f"{type(self.nodes[i]).__name__} has no child {j}")
+
+    def first_child(self, i: int) -> int:
+        """The id of the first child of position ``i``, the others following
+        it in order, visiting them if need be (one ``children`` call)."""
+        c = self._first[i]
+        if c < 0:
+            kids = children(self.nodes[i])
+            k = len(kids)
+            c = self._first[i] = len(self.nodes)
+            self.nodes += kids
+            self.parents += (i,) * k
+            self.heads += _HEADS[k] if k < 4 else range(k)
+            self._first += (-1,) * k
         return c
 
     def path(self, i: int) -> Path:
         """The shared path of position ``i``."""
         paths = self._paths
-        p = paths[i]
+        p = paths.get(i)
         if p is None:
             heads, parents = self.heads, self.parents
             k = parents[i]
-            p = paths[k]
+            p = paths.get(k)
             if p is None:  # climb to the nearest ancestor with a path
                 below = [heads[i]]
                 while p is None:
                     below.append(heads[k])
                     k = parents[k]
-                    p = paths[k]
+                    p = paths.get(k)
                 p = tuple(below) + p
             else:
                 p = (heads[i],) + p
             paths[i] = p
-            self._ids[id(p)] = i
         return p
+
+    def path_text(self, i: int) -> str:
+        """Position ``i`` as traces, listings and messages show it."""
+        return path_text(self.path(i))
 
     def at(self, p: Path) -> Node:
         return self.nodes[self.pos(p)]
@@ -411,38 +433,108 @@ def free_vars(node: Node) -> frozenset:
     The answer is kept on the node, and ``substitute`` stores it on every
     node it builds, so a term built by substitution is never walked again
     here.  That is sound because nodes are frozen: a node's free names
-    cannot change after it is built.
+    cannot change after it is built.  A term of any depth is answered: the
+    first ``_FV_CALLS`` levels below a node are walked by recursion, which
+    costs about half as much a node, and anything deeper with an explicit
+    stack.
     """
+    fv = getattr(node, "_fv", None)
+    if fv is None:
+        fv = _free_vars_rec(node, _FV_CALLS)
+    return fv
+
+
+_FV_CALLS = 100  # levels walked by recursion, well inside any recursion limit
+
+
+def _free_vars_rec(node: Node, budget: int) -> frozenset:
     fv = getattr(node, "_fv", None)
     if fv is not None:
         return fv
+    if not budget:
+        return _free_vars_walk(node)
+    b = budget - 1
     t = type(node)
     if t is VarV:
         fv = frozenset((node.name,))
     elif t is NumV:
         fv = _EMPTY
     elif t is ThunkV:
-        fv = free_vars(node.body)
+        fv = _free_vars_rec(node.body, b)
     elif t is Force or t is Prd:
-        fv = free_vars(node.value)
+        fv = _free_vars_rec(node.value, b)
     elif t is App:
-        fv = free_vars(node.arg) | free_vars(node.body)
+        fv = _free_vars_rec(node.arg, b) | _free_vars_rec(node.body, b)
     elif t is Lam:
-        fv = free_vars(node.body) - {node.binder}
+        fv = _free_vars_rec(node.body, b) - {node.binder}
     elif t is Seq:
-        fv = free_vars(node.left) | (free_vars(node.right) - {node.binder})
+        fv = _free_vars_rec(node.left, b) | (_free_vars_rec(node.right, b) - {node.binder})
     elif t is LetRec:
-        acc = set(free_vars(node.body))
+        acc = set(_free_vars_rec(node.body, b))
         for _, d in node.defs:
-            acc |= free_vars(d)
+            acc |= _free_vars_rec(d, b)
         fv = frozenset(acc - {n for n, _ in node.defs})
     elif t is If0:
-        fv = free_vars(node.guard) | free_vars(node.then) | free_vars(node.orelse)
+        fv = (_free_vars_rec(node.guard, b) | _free_vars_rec(node.then, b)
+              | _free_vars_rec(node.orelse, b))
     elif t is Op:
-        fv = free_vars(node.lhs) | free_vars(node.rhs)
+        fv = _free_vars_rec(node.lhs, b) | _free_vars_rec(node.rhs, b)
     else:
         raise TypeError(f"not a term: {node!r}")
     object.__setattr__(node, "_fv", fv)
+    return fv
+
+
+def _free_vars_walk(node: Node) -> frozenset:
+    # free_vars with an explicit stack.  Postorder: a node goes back on the stack, with its children, under
+    # those of them not answered yet, and is answered once they are.  The
+    # node asked about is at the bottom, so it is answered last.  Leaves
+    # are answered on the spot.
+    stack = [(node, None)]
+    push, pop = stack.append, stack.pop
+    while stack:
+        n, kids = pop()
+        t = type(n)
+        if kids is None:
+            if t is VarV:
+                fv = frozenset((n.name,))
+                object.__setattr__(n, "_fv", fv)
+                continue
+            get = _KIDS.get(t)
+            if get is None:
+                raise TypeError(f"not a term: {n!r}")
+            kids = get(n)
+            waiting = False
+            for k in kids:
+                if getattr(k, "_fv", None) is None:
+                    tk = type(k)
+                    if tk is VarV:
+                        object.__setattr__(k, "_fv", frozenset((k.name,)))
+                    elif tk is NumV:
+                        object.__setattr__(k, "_fv", _EMPTY)
+                    else:
+                        if not waiting:
+                            push((n, kids))
+                            waiting = True
+                        push((k, None))
+            if waiting:
+                continue
+        if t is Seq:
+            fv = kids[0]._fv | (kids[1]._fv - {n.binder})
+        elif t is Lam:
+            fv = kids[0]._fv - {n.binder}
+        elif t is LetRec:
+            acc = set()
+            for k in kids:
+                acc |= k._fv
+            fv = frozenset(acc - {name for name, _ in n.defs})
+        elif kids:  # ThunkV, Force, Prd, App, If0, Op
+            fv = kids[0]._fv
+            for k in kids[1:]:
+                fv = fv | k._fv
+        else:  # NumV
+            fv = _EMPTY
+        object.__setattr__(n, "_fv", fv)
     return fv
 
 
@@ -766,12 +858,20 @@ def resolve_binder(P, occ: Path) -> BinderRef:
     leftmost definition of a duplicated name wins.
     """
     prog = as_prog(P)
-    return binder_of(prog, prog.pos(occ))[0]
+    i = prog.pos(occ)
+    q, j = binder_of(prog, i)
+    if q is None:
+        return FreeVar(prog.nodes[i].name)
+    if j:
+        return RecBind(prog.path(q), j)
+    return (LamBind if type(prog.nodes[q]) is Lam else SeqBind)(prog.path(q))
 
 
 def binder_of(prog: Prog, i: int) -> tuple:
-    """``resolve_binder`` by position id: the BinderRef of variable ``i``
-    and the binder's id (None for a free name), worked out once per id."""
+    """``resolve_binder`` by position id: ``(q, j)`` with ``q`` the id of
+    the binder of variable ``i`` (None for a free name) and ``j`` the
+    1-based definition slot when it is a letrec (else 0), worked out once
+    per id."""
     tbl = prog.tables["binder"]
     hit = tbl.get(i)
     if hit is not None:
@@ -781,22 +881,20 @@ def binder_of(prog: Prog, i: int) -> tuple:
     if type(node) is not VarV:
         raise NotAVariable(f"no variable at {path_text(prog.path(i))}: {node!r}")
     name = node.name
-    hit = (FreeVar(name), None)
+    hit = (None, 0)
     k = i
     while k:
         head, q = heads[k], parents[k]
         parent = nodes[q]
         t = type(parent)
-        if t is Lam and head == 0 and parent.binder == name:
-            hit = (LamBind(prog.path(q)), q)
-            break
-        if t is Seq and head == 1 and parent.binder == name:
-            hit = (SeqBind(prog.path(q)), q)
-            break
-        if t is LetRec:
+        if (t is Lam and head == 0) or (t is Seq and head == 1):
+            if parent.binder == name:
+                hit = (q, 0)
+                break
+        elif t is LetRec:
             j = next((j for j, (n, _) in enumerate(parent.defs, 1) if n == name), None)
             if j is not None:
-                hit = (RecBind(prog.path(q), j), q)
+                hit = (q, j)
                 break
         k = q
     tbl[i] = hit

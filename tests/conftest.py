@@ -1,10 +1,13 @@
-"""Shared test helpers: random term generators and alpha-variant relabeling."""
+"""Shared test helpers: random term generators, alpha-variant relabeling,
+and machine objects renamed between position ids and paths."""
 
 import itertools
+from dataclasses import fields, replace
 
 import hypothesis.strategies as st
 from hypothesis import settings
 
+from cbpv import cfg, peak, pek, sos
 from cbpv.rewrite import RuleId
 from cbpv.syntax import (
     App,
@@ -159,3 +162,57 @@ def relabel(node, _ctr=None):
     if t is Op:
         return Op(relabel(node.lhs, ctr), node.op, relabel(node.rhs, ctr))
     raise TypeError(f"not a term: {node!r}")
+
+
+# ---------------------------------------------------------------------------
+# positions named by id or by path
+
+# The machine objects that name positions, and the fields that hold them.
+_MACHINE = {
+    peak.PeakState, pek.PekState, peak.ARG, peak.SEQ, peak.KSeq, pek.KRet, peak.KArg,
+    peak.PClosure, cfg.LOC, cfg.LBL, cfg.CALL, cfg.TAIL, cfg.MOV, cfg.RET, cfg.POP,
+    cfg.IF0, cfg.OP, cfg.OPRET, sos.Terminal, sos.ProducedValue,
+}
+_POSITIONS = {"pc", "pos", "bind", "resume", "entry", "binder", "target", "dst", "zero", "nonzero"}
+
+
+def renamed(x, name, memo=None):
+    """``x`` with every position it names renamed by ``name``.  ``x`` is a
+    peak, pek or cfg state, frame, value, chain, operand, instruction or
+    halt, a tuple of them, or a block map ``{pc: (instruction, successors)}``."""
+    memo = {} if memo is None else memo
+    t = type(x)
+    if t is tuple:
+        return tuple(renamed(y, name, memo) for y in x)
+    if t is dict:
+        return {
+            name(p): (renamed(instr, name, memo), tuple(map(name, succs)))
+            for p, (instr, succs) in x.items()
+        }
+    if t is peak.Env:
+        cells, e = [], x
+        while e.size and id(e) not in memo:
+            cells.append(e)
+            e = e.parent
+        out = memo[id(e)] if e.size else peak.EMPTY
+        for e in reversed(cells):
+            out = memo[id(e)] = peak.Env(name(e.binder), renamed(e.value, name, memo), out)
+        return out
+    if t in _MACHINE:
+        parts = {}
+        for f in fields(x):
+            v = getattr(x, f.name)
+            parts[f.name] = name(v) if f.name in _POSITIONS else renamed(v, name, memo)
+        return replace(x, **parts)
+    return x
+
+
+def at_paths(prog, x):
+    """``x`` with its position ids as the paths of ``prog``: the objects the
+    path-keyed oracles build and the tests write out."""
+    return renamed(x, prog.path)
+
+
+def at_ids(prog, x):
+    """``x``, written with paths, with each one as its id in ``prog``."""
+    return renamed(x, prog.pos)

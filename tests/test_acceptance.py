@@ -202,10 +202,11 @@ def test_criterion_09_stuck_alignment_on_open_terms():
         if type(out) is not Stuck:
             continue
         stuck += 1
-        r, _, s = harness.run(harness.machine("cfg", m), 300)
+        mach = harness.machine("cfg", m)
+        r, _, s = harness.run(mach, 300)
         assert type(r) is Stuck, (seed, r)
         assert r == out, (seed, r, out)
-        assert alpha_eq(cfg.unload(as_prog(m), s), last), seed
+        assert alpha_eq(mach.unload(s), last), seed
     assert stuck >= 50  # the sample really exercises the stuck paths
     _ok(9)
 
@@ -327,16 +328,16 @@ def _delta_reversed(P, e, args):
     return tuple(reversed(_REAL_DELTA(P, e, args)))
 
 
-def _eta_skipping_letrec(P, p):
+def _eta_skipping_letrec(P, i):
     prog = as_prog(P)
     while True:
-        t = type(prog.at(p))
+        t = type(prog.nodes[i])
         if t is Seq:
-            p = (0,) + p
+            i = prog.kid(i, 0)
         elif t is App:
-            p = (1,) + p
+            i = prog.kid(i, 1)
         else:  # a letrec no longer advances into its body
-            return p
+            return i
 
 
 _MUTATIONS = {

@@ -275,3 +275,46 @@ def test_describe_line():
     assert describe(load(fx.ARITH_SEQ), 0) == "cek 0: code=seq env=0 kont=0"
     sigma = step(load(fx.ARITH_SEQ))
     assert describe(sigma, 1) == "cek 1: code=prd env=1 kont=0"
+
+
+# ---------------------------------------------------------------------------
+# structural equality without recursion
+
+
+def _frames(n, closures):
+    """A chain of ``n`` frames, every seventh a letrec frame, each Bind's
+    value a closure over the frames below it when ``closures``."""
+    defs = (("f", Force(VarV("f"))),)
+    e = None
+    for k in range(n):
+        if k % 7 == 3:
+            e = RecFrame(defs, e)
+        else:
+            e = Bind("x", Closure(Prd(VarV("x")), e) if closures else NumC(k), e)
+    return e
+
+
+def test_equality_of_30000_frame_chains_walks_no_stack():
+    for closures in (False, True):
+        a, b = _frames(30_000, closures), _frames(30_000, closures)
+        assert a is not b
+        assert a == b and b == a
+        assert a._twin is b and a.rest._twin is b.rest  # kept: they cannot change
+        assert CekState(Prd(VarV("x")), a, (ArgF(NumC(1)),)) == CekState(
+            Prd(VarV("x")), b, (ArgF(NumC(1)),)
+        )
+        assert Bind("y", NumC(0), a) != Bind("y", NumC(0), _frames(29_999, closures))
+
+
+def test_a_chain_differing_deep_down_is_unequal():
+    a, b = _frames(5_000, False), None
+    for k in range(5_000):
+        if k % 7 == 3:
+            b = RecFrame((("f", Force(VarV("f"))),), b)
+        else:
+            b = Bind("x", NumC(-1 if k == 8 else k), b)
+    assert a != b and b != a
+    assert Bind("x", NumC(1), None) != Bind("y", NumC(1), None)
+    assert Closure(Prd(NumV(1)), None) != Closure(Prd(NumV(2)), None)
+    assert Bind("x", NumC(1), None) != RecFrame((("x", Prd(NumV(1))),), None)
+    assert hash(Bind("x", NumC(1), None)) == hash(Bind("x", NumC(1), None))

@@ -1,4 +1,7 @@
-"""Compiler and CFG machine: frozen listings, exact PEK agreement, emission."""
+"""Compiler and CFG machine: frozen listings, exact PEK agreement, emission.
+
+Blocks, operands and states name positions by id; the tests write them with
+paths and convert with ``at_ids``/``at_paths`` under the graph's Prog."""
 
 import dataclasses
 
@@ -29,6 +32,7 @@ from cbpv.cfg import (
     describe,
     eval_operand,
     load,
+    loc_names,
     operand_of,
     print_cfg,
     records,
@@ -55,7 +59,7 @@ from cbpv.syntax import (
     path_text,
 )
 
-from conftest import close_term, terms
+from conftest import at_paths, close_term, terms
 
 MULT = as_prog(fx.MULT)
 
@@ -80,20 +84,24 @@ MULT_LISTING = "\n".join(
 # operands
 
 
+def _operand(m, p):
+    prog = as_prog(m)
+    return at_paths(prog, operand_of(prog, p))
+
+
 def test_operand_forms():
-    assert operand_of(MULT, (0, 0)) == LBL((1,), 0)  # the recursive name
-    assert operand_of(fx.BRANCH_ZERO, (0,)) == NAT(0)
-    assert operand_of(fx.OPEN_ADD, (0,)) == VAR("a")
-    assert operand_of(fx.ARITH_SEQ, (0, 1)) == LOC((), 1)  # x under its Seq
-    prog = as_prog(fx.FORCE_THUNK)
-    assert operand_of(prog, (0,)) == LBL((0, 0), 0)
+    assert _operand(MULT, (0, 0)) == LBL((1,), 0)  # the recursive name
+    assert _operand(fx.BRANCH_ZERO, (0,)) == NAT(0)
+    assert _operand(fx.OPEN_ADD, (0,)) == VAR("a")
+    assert _operand(fx.ARITH_SEQ, (0, 1)) == LOC((), 1)  # x under its Seq
+    assert _operand(fx.FORCE_THUNK, (0,)) == LBL((0, 0), 0)
     # levels and cuts count the Lam/Seq binders in scope: the thunk sits
     # under x and y, the recursive name's letrec under x only
     prog = as_prog(parse_term(
         "prd 1 to x in letrec f = prd x in \\y. force thunk { force f }"))
-    assert operand_of(prog, (0, 0, 0, 1)) == LBL((0, 0, 0, 0, 1), 2)
-    assert operand_of(prog, (0, 0, 0, 0, 0, 1)) == LBL((1, 1), 1)
-    assert operand_of(prog, (0, 1, 1)) == LOC((), 1)
+    assert _operand(prog, (0, 0, 0, 1)) == LBL((0, 0, 0, 0, 1), 2)
+    assert _operand(prog, (0, 0, 0, 0, 0, 1)) == LBL((1, 1), 1)
+    assert _operand(prog, (0, 1, 1)) == LOC((), 1)
 
 
 def test_operand_rejects_computations():
@@ -102,17 +110,18 @@ def test_operand_rejects_computations():
 
 
 def test_eval_operand_table():
-    e = chain(((), NumP(5)))
+    # positions are bare ids here: eval_operand reads no program
+    e = chain((0, NumP(5)))
     assert eval_operand(e, NAT(3)) == NumP(3)
     assert eval_operand(e, VAR("a")).name == "a"
-    assert eval_operand(e, LOC((), 1)) == NumP(5)
-    v = eval_operand(e, LBL((1,), 1))
-    assert v == PClosure((1,), e) and v.env is e
-    assert eval_operand(e, LBL((1,), 0)).env is EMPTY  # cut back to the target's scope
+    assert eval_operand(e, LOC(0, 1)) == NumP(5)
+    v = eval_operand(e, LBL(1, 1))
+    assert v == PClosure(1, e) and v.env is e
+    assert eval_operand(e, LBL(1, 0)).env is EMPTY  # cut back to the target's scope
     with pytest.raises(MissingBinding):
-        eval_operand(EMPTY, LOC((0,), 1))
+        eval_operand(EMPTY, LOC(1, 1))
     with pytest.raises(MissingBinding):
-        eval_operand(e, LOC((0,), 1))  # the cell at level 1 binds another binder
+        eval_operand(e, LOC(1, 1))  # the cell at level 1 binds another binder
 
 
 def _value_positions(prog):
@@ -147,8 +156,8 @@ def test_operand_evaluation_agrees_with_gamma(t):
 
 def test_compile_single_return():
     g = compile(parse_term("prd 0"))
-    assert g.entry == ()
-    assert g.blocks == {(): (RET(NAT(0)), ())}
+    assert g.entry == 0
+    assert at_paths(g.prog, g.blocks) == {(): (RET(NAT(0)), ())}
 
 
 def test_compile_rejects_values():
@@ -168,14 +177,14 @@ def test_compile_mult_listing():
 
 def test_compile_stuck_positions():
     g = compile(parse_term("1 . prd 2"))
-    assert g.blocks[(1,)] == (STUCK(StuckReason.ApplyNonFunction), ())
+    assert g.blocks[g.prog.pos((1,))] == (STUCK(StuckReason.ApplyNonFunction), ())
     g = compile(parse_term("(\\x. prd x) to w in prd w"))
-    assert g.blocks[(0,)] == (STUCK(StuckReason.SequencedNonProducer), ())
+    assert g.blocks[g.prog.pos((0,))] == (STUCK(StuckReason.SequencedNonProducer), ())
 
 
 def test_compile_call_saves_binding_site():
     g = compile(parse_term("force thunk { prd 5 } to x in prd x"))
-    instr, succs = g.blocks[(0,)]
+    instr, succs = at_paths(g.prog, g.blocks)[(0,)]
     assert instr == CALL(LBL((0, 0, 0), 0), (), (), 0)
     assert succs == ((1,),)
 
@@ -210,54 +219,56 @@ def test_generated_graphs_are_closed(t):
 
 def test_arith_seq_runs_on_the_graph():
     g, s = load(fx.ARITH_SEQ)
-    assert g.blocks[s.pc][0] == OP(NAT(1), ArithOp.ADD, NAT(2), (), 0)
+    assert at_paths(g.prog, g.blocks[s.pc][0]) == OP(NAT(1), ArithOp.ADD, NAT(2), (), 0)
     s1 = step(g, s)
-    assert s1 == PekState((1,), chain(((), NumP(3))), ())
+    assert at_paths(g.prog, s1) == PekState((1,), chain(((), NumP(3))), ())
     assert step(g, s1) == Terminal(ProducedValue(NumP(3)))
 
 
 def test_call_saves_caller_environment():
     g, s = load(parse_term("force thunk { prd 5 } to x in prd x"))
     s1 = step(g, s)
-    assert s1 == PekState((0, 0, 0), EMPTY, (KRet((), (1,), EMPTY),))
+    assert at_paths(g.prog, s1) == PekState((0, 0, 0), EMPTY, (KRet((), (1,), EMPTY),))
     s2 = step(g, s1)
-    assert s2 == PekState((1,), chain(((), NumP(5))), ())
+    assert at_paths(g.prog, s2) == PekState((1,), chain(((), NumP(5))), ())
     assert step(g, s2) == Terminal(ProducedValue(NumP(5)))
 
 
 def test_tail_call_pushes_no_return_frame():
     g, s = load(fx.MULT_CALL)
     s1 = step(g, s)
-    assert s1 == PekState((1,), EMPTY, (KArg(NumP(2)), KArg(NumP(3)), KArg(NumP(0))))
+    assert at_paths(g.prog, s1) == PekState(
+        (1,), EMPTY, (KArg(NumP(2)), KArg(NumP(3)), KArg(NumP(0)))
+    )
 
 
 def test_unknown_pc_raises():
     g, _ = load(fx.ARITH_SEQ)
-    with pytest.raises(UnknownPc):
-        step(g, PekState((9, 9), EMPTY, ()))
+    with pytest.raises(UnknownPc, match="^no position 99$"):
+        step(g, PekState(99, EMPTY, ()))  # no position of the program has that id
 
 
 def test_describe_of_an_unknown_pc_raises_unknown_pc():
     g, _ = load(fx.ARITH_SEQ)
-    with pytest.raises(UnknownPc, match=r"^9\.9$"):
-        describe(g, PekState((9, 9), EMPTY, ()), 0)
+    with pytest.raises(UnknownPc, match=r"^0\.1$"):
+        describe(g, PekState(g.prog.pos((1, 0)), EMPTY, ()), 0)  # the Op's rhs, a value
 
 
-def test_blocks_are_found_by_identity_then_by_equality():
+def test_blocks_are_keyed_by_the_position_id_of_each_instruction():
     g, _ = load(fx.MULT_CALL)
-    assert set(g.by_id) == {id(p) for p in g.blocks}
+    instructions = [p for p, node in iter_subterms(g.prog.term)
+                    if type(node).__name__ in ("Force", "Prd", "Lam", "If0", "Op")]
+    assert list(g.blocks) == [g.prog.pos(p) for p in instructions]  # in preorder
     for p, block in g.blocks.items():
         assert block_at(g, p) is block
-        assert block_at(g, tuple(list(p))) is block  # an equal, fresh tuple
     with pytest.raises(UnknownPc, match="^ε$"):
-        block_at(Cfg((), {}, g.prog), ())
+        block_at(Cfg(0, {}, g.prog), 0)
 
 
 def test_a_replaced_graph_finds_its_own_blocks():
     g, _ = load(fx.MULT_CALL)
     swapped = {p: (STUCK(StuckReason.UnboundPath), ()) for p in g.blocks}
     h = dataclasses.replace(g, blocks=swapped)
-    assert set(h.by_id) == {id(p) for p in swapped}
     for p in g.blocks:
         assert block_at(h, p) is swapped[p]
 
@@ -265,8 +276,8 @@ def test_a_replaced_graph_finds_its_own_blocks():
 def test_a_positional_graph_built_by_hand_steps_and_describes():
     # criterion 11's mutant rebuilds the graph as Cfg(entry, blocks, prog)
     g, s = load(fx.MULT_CALL)
-    by_hand = Cfg(g.entry, {tuple(list(p)): b for p, b in g.blocks.items()}, g.prog)
-    assert set(by_hand.by_id) == {id(p) for p in by_hand.blocks}
+    by_hand = Cfg(g.entry, dict(g.blocks), g.prog)
+    assert by_hand.binders is None and print_cfg(by_hand) == print_cfg(g)
     assert by_hand == g
     a, b = s, s
     for i in range(200):
@@ -397,7 +408,7 @@ def _oracle_render(instr, label, loc):
 
 def _oracle_print_cfg(G):
     label = {p: i for i, p in enumerate(G.blocks)}.__getitem__
-    loc = dict(G.locs).__getitem__
+    loc = dict(loc_names(G)).__getitem__
     lines = []
     for i, (instr, succs) in enumerate(G.blocks.values()):
         succ_text = " ".join(str(label(q)) for q in succs)
@@ -405,7 +416,7 @@ def _oracle_print_cfg(G):
     return "\n".join(lines)
 
 
-def _oracle_record_operands(instr):
+def _oracle_record_operands(instr, path_text):
     def ser(o):
         t = type(o)
         if t is NAT:
@@ -438,15 +449,16 @@ def _oracle_record_operands(instr):
 
 def _oracle_records(G):
     label = {p: i for i, p in enumerate(G.blocks)}
+    text = lambda i: path_text(G.prog.path(i))
     rows = []
     for i, (p, (instr, succs)) in enumerate(G.blocks.items()):
         rows.append(
             "\t".join(
                 [
                     str(i),
-                    path_text(p),
+                    text(p),
                     type(instr).__name__,
-                    ",".join(_oracle_record_operands(instr)),
+                    ",".join(_oracle_record_operands(instr, text)),
                     ",".join(str(label[q]) for q in succs),
                 ]
             )

@@ -417,17 +417,23 @@ def test_recursion_overflow_exits_70(monkeypatch, source_file, capsys):
     )
 
 
-# cfg, peak, pek and compile are left out: compile builds one path tuple per
-# block, so memory grows with the square of the depth
-@pytest.mark.parametrize("machine", ["sos", "cek"])
+@pytest.mark.parametrize("machine", ["sos", "cek", "peak", "pek", "cfg"])
 def test_deeply_nested_program_runs(machine, source_file, capsys):
     path = source_file("force thunk { " * 8000 + "prd 0" + " }" * 8000)
     assert main(["run", f"--machine={machine}", path]) == 0
     assert capsys.readouterr().out == "result: 0\n"
 
 
+def test_check_of_30000_nested_thunks_exits_0(source_file, capsys):
+    # every walk a check takes over the program and its states keeps its
+    # own stack, so nesting deeper than Python's recursion limit checks
+    path = source_file("force thunk { " * 30000 + "prd 0" + " }" * 30000)
+    assert main(["check", path]) == 0
+    assert capsys.readouterr().out == f"{path}: ok\n"
+
+
 def test_unknown_pc_exits_70(monkeypatch, source_file, capsys):
-    monkeypatch.setattr(cfg, "compile", lambda prog: cfg.Cfg((), {}, prog))
+    monkeypatch.setattr(cfg, "compile", lambda prog: cfg.Cfg(0, {}, prog))
     assert main(["run", "--machine=cfg", source_file("prd 0")]) == 70
     assert capsys.readouterr().err == "internal error: UnknownPc: ε\n"
 

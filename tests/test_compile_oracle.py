@@ -4,7 +4,9 @@ The oracle compiles each instruction position on its own from pek's static
 routes (``pek.aframes``, ``pek.eta``) and ``resolve_binder``, walking paths
 up from each position.  That is how compile worked before its single
 preorder pass, and it shares no code with the pass, so equal graphs mean
-the two derivations of the static structure agree.
+the two derivations of the static structure agree.  The oracle names
+positions by path; compile's graphs, named by position id, are compared
+through their paths.
 """
 
 import pytest
@@ -52,10 +54,15 @@ from cbpv.syntax import (
     resolve_binder,
 )
 
-from conftest import terms
+from conftest import at_ids, at_paths, terms
 
 # ---------------------------------------------------------------------------
 # the oracle
+
+
+def _eta(prog, p):
+    """``pek.eta`` from path ``p``, as a path."""
+    return prog.path(pek.eta(prog, prog.pos(p)))
 
 
 def _oracle_depth(prog, p):
@@ -75,19 +82,19 @@ def _oracle_operand(prog, p):
     if t is NumV:
         return NAT(v.n)
     if t is ThunkV:
-        return LBL(pek.eta(prog, (0,) + p), _oracle_depth(prog, p))
+        return LBL(_eta(prog, (0,) + p), _oracle_depth(prog, p))
     ref = resolve_binder(prog, p)
     rt = type(ref)
     if rt is FreeVar:
         return VAR(ref.name)
     if rt is RecBind:
-        return LBL(pek.eta(prog, (ref.index,) + ref.path), _oracle_depth(prog, ref.path))
+        return LBL(_eta(prog, (ref.index,) + ref.path), _oracle_depth(prog, ref.path))
     return LOC(ref.path, _oracle_depth(prog, ref.path) + 1)
 
 
 def _oracle_block(prog, p, node):
     t = type(node)
-    a = pek.aframes(prog, p)
+    a = at_paths(prog, pek.aframes(prog, p))
     op = lambda q: _oracle_operand(prog, q)
 
     if t is Force:
@@ -98,16 +105,16 @@ def _oracle_block(prog, p, node):
                 seq = f
                 break
             prefix.append(f)
-        operands = tuple(op((0,) + f.path) for f in prefix)
+        operands = tuple(op((0,) + f.pos) for f in prefix)
         fn = op((0,) + p)
         if seq is None:
             return TAIL(fn, operands), ()
-        resume = pek.eta(prog, (1,) + seq.path)
-        return CALL(fn, operands, seq.path, _oracle_depth(prog, seq.path)), (resume,)
+        resume = _eta(prog, (1,) + seq.pos)
+        return CALL(fn, operands, seq.pos, _oracle_depth(prog, seq.pos)), (resume,)
 
     if t is If0:
-        zero = pek.eta(prog, (1,) + p)
-        nonzero = pek.eta(prog, (2,) + p)
+        zero = _eta(prog, (1,) + p)
+        nonzero = _eta(prog, (2,) + p)
         return IF0(op((0,) + p), zero, nonzero), (zero, nonzero)
 
     if t is Prd:
@@ -115,8 +122,8 @@ def _oracle_block(prog, p, node):
             f = a[0]
             if type(f) is ARG:
                 return STUCK(StuckReason.ApplyNonFunction), ()
-            keep = _oracle_depth(prog, f.path)
-            return MOV(op((0,) + p), f.path, keep), (pek.eta(prog, (1,) + f.path),)
+            keep = _oracle_depth(prog, f.pos)
+            return MOV(op((0,) + p), f.pos, keep), (_eta(prog, (1,) + f.pos),)
         return RET(op((0,) + p)), ()
 
     if t is Lam:
@@ -125,8 +132,8 @@ def _oracle_block(prog, p, node):
             if type(f) is SEQ:
                 return STUCK(StuckReason.SequencedNonProducer), ()
             keep = _oracle_depth(prog, p)
-            return MOV(op((0,) + f.path), p, keep), (pek.eta(prog, (0,) + p),)
-        return POP(p), (pek.eta(prog, (0,) + p),)
+            return MOV(op((0,) + f.pos), p, keep), (_eta(prog, (0,) + p),)
+        return POP(p), (_eta(prog, (0,) + p),)
 
     lhs = op((0,) + p)
     rhs = op((1,) + p)
@@ -134,8 +141,8 @@ def _oracle_block(prog, p, node):
         f = a[0]
         if type(f) is ARG:
             return STUCK(StuckReason.ApplyNonFunction), ()
-        keep = _oracle_depth(prog, f.path)
-        return OP(lhs, node.op, rhs, f.path, keep), (pek.eta(prog, (1,) + f.path),)
+        keep = _oracle_depth(prog, f.pos)
+        return OP(lhs, node.op, rhs, f.pos, keep), (_eta(prog, (1,) + f.pos),)
     return OPRET(lhs, node.op, rhs), ()
 
 
@@ -146,15 +153,16 @@ def oracle_compile(m):
         for p, node in iter_subterms(prog.term)
         if isinstance(node, (Force, Prd, Lam, If0, Op))
     }
-    return pek.eta(prog, ()), blocks
+    return _eta(prog, ()), blocks
 
 
 def _agrees(m):
     g = compile(m)
     entry, blocks = oracle_compile(m)
-    assert g.entry == entry
-    assert g.blocks == blocks
-    assert list(g.blocks) == list(blocks)  # the same preorder, so the same labels
+    assert g.prog.path(g.entry) == entry
+    got = at_paths(g.prog, g.blocks)
+    assert got == blocks
+    assert list(got) == list(blocks)  # the same preorder, so the same labels
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +248,20 @@ def _count_calls(monkeypatch, module, name):
     return calls
 
 
+def count_built(monkeypatch):
+    """The positions ``Prog`` builds, each read off its parent's node once."""
+    built = []
+    real = syntax.children
+
+    def counted(node):
+        kids = real(node)
+        built.extend(kids)
+        return kids
+
+    monkeypatch.setattr(syntax, "children", counted)
+    return built
+
+
 @pytest.mark.parametrize("family", [chain_text, thunks_text, sum_text])
 def test_compile_visits_each_node_once(monkeypatch, family):
     for n in (1, 10, 100):
@@ -248,27 +270,35 @@ def test_compile_visits_each_node_once(monkeypatch, family):
         prog = as_prog(term)
         with monkeypatch.context() as mp:
             visits = _count_calls(mp, cfg, "arity")
-            walks = _count_calls(mp, syntax, "child")
+            walks = count_built(mp)
             lookups = _count_calls(mp, syntax.Prog, "at")
+            paths = _count_calls(mp, syntax.Prog, "path")
             compile(prog)
-        assert len(visits) == nodes
-        assert not walks and not lookups
+            # compile names blocks by the ids of the program's index: it
+            # visits every position there once, and builds no path
+            assert len(walks) == len(prog.nodes) - 1 == nodes - 1
+            compile(prog)  # the positions are known now
+        assert len(visits) == 2 * nodes
+        assert len(walks) == nodes - 1
+        assert not lookups and not paths
 
 
-def test_prog_at_calls_child_once_per_newly_cached_path(monkeypatch):
+def test_prog_at_builds_each_position_once(monkeypatch):
+    # a position's children are built together, the first time one of them
+    # is asked for
     prog = as_prog(parse_term(chain_text(50)))
-    calls = _count_calls(monkeypatch, syntax, "child")
+    built = count_built(monkeypatch)
     deep = (0,) + (1,) * 49  # the last link's Op
     prog.at(deep)
-    assert len(calls) == 50  # every level from the root down
+    assert len(built) == 100  # both children of each of the 50 Seqs on the way
     prog.at(deep)
     prog.at(deep[1:])
-    assert len(calls) == 50  # cached
-    prog.at((0,) + deep)  # one level below a cached path
-    assert len(calls) == 51
-    prog.at((1,) * 50)
-    prog.at((0, 1) + (1,) * 49)  # the last link's prd x49, then its value
-    assert len(calls) == 53
+    assert len(built) == 100  # cached
+    prog.at((0,) + deep)  # one level below a cached path: both operands
+    assert len(built) == 102
+    prog.at((1,) * 50)  # the last link's prd x49, built with the Op
+    prog.at((0, 1) + (1,) * 49)  # then its value
+    assert len(built) == 103
     assert prog.at((0,) + deep) == syntax.VarV("x48")
     assert prog.at((0, 1) + (1,) * 49) == syntax.VarV("x49")
 
@@ -284,6 +314,7 @@ def test_print_cfg_of_a_hand_built_graph_matches_the_compiled_one():
     ]:
         g = compile(m)
         entry, blocks = oracle_compile(m)
-        by_hand = Cfg(entry, dict(blocks), as_prog(m))
+        prog = as_prog(m)
+        by_hand = Cfg(prog.pos(entry), at_ids(prog, blocks), prog)
         assert print_cfg(by_hand) == print_cfg(g)
         assert records(by_hand) == records(g)

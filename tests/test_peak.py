@@ -1,4 +1,7 @@
-"""Path/environment/argument-stack machine: frozen steps and CEK agreement."""
+"""Position/environment/argument-stack machine: frozen steps and CEK agreement.
+
+States name positions by id; the tests write them with paths and convert
+with ``at_ids``/``at_paths`` under the one Prog a state belongs to."""
 
 from hypothesis import given, settings
 
@@ -26,6 +29,7 @@ from cbpv.peak import (
     unload,
     unload_v,
     wf_check,
+    _encloses,
 )
 from cbpv.sos import (
     AwaitingArgument,
@@ -35,14 +39,14 @@ from cbpv.sos import (
     StuckReason,
     Terminal,
 )
-from cbpv.syntax import LetRec, NumV, Prd, VarV, as_prog, path_from_text
+from cbpv.syntax import LetRec, NumV, Prd, VarV, as_prog, iter_subterms, path_from_text
 
-from conftest import close_term, terms
+from conftest import at_ids, at_paths, close_term, terms
 
 MULT = as_prog(fx.MULT)
 
 # environment for the multiplier's body with n=2, x=3, a=0 already bound
-E_MULT = chain(((1,), NumP(2)), ((0, 1), NumP(3)), ((0, 0, 1), NumP(0)))
+E_MULT = at_ids(MULT, chain(((1,), NumP(2)), ((0, 1), NumP(3)), ((0, 0, 1), NumP(0))))
 
 
 # ---------------------------------------------------------------------------
@@ -57,9 +61,9 @@ def test_lookup_bound_variable():
 def test_lookup_recursive_name_builds_closure():
     occ = path_from_text("1.0.0.0.2.1.2.1.1.1.1.0")  # force site
     v = lookup_var(MULT, occ, E_MULT)
-    assert v == PClosure((1,), EMPTY)
+    assert at_paths(MULT, v) == PClosure((1,), EMPTY)
     assert v.env is EMPTY  # cut back to the letrec's scope, not copied
-    inner = Env((0, 1, 0, 0, 1), NumP(7), E_MULT)  # a binder of the body on top
+    inner = Env(MULT.pos((2, 0, 0, 0, 1)), NumP(7), E_MULT)  # y, a binder of the body, on top
     assert lookup_var(MULT, occ, inner).env is EMPTY
 
 
@@ -71,16 +75,17 @@ def test_lookup_free_variable_is_symbolic():
 def test_gamma_on_literals_and_thunks():
     assert gamma(fx.ARITH_SEQ, (0, 0), EMPTY) == NumP(1)
     e = EMPTY
-    v = gamma(fx.FORCE_THUNK, (0,), e)
-    assert v == PClosure((0, 0), EMPTY)
+    prog = as_prog(fx.FORCE_THUNK)
+    v = gamma(prog, (0,), e)
+    assert at_paths(prog, v) == PClosure((0, 0), EMPTY)
     assert v.env is e
 
 
 def test_delta_converts_up_to_first_seq():
     prog = as_prog(parse_term("1 . (2 . force f) to x in prd x"))
     st = advance(prog, load(prog.term))
-    assert st.args == (ARG((0, 1)), SEQ((1,)), ARG(()))
-    assert delta(prog, EMPTY, st.args) == (
+    assert at_paths(prog, st.args) == (ARG((0, 1)), SEQ((1,)), ARG(()))
+    assert at_paths(prog, delta(prog, EMPTY, st.args)) == (
         KArg(NumP(2)),
         KSeq((1,), EMPTY, (ARG(()),)),
     )
@@ -91,9 +96,10 @@ def test_delta_converts_up_to_first_seq():
 
 
 def test_advance_descends_application_chain():
-    st = advance(fx.MULT_CALL, load(fx.MULT_CALL))
-    assert st.pc == (1, 1, 1, 0)
-    assert st.args == (ARG((1, 1, 0)), ARG((1, 0)), ARG((0,)))
+    prog = as_prog(fx.MULT_CALL)
+    st = advance(prog, load(prog))
+    assert prog.path(st.pc) == (1, 1, 1, 0)
+    assert at_paths(prog, st.args) == (ARG((1, 1, 0)), ARG((1, 0)), ARG((0,)))
     assert st.env is EMPTY and st.kont == ()
 
 
@@ -111,21 +117,21 @@ def test_advance_is_idempotent():
 def test_arith_seq_runs_to_produced_numeral():
     prog = as_prog(fx.ARITH_SEQ)
     s1 = step(prog, load(prog.term))
-    assert s1 == PeakState((1,), chain(((), NumP(3))), (), ())
+    assert at_paths(prog, s1) == PeakState((1,), chain(((), NumP(3))), (), ())
     assert step(prog, s1) == Terminal(ProducedValue(NumP(3)))
 
 
 def test_force_enters_thunk_entry():
     prog = as_prog(fx.FORCE_THUNK)
     s1 = step(prog, load(prog.term))
-    assert s1 == PeakState((0, 0), EMPTY, (), ())
+    assert at_paths(prog, s1) == PeakState((0, 0), EMPTY, (), ())
     assert step(prog, s1) == Terminal(ProducedValue(NumP(0)))
 
 
 def test_force_converts_pending_arguments():
     prog = as_prog(fx.MULT_CALL)
     s1 = step(prog, load(prog.term))
-    assert s1 == PeakState(
+    assert at_paths(prog, s1) == PeakState(
         (1,), EMPTY, (), (KArg(NumP(2)), KArg(NumP(3)), KArg(NumP(0)))
     )
 
@@ -133,19 +139,19 @@ def test_force_converts_pending_arguments():
 def test_lambda_binds_from_argument_stack():
     prog = as_prog(fx.APPLY_ID)
     s1 = step(prog, load(prog.term))
-    assert s1 == PeakState((0, 1), chain(((1,), NumP(5))), (), ())
+    assert at_paths(prog, s1) == PeakState((0, 1), chain(((1,), NumP(5))), (), ())
     assert step(prog, s1) == Terminal(ProducedValue(NumP(5)))
 
 
 def test_lambda_binds_from_continuation():
     prog = as_prog(fx.APPLY_ID)
-    st = PeakState((1,), EMPTY, (), (KArg(NumP(5)),))
-    assert step(prog, st) == PeakState((0, 1), chain(((1,), NumP(5))), (), ())
+    st = at_ids(prog, PeakState((1,), EMPTY, (), (KArg(NumP(5)),)))
+    assert at_paths(prog, step(prog, st)) == PeakState((0, 1), chain(((1,), NumP(5))), (), ())
 
 
 def test_branch_selects_child():
     prog = as_prog(fx.BRANCH_ZERO)
-    assert step(prog, load(prog.term)) == PeakState((1,), EMPTY, (), ())
+    assert at_paths(prog, step(prog, load(prog.term))) == PeakState((1,), EMPTY, (), ())
 
 
 def test_bare_arith_terminal():
@@ -186,14 +192,14 @@ def test_apply_arith_checks_context_before_operands():
     # the operands are unevaluated symbols, but the application wins
     prog = as_prog(parse_term("1 . a + b"))
     assert step(prog, load(prog.term)) == Stuck(StuckReason.ApplyNonFunction)
-    st = PeakState((1,), EMPTY, (), (KArg(NumP(9)),))
+    st = at_ids(prog, PeakState((1,), EMPTY, (), (KArg(NumP(9)),)))
     assert step(prog, st) == Stuck(StuckReason.ApplyNonFunction)
 
 
 def test_sequence_non_producer():
     prog = as_prog(parse_term("(\\x. prd x) to w in prd w"))
     assert step(prog, load(prog.term)) == Stuck(StuckReason.SequencedNonProducer)
-    st = PeakState((0,), EMPTY, (), (KSeq((), EMPTY, ()),))
+    st = at_ids(prog, PeakState((0,), EMPTY, (), (KSeq((), EMPTY, ()),)))
     assert step(prog, st) == Stuck(StuckReason.SequencedNonProducer)
 
 
@@ -204,7 +210,7 @@ def test_arith_non_numeral():
 
 def test_missing_binding_reported_as_unbound_path():
     prog = as_prog(fx.APPLY_ID)
-    st = PeakState((0, 1), EMPTY, (), ())  # inside the lambda, x never bound
+    st = at_ids(prog, PeakState((0, 1), EMPTY, (), ()))  # inside the lambda, x never bound
     assert step(prog, st) == Stuck(StuckReason.UnboundPath)
 
 
@@ -219,14 +225,15 @@ def test_unload_of_load_is_initial_cek_state():
 
 
 def test_unload_mid_run_state():
-    st = PeakState((1,), chain(((), NumP(3))), (), ())
-    assert unload(fx.ARITH_SEQ, st) == cek.CekState(
+    prog = as_prog(fx.ARITH_SEQ)
+    st = at_ids(prog, PeakState((1,), chain(((), NumP(3))), (), ()))
+    assert unload(prog, st) == cek.CekState(
         Prd(VarV("x")), cek.Bind("x", cek.NumC(3), None), ()
     )
 
 
 def test_unload_recursive_closure_matches_cek_lookup():
-    got = unload_v(MULT, PClosure((1,), EMPTY))
+    got = unload_v(MULT, PClosure(MULT.pos((1,)), EMPTY))
     want = cek.lookup_value(VarV("mult"), cek.RecFrame(MULT.term.defs, None))
     assert got == want
     assert got.code == LetRec(MULT.term.defs, MULT.term.defs[0][1])
@@ -297,15 +304,26 @@ def test_wf_holds_along_runs():
 
 def test_wf_reports_unbound_scope():
     prog = as_prog(fx.APPLY_ID)
-    report = wf_check(prog, PeakState((0, 1), EMPTY, (), ()))
+    report = wf_check(prog, at_ids(prog, PeakState((0, 1), EMPTY, (), ())))
     assert not report.ok
     assert "binder at 1" in report.violations[0]
 
 
+def test_encloses_is_the_suffix_relation_on_paths():
+    # an argument frame must sit on the pc's path: its path a suffix of the pc's
+    prog = as_prog(fx.MULT_CALL)
+    paths = [p for p, _ in iter_subterms(prog.term)]
+    for q in paths[::3]:  # a third of the positions, with their paths
+        for p in paths:
+            suffix = len(q) <= len(p) and p[len(p) - len(q):] == q
+            assert _encloses(prog, prog.pos(q), prog.pos(p)) == suffix, (q, p)
+
+
 def test_wf_reports_argument_frame_out_of_scope():
     prog = as_prog(fx.APPLY_ID)
-    report = wf_check(prog, PeakState((), EMPTY, (ARG((0,)),), ()))
+    report = wf_check(prog, at_ids(prog, PeakState((), EMPTY, (ARG((0,)),), ())))
     assert not report.ok
+    assert report.violations == ("argument frame 0 is not a suffix of ε",)
 
 
 def test_states_are_not_mutated_by_later_steps():
@@ -322,6 +340,7 @@ def test_states_are_not_mutated_by_later_steps():
 
 
 def test_describe_format():
-    assert describe(load(fx.MULT), 0) == "peak 0: pc=ε env=0 args=0 kont=0"
-    st = PeakState((1,), chain(((), NumP(3))), (), ())
-    assert describe(st, 3) == "peak 3: pc=1 env=1 args=0 kont=0"
+    assert describe(MULT, load(MULT), 0) == "peak 0: pc=ε env=0 args=0 kont=0"
+    prog = as_prog(fx.ARITH_SEQ)
+    st = at_ids(prog, PeakState((1,), chain(((), NumP(3))), (), ()))
+    assert describe(prog, st, 3) == "peak 3: pc=1 env=1 args=0 kont=0"

@@ -1,4 +1,7 @@
-"""Instruction-pointer machine: static frames, eta advancement, PEAK agreement."""
+"""Instruction-pointer machine: static frames, eta advancement, PEAK agreement.
+
+States name positions by id; the tests write them with paths and convert
+with ``at_ids``/``at_paths`` under the one Prog a state belongs to."""
 
 import pytest
 from hypothesis import given, settings
@@ -31,10 +34,20 @@ from cbpv.sos import (
 )
 from cbpv.syntax import Lam, Seq, alpha_eq, as_prog, path_from_text
 
-from conftest import close_term, terms
+from conftest import at_ids, at_paths, close_term, terms
 
 MULT = as_prog(fx.MULT)
 FORCE_SITE = path_from_text("1.0.0.0.2.1.2.1.1.1.1")  # the recursive call
+
+
+def _aframes(m, p):
+    prog = as_prog(m)
+    return at_paths(prog, aframes(prog, p))
+
+
+def _eta(m, p):
+    prog = as_prog(m)
+    return prog.path(eta(prog, prog.pos(p)))
 
 
 # ---------------------------------------------------------------------------
@@ -42,39 +55,39 @@ FORCE_SITE = path_from_text("1.0.0.0.2.1.2.1.1.1.1")  # the recursive call
 
 
 def test_aframes_at_root_is_empty():
-    assert aframes(fx.ARITH_SEQ, ()) == ()
+    assert _aframes(fx.ARITH_SEQ, ()) == ()
 
 
 def test_aframes_at_sequenced_op():
-    assert aframes(fx.ARITH_SEQ, (0,)) == (SEQ(()),)
+    assert _aframes(fx.ARITH_SEQ, (0,)) == (SEQ(()),)
 
 
 def test_aframes_at_recursive_call_site():
     inner = FORCE_SITE[1:]
     mid = inner[1:]
     outer = mid[1:]
-    assert aframes(MULT, FORCE_SITE) == (ARG(inner), ARG(mid), ARG(outer))
+    assert _aframes(MULT, FORCE_SITE) == (ARG(inner), ARG(mid), ARG(outer))
 
 
 def test_aframes_lambda_consumes_one_argument():
-    assert aframes(fx.APPLY_ID, (1,)) == (ARG(()),)
-    assert aframes(fx.APPLY_ID, (0, 1)) == ()
+    assert _aframes(fx.APPLY_ID, (1,)) == (ARG(()),)
+    assert _aframes(fx.APPLY_ID, (0, 1)) == ()
 
 
 def test_aframes_lambda_under_sequence_drops_nothing():
     prog = as_prog(parse_term("(\\x. prd x) to w in prd w"))
-    assert aframes(prog, (0,)) == (SEQ(()),)
-    assert aframes(prog, (0, 0)) == (SEQ(()),)
+    assert _aframes(prog, (0,)) == (SEQ(()),)
+    assert _aframes(prog, (0, 0)) == (SEQ(()),)
 
 
 def test_eta_is_identity_at_instructions():
-    assert eta(fx.ARITH_SEQ, (1,)) == (1,)
+    assert _eta(fx.ARITH_SEQ, (1,)) == (1,)
 
 
 def test_eta_descends_search_nodes():
-    assert eta(MULT, ()) == (0,)
+    assert _eta(MULT, ()) == (0,)
     else_seq = path_from_text("1.0.0.0.2")
-    assert eta(MULT, else_seq) == (0,) + else_seq
+    assert _eta(MULT, else_seq) == (0,) + else_seq
 
 
 # ---------------------------------------------------------------------------
@@ -83,20 +96,20 @@ def test_eta_descends_search_nodes():
 
 def test_gamma_thunk_entry_is_advanced():
     prog = as_prog(parse_term("force thunk { 1 + 2 to x in prd x }"))
-    assert gamma(prog, (0,), EMPTY) == PClosure((0, 0, 0), EMPTY)
+    assert at_paths(prog, gamma(prog, (0,), EMPTY)) == PClosure((0, 0, 0), EMPTY)
 
 
 def test_recursive_closure_entry_is_advanced():
     prog = as_prog(parse_term("letrec f = prd 0 to r in prd r in force f"))
     s1 = step(prog, load(prog))
-    assert s1 == PekState((0, 1), EMPTY, ())
+    assert at_paths(prog, s1) == PekState((0, 1), EMPTY, ())
 
 
 def test_delta_replaces_tail_with_return_frame():
     prog = as_prog(parse_term("1 . (2 . force f) to x in prd x"))
     a = aframes(prog, (1, 0, 1))
-    assert a == (ARG((0, 1)), SEQ((1,)), ARG(()))
-    assert delta(prog, EMPTY, a) == (KArg(NumP(2)), KRet((1,), (1, 1), EMPTY))
+    assert at_paths(prog, a) == (ARG((0, 1)), SEQ((1,)), ARG(()))
+    assert at_paths(prog, delta(prog, EMPTY, a)) == (KArg(NumP(2)), KRet((1,), (1, 1), EMPTY))
 
 
 # ---------------------------------------------------------------------------
@@ -104,30 +117,30 @@ def test_delta_replaces_tail_with_return_frame():
 
 
 def test_load_positions():
-    assert load(fx.ARITH_SEQ) == PekState((0,), EMPTY, ())
-    assert load(fx.FORCE_THUNK) == PekState((), EMPTY, ())
-    assert load(MULT) == PekState((0,), EMPTY, ())
+    for m, pc in ((fx.ARITH_SEQ, (0,)), (fx.FORCE_THUNK, ()), (MULT, (0,))):
+        prog = as_prog(m)
+        assert at_paths(prog, load(prog)) == PekState(pc, EMPTY, ())
 
 
 def test_arith_seq_runs_to_produced_numeral():
     prog = as_prog(fx.ARITH_SEQ)
     s1 = step(prog, load(prog))
-    assert s1 == PekState((1,), chain(((), NumP(3))), ())
+    assert at_paths(prog, s1) == PekState((1,), chain(((), NumP(3))), ())
     assert step(prog, s1) == Terminal(ProducedValue(NumP(3)))
 
 
 def test_force_enters_thunk():
     prog = as_prog(fx.FORCE_THUNK)
     s1 = step(prog, load(prog))
-    assert s1 == PekState((0, 0), EMPTY, ())
+    assert at_paths(prog, s1) == PekState((0, 0), EMPTY, ())
     assert step(prog, s1) == Terminal(ProducedValue(NumP(0)))
 
 
 def test_force_converts_static_frames():
     prog = as_prog(fx.MULT_CALL)
-    assert load(prog) == PekState((1, 1, 1, 0), EMPTY, ())
+    assert at_paths(prog, load(prog)) == PekState((1, 1, 1, 0), EMPTY, ())
     s1 = step(prog, load(prog))
-    assert s1 == PekState(
+    assert at_paths(prog, s1) == PekState(
         (1,), EMPTY, (KArg(NumP(2)), KArg(NumP(3)), KArg(NumP(0)))
     )
 
@@ -135,7 +148,7 @@ def test_force_converts_static_frames():
 def test_lambda_binds_from_static_frame():
     prog = as_prog(fx.APPLY_ID)
     s1 = step(prog, load(prog))
-    assert s1 == PekState((0, 1), chain(((1,), NumP(5))), ())
+    assert at_paths(prog, s1) == PekState((0, 1), chain(((1,), NumP(5))), ())
 
 
 def test_lambda_binds_from_continuation():
@@ -143,9 +156,9 @@ def test_lambda_binds_from_continuation():
     # so the argument arrives through the continuation
     prog = as_prog(parse_term("5 . force thunk { \\x. prd x }"))
     s1 = step(prog, load(prog))
-    assert s1 == PekState((0, 0, 1), EMPTY, (KArg(NumP(5)),))
+    assert at_paths(prog, s1) == PekState((0, 0, 1), EMPTY, (KArg(NumP(5)),))
     s2 = step(prog, s1)
-    assert s2 == PekState((0, 0, 0, 1), chain(((0, 0, 1), NumP(5))), ())
+    assert at_paths(prog, s2) == PekState((0, 0, 0, 1), chain(((0, 0, 1), NumP(5))), ())
     assert step(prog, s2) == Terminal(ProducedValue(NumP(5)))
 
 
@@ -153,9 +166,11 @@ def test_curried_arguments_bind_innermost_first():
     prog = as_prog(parse_term("5 . 7 . \\x. \\y. prd y"))
     s = load(prog)
     s = step(prog, s)
-    assert s == PekState((0, 1, 1), chain(((1, 1), NumP(7))), ())
+    assert at_paths(prog, s) == PekState((0, 1, 1), chain(((1, 1), NumP(7))), ())
     s = step(prog, s)
-    assert s == PekState((0, 0, 1, 1), chain(((1, 1), NumP(7)), ((0, 1, 1), NumP(5))), ())
+    assert at_paths(prog, s) == PekState(
+        (0, 0, 1, 1), chain(((1, 1), NumP(7)), ((0, 1, 1), NumP(5))), ()
+    )
     assert step(prog, s) == Terminal(ProducedValue(NumP(5)))
 
 
@@ -188,7 +203,8 @@ def test_stuck_reasons_mirror_structural_semantics():
 
 def test_missing_binding_reported_as_unbound_path():
     prog = as_prog(fx.APPLY_ID)
-    assert step(prog, PekState((0, 1), EMPTY, ())) == Stuck(StuckReason.UnboundPath)
+    st = at_ids(prog, PekState((0, 1), EMPTY, ()))
+    assert step(prog, st) == Stuck(StuckReason.UnboundPath)
 
 
 # ---------------------------------------------------------------------------
@@ -197,19 +213,19 @@ def test_missing_binding_reported_as_unbound_path():
 
 def test_unload_recomputes_static_frames():
     prog = as_prog(fx.ARITH_SEQ)
-    assert unload(prog, load(prog)) == PeakState((0,), EMPTY, (SEQ(()),), ())
+    assert at_paths(prog, unload(prog, load(prog))) == PeakState((0,), EMPTY, (SEQ(()),), ())
 
 
 def test_unload_expands_return_frame():
     prog = as_prog(parse_term("1 . (2 . force f) to x in prd x"))
-    st = PekState((1, 1), EMPTY, (KRet((1,), (1, 1), EMPTY),))
+    st = at_ids(prog, PekState((1, 1), EMPTY, (KRet((1,), (1, 1), EMPTY),)))
     got = unload(prog, st)
-    assert got.kont == (KSeq((1,), EMPTY, (ARG(()),)),)
+    assert at_paths(prog, got.kont) == (KSeq((1,), EMPTY, (ARG(()),)),)
 
 
 def test_unload_of_trivial_state_is_trivial():
     prog = as_prog(fx.FORCE_THUNK)
-    assert unload(prog, PekState((), EMPTY, ())) == PeakState((), EMPTY, (), ())
+    assert unload(prog, PekState(0, EMPTY, ())) == PeakState(0, EMPTY, (), ())
 
 
 def test_source_recovered_through_both_unloads():
@@ -239,7 +255,7 @@ def _canon_kont(prog, kont):
         if type(f) is KArg:
             out.append(KArg(_canon_val(prog, f.value)))
         else:
-            out.append(KSeq(f.path, _canon_env(prog, f.env), f.rest_args))
+            out.append(KSeq(f.pos, _canon_env(prog, f.env), f.rest_args))
     return tuple(out)
 
 
@@ -311,33 +327,35 @@ def test_pc_stays_on_instructions_and_wf_holds():
 
 def test_wf_rejects_search_position():
     prog = as_prog(fx.ARITH_SEQ)
-    report = wf_check(prog, PekState((), EMPTY, ()))
+    report = wf_check(prog, PekState(0, EMPTY, ()))
     assert not report.ok
     assert "instruction position" in report.violations[0]
 
 
 def test_wf_rejects_unbound_scope():
     prog = as_prog(fx.APPLY_ID)
-    assert not wf_check(prog, PekState((0, 1), EMPTY, ())).ok
+    assert not wf_check(prog, at_ids(prog, PekState((0, 1), EMPTY, ()))).ok
 
 
 def test_wf_rejects_a_chain_that_is_not_the_scope():
     prog = as_prog(fx.APPLY_ID)  # 5 . \x. prd x
-    assert wf_check(prog, PekState((0, 1), chain(((1,), NumP(5))), ()))
+    wf = lambda s: wf_check(prog, at_ids(prog, s))
+    assert wf(PekState((0, 1), chain(((1,), NumP(5))), ()))
     extra = chain(((0,), NumP(4)), ((1,), NumP(5)))  # a binder outside the lambda
-    [v] = wf_check(prog, PekState((0, 1), extra, ())).violations
+    [v] = wf(PekState((0, 1), extra, ())).violations
     assert v == "pc: binder at 0 bound outside the scope of position 1"
     other = chain(((0,), NumP(5)))
-    [v] = wf_check(prog, PekState((0, 1), other, ())).violations
+    [v] = wf(PekState((0, 1), other, ())).violations
     assert v == "pc: binder at 1 unbound for position 1.0"
     closure = PClosure((0, 1), extra)  # checked wherever it sits
-    [v] = wf_check(prog, PekState((), EMPTY, (KArg(closure),))).violations[1:]
+    [v] = wf(PekState((), EMPTY, (KArg(closure),))).violations[1:]
     assert v == "argument closure: binder at 0 bound outside the scope of position 1"
 
 
 def test_describe_format():
-    assert describe(load(fx.ARITH_SEQ), 0) == "pek 0: pc=0 env=0 kont=0"
-    assert describe(PekState((), EMPTY, ()), 2) == "pek 2: pc=ε env=0 kont=0"
+    prog = as_prog(fx.ARITH_SEQ)
+    assert describe(prog, load(prog), 0) == "pek 0: pc=0 env=0 kont=0"
+    assert describe(prog, PekState(0, EMPTY, ()), 2) == "pek 2: pc=ε env=0 kont=0"
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +376,7 @@ def _in_scope(prog, p):
 def _long_chain(n, closures):
     e = EMPTY
     for k in range(n):
-        e = Env((k,), PClosure((k,), e) if closures else NumP(k), e)
+        e = Env(k, PClosure(k, e) if closures else NumP(k), e)
     return e
 
 
@@ -368,7 +386,7 @@ def test_equality_of_100k_cell_chains_walks_no_stack():
         assert len(a) == 100_000 and a is not b
         assert a == b
         assert a == b  # the second time from the twins the first one left
-        c = Env((1,), NumP(-1), _long_chain(99_999, closures))  # differs at the top
+        c = Env(1, NumP(-1), _long_chain(99_999, closures))  # differs at the top
         assert a != c and c != b
 
 
@@ -376,10 +394,10 @@ def test_a_chain_differing_deep_down_is_unequal():
     a = _long_chain(5_000, False)
     b = EMPTY
     for k in range(5_000):
-        b = Env((k,), NumP(-1 if k == 7 else k), b)
+        b = Env(k, NumP(-1 if k == 7 else k), b)
     assert a != b and b != a
-    assert chain(((1,), NumP(1))) != chain(((2,), NumP(1)))
-    assert chain(((1,), NumP(1))) != EMPTY and EMPTY == EMPTY
+    assert chain((1, NumP(1))) != chain((2, NumP(1)))
+    assert chain((1, NumP(1))) != EMPTY and EMPTY == EMPTY
 
 
 def _runs(prog):
@@ -401,13 +419,13 @@ def test_env_holds_exactly_the_binders_in_scope(seed):
     for m in (gen_term(seed, seed % 26), gen_term(seed, seed % 26, closed=False)):
         prog = as_prog(m)
         for s in _runs(prog):
-            assert len(s.env) == _in_scope(prog, s.pc)
+            assert len(s.env) == _in_scope(prog, prog.path(s.pc))
             for f in s.kont:
                 if type(f) is KRet:
-                    assert len(f.env) == _in_scope(prog, f.bind_path)
+                    assert len(f.env) == _in_scope(prog, prog.path(f.bind))
         rho = peak.load(prog)
         while type(rho) is PeakState:
-            assert len(rho.env) == _in_scope(prog, rho.pc)
+            assert len(rho.env) == _in_scope(prog, prog.path(rho.pc))
             rho = peak.step(prog, rho)
 
 
@@ -415,15 +433,15 @@ def test_fixture_envs_hold_exactly_the_binders_in_scope():
     for m in fx.PROGRAMS.values():
         prog = as_prog(m)
         for s in _runs(prog):
-            assert len(s.env) == _in_scope(prog, s.pc)
+            assert len(s.env) == _in_scope(prog, prog.path(s.pc))
 
 
 def test_a_recursive_call_keeps_only_the_letrecs_scope():
     prog = as_prog(fx.mult_call(3, 4, 0))
-    entry = eta(prog, (1,))  # mult's definition, \n
+    entry = eta(prog, prog.pos((1,)))  # mult's definition, \n
     inner = []
     for s in _runs(prog):
-        if s.pc == FORCE_SITE:
+        if s.pc == prog.pos(FORCE_SITE):
             assert len(s.env) == 5  # n, x, a, y and b
             mult = gamma(prog, (0,) + FORCE_SITE, s.env)
             assert mult.entry == entry and mult.env is EMPTY

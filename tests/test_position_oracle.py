@@ -1,11 +1,13 @@
 """The position index against path-walking oracles, and its op counts.
 
 pek and peak key their static tables (argument frames, advancement, binder
-resolution, scopes) on the integer ids of ``Prog``'s position index.  The
-oracle below is how those routes worked before the index: every query
-climbs the path one suffix at a time, memoized by path.  It shares no code
-with the index, so equal answers at every position, and equal unloads of
-every state along a run, mean the two derivations agree.
+resolution, scopes) on the integer ids of ``Prog``'s position index, and
+their states name positions by those ids.  The oracle below is how those
+routes worked before the index: every query climbs the path one suffix at
+a time, memoized by path, and its states name positions by path.  It
+shares no code with the index, so equal answers at every position, and
+equal unloads of every state along a run, compared through paths, mean the
+two derivations agree.
 """
 
 import pytest
@@ -39,7 +41,8 @@ from cbpv.syntax import (
     resolve_binder,
 )
 
-from test_compile_oracle import DEPTHS, chain_text, sum_text, thunks_text
+from conftest import at_ids, at_paths
+from test_compile_oracle import DEPTHS, chain_text, count_built, sum_text, thunks_text
 
 # ---------------------------------------------------------------------------
 # the oracle: path-keyed tables, filled by climbing suffixes
@@ -195,7 +198,7 @@ class Oracle:
                 if args is None:
                     pc = parent
                     continue
-                if args and type(args[0]) is SEQ and args[0].path == parent:
+                if args and type(args[0]) is SEQ and args[0].pos == parent:
                     args, pc = args[1:], parent
                     continue
                 break
@@ -203,7 +206,7 @@ class Oracle:
                 if args is None:
                     pc = parent
                     continue
-                if args and type(args[0]) is ARG and args[0].path == parent:
+                if args and type(args[0]) is ARG and args[0].pos == parent:
                     args, pc = args[1:], parent
                     continue
                 break
@@ -279,19 +282,19 @@ class Oracle:
         def emit_args(env, frames):
             for f in frames:
                 if type(f) is ARG:
-                    out.append(cek.ArgF(self.unload_v(self.gamma((0,) + f.path, env))))
+                    out.append(cek.ArgF(self.unload_v(self.gamma((0,) + f.pos, env))))
                 else:
-                    node = self.at(f.path)
-                    env = self.cut(env, f.path)
-                    out.append(cek.SeqF(node.binder, node.right, self.unload_e(f.path, env)))
+                    node = self.at(f.pos)
+                    env = self.cut(env, f.pos)
+                    out.append(cek.SeqF(node.binder, node.right, self.unload_e(f.pos, env)))
 
         emit_args(e, args)
         for f in kont:
             if type(f) is KArg:
                 out.append(cek.ArgF(self.unload_v(f.value)))
             else:
-                node = self.at(f.path)
-                out.append(cek.SeqF(node.binder, node.right, self.unload_e(f.path, f.env)))
+                node = self.at(f.pos)
+                out.append(cek.SeqF(node.binder, node.right, self.unload_e(f.pos, f.env)))
                 emit_args(f.env, f.rest_args)
         return tuple(out)
 
@@ -302,7 +305,7 @@ class Oracle:
 
     def pek_unload(self, s):
         kont = tuple(
-            f if type(f) is KArg else KSeq(f.bind_path, f.env, self.aframes(f.bind_path))
+            f if type(f) is KArg else KSeq(f.bind, f.env, self.aframes(f.bind))
             for f in s.kont
         )
         return PeakState(s.pc, s.env, self.aframes(s.pc), kont)
@@ -350,23 +353,24 @@ def _scope_entries(prog, p):
 
 
 def _agrees_at(prog, o, p):
-    e = _binder_env(o, p)
+    written = _binder_env(o, p)
+    e = at_ids(prog, written)
     assert prog.at(p) is o.at(p)
-    assert pek.aframes(prog, p) == o.aframes(p)
+    assert at_paths(prog, pek.aframes(prog, p)) == o.aframes(p)
     assert _scope_entries(prog, p) == o.scope_entries(p)
     assert peak._depth(prog, prog.pos(p)) == len(e)
-    assert peak._unload_e(prog, prog.pos(p), e) == o.unload_e(p, e)
+    assert peak._unload_e(prog, prog.pos(p), e) == o.unload_e(p, written)
     node = o.at(p)
     if is_term(node):
-        assert pek.eta(prog, p) == o.eta(p)
+        assert prog.path(pek.eta(prog, prog.pos(p))) == o.eta(p)
         rho = PeakState(p, peak.EMPTY, (), ())
-        assert peak.advance(prog, rho) == o.advance(rho)
+        assert at_paths(prog, peak.advance(prog, at_ids(prog, rho))) == o.advance(rho)
     else:
-        want = o.gamma(p, e)
-        assert peak.gamma(prog, p, e) == want
+        want = o.gamma(p, written)
+        assert at_paths(prog, peak.gamma(prog, p, e)) == want
         if type(want) is PClosure:
             want = PClosure(o.eta(want.entry), want.env)
-        assert pek.gamma(prog, p, e) == want
+        assert at_paths(prog, pek.gamma(prog, p, e)) == want
     if type(node) is VarV:
         assert resolve_binder(prog, p) == o.resolve_binder(p)
 
@@ -419,10 +423,11 @@ def _unloads_agree(term):
     for states in runs:
         for s in states:
             q = pek.unload(prog, s)
-            assert q == o.pek_unload(s)
-            assert _outcome(peak.unload, prog, q) == _outcome(o.peak_unload, q)
+            written = at_paths(prog, q)
+            assert written == o.pek_unload(at_paths(prog, s))
+            assert _outcome(peak.unload, prog, q) == _outcome(o.peak_unload, written)
     for rho in _states(lambda r: peak.step(prog, r), peak.load(prog)):
-        assert _outcome(peak.unload, prog, rho) == _outcome(o.peak_unload, rho)
+        assert _outcome(peak.unload, prog, rho) == _outcome(o.peak_unload, at_paths(prog, rho))
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -435,18 +440,6 @@ def test_unloads_agree_with_the_oracle_along_runs(group):
 # operation counts, not time
 
 
-def _count_child_calls(monkeypatch):
-    calls = []
-    real = syntax.child
-
-    def counted(node, i):
-        calls.append(i)
-        return real(node, i)
-
-    monkeypatch.setattr(syntax, "child", counted)
-    return calls
-
-
 def _run_to_halt(mod, prog):
     s = mod.load(prog)
     while type(s) not in (Terminal, Stuck):
@@ -456,11 +449,11 @@ def _run_to_halt(mod, prog):
 @pytest.mark.parametrize("family", [chain_text, thunks_text])
 @pytest.mark.parametrize("n", [60, 240])
 @pytest.mark.parametrize("mod", [pek, peak])
-def test_a_run_calls_child_once_per_newly_visited_position(monkeypatch, family, n, mod):
+def test_a_run_builds_each_position_once(monkeypatch, family, n, mod):
     term = parse_term(family(n))
     nodes = sum(1 for _ in iter_subterms(term))
     prog = as_prog(term)
-    calls = _count_child_calls(monkeypatch)
+    calls = count_built(monkeypatch)
     _run_to_halt(mod, prog)
     assert len(calls) == len(prog.nodes) - 1 < nodes
     _run_to_halt(mod, prog)  # a second run visits nothing new
@@ -469,7 +462,7 @@ def test_a_run_calls_child_once_per_newly_visited_position(monkeypatch, family, 
 
 @pytest.mark.parametrize("family", [chain_text, thunks_text])
 @pytest.mark.parametrize("n", [60, 240])
-def test_a_cold_unload_calls_child_at_most_depth_times(monkeypatch, family, n):
+def test_a_cold_unload_builds_only_the_children_of_the_pcs_ancestors(monkeypatch, family, n):
     term = parse_term(family(n))
     warm = as_prog(term)
     s = pek.load(warm)
@@ -477,12 +470,18 @@ def test_a_cold_unload_calls_child_at_most_depth_times(monkeypatch, family, n):
     while type(s) is PekState:
         states.append(s)
         s = pek.step(warm, s)
-    deepest = max(states, key=lambda s: len(s.pc))
+    deepest = max(states, key=lambda s: len(warm.path(s.pc)))
     for s in (deepest, states[len(states) // 2]):
-        prog = as_prog(term)  # nothing visited yet; s's paths are foreign to it
-        calls = _count_child_calls(monkeypatch)
+        written = at_paths(warm, s)
+        prog = as_prog(term)  # nothing visited yet
+        calls = count_built(monkeypatch)
+        s = at_ids(prog, written)  # visits the positions the state names
         cold = peak.unload(prog, pek.unload(prog, s))
-        assert len(calls) <= len(s.pc)
+        above, q = 0, s.pc
+        while q:  # the children of every position above the pc, and no more
+            q = prog.parents[q]
+            above += syntax.arity(prog.nodes[q])
+        assert len(calls) <= above
         del calls[:]
         assert peak.unload(prog, pek.unload(prog, s)) == cold
         assert not calls

@@ -31,7 +31,6 @@ from cbpv.syntax import (
     as_prog,
     child,
     free_vars,
-    is_suffix,
     iter_subterms,
     path_from_text,
     path_text,
@@ -85,14 +84,6 @@ def test_path_text_is_root_first():
 def test_path_text_round_trip(t):
     for p, _ in iter_subterms(t):
         assert path_from_text(path_text(p)) == p
-
-
-def test_is_suffix():
-    assert is_suffix((), (0, 1))
-    assert is_suffix((1,), (0, 1))
-    assert is_suffix((0, 1), (0, 1))
-    assert not is_suffix((0,), (0, 1))
-    assert not is_suffix((0, 1, 2), (0, 1))
 
 
 def test_prog_at_examples():
@@ -293,6 +284,27 @@ def test_free_vars_examples():
 @given(terms)
 def test_close_term_closes(t):
     assert free_vars(close_term(t)) == frozenset()
+
+
+@given(terms)
+def test_free_vars_agrees_with_the_oracle(t):
+    assert free_vars(t) == oracle_free_vars(t)
+    assert free_vars(t) is free_vars(t)  # kept on the node
+
+
+def test_free_vars_of_a_100k_deep_nested_thunk_returns():
+    # the walk keeps its own stack: no recursion limit to run into
+    t = Prd(VarV("z"))
+    for _ in range(100_000):
+        t = Force(ThunkV(t))
+    assert free_vars(t) == {"z"}
+    assert free_vars(Lam("z", t)) == frozenset()
+    assert free_vars(Seq(t, "z", t)) == {"z"}  # one subterm on both sides
+
+
+def test_free_vars_rejects_what_is_not_a_term():
+    with pytest.raises(TypeError, match="not a term"):
+        free_vars(Prd(("x",)))
 
 
 # ---------------------------------------------------------------------------

@@ -121,14 +121,14 @@ def oracle_unload_e(prog, i, e):
     for b in binders:
         if type(prog.nodes[b]) is LetRec:
             continue
-        if not len(rest) or rest.binder != prog.path(b):
+        if not len(rest) or rest.binder != b:
             raise cek.IllFormedState(
                 f"no value for binder at {path_text(prog.path(b))} at {path_text(prog.path(anchor))}"
             )
         anchor, rest = b, rest.parent
     if len(rest):
         raise cek.IllFormedState(
-            f"binder at {path_text(rest.binder)} bound outside the scope of"
+            f"binder at {path_text(prog.path(rest.binder))} bound outside the scope of"
             f" {path_text(prog.path(anchor))}"
         )
     values = dict(e.items())
@@ -138,7 +138,7 @@ def oracle_unload_e(prog, i, e):
         if type(node) is LetRec:
             env = RecFrame(node.defs, env)
             continue
-        env = Bind(node.binder, oracle_unload_v(prog, values[prog.path(b)]), env)
+        env = Bind(node.binder, oracle_unload_v(prog, values[b]), env)
     return env
 
 
@@ -148,7 +148,7 @@ def oracle_unload_v(prog, v):
         return v
     if t is NumP:
         return NumC(v.n)
-    entry, _ = peak._ascend(prog, prog.pos(v.entry), None)
+    entry, _ = peak._ascend(prog, v.entry, None)
     code, anchor = peak._entry_code(prog, entry)
     return Closure(code, oracle_unload_e(prog, anchor, v.env))
 
@@ -156,8 +156,7 @@ def oracle_unload_v(prog, v):
 def oracle_unload_k(prog, e, args, kont):
     out = []
 
-    def seq_frame(p, env):
-        i = prog.pos(p)
+    def seq_frame(i, env):
         node = prog.nodes[i]
         while len(env) > peak._depth(prog, i):  # binders inside the Seq's left
             env = env.parent
@@ -166,25 +165,25 @@ def oracle_unload_k(prog, e, args, kont):
     def emit_args(env, frames):
         for f in frames:
             if type(f) is ARG:
-                q = prog.pos(f.path)
+                q = f.pos
                 v = peak._operand(prog, q, 0, prog.nodes[q].arg, env)
                 out.append(ArgF(oracle_unload_v(prog, v)))
             else:
-                out.append(seq_frame(f.path, env))
+                out.append(seq_frame(f.pos, env))
 
     emit_args(e, args)
     for f in kont:
         if type(f) is KArg:
             out.append(ArgF(oracle_unload_v(prog, f.value)))
         else:
-            out.append(seq_frame(f.path, f.env))
+            out.append(seq_frame(f.pos, f.env))
             emit_args(f.env, f.rest_args)
     return tuple(out)
 
 
 def oracle_peak_unload(P, rho):
     prog = as_prog(P)
-    pc, args = peak._ascend(prog, prog.pos(rho.pc), rho.args)
+    pc, args = peak._ascend(prog, rho.pc, rho.args)
     code, anchor = peak._entry_code(prog, pc)
     return CekState(
         code,
@@ -327,7 +326,8 @@ def test_chains_that_are_not_the_scope_fail_like_the_oracle():
     for seed in range(0, 300, 3):
         m = gen_term(seed, seed % 26)
         prog = as_prog(m)
-        binders = [p for p, node in iter_subterms(m) if type(node) in (Lam, Seq)] or [(9,)]
+        binders = [prog.pos(p) for p, node in iter_subterms(m) if type(node) in (Lam, Seq)]
+        binders = binders or [0]  # no binder at all: the root, which binds nothing
         for p, _ in iter_subterms(m):
             for _ in range(3):
                 e = chain(*[(rng.choice(binders), NumP(1)) for _ in range(rng.randint(0, 3))])
