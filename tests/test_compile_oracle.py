@@ -283,22 +283,25 @@ def test_compile_visits_each_node_once(monkeypatch, family):
         assert not lookups and not paths
 
 
-def test_prog_at_builds_each_position_once(monkeypatch):
-    # a position's children are built together, the first time one of them
-    # is asked for
+def test_prog_at_calls_child_once_per_newly_cached_path(monkeypatch):
+    # a position's children are read off its node in one ``children`` call
+    # and built together, the first time one of them is asked for
     prog = as_prog(parse_term(chain_text(50)))
     built = count_built(monkeypatch)
+    reads = _count_calls(monkeypatch, syntax, "children")
     deep = (0,) + (1,) * 49  # the last link's Op
     prog.at(deep)
+    assert len(reads) == 50  # every level from the root down
     assert len(built) == 100  # both children of each of the 50 Seqs on the way
     prog.at(deep)
     prog.at(deep[1:])
-    assert len(built) == 100  # cached
+    assert len(reads) == 50 and len(built) == 100  # cached
     prog.at((0,) + deep)  # one level below a cached path: both operands
-    assert len(built) == 102
+    assert len(reads) == 51 and len(built) == 102
     prog.at((1,) * 50)  # the last link's prd x49, built with the Op
+    assert len(reads) == 51
     prog.at((0, 1) + (1,) * 49)  # then its value
-    assert len(built) == 103
+    assert len(reads) == 52 and len(built) == 103
     assert prog.at((0,) + deep) == syntax.VarV("x48")
     assert prog.at((0, 1) + (1,) * 49) == syntax.VarV("x49")
 

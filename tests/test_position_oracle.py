@@ -42,7 +42,14 @@ from cbpv.syntax import (
 )
 
 from conftest import at_ids, at_paths
-from test_compile_oracle import DEPTHS, chain_text, count_built, sum_text, thunks_text
+from test_compile_oracle import (
+    DEPTHS,
+    _count_calls,
+    chain_text,
+    count_built,
+    sum_text,
+    thunks_text,
+)
 
 # ---------------------------------------------------------------------------
 # the oracle: path-keyed tables, filled by climbing suffixes
@@ -449,7 +456,7 @@ def _run_to_halt(mod, prog):
 @pytest.mark.parametrize("family", [chain_text, thunks_text])
 @pytest.mark.parametrize("n", [60, 240])
 @pytest.mark.parametrize("mod", [pek, peak])
-def test_a_run_builds_each_position_once(monkeypatch, family, n, mod):
+def test_a_run_calls_child_once_per_newly_visited_position(monkeypatch, family, n, mod):
     term = parse_term(family(n))
     nodes = sum(1 for _ in iter_subterms(term))
     prog = as_prog(term)
@@ -462,7 +469,7 @@ def test_a_run_builds_each_position_once(monkeypatch, family, n, mod):
 
 @pytest.mark.parametrize("family", [chain_text, thunks_text])
 @pytest.mark.parametrize("n", [60, 240])
-def test_a_cold_unload_builds_only_the_children_of_the_pcs_ancestors(monkeypatch, family, n):
+def test_a_cold_unload_calls_child_at_most_depth_times(monkeypatch, family, n):
     term = parse_term(family(n))
     warm = as_prog(term)
     s = pek.load(warm)
@@ -475,14 +482,16 @@ def test_a_cold_unload_builds_only_the_children_of_the_pcs_ancestors(monkeypatch
         written = at_paths(warm, s)
         prog = as_prog(term)  # nothing visited yet
         calls = count_built(monkeypatch)
+        reads = _count_calls(monkeypatch, syntax, "children")
         s = at_ids(prog, written)  # visits the positions the state names
         cold = peak.unload(prog, pek.unload(prog, s))
+        assert len(reads) <= len(written.pc)  # one read per position above the pc
         above, q = 0, s.pc
         while q:  # the children of every position above the pc, and no more
             q = prog.parents[q]
             above += syntax.arity(prog.nodes[q])
         assert len(calls) <= above
-        del calls[:]
+        del calls[:], reads[:]
         assert peak.unload(prog, pek.unload(prog, s)) == cold
-        assert not calls
+        assert not calls and not reads
         monkeypatch.undo()
