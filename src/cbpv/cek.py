@@ -22,13 +22,18 @@ before (kept on the left one as ``_twin``): the checks compare this
 machine's state with one unloaded from below at every step, and each step
 adds one frame on top of environments compared already.
 
-Unloading flattens environments into terms by substitution, lazily: only
-the frames whose names are still free in the term are substituted.  The
-flattening of a closure and of a sequence frame is kept on the frozen
-object itself, as ``free_vars`` keeps its answer on a term.  That is sound
-because every part of those objects is frozen too, and it pays off across
-steps because both this machine and peak's unload (which hash-conses its
-output) keep handing out the same objects while they stay in the state.
+Unloading flattens an environment into a term in one simultaneous
+substitution: each name free in the term takes the value of the innermost
+frame that binds it, flattened under the frames outside that frame.  That
+flattened value is kept on the frame (one per definition name on a letrec
+frame), and the flattening of a closure and of a sequence frame on that
+object, as ``free_vars`` keeps its answer on a term.  That is sound because
+every part of those objects is frozen too, and it pays off across steps
+because both this machine and peak's unload (which hash-conses its output)
+keep handing out the same objects while they stay in the state.  So an
+unload substitutes once into the code, plus once for each frame, closure
+and sequence frame it meets for the first time, however many bindings are
+in scope.
 """
 
 from dataclasses import dataclass
@@ -280,33 +285,98 @@ def step(sigma: CekState):
 # unloading
 
 
-def unload_env(env, term):
-    """Flatten an environment into a term, innermost frame first.
+def _flat(f, name):
+    """The value of ``name`` bound by frame ``f``, flattened under the frames
+    outside ``f``, if it is known; None if not yet.  A numeral is flattened
+    on the spot and never kept."""
+    if type(f) is Bind:
+        v = f.value
+        if type(v) is NumC:
+            return NumV(v.n)
+        return getattr(f, "_flat", None)
+    memo = getattr(f, "_flat", None)
+    return memo.get(name) if memo is not None else None
 
-    Flattening is lazy: a frame none of whose names is free in the term
-    built so far would substitute nothing, so it is skipped without
-    unloading its value, and the walk stops once the term is closed.  The
-    frames that are substituted are the same, in the same order, as a walk
-    over the whole environment, so the term built is the same.
-    """
-    t = term
-    fv = free_vars(t)
+
+def _binders(env, names) -> list:
+    """``(name, frame)`` for each of ``names`` bound in ``env``, by the
+    innermost frame that binds it."""
+    out = []
+    need = set(names)
     e = env
-    while e is not None and fv:
+    while e is not None and need:
         if type(e) is Bind:
-            if e.name in fv:
-                t = substitute(t, {e.name: unload_val(e.value)})
-                fv = free_vars(t)
+            if e.name in need:
+                need.discard(e.name)
+                out.append((e.name, e))
         else:
-            sub = {}
-            for name, d in e.defs:
-                if name in fv and name not in sub:
-                    sub[name] = ThunkV(LetRec(e.defs, d))
-            if sub:
-                t = substitute(t, sub)
-                fv = free_vars(t)
+            for n, _ in e.defs:  # leftmost definition wins
+                if n in need:
+                    need.discard(n)
+                    out.append((n, e))
         e = e.rest
-    return t
+    return out
+
+
+def _flatten(f, name):
+    """``_flat(f, name)``, computing and keeping it, and every flattening it
+    needs from the frames outside ``f``, with an explicit stack: a chain of
+    letrec frames, each naming the one outside it, can be any length."""
+    todo = [(f, name)]
+    while todo:
+        g, n = todo[-1]
+        if _flat(g, n) is not None:
+            todo.pop()
+            continue
+        if type(g) is Bind:
+            # A value is closed by its own environment already, so the
+            # frames outside the Bind should not reach it: one whose names
+            # are source-free gets them captured there (the unload_capture
+            # defect, counted by perfbench).  Leaving a Bind's value
+            # unflattened here is the fix.
+            raw = unload_val(g.value)
+        else:
+            raw = ThunkV(LetRec(g.defs, next(d for m, d in g.defs if m == n)))
+        outer = _binders(g.rest, free_vars(raw))
+        missing = [(h, m) for m, h in outer if _flat(h, m) is None]
+        if missing:
+            todo += missing
+            continue
+        todo.pop()
+        _keep(g, n, substitute(raw, {m: _flat(h, m) for m, h in outer}) if outer else raw)
+    return _flat(f, name)
+
+
+def _keep(f, name, v):
+    """Keep ``v`` on frame ``f`` as the flattened value of ``name``."""
+    if type(f) is Bind:
+        object.__setattr__(f, "_flat", v)
+        return
+    memo = getattr(f, "_flat", None)
+    if memo is None:
+        memo = {}
+        object.__setattr__(f, "_flat", memo)
+    memo[name] = v
+
+
+def _bindings(env, names) -> dict:
+    """The flattened value of each of ``names`` bound in ``env``."""
+    return {n: _flat(f, n) or _flatten(f, n) for n, f in _binders(env, names)}
+
+
+def unload_env(env, term):
+    """Flatten an environment into a term, in one simultaneous substitution.
+
+    Each name free in the term takes the value of the innermost frame that
+    binds it, flattened under the frames outside that frame, and kept on
+    the frame.  Since ``t[x:=v][y:=w] = t[x:=v[y:=w], y:=w]``, the term is
+    the one a walk substituting frame by frame, innermost first, builds, up
+    to the names of renamed binders: that walk also renames a binder that
+    would capture a name of a value, even when an outer frame substitutes
+    the name away afterwards.  One substitution never sees such a name, so
+    it keeps the binder's own name, as sos does.
+    """
+    return substitute(term, _bindings(env, free_vars(term)))
 
 
 def unload_val(v):
@@ -331,11 +401,6 @@ def unload_val(v):
     return u
 
 
-# Internal marker for occurrences a pending frame's binder owns; no lexable
-# identifier can collide with it.
-_REBOUND = "\x00rebound"
-
-
 def _every_name(t) -> set:
     names = set()
     for _, node in iter_subterms(t):
@@ -352,18 +417,19 @@ def _every_name(t) -> set:
 def _unload_seq_frame(f):
     """Flatten a frame's environment into its pending body.
 
-    Occurrences the frame's binder owns are masked first so an outer
-    environment entry of the same name cannot capture them; if the
-    environment itself brings that name in free (possible only through a
-    source-free variable inside a stored value), the binder is freshened
+    The frame's binder owns its occurrences in the body, so it is left out
+    of the substitution.  If a value substituted brings that name in free
+    (possible only through a source-free variable inside a stored value),
+    the binder is freshened, against every name of the flattened body,
     instead of capturing it.
     """
-    pending = substitute(f.rest, {f.binder: VarV(_REBOUND)})
-    body = unload_env(f.env, pending)
-    binder = f.binder
-    if binder in free_vars(body):
-        binder = freshen(binder, _every_name(body))
-    return binder, substitute(body, {_REBOUND: VarV(binder)})
+    binder, rest = f.binder, f.rest
+    sub = _bindings(f.env, free_vars(rest) - {binder})
+    if any(binder in free_vars(v) for v in sub.values()):
+        fresh = freshen(binder, _every_name(substitute(rest, sub)))
+        sub[binder] = VarV(fresh)
+        binder = fresh
+    return binder, substitute(rest, sub)
 
 
 def unload(sigma: CekState):

@@ -17,21 +17,23 @@ the cell lives, and is kept on it: peak's unload of the chain, the
 well-formedness verdict and ``canon_state``'s canonical chain.  A step
 makes at most one new cell, so that is all a check of it walks.  peak's
 unload also hash-conses what it builds in a weak table in the Prog's
-``tables``, cek keeps the flattening of each closure and sequence frame on
-those frozen objects, and ``alpha_eq`` does not walk a subterm object both
-sides share.  Passing one Prog to several checks shares the position index
-and the unload table.
+``tables``, cek flattens an environment in one substitution and keeps the
+flattening of each frame, closure and sequence frame on those frozen
+objects, and ``alpha_eq`` does not walk a subterm object both sides share.
+Passing one Prog to several checks shares the position index and the
+unload table.
 """
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import partial
 from operator import eq
 from typing import Callable
 
 from . import cek, cfg, peak, pek, sos
-from .peak import Env, KArg, KSeq, PClosure, PeakState
+from .peak import ARG, SEQ, Env, KArg, KSeq, PClosure, PeakState
+from .pek import KRet, PekState
 from .printer import print_term
 from .sos import Next, ProducedValue, Stuck, Terminal
 from .syntax import (
@@ -61,11 +63,44 @@ class LevelPair(Enum):
     PEK_CFG = "pek/cfg"
 
 
-def _show(x):
+# the fields of the lower levels' states and frames that hold a position id
+_POSITIONS = {
+    PeakState: ("pc",),
+    PekState: ("pc",),
+    PClosure: ("entry",),
+    ARG: ("pos",),
+    SEQ: ("pos",),
+    KSeq: ("pos",),
+    KRet: ("bind", "resume"),
+}
+
+
+def _render(x, prog) -> str:
+    """``repr(x)``, but with each position id shown as its dotted path, as
+    traces show a pc."""
+    t = type(x)
+    if t is Env:
+        inner = ", ".join(f"{prog.path_text(b)}: {_render(v, prog)}" for b, v in x.items())
+        return f"Env({{{inner}}})"
+    if t is tuple:
+        parts = [_render(v, prog) for v in x]
+        return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
+    if is_dataclass(x):
+        ids = _POSITIONS.get(t, ())
+        parts = []
+        for f in fields(x):
+            if f.repr:
+                v = getattr(x, f.name)
+                parts.append(f"{f.name}={prog.path_text(v) if f.name in ids else _render(v, prog)}")
+        return f"{t.__name__}({', '.join(parts)})"
+    return repr(x)
+
+
+def _show(x, prog):
     try:
         return print_term(x)
     except TypeError:
-        return repr(x)
+        return repr(x) if prog is None else _render(x, prog)
 
 
 @dataclass(frozen=True)
@@ -74,11 +109,12 @@ class Failure:
     level: str
     expected: object
     actual: object
+    prog: object = field(default=None, compare=False, repr=False)  # names the position ids
 
     def line(self) -> str:
         return (
             f"{self.level} step {self.step}: "
-            f"expected {_show(self.expected)}, got {_show(self.actual)}"
+            f"expected {_show(self.expected, self.prog)}, got {_show(self.actual, self.prog)}"
         )
 
 
@@ -297,15 +333,15 @@ def lockstep_check(m, pair: LevelPair, fuel: int = 1000, mode=None) -> Report:
     while True:
         u, err = _unloads(unload, b)
         if err is not None:
-            return Report(prog.term, steps, (Failure(steps, level, a, err),))
+            return Report(prog.term, steps, (Failure(steps, level, a, err, prog),))
         if not state_eq(a, u):
-            return Report(prog.term, steps, (Failure(steps, level, a, u),))
+            return Report(prog.term, steps, (Failure(steps, level, a, u, prog),))
         if steps > fuel:
             return Report(prog.term, max(fuel, 0))
         ra, rb = up.step(a), lo.step(b)
         if _halted(ra) or _halted(rb):
             if not _halts_align(ra, rb, convert, value_eq):
-                return Report(prog.term, steps, (Failure(steps + 1, level, ra, rb),))
+                return Report(prog.term, steps, (Failure(steps + 1, level, ra, rb, prog),))
             return Report(prog.term, steps + 1)
         steps += 1
         a, b = ra, rb
@@ -328,7 +364,7 @@ def tower_check(m, fuel: int = 1000) -> Report:
     ahead = None  # the structural step from the last visited state
 
     def fail(checked, step, expected, actual):
-        raise _Broken(Report(prog.term, checked, (Failure(step, level, expected, actual),)))
+        raise _Broken(Report(prog.term, checked, (Failure(step, level, expected, actual, prog),)))
 
     def arrive(s, i):
         """The step into state ``i`` commutes; returns the state unloaded."""
@@ -359,7 +395,7 @@ def tower_check(m, fuel: int = 1000) -> Report:
     except _Broken as exc:
         return exc.args[0]
     if type(ahead) is Next or not _halts_align(ahead, halt, low.value, alpha_eq):
-        return Report(prog.term, steps, (Failure(steps + 1, level, ahead, halt),))
+        return Report(prog.term, steps, (Failure(steps + 1, level, ahead, halt, prog),))
     return Report(prog.term, steps + 1)
 
 

@@ -8,9 +8,10 @@ from conftest import close_term, terms
 from cbpv import cek, cfg, harness, peak, pek
 from cbpv import fixtures as fx
 from cbpv.cfg import IF0
+from cbpv.cli import main
 from cbpv.harness import Failure, LevelPair, gen_term, lockstep_check, tower_check
 from cbpv.parser import parse_term
-from cbpv.syntax import NumV, Prd, free_vars, iter_subterms
+from cbpv.syntax import NumV, Prd, as_prog, free_vars, iter_subterms
 
 ALL_PAIRS = list(LevelPair)
 
@@ -162,6 +163,48 @@ def test_swapped_branch_targets_fail_at_step_one(monkeypatch):
 def test_failure_lines_render_both_sides():
     line = Failure(0, "sos/cek", parse_term("prd 0"), parse_term("prd 1")).line()
     assert line == "sos/cek step 0: expected prd 0, got prd 1"
+
+
+def _numerals_off_by_one(real):
+    def eval_operand(e, o):
+        v = real(e, o)
+        return cfg.NumP(v.n + 1) if type(v) is cfg.NumP else v
+    return eval_operand
+
+
+def test_failure_lines_name_positions_by_their_paths(monkeypatch, capsys, tmp_path):
+    # pcs and binders show as dotted paths, as the traces show them, not as
+    # the position ids the machines use inside
+    monkeypatch.setattr(cfg, "eval_operand", _numerals_off_by_one(cfg.eval_operand))
+    text = "1 + 2 to x in x + 1 to y in prd y"
+    want = (
+        "pek/cfg step 1: expected PekState(pc=1.0, env=Env({ε: NumP(n=3)}), kont=()),"
+        " got PekState(pc=1.0, env=Env({ε: NumP(n=5)}), kont=())"
+    )
+    report = lockstep_check(parse_term(text), LevelPair.PEK_CFG)
+    assert report.lines() == [want]
+    path = tmp_path / "off_by_one.cbpv"
+    path.write_text(text + "\n")
+    assert main(["check", "--all", str(path)]) == 3
+    assert f"  {want}" in capsys.readouterr().err.splitlines()
+
+
+def test_rendered_states_name_every_position_by_its_path():
+    prog = as_prog(parse_term(r"thunk { prd 3 } . \t. (force t to x in 1 + x) to y in prd y"))
+    rho = peak.load(prog)
+    for _ in range(2):
+        rho = peak.step(prog, rho)
+    closure = "PClosure(entry=0.0, env=Env({}))"
+    assert harness._render(rho, prog) == (
+        f"PeakState(pc=0.0, env=Env({{}}), args=(), kont=(KSeq(pos=1.0.0,"
+        f" env=Env({{1: {closure}}}), rest_args=(SEQ(pos=1.0),)),))"
+    )
+    s = pek.load(prog)
+    ret = pek.KRet(prog.pos((0, 1)), prog.pos((1, 0, 1)), s.env)
+    assert harness._render(pek.PekState(s.pc, s.env, (ret,)), prog) == (
+        f"PekState(pc={prog.path_text(s.pc)}, env=Env({{}}),"
+        " kont=(KRet(bind=1.0, resume=1.0.1, env=Env({})),))"
+    )
 
 
 # ---------------------------------------------------------------------------
