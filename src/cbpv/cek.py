@@ -322,6 +322,9 @@ def _flatten(f, name):
     """``_flat(f, name)``, computing and keeping it, and every flattening it
     needs from the frames outside ``f``, with an explicit stack: a chain of
     letrec frames, each naming the one outside it, can be any length."""
+    v = _flat(f, name)
+    if v is not None:
+        return v
     todo = [(f, name)]
     while todo:
         g, n = todo[-1]
@@ -361,7 +364,7 @@ def _keep(f, name, v):
 
 def _bindings(env, names) -> dict:
     """The flattened value of each of ``names`` bound in ``env``."""
-    return {n: _flat(f, n) or _flatten(f, n) for n, f in _binders(env, names)}
+    return {n: _flatten(f, n) for n, f in _binders(env, names)}
 
 
 def unload_env(env, term):

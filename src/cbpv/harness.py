@@ -32,8 +32,7 @@ from operator import eq
 from typing import Callable
 
 from . import cek, cfg, peak, pek, sos
-from .peak import ARG, SEQ, Env, KArg, KSeq, PClosure, PeakState
-from .pek import KRet, PekState
+from .peak import Env, KArg, KSeq, PClosure, PeakState
 from .printer import print_term
 from .sos import Next, ProducedValue, Stuck, Terminal
 from .syntax import (
@@ -63,35 +62,31 @@ class LevelPair(Enum):
     PEK_CFG = "pek/cfg"
 
 
-# the fields of the lower levels' states and frames that hold a position id
-_POSITIONS = {
-    PeakState: ("pc",),
-    PekState: ("pc",),
-    PClosure: ("entry",),
-    ARG: ("pos",),
-    SEQ: ("pos",),
-    KSeq: ("pos",),
-    KRet: ("bind", "resume"),
-}
+def _path(prog, i) -> str:
+    """Position id ``i`` as its dotted path, as traces show a pc, or ``no
+    position i`` when it names none, as a broken machine's state may hold."""
+    if type(i) is int and 0 <= i < len(prog.nodes):
+        return prog.path_text(i)
+    return f"no position {i!r}"
 
 
 def _render(x, prog) -> str:
-    """``repr(x)``, but with each position id shown as its dotted path, as
-    traces show a pc."""
+    """``repr(x)``, but with each position id, in a field marked
+    ``peak.POSITION`` or an environment binder, shown by ``_path``."""
     t = type(x)
     if t is Env:
-        inner = ", ".join(f"{prog.path_text(b)}: {_render(v, prog)}" for b, v in x.items())
+        inner = ", ".join(f"{_path(prog, b)}: {_render(v, prog)}" for b, v in x.items())
         return f"Env({{{inner}}})"
     if t is tuple:
         parts = [_render(v, prog) for v in x]
         return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
     if is_dataclass(x):
-        ids = _POSITIONS.get(t, ())
         parts = []
         for f in fields(x):
             if f.repr:
                 v = getattr(x, f.name)
-                parts.append(f"{f.name}={prog.path_text(v) if f.name in ids else _render(v, prog)}")
+                shown = _path(prog, v) if f.metadata.get("position") else _render(v, prog)
+                parts.append(f"{f.name}={shown}")
         return f"{t.__name__}({', '.join(parts)})"
     return repr(x)
 
@@ -100,7 +95,7 @@ def _show(x, prog):
     try:
         return print_term(x)
     except TypeError:
-        return repr(x) if prog is None else _render(x, prog)
+        return _render(x, prog)
 
 
 @dataclass(frozen=True)
@@ -109,7 +104,7 @@ class Failure:
     level: str
     expected: object
     actual: object
-    prog: object = field(default=None, compare=False, repr=False)  # names the position ids
+    prog: object = field(compare=False, repr=False)  # names the position ids
 
     def line(self) -> str:
         return (

@@ -41,7 +41,7 @@ objects, which lets cek keep a closure's or a frame's flattening on the
 object and lets ``alpha_eq`` stop at a shared subterm.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 from weakref import WeakValueDictionary
 
@@ -202,6 +202,10 @@ def _chains_equal(a: Env, b: Env) -> bool:
 # ---------------------------------------------------------------------------
 # machine values, frames, states
 
+# The metadata of a field that holds a position id: failure lines show such
+# a field as the position's dotted path, as traces show a pc.
+POSITION = {"position": True}
+
 
 @dataclass(frozen=True)
 class NumP:
@@ -210,7 +214,7 @@ class NumP:
 
 @dataclass(frozen=True)
 class PClosure:
-    entry: int  # position id of a computation subterm
+    entry: int = field(metadata=POSITION)  # position id of a computation subterm
     env: Env  # exactly the Lam/Seq binders in scope at the entry
 
 
@@ -219,12 +223,12 @@ PVal = Union[SymVar, NumP, PClosure]
 
 @dataclass(frozen=True)
 class ARG:
-    pos: int  # an App node
+    pos: int = field(metadata=POSITION)  # an App node
 
 
 @dataclass(frozen=True)
 class SEQ:
-    pos: int  # a Seq node
+    pos: int = field(metadata=POSITION)  # a Seq node
 
 
 @dataclass(frozen=True)
@@ -234,14 +238,14 @@ class KArg:
 
 @dataclass(frozen=True)
 class KSeq:
-    pos: int  # a Seq node
+    pos: int = field(metadata=POSITION)  # a Seq node
     env: Env  # the chain in scope at the Seq node
     rest_args: tuple
 
 
 @dataclass(frozen=True)
 class PeakState:
-    pc: int  # position id
+    pc: int = field(metadata=POSITION)  # position id
     env: Env  # the Lam/Seq binders in scope at pc, innermost first
     args: tuple  # of ARG/SEQ, innermost frame first
     kont: tuple  # of KArg/KSeq, top first

@@ -28,11 +28,13 @@ its Seq.  ``wf_check`` marks each cell it finds sound, so a check pays
 once per cell rather than once per binder in scope.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from . import cek
 from .peak import (
     ARG,
     EMPTY,
+    POSITION,
     SEQ,
     Env,
     KArg,
@@ -76,14 +78,14 @@ _INSTRUCTIONS = (Force, Prd, Lam, If0, Op)
 
 @dataclass(frozen=True)
 class KRet:
-    bind: int  # the Seq node whose binder receives the value
-    resume: int  # instruction position of the Seq's right component
+    bind: int = field(metadata=POSITION)  # the Seq node whose binder receives the value
+    resume: int = field(metadata=POSITION)  # instruction position of the Seq's right component
     env: Env  # the chain in scope at the Seq node
 
 
 @dataclass(frozen=True)
 class PekState:
-    pc: int  # the id of an instruction position
+    pc: int = field(metadata=POSITION)  # the id of an instruction position
     env: Env  # the Lam/Seq binders in scope at pc, innermost first
     kont: tuple  # of KArg/KRet, top first
 
@@ -322,12 +324,20 @@ def _fire(prog, s: PekState):
 
 
 def unload(P, s: PekState) -> PeakState:
+    """The PEAK state of ``s``; IllFormedState when its pc or a return
+    frame's Seq is an id that names no position."""
     prog = as_prog(P)
-    kont = tuple(
-        f if type(f) is KArg else KSeq(f.bind, f.env, _aframes(prog, f.bind))
-        for f in s.kont
-    )
-    return PeakState(s.pc, s.env, _aframes(prog, s.pc), kont)
+    n = len(prog.nodes)
+    kont = []
+    for f in s.kont:
+        if type(f) is not KArg:
+            if not 0 <= f.bind < n:
+                raise cek.IllFormedState(f"return frame at no position {f.bind!r}")
+            f = KSeq(f.bind, f.env, _aframes(prog, f.bind))
+        kont.append(f)
+    if not 0 <= s.pc < n:
+        raise cek.IllFormedState(f"pc at no position {s.pc!r}")
+    return PeakState(s.pc, s.env, _aframes(prog, s.pc), tuple(kont))
 
 
 # ---------------------------------------------------------------------------

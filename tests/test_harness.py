@@ -161,7 +161,8 @@ def test_swapped_branch_targets_fail_at_step_one(monkeypatch):
 
 
 def test_failure_lines_render_both_sides():
-    line = Failure(0, "sos/cek", parse_term("prd 0"), parse_term("prd 1")).line()
+    expected, actual = parse_term("prd 0"), parse_term("prd 1")
+    line = Failure(0, "sos/cek", expected, actual, as_prog(expected)).line()
     assert line == "sos/cek step 0: expected prd 0, got prd 1"
 
 
@@ -187,6 +188,43 @@ def test_failure_lines_name_positions_by_their_paths(monkeypatch, capsys, tmp_pa
     path.write_text(text + "\n")
     assert main(["check", "--all", str(path)]) == 3
     assert f"  {want}" in capsys.readouterr().err.splitlines()
+
+
+def _jumps_past_the_last_node(real, jumped):
+    def step(G, s):
+        r = real(G, s)
+        if type(r) is pek.PekState:
+            jumped.append(len(as_prog(G.prog).nodes) + 2)
+            return pek.PekState(jumped[-1], r.env, r.kont)
+        return r
+    return step
+
+
+def test_a_failure_line_shows_an_id_that_names_no_position(monkeypatch):
+    # a broken machine can hold any id: the checks report it, and the line
+    # says it names no position instead of crashing or naming another node
+    jumped = []
+    monkeypatch.setattr(cfg, "step", _jumps_past_the_last_node(cfg.step, jumped))
+    m = parse_term("1 + 2 to x in prd x")
+    [line] = lockstep_check(m, LevelPair.PEK_CFG).lines()
+    n = jumped[-1]
+    assert line == (
+        "pek/cfg step 1: expected PekState(pc=1, env=Env({ε: NumP(n=3)}), kont=()),"
+        f" got PekState(pc=no position {n}, env=Env({{ε: NumP(n=3)}}), kont=())"
+    )
+    [line] = tower_check(m).lines()
+    n = jumped[-1]
+    assert line == (
+        f"sos/cfg step 1: expected prd 3, got 'state does not unload: pc at no position {n}'"
+    )
+    prog = as_prog(m)
+    state = pek.PekState(-1, peak.chain((-2, peak.NumP(3))), (pek.KRet(-3, 0, peak.EMPTY),))
+    with pytest.raises(cek.IllFormedState, match="return frame at no position -3"):
+        pek.unload(prog, state)
+    assert harness._render(state, prog) == (
+        "PekState(pc=no position -1, env=Env({no position -2: NumP(n=3)}),"
+        " kont=(KRet(bind=no position -3, resume=ε, env=Env({})),))"
+    )
 
 
 def test_rendered_states_name_every_position_by_its_path():

@@ -11,14 +11,15 @@ object met on both sides.  The oracles below are those unloaders and that
 comparison as they were before: every unload substitutes every frame, one
 after another, innermost first, and every comparison walks both terms to
 the leaves.  Equal answers along every run, with identical printed terms,
-mean the sharing changed nothing but the cost.  The one exception is a
-binder the frame-by-frame walk renames to avoid capturing a name that an
-outer frame then substitutes away: one substitution never sees that name,
-so it keeps the binder's own name.  There the two terms are
-alpha-equivalent, and cek's is the one sos prints.
+mean the sharing changed nothing but the cost.  The exceptions are the
+states listed in RENAMED_APART, four states of three nested-letrec
+programs, where the frame-by-frame walk renames a binder to avoid capturing
+a name that an outer frame then substitutes away: one substitution never
+sees that name, so it keeps the binder's own name.  There the two terms
+must be alpha-equivalent and differ in print, and on a program whose
+result shows such a binder sos prints cek's name.
 """
 
-import contextlib
 import dataclasses
 import gc
 import random
@@ -54,6 +55,7 @@ from cbpv.syntax import (
     alpha_eq,
     as_prog,
     free_vars,
+    freshen,
     iter_subterms,
     path_text,
     substitute,
@@ -115,7 +117,7 @@ def oracle_unload_seq_frame(f):
     body = oracle_unload_env(f.env, pending)
     binder = f.binder
     if binder in free_vars(body):
-        binder = syntax.freshen(binder, _every_name(body))
+        binder = freshen(binder, _every_name(body))
     return binder, substitute(body, {_REBOUND: VarV(binder)})
 
 
@@ -313,6 +315,17 @@ GROUPS = {
     "nested letrecs": lambda: [parse_term(t) for t in NESTED_LETRECS],
 }
 
+# The states, by (group, program index) and then by step, where the oracle
+# and cek's unload name a binder differently; the same steps on every
+# machine.  At each, an inner frame's value mentions a letrec's own name
+# until an outer frame substitutes that name away, so the frame-by-frame
+# walk renames the letrec (x to x') and one substitution does not.
+RENAMED_APART = {
+    ("nested letrecs", 0): {1},
+    ("nested letrecs", 2): {1},
+    ("nested letrecs", 4): {1, 2},
+}
+
 
 def _states(step, s, fuel=300):
     yield s
@@ -330,59 +343,45 @@ def _outcome(fn, *args):
         return ("ill-formed", str(exc))
 
 
-@contextlib.contextmanager
-def _renames():
-    """The binders renamed to avoid capture inside the block, by name."""
-    renamed, real = [], syntax.freshen
-
-    def counted(base, avoid):
-        renamed.append(base)
-        return real(base, avoid)
-
-    syntax.freshen = counted
-    try:
-        yield renamed
-    finally:
-        syntax.freshen = real
-
-
-def _terms_agree(sigma, want):
+def _terms_agree(sigma, want, renamed_apart=False):
     """cek's unload of ``sigma`` against the oracle's of the equal ``want``:
-    the same term, printed the same, or, where the oracle renamed a binder
-    on the way, a term that differs only in the names of binders."""
-    got = cek.unload(sigma)
-    with _renames() as renamed:
-        expected = oracle_cek_unload(want)
-    if renamed and print_term(got) != print_term(expected):
+    the same term, printed the same.  In a state listed in RENAMED_APART the
+    oracle renames a binder that cek's unload keeps, so there the two must
+    differ in print and be alpha-equivalent."""
+    got, expected = cek.unload(sigma), oracle_cek_unload(want)
+    if renamed_apart:
+        assert print_term(got) != print_term(expected)
         assert alpha_eq(got, expected) and oracle_aeq(got, expected)
         return
     assert got == expected
     assert print_term(got) == print_term(expected)
 
 
-def _peak_agrees(prog, rho):
+def _peak_agrees(prog, rho, renamed_apart=False):
     got, want = _outcome(peak.unload, prog, rho), _outcome(oracle_peak_unload, prog, rho)
     assert got == want
     if type(got) is CekState:
-        _terms_agree(got, want)
+        _terms_agree(got, want, renamed_apart)
 
 
-def _unloads_agree(term):
+def _unloads_agree(term, renamed_apart=()):
+    """Every state of every machine's run of ``term``; ``renamed_apart``
+    holds the indices of the states listed in RENAMED_APART."""
     prog = as_prog(term)  # one table across the runs, as in a check
     g = cfg.compile(prog)
-    for sigma in _states(cek.step, cek.load(term)):
-        _terms_agree(sigma, sigma)
-    for rho in _states(lambda r: peak.step(prog, r), peak.load(prog)):
-        _peak_agrees(prog, rho)
+    for k, sigma in enumerate(_states(cek.step, cek.load(term))):
+        _terms_agree(sigma, sigma, k in renamed_apart)
+    for k, rho in enumerate(_states(lambda r: peak.step(prog, r), peak.load(prog))):
+        _peak_agrees(prog, rho, k in renamed_apart)
     for step in (lambda s: pek.step(prog, s), lambda s: cfg.step(g, s)):
-        for s in _states(step, pek.load(prog)):
-            _peak_agrees(prog, pek.unload(prog, s))
+        for k, s in enumerate(_states(step, pek.load(prog))):
+            _peak_agrees(prog, pek.unload(prog, s), k in renamed_apart)
 
 
 @pytest.mark.parametrize("group", GROUPS)
 def test_unloads_agree_with_the_oracle_along_runs(group):
-    for term in GROUPS[group]():
-        _unloads_agree(term)
+    for i, term in enumerate(GROUPS[group]()):
+        _unloads_agree(term, RENAMED_APART.get((group, i), ()))
 
 
 def test_chains_that_are_not_the_scope_fail_like_the_oracle():
