@@ -62,6 +62,7 @@ from .syntax import (
     ThunkV,
     arity,
     as_prog,
+    derived,
     is_value,
     numeral_text,
     path_text,
@@ -415,8 +416,10 @@ def _block(ix: _Index, i: int, node, a):
 
 
 def load(M):
+    """The program's graph and pek's load state.  The graph of the Prog
+    ``as_prog`` keeps is compiled once, so the checks of one term share it."""
     prog = as_prog(M)
-    return compile(prog), pek.load(prog)
+    return derived(prog, compile), pek.load(prog)
 
 
 def block_at(G: Cfg, pc: int):

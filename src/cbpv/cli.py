@@ -147,11 +147,10 @@ def _cmd_optimize(args):
 
 
 def _check_reports(m, args):
-    prog = as_prog(m)  # one position index and unload table for every check
-    reports = [harness.tower_check(prog, fuel=args.fuel)]
+    reports = [harness.tower_check(m, fuel=args.fuel)]
     if args.all_checks:
         for pair in LevelPair:
-            reports.append(harness.lockstep_check(prog, pair, fuel=args.fuel))
+            reports.append(harness.lockstep_check(m, pair, fuel=args.fuel))
     return reports
 
 

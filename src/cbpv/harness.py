@@ -20,8 +20,10 @@ unload also hash-conses what it builds in a weak table in the Prog's
 ``tables``, cek flattens an environment in one substitution and keeps the
 flattening of each frame, closure and sequence frame on those frozen
 objects, and ``alpha_eq`` does not walk a subterm object both sides share.
-Passing one Prog to several checks shares the position index and the
-unload table.
+The checks of one term object share one Prog, as ``as_prog`` keeps the
+last one it built: the position index, the machines' static tables, the
+unload table and the compiled graph (``cfg.load``) are made once for all
+of them.
 """
 
 import random
@@ -145,7 +147,9 @@ def _canon_val(prog, v):
 def _canon_env(prog, e: Env) -> Env:
     """``e`` with every closure on it named by its entry point: the same
     cell where nothing changes, and memoized on each cell, so only cells
-    new since the last call are walked."""
+    new since the last call are walked.  A cell that is its own canonical
+    chain is memoized as ``_SAME``: a memo holding its own cell would be a
+    cycle through the Prog, which only the collector could free."""
     todo = []
     while True:
         memo = e.memo_of(prog)
@@ -154,15 +158,18 @@ def _canon_env(prog, e: Env) -> Env:
             break
         todo.append((e, memo))
         e = e.parent
-    out = e if hit is None else hit
+    out = e if hit is None or hit is _SAME else hit
     for e, memo in reversed(todo):
         v = _canon_val(prog, e.value)
         if v is not e.value or out is not e.parent:
-            out = Env(e.binder, v, out)
+            out = memo["canon"] = Env(e.binder, v, out)
         else:
             out = e
-        memo["canon"] = out
+            memo["canon"] = _SAME
     return out
+
+
+_SAME = object()  # _canon_env's memo of a cell that is its own canonical chain
 
 
 def _canon_kont(prog, kont):

@@ -331,7 +331,8 @@ class Prog:
     and made on first use.
 
     Every public function that takes a program accepts either a plain Term
-    or a Prog.
+    or a Prog.  A Term is turned into a Prog by ``as_prog``, which keeps the
+    last one it built, so every check of one term shares one index.
     """
 
     __slots__ = ("term", "nodes", "parents", "heads", "tables", "_paths", "_first", "_by_path")
@@ -417,8 +418,42 @@ class Prog:
         return f"Prog({self.term!r})"
 
 
+# The Prog ``as_prog`` built last, and ``(make, make(_last))`` for the one
+# thing ``derived`` made from it: cfg.load's compiled graph.  They are
+# dropped together, and neither refers back here, so an evicted Prog is
+# freed by reference counting.
+_last: Optional[Prog] = None
+_made: Optional[tuple] = None
+
+
 def as_prog(P) -> Prog:
-    return P if isinstance(P, Prog) else Prog(P)
+    """``P`` when it is a Prog, else a Prog of the term ``P``.
+
+    The Prog built last is kept.  Given the same term object again (by
+    identity, never ``==``), as_prog returns it, so the checks of one term
+    share its index, its tables and, through ``derived``, its compiled
+    graph.  Another term evicts it.  ``Prog(term)`` always builds afresh.
+    """
+    global _last, _made
+    if isinstance(P, Prog):
+        return P
+    prog = _last
+    if prog is None or prog.term is not P:
+        _last = _made = None  # the old Prog goes before the new one is built
+        prog = _last = Prog(P)
+    return prog
+
+
+def derived(prog: Prog, make):
+    """``make(prog)``, made once while ``as_prog`` keeps ``prog`` and
+    ``make`` is the function last asked for, and afresh otherwise.  So a
+    patched ``make`` is never served what the real one made."""
+    global _made
+    if prog is not _last:
+        return make(prog)
+    if _made is None or _made[0] is not make:
+        _made = (make, make(prog))
+    return _made[1]
 
 
 # ---------------------------------------------------------------------------
@@ -561,7 +596,12 @@ def substitute(node: Node, sub: Mapping[str, Value]) -> Node:
     walks it; that is sound because nodes are frozen.  A binder is checked
     for capture only when its name is free in a substituted value, and when
     no substituted value has a free name, the common case on closed
-    programs, a walk without any capture check is taken.
+    programs, a walk without any capture check is taken.  Both walks
+    recurse, the cheapest way a node; a term too deep for the interpreter's
+    recursion limit is done again by ``_subst_walk``, which keeps its own
+    stack, so a term of any depth is substituted into.  A depth budget
+    counted down through the recursion, as ``free_vars`` keeps one, would
+    tax every call on the machines' hottest path.
     """
     if not sub or free_vars(node).isdisjoint(sub):
         return node
@@ -571,9 +611,12 @@ def substitute(node: Node, sub: Mapping[str, Value]) -> Node:
             f = free_vars(v)
             if f:
                 vfv = vfv | f
-    if not vfv:
-        return _subst_closed(node, sub)
-    return _subst(node, sub, vfv)
+    try:
+        if not vfv:
+            return _subst_closed(node, sub)
+        return _subst(node, sub, vfv)
+    except RecursionError:  # deeper than the interpreter's stack goes
+        return _subst_walk(node, sub, vfv)
 
 
 def _without(sub, names):
@@ -655,6 +698,55 @@ def _avoid_capture(b, sub, scope):
     return fresh, live
 
 
+def _enter_binder(b, sub, vfv, scope) -> tuple:
+    """How ``sub`` enters ``scope``, the scope of a Lam or Seq binder ``b``:
+    ``(b or its fresh name, the substitution there, vfv there)``."""
+    ren = _avoid_capture(b, sub, scope) if b in vfv else None
+    if ren is not None:
+        fresh, inner = ren
+        return fresh, inner, vfv | {fresh}
+    return b, (_without(sub, (b,)) if b in sub else sub), vfv
+
+
+def _enter_letrec(node: LetRec, sub, vfv, fv) -> tuple:
+    """How ``sub`` enters a letrec of free names ``fv``: ``(its names, some
+    renamed apart from the free names of a value substituted there, the
+    substitution inside, vfv inside)``."""
+    names = [n for n, _ in node.defs]
+    clash = None
+    if not vfv.isdisjoint(names):
+        # the names are not free here, so not substituted, but a value
+        # substituted here may mention one: those definitions get renamed
+        live = {k: v for k, v in sub.items() if k in fv}
+        clash = [n for n in names if any(n in free_vars(v) for v in live.values())]
+    if not clash:
+        inner = _without(sub, names) if not sub.keys().isdisjoint(names) else sub
+        return names, inner, vfv
+    avoid = set(names) | set(live)
+    avoid |= free_vars(node.body)
+    for v in live.values():
+        avoid |= free_vars(v)
+    for _, d in node.defs:
+        avoid |= free_vars(d)
+    ren = {}
+    for n in clash:
+        f = freshen(n, avoid)
+        avoid.add(f)
+        ren[n] = VarV(f)
+    names = [ren[n].name if n in ren else n for n in names]
+    return names, {**live, **ren}, vfv.union(f.name for f in ren.values())
+
+
+def _fv_after(fv, sub) -> frozenset:
+    """The free names of a node of free names ``fv`` after ``sub``:
+    ``fv - dom sub``, plus those of the values substituted into it."""
+    out = fv.difference(sub)
+    for k, v in sub.items():
+        if k in fv:
+            out |= free_vars(v)
+    return out
+
+
 def _subst(node: Node, sub, vfv) -> Node:
     # ``sub`` may hold names that are not free in ``node``: it is passed down
     # unchanged and loses a name only under a binder of that name (so does
@@ -688,69 +780,101 @@ def _subst(node: Node, sub, vfv) -> Node:
             _subst(node.orelse, sub, vfv),
         )
     elif t is Lam:
-        b, body = node.binder, node.body
-        ren = _avoid_capture(b, sub, body) if b in vfv else None
-        if ren is not None:
-            fresh, inner = ren
-            new = Lam(fresh, _subst(body, inner, vfv | {fresh}))
-        else:
-            nb = _subst(body, _without(sub, (b,)) if b in sub else sub, vfv)
-            if nb is body:
-                return node
-            new = Lam(b, nb)
+        b, inner, ivfv = _enter_binder(node.binder, sub, vfv, node.body)
+        nb = _subst(node.body, inner, ivfv)
+        if b is node.binder and nb is node.body:
+            return node
+        new = Lam(b, nb)
     elif t is Seq:
-        b, left, right = node.binder, node.left, node.right
+        left, right = node.left, node.right
         nl = _subst(left, sub, vfv)
-        ren = _avoid_capture(b, sub, right) if b in vfv else None
-        if ren is not None:
-            fresh, inner = ren
-            new = Seq(nl, fresh, _subst(right, inner, vfv | {fresh}))
-        else:
-            nr = _subst(right, _without(sub, (b,)) if b in sub else sub, vfv)
-            if nl is left and nr is right:
-                return node
-            new = Seq(nl, b, nr)
+        b, inner, ivfv = _enter_binder(node.binder, sub, vfv, right)
+        nr = _subst(right, inner, ivfv)
+        if b is node.binder and nl is left and nr is right:
+            return node
+        new = Seq(nl, b, nr)
     elif t is LetRec:
-        names = [n for n, _ in node.defs]
-        clash = None
-        if not vfv.isdisjoint(names):
-            # the names are not free here, so not substituted, but a value
-            # substituted here may mention one: those definitions get renamed
-            live = {k: v for k, v in sub.items() if k in fv}
-            clash = [n for n in names if any(n in free_vars(v) for v in live.values())]
-        if clash:
-            avoid = set(names) | set(live)
-            avoid |= free_vars(node.body)
-            for v in live.values():
-                avoid |= free_vars(v)
-            for _, d in node.defs:
-                avoid |= free_vars(d)
-            ren = {}
-            for n in clash:
-                f = freshen(n, avoid)
-                avoid.add(f)
-                ren[n] = VarV(f)
-            inner = {**live, **ren}
-            names = [ren[n].name if n in ren else n for n in names]
-            vfv = vfv.union(f.name for f in ren.values())
-        else:
-            inner = _without(sub, names) if not sub.keys().isdisjoint(names) else sub
-        defs = tuple((n, _subst(d, inner, vfv)) for n, (_, d) in zip(names, node.defs))
-        nb = _subst(node.body, inner, vfv)
-        if not clash and nb is node.body and all(
-            d2 is d1 for (_, d1), (_, d2) in zip(node.defs, defs)
+        names, inner, ivfv = _enter_letrec(node, sub, vfv, fv)
+        defs = tuple((n, _subst(d, inner, ivfv)) for n, (_, d) in zip(names, node.defs))
+        nb = _subst(node.body, inner, ivfv)
+        if nb is node.body and all(
+            d2 is d1 and n2 is n1 for (n1, d1), (n2, d2) in zip(node.defs, defs)
         ):
             return node
         new = LetRec(defs, nb)
     else:
         raise TypeError(f"not a term: {node!r}")
-    # the new node's free names: fv(node) - dom sub, plus those of the
-    # values substituted into it
-    out = fv.difference(sub)
-    for k, v in sub.items():
-        if k in fv:
-            out |= free_vars(v)
-    new.__dict__["_fv"] = out  # kept as free_vars keeps it
+    new.__dict__["_fv"] = _fv_after(fv, sub)  # kept as free_vars keeps it
+    return new
+
+
+def _subst_walk(node: Node, sub, vfv) -> Node:
+    # _subst with an explicit stack, for a term deeper than the recursion
+    # goes (with ``vfv`` empty it is _subst_closed).  An entry
+    # (node, sub, vfv) is a node to substitute into; a node whose children
+    # are under way goes back on the stack under them as (node, plan), and
+    # is rebuilt from their results, which gather on ``done`` in order.
+    todo, done = [(node, sub, vfv)], []
+    push, pop = todo.append, todo.pop
+    while todo:
+        entry = pop()
+        if len(entry) == 2:
+            done.append(_rebuilt(*entry, done))
+            continue
+        n, s, v = entry
+        t = type(n)
+        if t is VarV:
+            done.append(s.get(n.name, n))
+            continue
+        fv = _EMPTY if t is NumV else free_vars(n)
+        if fv.isdisjoint(s):
+            done.append(n)
+            continue
+        if t is Lam:
+            b, inner, iv = _enter_binder(n.binder, s, v, n.body)
+            kids, names = [(n.body, inner, iv)], b
+        elif t is Seq:
+            b, inner, iv = _enter_binder(n.binder, s, v, n.right)
+            kids, names = [(n.left, s, v), (n.right, inner, iv)], b
+        elif t is LetRec:
+            names, inner, iv = _enter_letrec(n, s, v, fv)
+            kids = [(d, inner, iv) for _, d in n.defs] + [(n.body, inner, iv)]
+        else:
+            kids, names = [(c, s, v) for c in children(n)], None
+        push((n, (fv, s, names, len(kids))))
+        for kid in reversed(kids):
+            push(kid)
+    return done[0]
+
+
+def _rebuilt(node: Node, plan, done: list) -> Node:
+    """``node`` rebuilt from the results of its children, the last entries
+    of ``done`` (which it takes off), and the binder name or names of its
+    ``plan``."""
+    fv, sub, names, k = plan
+    kids = done[-k:]
+    del done[-k:]
+    t = type(node)
+    if t is Lam:
+        if names is node.binder and kids[0] is node.body:
+            return node
+        new = Lam(names, kids[0])
+    elif t is Seq:
+        if names is node.binder and kids[0] is node.left and kids[1] is node.right:
+            return node
+        new = Seq(kids[0], names, kids[1])
+    elif t is LetRec:
+        defs = tuple(zip(names, kids))
+        if kids[-1] is node.body and all(
+            d2 is d1 and n2 is n1 for (n1, d1), (n2, d2) in zip(node.defs, defs)
+        ):
+            return node
+        new = LetRec(defs, kids[-1])
+    elif t is Op:
+        new = Op(kids[0], node.op, kids[1])
+    else:  # ThunkV, Force, Prd, App, If0: their fields are their children
+        new = t(*kids)
+    new.__dict__["_fv"] = _fv_after(fv, sub)
     return new
 
 
@@ -765,18 +889,60 @@ def alpha_eq(a: Node, b: Node) -> bool:
     its free names refers to the same binder (or to none) in both scopes,
     so it is not walked.  Unloads hand out shared subterms, which makes
     comparing two neighbouring states cost what changed between them.
+
+    Substitution shares a value between the places it goes to, so a term
+    may reuse one thunk many times.  A pair of thunk objects found equal is
+    remembered with the ranks of their free names, and not walked again
+    under the same ranks, so comparing such terms costs their distinct
+    subterms, not their size as trees.  The first ``_AEQ_CALLS`` levels
+    below a pair are compared by recursion; a pair deeper than that is set
+    aside on a stack and compared from there, so a term of any depth is
+    compared.
     """
-    return _aeq(a, b, (), ())
+    todo = [(a, b, None, None)]
+    seen = set()
+    while todo:
+        a, b, sa, sb = todo.pop()
+        if not _aeq(a, b, sa, sb, seen, todo, _AEQ_CALLS):
+            return False
+    return True
+
+
+_AEQ_CALLS = 100  # levels compared by recursion, well inside any recursion limit
+
+# A scope is None or ``(names, outer scope)``: the names of the innermost
+# binding construct (one for a Lam or Seq, a letrec's in definition order)
+# and the scope outside it.
 
 
 def _rank(name: str, scope) -> Optional[tuple]:
-    for i, frame in enumerate(scope):
-        if name in frame:
-            return (i, frame.index(name))
+    i = 0
+    while scope is not None:
+        names, scope = scope
+        if name in names:
+            return (i, names.index(name))
+        i += 1
     return None
 
 
-def _aeq(a, b, sa, sb) -> bool:
+def _ranks(names, scope) -> tuple:
+    return tuple([_rank(x, scope) for x in names])
+
+
+def _inner_scopes(na, nb, sa, sb) -> tuple:
+    """The scopes inside binders ``na`` and ``nb``: one object for both when
+    the two sides bind the same names under one scope, so that a subterm
+    object both sides share is found equal without ranking its names."""
+    if sa is sb and na == nb:
+        s = (na, sa)
+        return s, s
+    return (na, sa), (nb, sb)
+
+
+def _aeq(a, b, sa, sb, seen, todo, budget) -> bool:
+    # a under scope sa against b under sb.  Every pair compared must be
+    # equal, so a pair found again in ``seen`` holds, and one past the
+    # recursion budget goes on ``todo`` to be compared later.
     if a is b and (sa is sb or all(_rank(x, sa) == _rank(x, sb) for x in free_vars(a))):
         return True
     ta = type(a)
@@ -789,35 +955,53 @@ def _aeq(a, b, sa, sb) -> bool:
         return ra == rb
     if ta is NumV:
         return a.n == b.n
+    if not budget:
+        todo.append((a, b, sa, sb))
+        return True
+    k = budget - 1
     if ta is ThunkV:
-        return _aeq(a.body, b.body, sa, sb)
+        fa, fb = free_vars(a), free_vars(b)
+        key = (id(a), id(b), _ranks(fa, sa), _ranks(fb, sb))  # both live while compared
+        if key in seen:
+            return True
+        seen.add(key)
+        return _aeq(a.body, b.body, sa, sb, seen, todo, k)
     if ta is Force or ta is Prd:
-        return _aeq(a.value, b.value, sa, sb)
+        return _aeq(a.value, b.value, sa, sb, seen, todo, k)
     if ta is App:
-        return _aeq(a.arg, b.arg, sa, sb) and _aeq(a.body, b.body, sa, sb)
+        return _aeq(a.arg, b.arg, sa, sb, seen, todo, k) and _aeq(
+            a.body, b.body, sa, sb, seen, todo, k
+        )
     if ta is Lam:
-        return _aeq(a.body, b.body, ((a.binder,),) + sa, ((b.binder,),) + sb)
+        sa2, sb2 = _inner_scopes((a.binder,), (b.binder,), sa, sb)
+        return _aeq(a.body, b.body, sa2, sb2, seen, todo, k)
     if ta is Seq:
-        return _aeq(a.left, b.left, sa, sb) and _aeq(
-            a.right, b.right, ((a.binder,),) + sa, ((b.binder,),) + sb
+        sa2, sb2 = _inner_scopes((a.binder,), (b.binder,), sa, sb)
+        return _aeq(a.left, b.left, sa, sb, seen, todo, k) and _aeq(
+            a.right, b.right, sa2, sb2, seen, todo, k
         )
     if ta is LetRec:
         if len(a.defs) != len(b.defs):
             return False
-        sa2 = (tuple(n for n, _ in a.defs),) + sa
-        sb2 = (tuple(n for n, _ in b.defs),) + sb
+        sa2, sb2 = _inner_scopes(
+            tuple(n for n, _ in a.defs), tuple(n for n, _ in b.defs), sa, sb
+        )
         for (_, da), (_, db) in zip(a.defs, b.defs):
-            if not _aeq(da, db, sa2, sb2):
+            if not _aeq(da, db, sa2, sb2, seen, todo, k):
                 return False
-        return _aeq(a.body, b.body, sa2, sb2)
+        return _aeq(a.body, b.body, sa2, sb2, seen, todo, k)
     if ta is If0:
         return (
-            _aeq(a.guard, b.guard, sa, sb)
-            and _aeq(a.then, b.then, sa, sb)
-            and _aeq(a.orelse, b.orelse, sa, sb)
+            _aeq(a.guard, b.guard, sa, sb, seen, todo, k)
+            and _aeq(a.then, b.then, sa, sb, seen, todo, k)
+            and _aeq(a.orelse, b.orelse, sa, sb, seen, todo, k)
         )
     if ta is Op:
-        return a.op is b.op and _aeq(a.lhs, b.lhs, sa, sb) and _aeq(a.rhs, b.rhs, sa, sb)
+        return (
+            a.op is b.op
+            and _aeq(a.lhs, b.lhs, sa, sb, seen, todo, k)
+            and _aeq(a.rhs, b.rhs, sa, sb, seen, todo, k)
+        )
     raise TypeError(f"not a term: {a!r}")
 
 

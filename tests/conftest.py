@@ -5,9 +5,10 @@ import itertools
 from dataclasses import fields, replace
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
-from cbpv import cfg, peak, pek, sos
+from cbpv import cfg, peak, pek, sos, syntax
 from cbpv.rewrite import RuleId
 from cbpv.syntax import (
     App,
@@ -25,6 +26,18 @@ from cbpv.syntax import (
     free_vars,
     substitute,
 )
+
+# ---------------------------------------------------------------------------
+# every test starts with an empty as_prog cache
+
+
+@pytest.fixture(autouse=True)
+def _no_kept_prog():
+    """Each test starts with no Prog kept by ``as_prog``.  A fixture term
+    that several tests share is then indexed afresh in each, and no test
+    sees positions or tables that another one filled."""
+    syntax._last = syntax._made = None
+
 
 # ---------------------------------------------------------------------------
 # hypothesis strategies

@@ -432,6 +432,22 @@ def test_check_of_30000_nested_thunks_exits_0(source_file, capsys):
     assert capsys.readouterr().out == f"{path}: ok\n"
 
 
+def _under_30000_lambdas(source_file):
+    # sos's first step substitutes 0 for x under 30,000 binders
+    return source_file("0 . \\x. " + "\\y. " * 30000 + "prd x")
+
+
+def test_sos_substitutes_under_30000_lambdas(source_file, capsys):
+    assert main(["run", "--machine=sos", _under_30000_lambdas(source_file)]) == 0
+    assert capsys.readouterr().out == "result: awaiting argument\n"
+
+
+def test_check_under_30000_lambdas_exits_0(source_file, capsys):
+    path = _under_30000_lambdas(source_file)
+    assert main(["check", path]) == 0
+    assert capsys.readouterr().out == f"{path}: ok\n"
+
+
 def test_unknown_pc_exits_70(monkeypatch, source_file, capsys):
     monkeypatch.setattr(cfg, "compile", lambda prog: cfg.Cfg(0, {}, prog))
     assert main(["run", "--machine=cfg", source_file("prd 0")]) == 70

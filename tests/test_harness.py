@@ -1,17 +1,20 @@
 """The differential drivers and the random program generator."""
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from conftest import close_term, terms
-from cbpv import cek, cfg, harness, peak, pek
+from cbpv import cek, cfg, harness, peak, pek, rewrite, syntax
 from cbpv import fixtures as fx
 from cbpv.cfg import IF0
 from cbpv.cli import main
 from cbpv.harness import Failure, LevelPair, gen_term, lockstep_check, tower_check
 from cbpv.parser import parse_term
-from cbpv.syntax import NumV, Prd, as_prog, free_vars, iter_subterms
+from cbpv.syntax import NumV, Prd, Prog, as_prog, free_vars, iter_subterms
 
 ALL_PAIRS = list(LevelPair)
 
@@ -304,3 +307,57 @@ def test_states_that_fail_to_unload_become_failures(monkeypatch):
     assert not report.ok
     assert "does not unload" in report.failures[0].line()
     assert not lockstep_check(caller_sensitive, LevelPair.PEK_CFG, fuel=100).ok
+
+
+# ---------------------------------------------------------------------------
+# the checks of one term share one Prog and one compiled graph
+
+
+def _count_inits(monkeypatch, cls):
+    made, real = [], cls.__init__
+
+    def counted(self, *args):
+        made.append(self)
+        real(self, *args)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return made
+
+
+def test_every_check_of_one_term_shares_its_prog_and_graph(monkeypatch):
+    progs = _count_inits(monkeypatch, syntax.Prog)
+    walks = _count_inits(monkeypatch, cfg._Index)
+    term = parse_term(fx.SOURCES["mult_call"])
+    reports = [tower_check(term)] + [lockstep_check(term, pair) for pair in LevelPair]
+    assert all(r.ok for r in reports)
+    assert rewrite.validate(term, term)  # the graph route runs the term twice
+    assert len(progs) == 1 and len(walks) == 1
+    assert cfg.load(term)[0] is cfg.load(progs[0])[0]
+
+
+def test_prog_and_compile_still_build_afresh(monkeypatch):
+    term = parse_term("1 + 2 to x in prd x")
+    kept = as_prog(term)
+    assert as_prog(term) is kept and Prog(term) is not kept
+    walks = _count_inits(monkeypatch, cfg._Index)
+    assert cfg.compile(term) is not cfg.compile(term)
+    assert len(walks) == 2
+
+
+class _Watched(Prog):
+    __slots__ = ("__weakref__",)  # a Prog a test can hold a weak reference to
+
+
+def test_an_evicted_prog_is_freed_without_the_collector(monkeypatch):
+    monkeypatch.setattr(syntax, "Prog", _Watched)  # as_prog builds these
+    term = parse_term(fx.SOURCES["doubler_lambda"])
+    gc.disable()  # so that only reference counting can free it
+    try:
+        old = weakref.ref(as_prog(term))
+        assert all(r.ok for r in [tower_check(term)] + [lockstep_check(term, p) for p in LevelPair])
+        assert rewrite.validate(term, term)
+        assert as_prog(term) is old()
+        as_prog(parse_term("prd 0"))
+        assert old() is None  # no cycle runs through it
+    finally:
+        gc.enable()

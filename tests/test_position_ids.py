@@ -16,7 +16,7 @@ import pytest
 from cbpv import cfg, harness, peak, pek, syntax
 from cbpv.parser import parse_term
 from cbpv.sos import Stuck, Terminal
-from cbpv.syntax import as_prog
+from cbpv.syntax import Prog, as_prog
 
 from test_compile_oracle import chain_text, sum_text, thunks_text
 
@@ -45,10 +45,10 @@ def test_a_run_builds_no_path(monkeypatch, family):
     made = _count_paths(monkeypatch)
     prog = as_prog(term)
     _run(lambda s: pek.step(prog, s), pek.load(prog))
-    prog = as_prog(term)
+    prog = Prog(term)  # each machine from a fresh index
     g, s = cfg.load(prog)  # compile included
     _run(lambda s: cfg.step(g, s), s)
-    prog = as_prog(term)
+    prog = Prog(term)
     _run(lambda s: peak.step(prog, s), peak.load(prog))
     assert made == []
 

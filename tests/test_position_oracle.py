@@ -28,6 +28,7 @@ from cbpv.syntax import (
     LamBind,
     LetRec,
     NumV,
+    Prog,
     RecBind,
     Seq,
     SeqBind,
@@ -383,7 +384,7 @@ def _agrees_at(prog, o, p):
 
 
 def _check_positions(term, order):
-    prog, o = as_prog(term), Oracle(term)
+    prog, o = Prog(term), Oracle(term)  # a fresh index: nothing visited yet
     for p in order:
         own = prog.path(prog.pos(tuple(list(p))))
         assert own == p
@@ -480,7 +481,7 @@ def test_a_cold_unload_calls_child_at_most_depth_times(monkeypatch, family, n):
     deepest = max(states, key=lambda s: len(warm.path(s.pc)))
     for s in (deepest, states[len(states) // 2]):
         written = at_paths(warm, s)
-        prog = as_prog(term)  # nothing visited yet
+        prog = Prog(term)  # nothing visited yet
         calls = count_built(monkeypatch)
         reads = _count_calls(monkeypatch, syntax, "children")
         s = at_ids(prog, written)  # visits the positions the state names

@@ -14,6 +14,7 @@ import random
 import hypothesis.strategies as st
 from hypothesis import given
 
+from cbpv import syntax
 from cbpv.harness import gen_term
 from cbpv.printer import print_term, print_value
 from cbpv.syntax import (
@@ -228,18 +229,47 @@ def _value(rng, seed):
     return ThunkV(gen_term(seed, rng.randint(0, 6), closed))
 
 
-def test_open_generated_corpus_agrees():
+def _open_corpus_agrees(seeds) -> set:
     # open terms whose binders reuse the free names; each substitution maps
     # up to three names to closed or open values, so binders get renamed
     renamed = set()
-    for seed in range(1500):
+    for seed in seeds:
         t = gen_term(seed, seed % 26, closed=False)
         rng = random.Random(seed)
         for _ in range(3):
             keys = rng.sample(NAMES, rng.randint(1, 3))
             sub = {k: _value(rng, seed * 7 + i) for i, k in enumerate(keys)}
             renamed |= agrees(t, sub)
-    assert renamed == {Lam, Seq, LetRec}
+    return renamed
+
+
+def test_open_generated_corpus_agrees():
+    assert _open_corpus_agrees(range(1500)) == {Lam, Seq, LetRec}
+
+
+def _too_deep(*args):
+    raise RecursionError("maximum recursion depth exceeded")
+
+
+def test_the_stack_walk_agrees(monkeypatch):
+    # substitute falls back on its explicit-stack walk when the recursion
+    # runs out of stack; here it runs out at once, so the walk does it all
+    monkeypatch.setattr(syntax, "_subst_closed", _too_deep)
+    monkeypatch.setattr(syntax, "_subst", _too_deep)
+    assert _open_corpus_agrees(range(0, 1500, 3)) == {Lam, Seq, LetRec}
+    closed = ThunkV(Prd(NumV(1)))
+    assert agrees(gen_term(7, 25, closed=False), {n: closed for n in NAMES}) == set()
+
+
+def test_substitution_under_30000_binders():
+    t = Prd(VarV("x"))
+    for i in range(30000):
+        t = Lam("y", t) if i % 2 else Seq(Prd(NumV(i)), "z", t)
+    got = substitute(t, {"x": NumV(0)})
+    for _ in range(30000):
+        got = got.body if type(got) is Lam else got.right
+    assert got == Prd(NumV(0))
+    assert substitute(t, {"x": VarV("y")}).body.right.binder == "y'"
 
 
 def test_closed_values_never_rename():

@@ -21,6 +21,7 @@ from cbpv.syntax import (
     NumV,
     Op,
     Prd,
+    Prog,
     RecBind,
     Seq,
     SeqBind,
@@ -123,7 +124,7 @@ def test_subterm_matches_naive_descent(t):
     assert list(iter_subterms(t)) == pairs
     prog = as_prog(t)
     for p, node in pairs:
-        assert as_prog(t).at(p) is node
+        assert Prog(t).at(p) is node  # a cold climb from the root
         assert prog.at(p) is node
 
 

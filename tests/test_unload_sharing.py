@@ -49,6 +49,7 @@ from cbpv.syntax import (
     NumV,
     Op,
     Prd,
+    Prog,
     Seq,
     ThunkV,
     VarV,
@@ -61,7 +62,7 @@ from cbpv.syntax import (
     substitute,
 )
 
-from conftest import names, terms
+from conftest import names, relabel, terms
 from test_compile_oracle import DEPTHS, _count_calls, chain_text, sum_text, thunks_text
 from test_position_oracle import SHADOWING
 
@@ -462,8 +463,9 @@ def test_the_table_lives_in_the_checks_prog_and_dies_with_it():
     assert id(sigma.env) in held
     assert all(id(f) in held for f in sigma.kont if type(f) is SeqF)
     alive = [weakref.ref(x) for x in table.values()]
-    assert "cons" not in as_prog(prog.term).tables  # nothing shared between Progs
+    assert "cons" not in Prog(prog.term).tables  # nothing shared between Progs
     del prog, table, states, sigmas, sigma, held
+    as_prog(parse_term("prd 0"))  # as_prog drops the Prog it kept for the check
     gc.collect()
     assert all(r() is None for r in alive)
 
@@ -642,6 +644,25 @@ def test_alpha_eq_agrees_with_the_oracle_on_shared_subterms(m, ca, cb, x, y):
         assert alpha_eq(b, a) == oracle_aeq(b, a)
 
 
+@pytest.mark.parametrize("calls", [1, 2])
+def test_pairs_set_aside_past_the_recursion_budget_agree_with_the_oracle(monkeypatch, calls):
+    # past _AEQ_CALLS levels a pair waits on alpha_eq's own stack; with the
+    # budget cut down, most pairs of these terms wait there
+    monkeypatch.setattr(syntax, "_AEQ_CALLS", calls)
+    for seed in range(300):
+        a = gen_term(seed, seed % 26, closed=seed % 3 == 0)
+        for b in (a, relabel(a), gen_term(seed + 1, seed % 26, closed=False)):
+            assert alpha_eq(a, b) == oracle_aeq(a, b), seed
+            assert alpha_eq(b, a) == oracle_aeq(b, a), seed
+
+
+def test_terms_30000_binders_deep_compare():
+    a, b, c = Prd(VarV("x")), Prd(VarV("y0")), Prd(VarV("x"))
+    for i in range(30000):
+        a, b, c = Lam("x", a), Lam(f"y{i}", b), Lam("y", c)
+    assert alpha_eq(a, b) and not alpha_eq(a, c)
+
+
 def test_a_shared_subterm_under_swapped_binders_is_not_equal():
     x = VarV("x")
     body = Prd(x)
@@ -710,6 +731,35 @@ def test_nested_letrecs_flatten_each_frame_once(monkeypatch, n):
     assert len(states) == n + 2
     assert len(kept) <= n + 1
     assert len(calls) <= len(states) + len(kept)
+
+
+def test_alpha_eq_calls_grow_linearly_in_nested_letrecs(monkeypatch):
+    # each unloaded state reuses one thunk in two places per level, so a
+    # walk of its tree doubles per level
+    walked = _count_calls(monkeypatch, syntax, "_aeq")
+    calls = []
+    for n in (8, 12, 16):
+        del walked[:]
+        assert harness.tower_check(parse_term(letrecs_text(n))).ok
+        calls.append(len(walked))
+    assert calls[2] - calls[1] <= 1.2 * (calls[1] - calls[0])  # 16 times when exponential
+    assert calls[2] <= 12 * 16
+
+
+def test_nested_letrecs_check_quickly():
+    # walked as a tree, n = 15 took 0.21 s on a 2-vCPU host
+    report = harness.tower_check(parse_term(letrecs_text(40)))
+    assert report.ok and report.steps_checked == 42
+
+
+def test_a_shared_thunk_met_again_under_other_ranks_is_walked_again():
+    # t and u are equal where first met (x and w bound by the Lams) and not
+    # where met again (under z, x names the Seq's binder, w still the Lam)
+    t, u = ThunkV(Prd(VarV("x"))), ThunkV(Prd(VarV("w")))
+    a = Lam("x", Seq(Prd(t), "x", Lam("z", Prd(t))))
+    b = Lam("w", Seq(Prd(u), "x", Lam("z", Prd(u))))
+    assert not alpha_eq(a, b) and not oracle_aeq(a, b)
+    assert alpha_eq(a, Lam("w", Seq(Prd(u), "x", Lam("z", Prd(t)))))
 
 
 @pytest.mark.parametrize("n", [125, 250])
