@@ -36,7 +36,6 @@ and sequence frame it meets for the first time, however many bindings are
 in scope.
 """
 
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .sos import (
@@ -61,6 +60,7 @@ from .syntax import (
     VarV,
     free_vars,
     freshen,
+    frozen,
     iter_subterms,
     substitute,
 )
@@ -83,7 +83,7 @@ def _equal(a, b) -> bool:
         if t is not type(b):
             return False
         if t is Bind or t is RecFrame or t is Closure:
-            if a.__dict__.get("_twin") is b:
+            if a._twin is b:
                 continue
             pair = (id(a), id(b))  # both stay alive in what is compared
             if pair in seen:
@@ -116,19 +116,19 @@ def _eq(self, other):
     return _equal(self, other)
 
 
-@dataclass(frozen=True)
+@frozen()
 class SymVar:
     """A free variable treated as an opaque value."""
 
     name: str
 
 
-@dataclass(frozen=True)
+@frozen()
 class NumC:
     n: int
 
 
-@dataclass(frozen=True)
+@frozen("_unloaded", "_twin")
 class Closure:
     code: object  # Term
     env: Optional["CekEnv"]
@@ -143,7 +143,7 @@ CekVal = Union[SymVar, NumC, Closure]
 # environments and continuations
 
 
-@dataclass(frozen=True)
+@frozen("_flat", "_twin")
 class Bind:
     name: str
     value: CekVal
@@ -152,7 +152,7 @@ class Bind:
     __eq__ = _eq
 
 
-@dataclass(frozen=True)
+@frozen("_flat", "_twin")
 class RecFrame:
     defs: tuple  # ((name, Term), ...)
     rest: Optional["CekEnv"]
@@ -163,19 +163,19 @@ class RecFrame:
 CekEnv = Union[Bind, RecFrame]
 
 
-@dataclass(frozen=True)
+@frozen()
 class ArgF:
     value: CekVal
 
 
-@dataclass(frozen=True)
+@frozen("_unloaded")
 class SeqF:
     binder: str
     rest: object  # Term
     env: Optional[CekEnv]
 
 
-@dataclass(frozen=True)
+@frozen()
 class CekState:
     code: object  # Term
     env: Optional[CekEnv]
@@ -293,8 +293,8 @@ def _flat(f, name):
         v = f.value
         if type(v) is NumC:
             return NumV(v.n)
-        return getattr(f, "_flat", None)
-    memo = getattr(f, "_flat", None)
+        return f._flat
+    memo = f._flat
     return memo.get(name) if memo is not None else None
 
 
@@ -355,7 +355,7 @@ def _keep(f, name, v):
     if type(f) is Bind:
         object.__setattr__(f, "_flat", v)
         return
-    memo = getattr(f, "_flat", None)
+    memo = f._flat
     if memo is None:
         memo = {}
         object.__setattr__(f, "_flat", memo)
@@ -397,7 +397,7 @@ def unload_val(v):
         return VarV(v.name)
     if t is NumC:
         return NumV(v.n)
-    u = getattr(v, "_unloaded", None)
+    u = v._unloaded
     if u is None:
         u = ThunkV(unload_env(v.env, v.code))
         object.__setattr__(v, "_unloaded", u)
@@ -441,7 +441,7 @@ def unload(sigma: CekState):
         if type(f) is ArgF:
             t = App(unload_val(f.value), t)
         else:
-            u = getattr(f, "_unloaded", None)  # kept like unload_val's
+            u = f._unloaded  # kept like unload_val's
             if u is None:
                 u = _unload_seq_frame(f)
                 object.__setattr__(f, "_unloaded", u)

@@ -33,7 +33,7 @@ terms, open ones included, and halting is reported when the block runs.
 """
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Union
 
 from . import cek, peak, pek
@@ -63,6 +63,7 @@ from .syntax import (
     arity,
     as_prog,
     derived,
+    frozen,
     is_value,
     numeral_text,
     path_text,
@@ -86,23 +87,23 @@ class UnknownPc(Exception):
 # operands and instructions
 
 
-@dataclass(frozen=True)
+@frozen()
 class VAR:
     name: str
 
 
-@dataclass(frozen=True)
+@frozen()
 class NAT:
     n: int
 
 
-@dataclass(frozen=True)
+@frozen()
 class LOC:
     binder: int  # a Lam or Seq node
     level: int  # Lam/Seq binders in scope inside it: the chain's length at its cell
 
 
-@dataclass(frozen=True)
+@frozen()
 class LBL:
     target: int  # an instruction position
     keep: int  # Lam/Seq binders in scope at the target: the cells its closure keeps
@@ -111,7 +112,7 @@ class LBL:
 Operand = Union[VAR, NAT, LOC, LBL]
 
 
-@dataclass(frozen=True)
+@frozen()
 class CALL:
     fn: Operand
     args: tuple  # innermost application first: popped first by the callee
@@ -119,37 +120,37 @@ class CALL:
     keep: int  # Lam/Seq binders in scope at the Seq ``bind``: the return frame's cells
 
 
-@dataclass(frozen=True)
+@frozen()
 class TAIL:
     fn: Operand
     args: tuple
 
 
-@dataclass(frozen=True)
+@frozen()
 class MOV:
     src: Operand
     dst: int  # a Lam or Seq node
     keep: int  # Lam/Seq binders in scope at ``dst``: the cells the binding goes on
 
 
-@dataclass(frozen=True)
+@frozen()
 class RET:
     src: Operand
 
 
-@dataclass(frozen=True)
+@frozen()
 class POP:
     dst: int
 
 
-@dataclass(frozen=True)
+@frozen()
 class IF0:
     guard: Operand
     zero: int
     nonzero: int
 
 
-@dataclass(frozen=True)
+@frozen()
 class OP:
     lhs: Operand
     op: ArithOp
@@ -158,19 +159,19 @@ class OP:
     keep: int  # as MOV's
 
 
-@dataclass(frozen=True)
+@frozen()
 class OPRET:
     lhs: Operand
     op: ArithOp
     rhs: Operand
 
 
-@dataclass(frozen=True)
+@frozen()
 class STUCK:
     reason: StuckReason
 
 
-@dataclass(frozen=True)
+@frozen()
 class Cfg:
     entry: int
     blocks: dict  # position id -> (Instruction, successor ids); preorder

@@ -27,7 +27,7 @@ of them.
 """
 
 import random
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import field, fields, is_dataclass
 from enum import Enum
 from functools import partial
 from operator import eq
@@ -52,6 +52,7 @@ from .syntax import (
     VarV,
     alpha_eq,
     as_prog,
+    frozen,
 )
 
 MODES = ("strict", "modulo_advance")
@@ -100,7 +101,7 @@ def _show(x, prog):
         return _render(x, prog)
 
 
-@dataclass(frozen=True)
+@frozen()
 class Failure:
     step: int
     level: str
@@ -115,7 +116,7 @@ class Failure:
         )
 
 
-@dataclass(frozen=True)
+@frozen()
 class Report:
     program: object
     steps_checked: int
@@ -194,7 +195,7 @@ def canon_state(prog, rho: PeakState) -> PeakState:
 # one record per machine, the loop that runs it, and halt comparison
 
 
-@dataclass(frozen=True)
+@frozen()
 class Machine:
     """One machine of the tower, loaded with a program.
 

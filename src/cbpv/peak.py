@@ -41,7 +41,7 @@ objects, which lets cek keep a closure's or a frame's flattening on the
 object and lets ``alpha_eq`` stop at a shared subterm.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import field
 from typing import Union
 from weakref import WeakValueDictionary
 
@@ -68,6 +68,7 @@ from .syntax import (
     ThunkV,
     as_prog,
     binder_of,
+    frozen,
 )
 
 # ---------------------------------------------------------------------------
@@ -207,12 +208,12 @@ def _chains_equal(a: Env, b: Env) -> bool:
 POSITION = {"position": True}
 
 
-@dataclass(frozen=True)
+@frozen()
 class NumP:
     n: int
 
 
-@dataclass(frozen=True)
+@frozen()
 class PClosure:
     entry: int = field(metadata=POSITION)  # position id of a computation subterm
     env: Env  # exactly the Lam/Seq binders in scope at the entry
@@ -221,29 +222,29 @@ class PClosure:
 PVal = Union[SymVar, NumP, PClosure]
 
 
-@dataclass(frozen=True)
+@frozen()
 class ARG:
     pos: int = field(metadata=POSITION)  # an App node
 
 
-@dataclass(frozen=True)
+@frozen()
 class SEQ:
     pos: int = field(metadata=POSITION)  # a Seq node
 
 
-@dataclass(frozen=True)
+@frozen()
 class KArg:
     value: PVal
 
 
-@dataclass(frozen=True)
+@frozen()
 class KSeq:
     pos: int = field(metadata=POSITION)  # a Seq node
     env: Env  # the chain in scope at the Seq node
     rest_args: tuple
 
 
-@dataclass(frozen=True)
+@frozen()
 class PeakState:
     pc: int = field(metadata=POSITION)  # position id
     env: Env  # the Lam/Seq binders in scope at pc, innermost first
@@ -717,7 +718,7 @@ def unload(P, rho: PeakState) -> CekState:
 # well-formedness
 
 
-@dataclass(frozen=True)
+@frozen()
 class WfReport:
     violations: tuple
 

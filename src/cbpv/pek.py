@@ -28,7 +28,7 @@ its Seq.  ``wf_check`` marks each cell it finds sound, so a check pays
 once per cell rather than once per binder in scope.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import field
 
 from . import cek
 from .peak import (
@@ -71,19 +71,20 @@ from .syntax import (
     Seq,
     as_prog,
     binder_of,
+    frozen,
 )
 
 _INSTRUCTIONS = (Force, Prd, Lam, If0, Op)
 
 
-@dataclass(frozen=True)
+@frozen()
 class KRet:
     bind: int = field(metadata=POSITION)  # the Seq node whose binder receives the value
     resume: int = field(metadata=POSITION)  # instruction position of the Seq's right component
     env: Env  # the chain in scope at the Seq node
 
 
-@dataclass(frozen=True)
+@frozen()
 class PekState:
     pc: int = field(metadata=POSITION)  # the id of an instruction position
     env: Env  # the Lam/Seq binders in scope at pc, innermost first

@@ -14,7 +14,6 @@ The sequence-elimination rule has two directions.  The binding direction
 opaque forced value would change the halting classification).
 """
 
-from dataclasses import dataclass
 from enum import Enum, auto
 from functools import reduce
 
@@ -34,6 +33,7 @@ from .syntax import (
     VarV,
     alpha_eq,
     child,
+    frozen,
     iter_subterms,
     path_text,
     substitute,
@@ -59,7 +59,7 @@ class NoMatch(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@frozen()
 class RewriteStep:
     rule: RuleId
     at: tuple
@@ -207,7 +207,7 @@ def log_lines(steps):
 # differential validation
 
 
-@dataclass(frozen=True)
+@frozen()
 class ValidationReport:
     verdict: Verdict
     failures: tuple

@@ -11,7 +11,6 @@ are even looked at, while a sequenced arithmetic node fails on its operands.
 """
 
 import enum
-from dataclasses import dataclass
 from typing import Optional, Union
 
 from .printer import print_term
@@ -28,6 +27,7 @@ from .syntax import (
     ThunkV,
     Value,
     alpha_eq,
+    frozen,
     substitute,
 )
 
@@ -44,17 +44,17 @@ class StuckReason(enum.Enum):
     UnboundPath = "UnboundPath"
 
 
-@dataclass(frozen=True)
+@frozen()
 class ProducedValue:
     value: Value
 
 
-@dataclass(frozen=True)
+@frozen()
 class AwaitingArgument:
     pass
 
 
-@dataclass(frozen=True)
+@frozen()
 class BareArith:
     """A bare arithmetic node in the empty context; carries its result."""
 
@@ -64,17 +64,17 @@ class BareArith:
 TerminalKind = Union[ProducedValue, AwaitingArgument, BareArith]
 
 
-@dataclass(frozen=True)
+@frozen()
 class Next:
     term: object
 
 
-@dataclass(frozen=True)
+@frozen()
 class Terminal:
     kind: TerminalKind
 
 
-@dataclass(frozen=True)
+@frozen()
 class Stuck:
     reason: StuckReason
 
@@ -82,12 +82,12 @@ class Stuck:
 StepResult = Union[Next, Terminal, Stuck]
 
 
-@dataclass(frozen=True)
+@frozen()
 class FuelExhausted:
     pass
 
 
-@dataclass(frozen=True)
+@frozen()
 class RunOutcome:
     steps_taken: int
     result: object  # StepResult or FuelExhausted
@@ -119,55 +119,64 @@ def unroll(m):
 
 
 def step(m) -> StepResult:
-    return _step(unroll(m))
-
-
-def _step(m) -> StepResult:
-    # m is letrec-unrolled at the head
-    t = type(m)
-    if t is Force:
-        v = m.value
-        if type(v) is ThunkV:
-            return Next(v.body)
-        return Stuck(StuckReason.ForceNonThunk)
-    if t is If0:
-        g = m.guard
-        if type(g) is NumV:
-            return Next(m.then if g.n == 0 else m.orelse)
-        return Stuck(StuckReason.GuardNotNumeral)
-    if t is App:
-        n = unroll(m.body)
-        tn = type(n)
-        if tn is Lam:
-            return Next(substitute(n.body, {n.binder: m.arg}))
-        if tn is Prd or tn is Op:
-            # context mismatch is detected before operands are evaluated
-            return Stuck(StuckReason.ApplyNonFunction)
-        r = _step(n)
-        return Next(App(m.arg, r.term)) if type(r) is Next else r
-    if t is Seq:
-        n = unroll(m.left)
-        tn = type(n)
-        if tn is Prd:
-            return Next(substitute(m.right, {m.binder: n.value}))
-        if tn is Op:
-            if type(n.lhs) is NumV and type(n.rhs) is NumV:
-                folded = NumV(n.op.apply(n.lhs.n, n.rhs.n))
-                return Next(substitute(m.right, {m.binder: folded}))
+    """One step.  The descent through the evaluation context (App bodies
+    and Seq left sides) keeps its frames on a list rather than on the
+    interpreter's stack, so a context of any depth steps."""
+    m = unroll(m)
+    frames = []
+    while True:
+        t = type(m)
+        if t is Force:
+            v = m.value
+            if type(v) is ThunkV:
+                term = v.body
+                break
+            return Stuck(StuckReason.ForceNonThunk)
+        if t is If0:
+            g = m.guard
+            if type(g) is NumV:
+                term = m.then if g.n == 0 else m.orelse
+                break
+            return Stuck(StuckReason.GuardNotNumeral)
+        if t is App:
+            n = unroll(m.body)
+            tn = type(n)
+            if tn is Lam:
+                term = substitute(n.body, {n.binder: m.arg})
+                break
+            if tn is Prd or tn is Op:
+                # context mismatch is detected before operands are evaluated
+                return Stuck(StuckReason.ApplyNonFunction)
+        elif t is Seq:
+            n = unroll(m.left)
+            tn = type(n)
+            if tn is Prd:
+                term = substitute(m.right, {m.binder: n.value})
+                break
+            if tn is Op:
+                if type(n.lhs) is NumV and type(n.rhs) is NumV:
+                    folded = NumV(n.op.apply(n.lhs.n, n.rhs.n))
+                    term = substitute(m.right, {m.binder: folded})
+                    break
+                return Stuck(StuckReason.ArithNonNumeral)
+            if tn is Lam:
+                return Stuck(StuckReason.SequencedNonProducer)
+        # a frame fires on a Prd, Lam or Op below it, so these are the root
+        elif t is Prd:
+            return Terminal(ProducedValue(m.value))
+        elif t is Lam:
+            return Terminal(AwaitingArgument())
+        elif t is Op:
+            if type(m.lhs) is NumV and type(m.rhs) is NumV:
+                return Terminal(BareArith(m.op.apply(m.lhs.n, m.rhs.n)))
             return Stuck(StuckReason.ArithNonNumeral)
-        if tn is Lam:
-            return Stuck(StuckReason.SequencedNonProducer)
-        r = _step(n)
-        return Next(Seq(r.term, m.binder, m.right)) if type(r) is Next else r
-    if t is Prd:
-        return Terminal(ProducedValue(m.value))
-    if t is Lam:
-        return Terminal(AwaitingArgument())
-    if t is Op:
-        if type(m.lhs) is NumV and type(m.rhs) is NumV:
-            return Terminal(BareArith(m.op.apply(m.lhs.n, m.rhs.n)))
-        return Stuck(StuckReason.ArithNonNumeral)
-    raise TypeError(f"not a computation: {m!r}")
+        else:
+            raise TypeError(f"not a computation: {m!r}")
+        frames.append(m)  # an App or Seq whose body or left side steps
+        m = n
+    for f in reversed(frames):
+        term = App(f.arg, term) if type(f) is App else Seq(term, f.binder, f.right)
+    return Next(term)
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import sys
 from collections import defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, replace
 from operator import attrgetter
 from typing import Iterator, Mapping, Optional, Union
 
@@ -36,6 +36,68 @@ class InvalidPath(Exception):
 
 class NotAVariable(Exception):
     """resolve_binder was pointed at something that is not a variable."""
+
+
+# ---------------------------------------------------------------------------
+# records
+
+
+def frozen(*memos: str):
+    """Declare an immutable record: ``dataclass(frozen=True)``, kept in slots.
+
+    The class keeps what the dataclass gives it (``==``, ``hash``, ``repr``,
+    ``fields`` with their metadata, ``replace``, defaults, ``__post_init__``
+    and ``FrozenInstanceError`` on assignment), but its instances hold their
+    fields in ``__slots__``, with no ``__dict__``, and can be weakly
+    referenced.  Its ``__init__`` sets each slot through the slot's own
+    descriptor, at about half the cost of the ``object.__setattr__`` call
+    a frozen dataclass makes per field, and every machine step builds
+    records.  ``memos`` name further slots, each set to None by ``__init__``:
+    answers kept on the record by the code that works them out (with
+    ``object.__setattr__``), such as a term's free variables.  They take no
+    part in equality, and a copy or ``replace`` starts them over.
+    """
+
+    def make(cls):
+        cls = dataclass(frozen=True)(cls)
+        fs = fields(cls)
+        names = tuple(f.name for f in fs)
+        ns = {k: v for k, v in vars(cls).items() if k not in names + ("__dict__", "__weakref__")}
+        ns["__slots__"] = names + memos + ("__weakref__",)
+        ns["__setattr__"], ns["__delattr__"] = _frozen_setattr, _frozen_delattr
+        ns["__reduce__"] = lambda self: (type(self), tuple(getattr(self, n) for n in names))
+        new = type(cls.__name__, cls.__bases__, ns)
+        new.__qualname__ = cls.__qualname__
+        env, params = {}, []
+        for f in fs:
+            if f.default_factory is not MISSING or not f.init:
+                raise TypeError(f"{cls.__name__}.{f.name}: only fields with plain defaults")
+            env[f"_set_{f.name}"] = getattr(new, f.name).__set__
+            if f.default is MISSING:
+                params.append(f.name)
+            else:
+                env[f"_default_{f.name}"] = f.default
+                params.append(f"{f.name}=_default_{f.name}")
+        for m in memos:
+            env[f"_set_{m}"] = getattr(new, m).__set__
+        body = [f"    _set_{n}(self, {n})" for n in names]
+        body += [f"    _set_{m}(self, None)" for m in memos]
+        if hasattr(new, "__post_init__"):
+            body.append("    self.__post_init__()")
+        exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body or ["    pass"]), env)
+        new.__init__ = env["__init__"]
+        new.__init__.__qualname__ = f"{new.__qualname__}.__init__"
+        return new
+
+    return make
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -105,17 +167,17 @@ def _digits_text(n: int, width: int) -> str:
 # terms
 
 
-@dataclass(frozen=True)
+@frozen("_fv")
 class VarV:
     name: str
 
 
-@dataclass(frozen=True)
+@frozen("_fv")
 class NumV:
     n: int
 
 
-@dataclass(frozen=True)
+@frozen("_fv")
 class ThunkV:
     body: "Term"
 
@@ -123,19 +185,19 @@ class ThunkV:
 Value = Union[VarV, NumV, ThunkV]
 
 
-@dataclass(frozen=True)
+@frozen("_fv")
 class Force:
     value: Value
 
 
-@dataclass(frozen=True)
+@frozen("_fv")
 class Prd:
     """Produce a value (the terminal move of a producer computation)."""
 
     value: Value
 
 
-@dataclass(frozen=True)
+@frozen("_fv")
 class App:
     """Push ``arg`` onto the argument stack and continue with ``body``."""
 
@@ -143,13 +205,13 @@ class App:
     body: "Term"
 
 
-@dataclass(frozen=True)
+@frozen("_fv")
 class Lam:
     binder: str
     body: "Term"
 
 
-@dataclass(frozen=True)
+@frozen("_fv")
 class Seq:
     """``left to binder in right`` — run left, bind what it produces."""
 
@@ -158,7 +220,7 @@ class Seq:
     right: "Term"
 
 
-@dataclass(frozen=True)
+@frozen("_fv")
 class LetRec:
     defs: tuple  # ((name, Term), ...), at least one entry
     body: "Term"
@@ -170,14 +232,14 @@ class LetRec:
         object.__setattr__(self, "defs", defs)
 
 
-@dataclass(frozen=True)
+@frozen("_fv")
 class If0:
     guard: Value
     then: "Term"
     orelse: "Term"
 
 
-@dataclass(frozen=True)
+@frozen("_fv")
 class Op:
     lhs: Value
     op: ArithOp
@@ -633,7 +695,7 @@ def _subst_closed(node: Node, sub) -> Node:
         return sub.get(node.name, node)
     if t is NumV:
         return node
-    fv = getattr(node, "_fv", None)
+    fv = node._fv  # a node: free_vars answered for the term substituted into
     if fv is None:
         fv = free_vars(node)
     if fv.isdisjoint(sub):
@@ -677,7 +739,7 @@ def _subst_closed(node: Node, sub) -> Node:
         new = LetRec(defs, nb)
     else:
         raise TypeError(f"not a term: {node!r}")
-    new.__dict__["_fv"] = fv.difference(sub)  # kept as free_vars keeps it
+    object.__setattr__(new, "_fv", fv.difference(sub))  # kept as free_vars keeps it
     return new
 
 
@@ -758,7 +820,7 @@ def _subst(node: Node, sub, vfv) -> Node:
         return sub.get(node.name, node)
     if t is NumV:
         return node
-    fv = getattr(node, "_fv", None)
+    fv = node._fv  # a node: free_vars answered for the term substituted into
     if fv is None:
         fv = free_vars(node)
     if fv.isdisjoint(sub):
@@ -804,7 +866,7 @@ def _subst(node: Node, sub, vfv) -> Node:
         new = LetRec(defs, nb)
     else:
         raise TypeError(f"not a term: {node!r}")
-    new.__dict__["_fv"] = _fv_after(fv, sub)  # kept as free_vars keeps it
+    object.__setattr__(new, "_fv", _fv_after(fv, sub))  # kept as free_vars keeps it
     return new
 
 
@@ -874,7 +936,7 @@ def _rebuilt(node: Node, plan, done: list) -> Node:
         new = Op(kids[0], node.op, kids[1])
     else:  # ThunkV, Force, Prd, App, If0: their fields are their children
         new = t(*kids)
-    new.__dict__["_fv"] = _fv_after(fv, sub)
+    object.__setattr__(new, "_fv", _fv_after(fv, sub))
     return new
 
 
@@ -1009,23 +1071,23 @@ def _aeq(a, b, sa, sb, seen, todo, budget) -> bool:
 # binder resolution
 
 
-@dataclass(frozen=True)
+@frozen()
 class LamBind:
     path: Path
 
 
-@dataclass(frozen=True)
+@frozen()
 class SeqBind:
     path: Path
 
 
-@dataclass(frozen=True)
+@frozen()
 class RecBind:
     path: Path
     index: int  # 1-based definition slot
 
 
-@dataclass(frozen=True)
+@frozen()
 class FreeVar:
     name: str
 

@@ -448,6 +448,25 @@ def test_check_under_30000_lambdas_exits_0(source_file, capsys):
     assert capsys.readouterr().out == f"{path}: ok\n"
 
 
+_DEEP_CONTEXTS = {
+    # 30,000 Seq left sides around the redex
+    "seq": ("(" * 30000 + "prd 1" + " to x in prd x)" * 30000, 2, "fuel exhausted after 3 steps"),
+    # 30,000 App bodies around a loop that takes one argument a turn
+    "app": ("1 . " * 30000 + "letrec f = \\x. force f in force f", 2, "fuel exhausted after 3 steps"),
+    # 30,000 App bodies around a function that takes one: stuck at step 1
+    "app_stuck": ("1 . " * 30000 + "\\x. prd x", 1, "stuck: ApplyNonFunction"),
+}
+
+
+@pytest.mark.parametrize("machine", ["sos", "cek"])
+@pytest.mark.parametrize("shape", sorted(_DEEP_CONTEXTS))
+def test_a_30000_deep_evaluation_context_steps(machine, shape, source_file, capsys):
+    # sos rebuilds the whole context every step, hence the small fuel
+    text, code, err = _DEEP_CONTEXTS[shape]
+    assert main(["run", f"--machine={machine}", "--fuel=3", source_file(text)]) == code
+    assert capsys.readouterr().err == err + "\n"
+
+
 def test_unknown_pc_exits_70(monkeypatch, source_file, capsys):
     monkeypatch.setattr(cfg, "compile", lambda prog: cfg.Cfg(0, {}, prog))
     assert main(["run", "--machine=cfg", source_file("prd 0")]) == 70

@@ -180,7 +180,7 @@ def _same_sharing(want, got, inputs):
 
 def _stored_free_vars_hold(got, inputs):
     for _, node in iter_subterms(got):
-        stored = vars(node).get("_fv")
+        stored = node._fv
         if stored is not None:
             assert stored == oracle_free_vars(node), _show(node)
         elif id(node) not in inputs:
