@@ -1,9 +1,3 @@
 """A call-by-push-value core language and its tower of abstract machines."""
 
-import sys
-
-# Unloading a deep machine state rebuilds the residual term recursively, and
-# long runs of the recursive fixtures produce very deep residuals.
-sys.setrecursionlimit(max(sys.getrecursionlimit(), 20000))
-
 __version__ = "0.1.0"

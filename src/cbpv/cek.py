@@ -321,7 +321,8 @@ def _binders(env, names) -> list:
 def _flatten(f, name):
     """``_flat(f, name)``, computing and keeping it, and every flattening it
     needs from the frames outside ``f``, with an explicit stack: a chain of
-    letrec frames, each naming the one outside it, can be any length."""
+    letrec frames, each naming the one outside it, can be any length, and
+    so can a chain of closures, each bound in the environment of the next."""
     v = _flat(f, name)
     if v is not None:
         return v
@@ -332,12 +333,22 @@ def _flatten(f, name):
             todo.pop()
             continue
         if type(g) is Bind:
+            v = g.value
             # A value is closed by its own environment already, so the
             # frames outside the Bind should not reach it: one whose names
             # are source-free gets them captured there (the unload_capture
             # defect, counted by perfbench).  Leaving a Bind's value
             # unflattened here is the fix.
-            raw = unload_val(g.value)
+            if type(v) is Closure and v._unloaded is None:
+                # flatten from v's own environment first, on this stack
+                inner = _binders(v.env, free_vars(v.code))
+                missing = [(h, m) for m, h in inner if _flat(h, m) is None]
+                if missing:
+                    todo += missing
+                    continue
+                raw = _unload_closure(v, inner)
+            else:
+                raw = unload_val(v)
         else:
             raw = ThunkV(LetRec(g.defs, next(d for m, d in g.defs if m == n)))
         outer = _binders(g.rest, free_vars(raw))
@@ -399,8 +410,15 @@ def unload_val(v):
         return NumV(v.n)
     u = v._unloaded
     if u is None:
-        u = ThunkV(unload_env(v.env, v.code))
-        object.__setattr__(v, "_unloaded", u)
+        u = _unload_closure(v, _binders(v.env, free_vars(v.code)))
+    return u
+
+
+def _unload_closure(v, binders):
+    """Unload closure ``v`` and keep the answer on it, given ``binders``,
+    the frames of its environment that bind its code's free names."""
+    u = ThunkV(substitute(v.code, {n: _flatten(f, n) for n, f in binders}))
+    object.__setattr__(v, "_unloaded", u)
     return u
 
 
@@ -473,14 +491,21 @@ def _val_closed(v) -> bool:
 
 
 def _env_closed(env) -> bool:
-    e = env
-    while e is not None:
-        if type(e) is Bind:
-            if not _val_closed(e.value):
-                return False
-            if type(e.value) is Closure and not _env_closed(e.value.env):
-                return False
-        e = e.rest
+    """Whether every closure bound in ``env``, and in those closures'
+    environments to any depth, is closed by its own environment.  Each
+    frame is walked once, on an explicit stack."""
+    seen = set()
+    todo = [env]
+    while todo:
+        e = todo.pop()
+        while e is not None and id(e) not in seen:
+            seen.add(id(e))
+            if type(e) is Bind and type(e.value) is Closure:
+                v = e.value
+                if not free_vars(v.code) <= _bound_names(v.env):
+                    return False
+                todo.append(v.env)
+            e = e.rest
     return True
 
 

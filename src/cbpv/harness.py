@@ -73,25 +73,45 @@ def _path(prog, i) -> str:
     return f"no position {i!r}"
 
 
+class _Text(str):
+    """Text that ``_render`` emits as it is, not a value that it shows."""
+
+
 def _render(x, prog) -> str:
     """``repr(x)``, but with each position id, in a field marked
-    ``peak.POSITION`` or an environment binder, shown by ``_path``."""
-    t = type(x)
-    if t is Env:
-        inner = ", ".join(f"{_path(prog, b)}: {_render(v, prog)}" for b, v in x.items())
-        return f"Env({{{inner}}})"
-    if t is tuple:
-        parts = [_render(v, prog) for v in x]
-        return f"({parts[0]},)" if len(parts) == 1 else f"({', '.join(parts)})"
-    if is_dataclass(x):
-        parts = []
-        for f in fields(x):
-            if f.repr:
-                v = getattr(x, f.name)
-                shown = _path(prog, v) if f.metadata.get("position") else _render(v, prog)
-                parts.append(f"{f.name}={shown}")
-        return f"{t.__name__}({', '.join(parts)})"
-    return repr(x)
+    ``peak.POSITION`` or an environment binder, shown by ``_path``.  What
+    is still to show waits on a stack, so environments, frames and
+    closures show however deep they nest."""
+    out, todo = [], [x]
+    while todo:
+        x = todo.pop()
+        t = type(x)
+        if t is _Text:
+            out.append(x)
+            continue
+        if t is Env:
+            head, tail = "Env({", "})"
+            items = [(f"{_path(prog, b)}: ", v) for b, v in x.items()]
+        elif t is tuple:
+            head, tail = "(", ",)" if len(x) == 1 else ")"
+            items = [("", v) for v in x]
+        elif is_dataclass(x):
+            head, tail, items = f"{t.__name__}(", ")", []
+            for f in fields(x):
+                if f.repr:
+                    v = getattr(x, f.name)
+                    if f.metadata.get("position"):
+                        v = _Text(_path(prog, v))
+                    items.append((f"{f.name}=", v))
+        else:
+            out.append(repr(x))
+            continue
+        parts = [_Text(head)]
+        for k, (label, v) in enumerate(items):
+            parts += (_Text(", " + label if k else label), v)
+        parts.append(_Text(tail))
+        todo += reversed(parts)
+    return "".join(out)
 
 
 def _show(x, prog):

@@ -330,57 +330,68 @@ def _resolve(prog, i: int, entry):
     return _LOC, q, _depth(prog, q) + 1
 
 
+def _lookups(machine: str, entry):
+    """Value resolution for a machine whose code of child ``j`` of ``i`` is
+    ``entry(prog, i, j)``: ``(lookup_var, gamma, _gamma, _operand,
+    _seq_exit)``, keeping what each position resolves to in the program's
+    ``<machine>.value`` and ``<machine>.seq`` tables.  peak and pek differ
+    only in ``entry``, so both read values through these functions.  They
+    call ``_resolve`` through this module, so a replaced ``_resolve``
+    reaches both machines."""
+    value_key, seq_key = machine + ".value", machine + ".seq"
+
+    def lookup_var(P, p: tuple, e: Env) -> PVal:
+        prog = as_prog(P)
+        i = prog.pos(p)
+        binder_of(prog, i)  # raises off a variable
+        return _gamma(prog, i, e)
+
+    def gamma(P, p: tuple, e: Env) -> PVal:
+        prog = as_prog(P)
+        return _gamma(prog, prog.pos(p), e)
+
+    def _gamma(prog, i: int, e: Env) -> PVal:
+        v = prog.nodes[i]
+        if type(v) is NumV:
+            return NumP(v.n)
+        tab = prog.tables[value_key]
+        hit = tab.get(i)
+        if hit is None:
+            hit = tab[i] = _resolve(prog, i, entry)
+        kind, x, k = hit
+        if kind is _LOC:
+            if e.size == k and e.binder == x:  # the innermost binding, the commonest
+                return e.value
+            return e.find(x, k)
+        if kind is _CLO:
+            return PClosure(x, e if e.size == k else e.cut(k))
+        return x
+
+    def _operand(prog, i: int, j: int, v, e: Env):
+        """``_gamma`` of ``v``, child ``j`` of position ``i``: a numeral is
+        read off the node, without visiting its position."""
+        if type(v) is NumV:
+            return NumP(v.n)
+        return _gamma(prog, prog.kid(i, j), e)
+
+    def _seq_exit(prog, i: int):
+        """Where a value bound by Seq ``i`` resumes, the code of its right
+        component, and how many cells of the chain the binding goes on:
+        those in scope at the Seq."""
+        tab = prog.tables[seq_key]
+        hit = tab.get(i)
+        if hit is None:
+            hit = tab[i] = (entry(prog, i, 1), _depth(prog, i))
+        return hit
+
+    return lookup_var, gamma, _gamma, _operand, _seq_exit
+
+
 def _child(prog, i: int, j: int) -> int:
     return prog.kid(i, j)
 
 
-def lookup_var(P, p: tuple, e: Env) -> PVal:
-    prog = as_prog(P)
-    i = prog.pos(p)
-    binder_of(prog, i)  # raises off a variable
-    return _gamma(prog, i, e)
-
-
-def gamma(P, p: tuple, e: Env) -> PVal:
-    prog = as_prog(P)
-    return _gamma(prog, prog.pos(p), e)
-
-
-def _gamma(prog, i: int, e: Env) -> PVal:
-    v = prog.nodes[i]
-    if type(v) is NumV:
-        return NumP(v.n)
-    tab = prog.tables["peak.value"]
-    hit = tab.get(i)
-    if hit is None:
-        hit = tab[i] = _resolve(prog, i, _child)
-    kind, x, k = hit
-    if kind is _LOC:
-        if e.size == k and e.binder == x:  # the innermost binding, the commonest
-            return e.value
-        return e.find(x, k)
-    if kind is _CLO:
-        return PClosure(x, e if e.size == k else e.cut(k))
-    return x
-
-
-def _operand(prog, i: int, j: int, v, e: Env):
-    """``_gamma`` of ``v``, child ``j`` of position ``i``: a numeral is read
-    off the node, without visiting its position."""
-    if type(v) is NumV:
-        return NumP(v.n)
-    return _gamma(prog, prog.kid(i, j), e)
-
-
-def _seq_exit(prog, i: int):
-    """Where a value bound by Seq ``i`` resumes, its right component, and
-    how many cells of the chain the binding goes on: those in scope at the
-    Seq."""
-    tab = prog.tables["peak.seq"]
-    hit = tab.get(i)
-    if hit is None:
-        hit = tab[i] = (_child(prog, i, 1), _depth(prog, i))
-    return hit
+lookup_var, gamma, _gamma, _operand, _seq_exit = _lookups("peak", _child)
 
 
 def delta(P, e: Env, args: tuple) -> tuple:
@@ -585,12 +596,52 @@ def _unload_e(prog, i: int, e: Env):
     """The CEK environment at position ``i`` under chain ``e``, innermost
     first, or IllFormedState when ``e`` is not the chain of binders in
     scope there.  Memoized on the cells, so only the cells an earlier
-    unload did not reach are walked, outermost first."""
+    unload did not reach are walked, outermost first.  A closure on a cell
+    to be made has the environment it needs unloaded first, on an explicit
+    stack: a closure can sit on a cell of another closure's chain, and
+    that one on a cell of a third's, to any depth."""
     env = e.memo_of(prog).get(i, _MISS)
     if env is not _MISS:
         return env
-    # Climb to what an earlier unload reached: (anchor, cell, letrecs above
-    # the anchor, its innermost Lam/Seq binder or -1, make the cell's binding?)
+    asked = [_climb(prog, i, e)]  # environments to build, each under those it needs
+    while asked:
+        todo, env = asked.pop()
+        cons = _cons(prog)
+        while todo:
+            level = todo.pop()
+            i, e, recs, b, make = level
+            memo = e.memo_of(prog)
+            if make:
+                v = e.value
+                if type(v) is PClosure:
+                    need = _closure_env(prog, v)
+                    if need is not None:  # that first, then the rest of these
+                        todo.append(level)
+                        asked += ((todo, env), _climb(prog, *need))
+                        break
+                v = unload_v(prog, v)
+                key = (cek.Bind, b, id(v), id(env))
+                hit = cons.get(key)
+                if hit is None:
+                    hit = cons[key] = cek.Bind(prog.nodes[b].binder, v, env)
+                env = memo[_BIND] = hit
+            for r in reversed(recs):
+                key = (cek.RecFrame, r, id(env))
+                hit = cons.get(key)
+                if hit is None:
+                    hit = cons[key] = cek.RecFrame(prog.nodes[r].defs, env)
+                env = hit
+            memo[i] = env
+    return env
+
+
+def _climb(prog, i: int, e: Env):
+    """``(levels, env)`` for ``_unload_e``: the levels from ``i`` under ``e``
+    up to what an earlier unload reached, innermost first, each
+    ``(anchor, cell, letrecs above the anchor, its innermost Lam/Seq
+    binder or -1, make the cell's binding?)``, and the environment reached,
+    which the outermost level is built on.  Checks every level and reports
+    the innermost one that is wrong."""
     todo = []
     while True:
         recs, b, n = _frame(prog, i)
@@ -606,7 +657,6 @@ def _unload_e(prog, i: int, e: Env):
         env = e.memo_of(prog).get(i, _MISS)
         if env is not _MISS:
             break
-    # Check every level and report the innermost one that is wrong.
     for i, e, _, b, _ in todo:
         if b < 0:
             if e.size:
@@ -618,24 +668,29 @@ def _unload_e(prog, i: int, e: Env):
             raise cek.IllFormedState(
                 f"no value for binder at {prog.path_text(b)} at {prog.path_text(i)}"
             )
-    cons = _cons(prog)
-    for i, e, recs, b, make in reversed(todo):
-        memo = e.memo_of(prog)
-        if make:
-            v = unload_v(prog, e.value)
-            key = (cek.Bind, b, id(v), id(env))
-            hit = cons.get(key)
-            if hit is None:
-                hit = cons[key] = cek.Bind(prog.nodes[b].binder, v, env)
-            env = memo[_BIND] = hit
-        for r in reversed(recs):
-            key = (cek.RecFrame, r, id(env))
-            hit = cons.get(key)
-            if hit is None:
-                hit = cons[key] = cek.RecFrame(prog.nodes[r].defs, env)
-            env = hit
-        memo[i] = env
-    return env
+    return todo, env
+
+
+def _closure_anchor(prog, i: int):
+    """``(entry, code, anchor)`` of a closure at ``i``: the position it
+    stands for once advancement is undone, that position's term and the
+    anchor of its environment (see ``_entry_code``), kept per position."""
+    tab = prog.tables["anchor"]
+    hit = tab.get(i)
+    if hit is None:
+        entry = _ascend(prog, i, None)[0]
+        hit = tab[i] = (entry, *_entry_code(prog, entry))
+    return hit
+
+
+def _closure_env(prog, v: PClosure):
+    """``(anchor, chain)`` of the environment ``unload_v(prog, v)`` has
+    still to unload, or None when it has none to."""
+    memo = v.env.memo_of(prog)
+    if (Closure, v.entry) in memo:
+        return None
+    anchor = _closure_anchor(prog, v.entry)[2]
+    return None if anchor in memo else (anchor, v.env)
 
 
 def unload_v(prog, v):
@@ -648,8 +703,7 @@ def unload_v(prog, v):
         memo = v.env.memo_of(prog)
         hit = memo.get((Closure, i))
         if hit is None:
-            entry, _ = _ascend(prog, i, None)
-            code, anchor = _entry_code(prog, entry)
+            entry, code, anchor = _closure_anchor(prog, i)
             env = _unload_e(prog, anchor, v.env)
             key = (Closure, entry, id(env))
             cons = _cons(prog)

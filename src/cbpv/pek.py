@@ -22,7 +22,8 @@ only at the edge: ``describe``, the functions that take a path
 
 Environments are peak's immutable ``Env`` chains: exactly the Lam/Seq
 binders in scope at the position they belong to.  A bind makes one cell,
-a lookup walks the static distance to its binder's level, and a closure
+a lookup walks the static distance to its binder's level (peak's
+lookup, built with ``_next`` for code entries), and a closure
 or a return frame keeps the chain cut back to the scope of its entry or
 its Seq.  ``wf_check`` marks each cell it finds sound, so a check pays
 once per cell rather than once per binder in scope.
@@ -44,12 +45,9 @@ from .peak import (
     PClosure,
     PeakState,
     WfReport,
-    _CLO,
-    _LOC,
     _chain_faults,
     _closure_faults,
-    _depth,
-    _resolve,
+    _lookups,
 )
 from .sos import (
     AwaitingArgument,
@@ -65,12 +63,10 @@ from .syntax import (
     If0,
     Lam,
     LetRec,
-    NumV,
     Op,
     Prd,
     Seq,
     as_prog,
-    binder_of,
     frozen,
 )
 
@@ -162,56 +158,7 @@ def _next(prog, i: int, j: int) -> int:
     return eta(prog, prog.kid(i, j))
 
 
-def _seq_exit(prog, i: int):
-    """Where a value bound by Seq ``i`` resumes, and how many cells of the
-    chain the binding goes on: those in scope at the Seq."""
-    tab = prog.tables["pek.seq"]
-    hit = tab.get(i)
-    if hit is None:
-        hit = tab[i] = (_next(prog, i, 1), _depth(prog, i))
-    return hit
-
-
-# ---------------------------------------------------------------------------
-# value resolution
-
-
-def lookup_var(P, p: tuple, e: Env):
-    prog = as_prog(P)
-    i = prog.pos(p)
-    binder_of(prog, i)  # raises off a variable
-    return _gamma(prog, i, e)
-
-
-def gamma(P, p: tuple, e: Env):
-    prog = as_prog(P)
-    return _gamma(prog, prog.pos(p), e)
-
-
-def _gamma(prog, i: int, e: Env):
-    v = prog.nodes[i]
-    if type(v) is NumV:
-        return NumP(v.n)
-    tab = prog.tables["pek.value"]
-    hit = tab.get(i)
-    if hit is None:
-        hit = tab[i] = _resolve(prog, i, _next)
-    kind, x, k = hit
-    if kind is _LOC:
-        if e.size == k and e.binder == x:  # the innermost binding, the commonest
-            return e.value
-        return e.find(x, k)
-    if kind is _CLO:
-        return PClosure(x, e if e.size == k else e.cut(k))
-    return x
-
-
-def _operand(prog, i: int, j: int, v, e: Env):
-    """``_gamma`` of ``v``, child ``j`` of position ``i``: a numeral is read
-    off the node, without visiting its position."""
-    if type(v) is NumV:
-        return NumP(v.n)
-    return _gamma(prog, prog.kid(i, j), e)
+lookup_var, gamma, _gamma, _operand, _seq_exit = _lookups("pek", _next)
 
 
 def delta(P, e: Env, args: tuple) -> tuple:

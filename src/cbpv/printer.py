@@ -87,7 +87,7 @@ def print_term(m) -> str:
                     todo += (d, name + " = ")
                     if k:
                         todo.append(" and ")
-            else:
-                raise TypeError(f"not a value: {m!r}")
+            else:  # named by its type: the repr of a deep state recurses
+                raise TypeError(f"not a term: {type(m).__name__}")
             break
     return "".join(out)

@@ -73,20 +73,25 @@ class RewriteStep:
 
 def _producer_shaped(n) -> bool:
     """Whether a computation's result position is a producer, conservatively."""
-    t = type(n)
-    if t is Prd or t is Op:
-        return True
-    if t is Seq:
-        return _producer_shaped(n.right)
-    if t is If0:
-        return _producer_shaped(n.then) and _producer_shaped(n.orelse)
-    if t is Force:
-        return type(n.value) is ThunkV and _producer_shaped(n.value.body)
-    if t is App:
-        return type(n.body) is Lam and _producer_shaped(n.body.body)
-    if t is LetRec:
-        return _producer_shaped(n.body)
-    return False  # Lam, or anything opaque
+    todo = [n]
+    while todo:
+        n = todo.pop()
+        t = type(n)
+        if t is Prd or t is Op:
+            continue
+        if t is Seq:
+            todo.append(n.right)
+        elif t is If0:
+            todo += (n.then, n.orelse)
+        elif t is Force and type(n.value) is ThunkV:
+            todo.append(n.value.body)
+        elif t is App and type(n.body) is Lam:
+            todo.append(n.body.body)
+        elif t is LetRec:
+            todo.append(n.body)
+        else:
+            return False  # Lam, or anything opaque
+    return True
 
 
 def _rewrite(rule: RuleId, node):
@@ -167,10 +172,13 @@ def find_redexes(m, rules=None):
 
 
 def _replace(term, p, new):
-    if not p:
-        return new
-    i = p[-1]
-    return with_child(term, i, _replace(child(term, i), p[:-1], new))
+    spine = []
+    for i in reversed(p):
+        spine.append((term, i))
+        term = child(term, i)
+    for parent, i in reversed(spine):
+        new = with_child(parent, i, new)
+    return new
 
 
 def apply_rule(m, rule: RuleId, at: tuple):

@@ -655,15 +655,17 @@ def substitute(node: Node, sub: Mapping[str, Value]) -> Node:
     keeps repeated machine unloads from blowing up allocation.  Each node
     built carries its free variables, ``(fv(node) - dom sub)`` plus the
     free names of the values substituted into it, so ``free_vars`` never
-    walks it; that is sound because nodes are frozen.  A binder is checked
-    for capture only when its name is free in a substituted value, and when
-    no substituted value has a free name, the common case on closed
-    programs, a walk without any capture check is taken.  Both walks
-    recurse, the cheapest way a node; a term too deep for the interpreter's
-    recursion limit is done again by ``_subst_walk``, which keeps its own
-    stack, so a term of any depth is substituted into.  A depth budget
-    counted down through the recursion, as ``free_vars`` keeps one, would
-    tax every call on the machines' hottest path.
+    walks it; that is sound because nodes are frozen.
+
+    There are two walks.  When no substituted value has a free name, the
+    common case on closed programs, nothing can be captured, and
+    ``_subst_closed`` recurses without any capture check, the cheapest way
+    a node.  Otherwise ``_subst_walk`` keeps its own stack and checks a
+    binder for capture only when its name is free in a substituted value.
+    A term too deep for ``_subst_closed``'s recursion is done again by
+    ``_subst_walk``, so a term of any depth is substituted into.  A depth
+    budget counted down through the recursion, as ``free_vars`` keeps one,
+    would tax every call on the machines' hottest path.
     """
     if not sub or free_vars(node).isdisjoint(sub):
         return node
@@ -673,10 +675,10 @@ def substitute(node: Node, sub: Mapping[str, Value]) -> Node:
             f = free_vars(v)
             if f:
                 vfv = vfv | f
+    if vfv:
+        return _subst_walk(node, sub, vfv)
     try:
-        if not vfv:
-            return _subst_closed(node, sub)
-        return _subst(node, sub, vfv)
+        return _subst_closed(node, sub)
     except RecursionError:  # deeper than the interpreter's stack goes
         return _subst_walk(node, sub, vfv)
 
@@ -687,9 +689,11 @@ def _without(sub, names):
 
 
 def _subst_closed(node: Node, sub) -> Node:
-    # _subst when no value of sub has a free name: nothing can be captured,
-    # and a built node's free names are its own less dom sub.  The cases
-    # come in the order the machines' terms use them most.
+    # _subst_walk when no value of sub has a free name: nothing can be
+    # captured, and a built node's free names are its own less dom sub.
+    # ``sub`` may hold names that are not free in ``node``: it is passed down
+    # unchanged and loses a name only under a binder of that name.  The
+    # cases come in the order the machines' terms use them most.
     t = type(node)
     if t is VarV:
         return sub.get(node.name, node)
@@ -809,70 +813,11 @@ def _fv_after(fv, sub) -> frozenset:
     return out
 
 
-def _subst(node: Node, sub, vfv) -> Node:
-    # ``sub`` may hold names that are not free in ``node``: it is passed down
-    # unchanged and loses a name only under a binder of that name (so does
-    # _subst_closed's).  ``vfv`` holds at least every name free in a value of
-    # ``sub``; a binder whose name is not in it cannot capture, so it is not
-    # checked.
-    t = type(node)
-    if t is VarV:
-        return sub.get(node.name, node)
-    if t is NumV:
-        return node
-    fv = node._fv  # a node: free_vars answered for the term substituted into
-    if fv is None:
-        fv = free_vars(node)
-    if fv.isdisjoint(sub):
-        return node
-    if t is ThunkV:
-        new = ThunkV(_subst(node.body, sub, vfv))
-    elif t is Force:
-        new = Force(_subst(node.value, sub, vfv))
-    elif t is Prd:
-        new = Prd(_subst(node.value, sub, vfv))
-    elif t is App:
-        new = App(_subst(node.arg, sub, vfv), _subst(node.body, sub, vfv))
-    elif t is Op:
-        new = Op(_subst(node.lhs, sub, vfv), node.op, _subst(node.rhs, sub, vfv))
-    elif t is If0:
-        new = If0(
-            _subst(node.guard, sub, vfv),
-            _subst(node.then, sub, vfv),
-            _subst(node.orelse, sub, vfv),
-        )
-    elif t is Lam:
-        b, inner, ivfv = _enter_binder(node.binder, sub, vfv, node.body)
-        nb = _subst(node.body, inner, ivfv)
-        if b is node.binder and nb is node.body:
-            return node
-        new = Lam(b, nb)
-    elif t is Seq:
-        left, right = node.left, node.right
-        nl = _subst(left, sub, vfv)
-        b, inner, ivfv = _enter_binder(node.binder, sub, vfv, right)
-        nr = _subst(right, inner, ivfv)
-        if b is node.binder and nl is left and nr is right:
-            return node
-        new = Seq(nl, b, nr)
-    elif t is LetRec:
-        names, inner, ivfv = _enter_letrec(node, sub, vfv, fv)
-        defs = tuple((n, _subst(d, inner, ivfv)) for n, (_, d) in zip(names, node.defs))
-        nb = _subst(node.body, inner, ivfv)
-        if nb is node.body and all(
-            d2 is d1 and n2 is n1 for (n1, d1), (n2, d2) in zip(node.defs, defs)
-        ):
-            return node
-        new = LetRec(defs, nb)
-    else:
-        raise TypeError(f"not a term: {node!r}")
-    object.__setattr__(new, "_fv", _fv_after(fv, sub))  # kept as free_vars keeps it
-    return new
-
-
 def _subst_walk(node: Node, sub, vfv) -> Node:
-    # _subst with an explicit stack, for a term deeper than the recursion
-    # goes (with ``vfv`` empty it is _subst_closed).  An entry
+    # Substitution with an explicit stack, so a term of any depth is
+    # substituted into (with ``vfv`` empty it is _subst_closed).  ``vfv``
+    # holds at least every name free in a value of ``sub``; a binder whose
+    # name is not in it cannot capture, so it is not checked.  An entry
     # (node, sub, vfv) is a node to substitute into; a node whose children
     # are under way goes back on the stack under them as (node, plan), and
     # is rebuilt from their results, which gather on ``done`` in order.

@@ -290,11 +290,12 @@ def test_criterion_10_rule_soundness_on_500_instances_each():
 
 
 # ---------------------------------------------------------------------------
-# 11. the four seeded compiler mutations are all caught
+# 11. the seeded compiler and machine mutations are all caught
 
 _REAL_COMPILE = cfg.compile
 _REAL_EXECUTE = cfg._execute
 _REAL_DELTA = pek.delta
+_REAL_RESOLVE = peak._resolve
 
 # A call whose continuation needs the caller's bindings: the return-frame
 # environment mutation is invisible on programs without such a shape.
@@ -340,11 +341,24 @@ def _eta_skipping_letrec(P, i):
             return i
 
 
+def _lookup_one_level_off(prog, i, entry):
+    kind, x, k = _REAL_RESOLVE(prog, i, entry)
+    return kind, x, k - 1 if kind is peak._LOC else k
+
+
 _MUTATIONS = {
     "swapped if0 targets": (cfg, "compile", _swapped_if0_targets),
     "call frame stores callee env": (cfg, "_execute", _call_stores_callee_env),
     "frame conversion order reversed": (pek, "delta", _delta_reversed),
     "advancement skips letrec": (pek, "eta", _eta_skipping_letrec),
+    "variable read one level off": (peak, "_resolve", _lookup_one_level_off),
+}
+
+# peak and pek read values through one lookup, so the peak/pek check cannot
+# see a fault in it, and the tower check steps neither machine: the checks
+# against cek and cfg, each with a lookup of its own, must.
+_SHARED_BY_A_PAIR = {
+    "variable read one level off": {LevelPair.CEK_PEAK.value, LevelPair.PEK_CFG.value},
 }
 
 
@@ -371,6 +385,9 @@ def test_criterion_11_mutations_are_detected():
             mp.setattr(module, attr, mutant)
             hits = _detections()
         assert hits, f"undetected mutation: {label}"
+        if label in _SHARED_BY_A_PAIR:
+            caught_by = {check for _, check in hits}
+            assert _SHARED_BY_A_PAIR[label] <= caught_by, (label, caught_by)
     # and the pristine build is clean, so the signal is the mutation
     assert not _detections()
     _ok(11)

@@ -22,6 +22,7 @@ from cbpv.cek import (
     unload_val,
     wf_check,
 )
+from cbpv.parser import parse_term
 from cbpv.sos import (
     AwaitingArgument,
     BareArith,
@@ -252,6 +253,23 @@ def test_wf_preserved_along_mult_run():
             break
         sigma = r
         assert wf_check(sigma)
+
+
+def test_wf_check_of_closures_nested_to_any_depth():
+    # each closure holds the one before it in its environment, 2,000 deep
+    k = 2000
+    calls = "".join(f"(y{i} . force wrap) to y{i + 1} in " for i in range(k))
+    sigma = load(
+        parse_term(
+            f"letrec wrap = \\t. prd thunk {{ force t }} in prd thunk {{ prd 0 }} to y0 in"
+            f" {calls}prd y{k}"
+        )
+    )
+    r = step(sigma)
+    while type(r) is CekState:
+        sigma, r = r, step(r)
+    assert type(r.kind.value) is Closure
+    assert wf_check(sigma)
 
 
 @settings(deadline=None)

@@ -1,11 +1,14 @@
 """End-to-end command line tests: every verb, every exit code.
 
 These go through ``main(argv)`` with captured streams rather than a
-subprocess, so failures point at real tracebacks.  The shipped fixture
-files under fixtures/ are exercised directly and kept in sync with the
-in-package sources.
+subprocess, so failures point at real tracebacks; only the test at the
+interpreter's default recursion limit starts a fresh interpreter.  The
+shipped fixture files under fixtures/ are exercised directly and kept in
+sync with the in-package sources.
 """
 
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -446,6 +449,63 @@ def test_check_under_30000_lambdas_exits_0(source_file, capsys):
     path = _under_30000_lambdas(source_file)
     assert main(["check", path]) == 0
     assert capsys.readouterr().out == f"{path}: ok\n"
+
+
+_AT_THE_DEFAULT_LIMIT = r"""
+import sys
+
+limit = sys.getrecursionlimit()
+import cbpv
+from cbpv import harness, rewrite, sos
+from cbpv.parser import parse_term
+from cbpv.syntax import alpha_eq
+
+assert sys.getrecursionlimit() == limit, (limit, sys.getrecursionlimit())
+n = 5000  # deeper than the interpreter's default limit of 1,000
+print(sos.run(parse_term("0 . \\x. " + "\\y. " * n + "prd x"), 10).result.kind)
+print(harness.tower_check(parse_term("(" * n + "prd 0" + " to x in prd x)" * n), fuel=5).ok)
+
+# a redex n deep, and a MoveElim whose left side is an n-link chain
+_, steps = rewrite.optimize(parse_term("\\y. " * n + "force thunk { prd 0 }"), max_passes=1)
+print(steps[0].rule.name, len(steps[0].at))
+links = "".join(f"prd {i} to x{i} in " for i in range(n))
+_, steps = rewrite.optimize(parse_term(f"({links}prd 7) to z in prd z"), max_passes=1)
+print(steps[0].rule.name, len(steps[0].at))
+
+# k closures, each on the environment of the next: reading one back reads
+# back every closure under it, from cold.  Through a wrapper function each
+# sits on its own short chain; bound in turn, all sit on one long chain.
+k = 2000  # past the default limit even at one frame of recursion a closure
+wrapped = "".join(f"(y{i} . force wrap) to y{i + 1} in " for i in range(k))
+bound = "".join(f"prd thunk {{ force y{i} }} to y{i + 1} in " for i in range(k))
+for chain in (
+    f"letrec wrap = \\t. prd thunk {{ force t }} in prd thunk {{ prd 0 }} to y0 in {wrapped}prd y{k}",
+    f"prd thunk {{ prd 0 }} to y0 in {bound}prd y{k}",
+):
+    chain = parse_term(chain)
+    sos_mach = harness.machine("sos", chain)
+    halt, steps, _ = harness.run(sos_mach, 10 * k)
+    want, halfway = halt.kind.value, harness.run(sos_mach, steps // 2)[2]
+    for name in ("cek", "peak", "pek", "cfg"):
+        mach = harness.machine(name, chain)
+        got = mach.value(harness.run(mach, steps)[0].kind.value)
+        state = harness.run(mach, steps // 2)[2]
+        print(name, alpha_eq(got, want), alpha_eq(mach.unload(state), halfway))
+"""
+
+
+def test_deep_programs_run_and_check_at_the_default_recursion_limit():
+    # importing the package leaves the recursion limit alone, so what a
+    # user gets at the interpreter's default is what this exercises
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    out = subprocess.run(
+        [sys.executable, "-c", _AT_THE_DEFAULT_LIMIT],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert out.returncode == 0, out.stderr[-2000:]
+    closures = "".join(f"{m} True True\n" for m in ("cek", "peak", "pek", "cfg"))
+    want = "AwaitingArgument()\nTrue\nForceThunk 5000\nMoveElim 0\n" + 2 * closures
+    assert out.stdout == want
 
 
 _DEEP_CONTEXTS = {

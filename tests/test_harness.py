@@ -169,6 +169,19 @@ def test_failure_lines_render_both_sides():
     assert line == "sos/cek step 0: expected prd 0, got prd 1"
 
 
+def test_failure_lines_render_states_of_any_depth():
+    # 3,000 bindings on cek's environment, a frame chain deeper than the
+    # interpreter's default recursion limit
+    n = 3000
+    links = "".join(f"x{i} + 1 to x{i + 1} in " for i in range(n - 1))
+    m = parse_term(f"1 + 0 to x0 in {links}prd x{n - 1}")
+    mach = harness.machine("cek", m)
+    _, steps, s = harness.run(mach, n - 1)  # all bound but the last
+    line = Failure(steps, "sos/cek", s, s, as_prog(m)).line()
+    assert line.count("Bind(name=") == 2 * (n - 1)
+    assert line.endswith(", rest=None" + ")" * (n - 1) + ", kont=())")
+
+
 def _numerals_off_by_one(real):
     def eval_operand(e, o):
         v = real(e, o)
