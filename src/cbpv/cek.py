@@ -15,6 +15,11 @@ one frame per letrec node crossed).
 Free variables are not errors: looking one up yields a symbolic value, so
 open programs run until they genuinely get stuck, mirroring the semantics.
 
+The continuation is a chain of ``Frames`` cells, top first, ended by the
+shared ``NIL``: a push makes one cell over the old chain and a pop takes
+its tail, so neither copies the frames below.  peak, pek and cfg keep
+their continuations, and peak its argument stack, in the same cells.
+
 Equality of environments and closures is structural, walked with an
 explicit stack, so a chain of any length compares without overflowing
 Python's stack.  It stops at a pair that is one object or was found equal
@@ -163,6 +168,91 @@ class RecFrame:
 CekEnv = Union[Bind, RecFrame]
 
 
+class Frames:
+    """One immutable continuation cell: the top frame, the cell under it
+    and the number of frames, this one included (``size``, which ``len``
+    reads).  ``NIL`` ends every chain, and iterating yields the frames top
+    first.  A push makes one cell and a pop reads ``rest``, so both are
+    O(1), and a chain pushed on shares its tail.  cek's, peak's, pek's and
+    cfg's continuations and peak's argument stacks are such chains.
+
+    Equality is structural and walks the chain in a loop, so a chain of any
+    depth compares at Python's default recursion limit.  It stops at a pair
+    of cells that are one object or were found equal before: ``twin`` is
+    the last cell this one was found equal to, as on ``peak.Env``.  The
+    checks compare a machine's chain with one unloaded from below at every
+    step, and a step pushes at most a few cells on top of chains compared
+    already.  ``memo`` holds what a program's checks derive from the cell
+    and its tail (see ``memo_of``).  Neither takes part in equality.
+    """
+
+    __slots__ = ("frame", "rest", "size", "memo", "twin")
+
+    def __init__(self, frame, rest):  # memo and twin stay unset until a check sets them
+        self.frame = frame
+        self.rest = rest
+        self.size = rest.size + 1
+
+    def __len__(self):
+        return self.size
+
+    def __iter__(self):
+        c = self
+        while c.size:
+            yield c.frame
+            c = c.rest
+
+    def memo_of(self, prog) -> dict:
+        """The cell's memo table under ``prog``: what the checks derive from
+        the frames of this cell and its tail, such as their unload one level
+        up, kept while the cell lives.  Never asked of ``NIL``, which every
+        program shares and whose derivations are all ``NIL`` again."""
+        m = getattr(self, "memo", None)
+        if m is None or m[0] is not prog:
+            m = self.memo = (prog, {})
+        return m[1]
+
+    def __eq__(self, other):
+        if type(other) is not Frames:
+            return NotImplemented
+        return _frames_equal(self, other)
+
+    __hash__ = None  # compared structurally, so never a key
+
+    def __repr__(self):
+        return f"frames({', '.join(map(repr, self))})"
+
+
+NIL = object.__new__(Frames)
+NIL.frame = NIL.rest = NIL.memo = NIL.twin = None
+NIL.size = 0
+
+
+def frames(*fs) -> Frames:
+    """The chain of frames ``fs``, top first."""
+    c = NIL
+    for f in reversed(fs):
+        c = Frames(f, c)
+    return c
+
+
+def _frames_equal(a: Frames, b: Frames) -> bool:
+    walked = []
+    while a is not b and getattr(a, "twin", None) is not b:
+        if a.size != b.size:
+            return False
+        if not a.size:
+            break
+        fa, fb = a.frame, b.frame
+        if fa is not fb and fa != fb:
+            return False
+        walked.append((a, b))
+        a, b = a.rest, b.rest
+    for a, b in walked:
+        a.twin = b
+    return True
+
+
 @frozen()
 class ArgF:
     value: CekVal
@@ -179,7 +269,7 @@ class SeqF:
 class CekState:
     code: object  # Term
     env: Optional[CekEnv]
-    kont: tuple  # of ArgF/SeqF, top first
+    kont: Frames  # of ArgF/SeqF
 
 
 class IllFormedState(Exception):
@@ -215,7 +305,7 @@ def lookup_value(v, env) -> CekVal:
 
 
 def load(m) -> CekState:
-    return CekState(m, None, ())
+    return CekState(m, None, NIL)
 
 
 def step(sigma: CekState):
@@ -228,10 +318,10 @@ def step(sigma: CekState):
             env = RecFrame(code.defs, env)
             code = code.body
         elif t is App:
-            kont = (ArgF(lookup_value(code.arg, env)),) + kont
+            kont = Frames(ArgF(lookup_value(code.arg, env)), kont)
             code = code.body
         elif t is Seq:
-            kont = (SeqF(code.binder, code.right, env),) + kont
+            kont = Frames(SeqF(code.binder, code.right, env), kont)
             code = code.left
         else:
             break
@@ -249,32 +339,32 @@ def step(sigma: CekState):
         return Stuck(StuckReason.GuardNotNumeral)
 
     if t is Prd:
-        if kont:
-            f = kont[0]
+        if kont.size:
+            f = kont.frame
             if type(f) is not SeqF:
                 return Stuck(StuckReason.ApplyNonFunction)
             v = lookup_value(code.value, env)
-            return CekState(f.rest, Bind(f.binder, v, f.env), kont[1:])
+            return CekState(f.rest, Bind(f.binder, v, f.env), kont.rest)
         return Terminal(ProducedValue(lookup_value(code.value, env)))
 
     if t is Lam:
-        if kont:
-            f = kont[0]
+        if kont.size:
+            f = kont.frame
             if type(f) is not ArgF:
                 return Stuck(StuckReason.SequencedNonProducer)
-            return CekState(code.body, Bind(code.binder, f.value, env), kont[1:])
+            return CekState(code.body, Bind(code.binder, f.value, env), kont.rest)
         return Terminal(AwaitingArgument())
 
     if t is Op:
-        if kont and type(kont[0]) is ArgF:
+        if kont.size and type(kont.frame) is ArgF:
             return Stuck(StuckReason.ApplyNonFunction)
         l = lookup_value(code.lhs, env)
         r = lookup_value(code.rhs, env)
         if type(l) is NumC and type(r) is NumC:
             n = code.op.apply(l.n, r.n)
-            if kont:
-                f = kont[0]
-                return CekState(f.rest, Bind(f.binder, NumC(n), f.env), kont[1:])
+            if kont.size:
+                f = kont.frame
+                return CekState(f.rest, Bind(f.binder, NumC(n), f.env), kont.rest)
             return Terminal(BareArith(n))
         return Stuck(StuckReason.ArithNonNumeral)
 
@@ -455,7 +545,9 @@ def _unload_seq_frame(f):
 
 def unload(sigma: CekState):
     t = unload_env(sigma.env, sigma.code)
-    for f in sigma.kont:
+    k = sigma.kont
+    while k.size:
+        f, k = k.frame, k.rest
         if type(f) is ArgF:
             t = App(unload_val(f.value), t)
         else:

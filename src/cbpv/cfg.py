@@ -39,7 +39,7 @@ from typing import Union
 from . import cek, peak, pek
 from .peak import Env, KArg, MissingBinding, NumP, PClosure
 from .pek import KRet, PekState
-from .cek import SymVar
+from .cek import Frames, SymVar
 from .sos import (
     AwaitingArgument,
     BareArith,
@@ -216,8 +216,12 @@ def eval_operand(e: Env, o: Operand):
     return SymVar(o.name)
 
 
-def _eval_args(e: Env, operands: tuple) -> tuple:
-    return tuple(eval_operand(e, o) for o in operands)
+def _push_args(e: Env, operands: tuple, kont: Frames) -> Frames:
+    """``kont`` with an argument frame for each operand pushed on it, the
+    first operand on top, as the callee pops them."""
+    for o in reversed(operands):
+        kont = Frames(KArg(eval_operand(e, o)), kont)
+    return kont
 
 
 # ---------------------------------------------------------------------------
@@ -452,16 +456,14 @@ def _execute(instr, succs, s: PekState):
         v = eval_operand(e, instr.fn)
         if type(v) is not PClosure:
             return Stuck(StuckReason.ForceNonThunk)
-        frames = tuple([KArg(eval_operand(e, o)) for o in instr.args])
-        return PekState(v.entry, v.env, frames + kont)
+        return PekState(v.entry, v.env, _push_args(e, instr.args, kont))
 
     if t is CALL:
         v = eval_operand(e, instr.fn)
         if type(v) is not PClosure:
             return Stuck(StuckReason.ForceNonThunk)
-        frames = tuple([KArg(eval_operand(e, o)) for o in instr.args])
         ret = KRet(instr.bind, succs[0], e.cut(instr.keep))  # the caller's chain
-        return PekState(v.entry, v.env, frames + (ret,) + kont)
+        return PekState(v.entry, v.env, _push_args(e, instr.args, Frames(ret, kont)))
 
     if t is MOV:
         v = eval_operand(e, instr.src)
@@ -469,20 +471,20 @@ def _execute(instr, succs, s: PekState):
         return PekState(succs[0], Env(instr.dst, v, e if e.size == k else e.cut(k)), kont)
 
     if t is RET:
-        if kont:
-            f = kont[0]
+        if kont.size:
+            f = kont.frame
             if type(f) is KArg:
                 return Stuck(StuckReason.ApplyNonFunction)
             v = eval_operand(e, instr.src)
-            return PekState(f.resume, Env(f.bind, v, f.env), kont[1:])
+            return PekState(f.resume, Env(f.bind, v, f.env), kont.rest)
         return Terminal(ProducedValue(eval_operand(e, instr.src)))
 
     if t is POP:
-        if kont:
-            f = kont[0]
+        if kont.size:
+            f = kont.frame
             if type(f) is KRet:
                 return Stuck(StuckReason.SequencedNonProducer)
-            return PekState(succs[0], Env(instr.dst, f.value, e), kont[1:])
+            return PekState(succs[0], Env(instr.dst, f.value, e), kont.rest)
         return Terminal(AwaitingArgument())
 
     if t is IF0:
@@ -501,16 +503,16 @@ def _execute(instr, succs, s: PekState):
         return PekState(succs[0], Env(instr.dst, n, e if e.size == k else e.cut(k)), kont)
 
     if t is OPRET:
-        if kont and type(kont[0]) is KArg:
+        if kont.size and type(kont.frame) is KArg:
             return Stuck(StuckReason.ApplyNonFunction)
         l = eval_operand(e, instr.lhs)
         r = eval_operand(e, instr.rhs)
         if type(l) is not NumP or type(r) is not NumP:
             return Stuck(StuckReason.ArithNonNumeral)
         n = NumP(instr.op.apply(l.n, r.n))
-        if kont:
-            f = kont[0]
-            return PekState(f.resume, Env(f.bind, n, f.env), kont[1:])
+        if kont.size:
+            f = kont.frame
+            return PekState(f.resume, Env(f.bind, n, f.env), kont.rest)
         return Terminal(BareArith(n.n))
 
     # STUCK

@@ -12,10 +12,15 @@ commutation up to its fuel and reports success if no square broke.
 
 Every visited state is unloaded and compared in full, yet a checked step
 costs about what the step changed.  Environments are immutable chains of
-cells (``peak.Env``), so what a check derives from a cell holds as long as
-the cell lives, and is kept on it: peak's unload of the chain, the
+cells (``peak.Env``), and so are continuations (``cek.Frames``), so what a
+check derives from a cell holds as long as the cell lives, and is kept on
+it: the unload one level up of the chain from that cell down, the
 well-formedness verdict and ``canon_state``'s canonical chain.  A step
-makes at most one new cell, so that is all a check of it walks.  peak's
+makes at most one environment cell and pushes a few continuation cells,
+so that is all a check of it derives, and the unloads of an unchanged
+tail are the same objects, at which equality stops.  What a checked step
+still pays once per frame of its continuation is plugging the frames into
+a term (``cek.unload``), sos's descent through them and ``alpha_eq``.  peak's
 unload also hash-conses what it builds in a weak table in the Prog's
 ``tables``, cek flattens an environment in one substitution and keeps the
 flattening of each frame, closure and sequence frame on those frozen
@@ -34,6 +39,7 @@ from operator import eq
 from typing import Callable
 
 from . import cek, cfg, peak, pek, sos
+from .cek import Frames
 from .peak import Env, KArg, KSeq, PClosure, PeakState
 from .printer import print_term
 from .sos import Next, ProducedValue, Stuck, Terminal
@@ -92,7 +98,7 @@ def _render(x, prog) -> str:
         if t is Env:
             head, tail = "Env({", "})"
             items = [(f"{_path(prog, b)}: ", v) for b, v in x.items()]
-        elif t is tuple:
+        elif t is tuple or t is Frames:  # a chain of cells shows as a tuple
             head, tail = "(", ",)" if len(x) == 1 else ")"
             items = [("", v) for v in x]
         elif is_dataclass(x):
@@ -193,14 +199,38 @@ def _canon_env(prog, e: Env) -> Env:
 _SAME = object()  # _canon_env's memo of a cell that is its own canonical chain
 
 
-def _canon_kont(prog, kont):
-    out = []
-    for f in kont:
-        if type(f) is KArg:
-            out.append(KArg(_canon_val(prog, f.value)))
+def _canon_kont(prog, kont: Frames) -> Frames:
+    """``kont`` with every frame's closures named by their entry points:
+    memoized on each cell as ``_canon_env`` is on environment cells, so
+    only cells new since the last call are walked, and a cell that is its
+    own canonical chain is kept as ``_SAME``."""
+    todo, hit = [], None
+    while kont.size:
+        memo = kont.memo_of(prog)
+        hit = memo.get("canon")
+        if hit is not None:
+            break
+        todo.append((kont, memo))
+        kont = kont.rest
+    out = kont if hit is None or hit is _SAME else hit
+    for c, memo in reversed(todo):
+        f = _canon_frame(prog, c.frame)
+        if f is not c.frame or out is not c.rest:
+            out = memo["canon"] = Frames(f, out)
         else:
-            out.append(KSeq(f.pos, _canon_env(prog, f.env), f.rest_args))
-    return tuple(out)
+            out = c
+            memo["canon"] = _SAME
+    return out
+
+
+def _canon_frame(prog, f):
+    """Frame ``f`` with its closures named by their entry points: ``f``
+    itself when nothing changes."""
+    if type(f) is KArg:
+        v = _canon_val(prog, f.value)
+        return f if v is f.value else KArg(v)
+    env = _canon_env(prog, f.env)
+    return f if env is f.env else KSeq(f.pos, env, f.rest_args)
 
 
 def canon_state(prog, rho: PeakState) -> PeakState:

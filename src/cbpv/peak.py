@@ -14,6 +14,9 @@ looking up a recursive name fabricates a closure whose entry is the
 definition's position, over the chain cut back to the letrec's scope.  The
 argument stack delays closure creation for application arguments until a
 force converts the pending frames into continuation frames (the δ function).
+Both stacks are chains of ``cek.Frames`` cells: a push makes one cell, a
+pop takes the tail, and a KSeq keeps the argument frames under its Seq as
+the tail they already are.
 
 Unloading rebuilds the CEK view of a state.  Machine transitions only ever
 leave the program counter at non-descent positions, so the ascent pass at
@@ -32,7 +35,10 @@ Unloads are memoized by cell.  A cell cannot be written to, so what it
 unloads to under a program is fixed: its CEK binding, its environment at
 each anchor position, the closures over it and the sequence frames on it
 are kept on the cell (``Env.memo_of``) and die with it, and an unload pays
-only for the cells that are new since the last one.  Every CEK value,
+only for the cells that are new since the last one.  Continuation cells
+keep their CEK chain and their well-formedness verdict the same way
+(``Frames.memo_of``), so the unload of a continuation's tail is the tail of
+its unload.  Every CEK value,
 environment cell and sequence frame an unload builds also comes from one
 weak table in the program's ``tables``, keyed by the position it stands for
 and the ids of its parts; each entry holds those parts, so an id in a live
@@ -46,7 +52,7 @@ from typing import Union
 from weakref import WeakValueDictionary
 
 from . import cek
-from .cek import CekState, Closure, NumC, SymVar
+from .cek import NIL, CekState, Closure, Frames, NumC, SymVar
 from .sos import (
     AwaitingArgument,
     BareArith,
@@ -241,15 +247,15 @@ class KArg:
 class KSeq:
     pos: int = field(metadata=POSITION)  # a Seq node
     env: Env  # the chain in scope at the Seq node
-    rest_args: tuple
+    rest_args: Frames  # the pending argument frames under the Seq's, a tail of ``args``
 
 
 @frozen()
 class PeakState:
     pc: int = field(metadata=POSITION)  # position id
     env: Env  # the Lam/Seq binders in scope at pc, innermost first
-    args: tuple  # of ARG/SEQ, innermost frame first
-    kont: tuple  # of KArg/KSeq, top first
+    args: Frames  # of ARG/SEQ, innermost frame on top
+    kont: Frames  # of KArg/KSeq
 
 
 # ---------------------------------------------------------------------------
@@ -394,18 +400,23 @@ def _child(prog, i: int, j: int) -> int:
 lookup_var, gamma, _gamma, _operand, _seq_exit = _lookups("peak", _child)
 
 
-def delta(P, e: Env, args: tuple) -> tuple:
-    """Convert pending argument frames up to and including the first SEQ."""
+def delta(P, e: Env, args: Frames, kont: Frames = NIL) -> Frames:
+    """Convert pending argument frames up to and including the first SEQ,
+    and push them onto ``kont`` in the same order.  A KSeq keeps the frames
+    under its SEQ as they are: the tail of ``args``."""
     prog = as_prog(P)
     out = []
-    for k, f in enumerate(args):
+    while args.size:
+        f, args = args.frame, args.rest
         i = f.pos
         if type(f) is ARG:
             out.append(KArg(_operand(prog, i, 0, prog.nodes[i].arg, e)))
         else:
-            out.append(KSeq(i, e.cut(_seq_exit(prog, i)[1]), tuple(args[k + 1 :])))
+            out.append(KSeq(i, e.cut(_seq_exit(prog, i)[1]), args))
             break
-    return tuple(out)
+    for f in reversed(out):
+        kont = Frames(f, kont)
+    return kont
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +424,7 @@ def delta(P, e: Env, args: tuple) -> tuple:
 
 
 def load(m) -> PeakState:
-    return PeakState(0, EMPTY, (), ())
+    return PeakState(0, EMPTY, NIL, NIL)
 
 
 def advance(P, rho: PeakState) -> PeakState:
@@ -424,7 +435,9 @@ def advance(P, rho: PeakState) -> PeakState:
 
 def _advance(prog, i: int, rho: PeakState):
     """``advance`` from position ``i``, ``rho.pc``; also returns the id
-    the program counter lands on."""
+    the program counter lands on.  The frames pushed from ``i`` are kept
+    per position as a chain, which an empty argument stack takes as it
+    is."""
     t = type(prog.nodes[i])
     if t is not Seq and t is not App and t is not LetRec:
         return i, rho
@@ -445,9 +458,16 @@ def _advance(prog, i: int, rho: PeakState):
             else:
                 break
             t = type(nodes[j])
-        hit = tab[i] = (j, tuple(reversed(pushed)))
-    j, pushed = hit
-    return j, PeakState(j, rho.env, pushed + rho.args, rho.kont)
+        alone = NIL
+        for f in pushed:
+            alone = Frames(f, alone)
+        hit = tab[i] = (j, tuple(pushed), alone)
+    j, pushed, args = hit
+    if rho.args.size:
+        args = rho.args
+        for f in pushed:  # outermost first, so the innermost lands on top
+            args = Frames(f, args)
+    return j, PeakState(j, rho.env, args, rho.kont)
 
 
 def step(P, rho: PeakState):
@@ -468,7 +488,7 @@ def _fire(prog, i: int, st: PeakState):
         v = _operand(prog, i, 0, node.value, e)
         if type(v) is not PClosure:
             return Stuck(StuckReason.ForceNonThunk)
-        return PeakState(v.entry, v.env, (), delta(prog, e, args) + kont)
+        return PeakState(v.entry, v.env, NIL, delta(prog, e, args, kont))
 
     if t is If0:
         g = _operand(prog, i, 0, node.guard, e)
@@ -477,57 +497,57 @@ def _fire(prog, i: int, st: PeakState):
         return PeakState(prog.kid(i, 1 if g.n == 0 else 2), e, args, kont)
 
     if t is Prd:
-        if args:
-            f = args[0]
+        if args.size:
+            f = args.frame
             if type(f) is ARG:
                 return Stuck(StuckReason.ApplyNonFunction)
             v = _operand(prog, i, 0, node.value, e)
             right, keep = _seq_exit(prog, f.pos)
             rest = e if e.size == keep else e.cut(keep)
-            return PeakState(right, Env(f.pos, v, rest), args[1:], kont)
-        if kont:
-            f = kont[0]
+            return PeakState(right, Env(f.pos, v, rest), args.rest, kont)
+        if kont.size:
+            f = kont.frame
             if type(f) is KArg:
                 return Stuck(StuckReason.ApplyNonFunction)
             v = _operand(prog, i, 0, node.value, e)
             right = _seq_exit(prog, f.pos)[0]
-            return PeakState(right, Env(f.pos, v, f.env), f.rest_args, kont[1:])
+            return PeakState(right, Env(f.pos, v, f.env), f.rest_args, kont.rest)
         return Terminal(ProducedValue(_operand(prog, i, 0, node.value, e)))
 
     if t is Lam:
-        if args:
-            f = args[0]
+        if args.size:
+            f = args.frame
             if type(f) is SEQ:
                 return Stuck(StuckReason.SequencedNonProducer)
             q = f.pos
             v = _operand(prog, q, 0, prog.nodes[q].arg, e)
-            return PeakState(prog.kid(i, 0), Env(i, v, e), args[1:], kont)
-        if kont:
-            f = kont[0]
+            return PeakState(prog.kid(i, 0), Env(i, v, e), args.rest, kont)
+        if kont.size:
+            f = kont.frame
             if type(f) is KSeq:
                 return Stuck(StuckReason.SequencedNonProducer)
-            return PeakState(prog.kid(i, 0), Env(i, f.value, e), (), kont[1:])
+            return PeakState(prog.kid(i, 0), Env(i, f.value, e), NIL, kont.rest)
         return Terminal(AwaitingArgument())
 
     if t is Op:
-        if args and type(args[0]) is ARG:
+        if args.size and type(args.frame) is ARG:
             return Stuck(StuckReason.ApplyNonFunction)
-        if not args and kont and type(kont[0]) is KArg:
+        if not args.size and kont.size and type(kont.frame) is KArg:
             return Stuck(StuckReason.ApplyNonFunction)
         l = _operand(prog, i, 0, node.lhs, e)
         r = _operand(prog, i, 1, node.rhs, e)
         if type(l) is not NumP or type(r) is not NumP:
             return Stuck(StuckReason.ArithNonNumeral)
         n = NumP(node.op.apply(l.n, r.n))
-        if args:
-            f = args[0]
+        if args.size:
+            f = args.frame
             right, keep = _seq_exit(prog, f.pos)
             rest = e if e.size == keep else e.cut(keep)
-            return PeakState(right, Env(f.pos, n, rest), args[1:], kont)
-        if kont:
-            f = kont[0]
+            return PeakState(right, Env(f.pos, n, rest), args.rest, kont)
+        if kont.size:
+            f = kont.frame
             right = _seq_exit(prog, f.pos)[0]
-            return PeakState(right, Env(f.pos, n, f.env), f.rest_args, kont[1:])
+            return PeakState(right, Env(f.pos, n, f.env), f.rest_args, kont.rest)
         return Terminal(BareArith(n.n))
 
     raise TypeError(f"pc does not address a computation: {node!r}")
@@ -550,10 +570,10 @@ def _ascend(prog, i: int, args):
         t = type(nodes[par])
         if (t is Seq and head == 0) or (t is App and head == 1):
             if args is not None:
-                f = args[0] if args else None
+                f = args.frame  # None on NIL
                 if type(f) is not (SEQ if t is Seq else ARG) or f.pos != par:
                     break
-                args = args[1:]
+                args = args.rest
             i = par
             continue
         if t is LetRec and head == 0:
@@ -720,41 +740,71 @@ def unload_v(prog, v):
     return hit
 
 
-def _unload_k(prog, e: Env, args, kont) -> tuple:
-    out = []
-
-    def seq_frame(i, env):
-        env = env.cut(_depth(prog, i))  # a pending frame's Seq may sit outside binders
-        memo = env.memo_of(prog)
-        hit = memo.get((cek.SeqF, i))
+def _seq_frame(prog, i: int, env: Env):
+    """The CEK frame of Seq ``i`` pending under chain ``env``, kept on the
+    chain's cell at the Seq."""
+    env = env.cut(_depth(prog, i))  # a pending frame's Seq may sit outside binders
+    memo = env.memo_of(prog)
+    hit = memo.get((cek.SeqF, i))
+    if hit is None:
+        cenv = _unload_e(prog, i, env)
+        key = (cek.SeqF, i, id(cenv))
+        cons = _cons(prog)
+        hit = cons.get(key)
         if hit is None:
-            cenv = _unload_e(prog, i, env)
-            key = (cek.SeqF, i, id(cenv))
-            cons = _cons(prog)
-            hit = cons.get(key)
-            if hit is None:
-                node = prog.nodes[i]
-                hit = cons[key] = cek.SeqF(node.binder, node.right, cenv)
-            memo[cek.SeqF, i] = hit
-        return hit
+            node = prog.nodes[i]
+            hit = cons[key] = cek.SeqF(node.binder, node.right, cenv)
+        memo[cek.SeqF, i] = hit
+    return hit
 
-    def emit_args(env, frames):
-        for f in frames:
-            q = f.pos
-            if type(f) is ARG:
-                v = _operand(prog, q, 0, prog.nodes[q].arg, env)
-                out.append(cek.ArgF(unload_v(prog, v)))
-            else:
-                out.append(seq_frame(q, env))
 
-    emit_args(e, args)
-    for f in kont:
-        if type(f) is KArg:
-            out.append(cek.ArgF(unload_v(prog, f.value)))
+def _unload_args(prog, e: Env, args: Frames, out: Frames) -> Frames:
+    """``out`` with the CEK frames of argument stack ``args`` under chain
+    ``e`` pushed on it, innermost on top."""
+    fs = []
+    while args.size:
+        f, args = args.frame, args.rest
+        q = f.pos
+        if type(f) is ARG:
+            v = _operand(prog, q, 0, prog.nodes[q].arg, e)
+            fs.append(cek.ArgF(unload_v(prog, v)))
         else:
-            out.append(seq_frame(f.pos, f.env))
-            emit_args(f.env, f.rest_args)
-    return tuple(out)
+            fs.append(_seq_frame(prog, q, e))
+    for f in reversed(fs):
+        out = Frames(f, out)
+    return out
+
+
+def _unload_k(prog, e: Env, args: Frames, kont: Frames) -> Frames:
+    """The CEK continuation of argument stack ``args`` under chain ``e``
+    over continuation ``kont``.  Each cell of ``kont`` keeps the CEK chain
+    of itself and its tail (``Frames.memo_of``), so only the cells that are
+    new since the last unload are converted, each once, and the unloads of
+    one suffix are one object: an equality test against them stops at the
+    tail it has compared before."""
+    todo = []
+    while kont.size:
+        memo = kont.memo_of(prog)
+        out = memo.get("cek")
+        if out is not None:
+            break
+        todo.append((kont.frame, memo))
+        kont = kont.rest
+    else:
+        out = NIL
+    for f, memo in reversed(todo):
+        out = memo["cek"] = _cek_frames(prog, f, out)
+    return _unload_args(prog, e, args, out)
+
+
+def _cek_frames(prog, f, out: Frames) -> Frames:
+    """``out`` with the CEK frames of continuation frame ``f`` pushed on it:
+    an argument, or a Seq's frame over the argument frames pending under
+    the Seq."""
+    if type(f) is KArg:
+        return Frames(cek.ArgF(unload_v(prog, f.value)), out)
+    out = _unload_args(prog, f.env, f.rest_args, out)
+    return Frames(_seq_frame(prog, f.pos, f.env), out)
 
 
 def unload(P, rho: PeakState) -> CekState:
@@ -831,6 +881,34 @@ def _closure_faults(prog, v: PClosure, what: str, out: list, seen: set, entry_fa
     _chain_faults(prog, v.entry, v.env, what, out, seen, entry_fault)
 
 
+def _kont_faults(prog, kont: Frames, out: list, seen: set, frame_faults):
+    """Append to ``out`` what ``frame_faults(prog, f, out, seen)`` finds
+    wrong with each frame of ``kont``, top first.  The walk stops at a cell
+    an earlier check with the same ``frame_faults`` found sound, and when
+    ``out`` is still empty at the end it marks every cell it walked sound:
+    each frame is checked once however long it stays on the continuation."""
+    key = ("wf", frame_faults)
+    mark = []
+    while kont.size:
+        memo = kont.memo_of(prog)
+        if key in memo:
+            break
+        mark.append(memo)
+        frame_faults(prog, kont.frame, out, seen)
+        kont = kont.rest
+    if not out:
+        for memo in mark:
+            memo[key] = True
+
+
+def _frame_faults(prog, f, out: list, seen: set):
+    if type(f) is KArg:
+        if type(f.value) is PClosure:
+            _closure_faults(prog, f.value, "argument closure", out, seen)
+    else:
+        _chain_faults(prog, f.pos, f.env, "continuation frame", out, seen)
+
+
 def wf_check(P, rho: PeakState) -> WfReport:
     prog = as_prog(P)
     violations = []
@@ -838,12 +916,7 @@ def wf_check(P, rho: PeakState) -> WfReport:
 
     # WF1
     _chain_faults(prog, rho.pc, rho.env, "pc", violations, seen)
-    for f in rho.kont:
-        if type(f) is KArg:
-            if type(f.value) is PClosure:
-                _closure_faults(prog, f.value, "argument closure", violations, seen)
-        else:
-            _chain_faults(prog, f.pos, f.env, "continuation frame", violations, seen)
+    _kont_faults(prog, rho.kont, violations, seen, _frame_faults)
 
     # WF2
     prev = rho.pc

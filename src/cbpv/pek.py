@@ -27,11 +27,19 @@ lookup, built with ``_next`` for code entries), and a closure
 or a return frame keeps the chain cut back to the scope of its entry or
 its Seq.  ``wf_check`` marks each cell it finds sound, so a check pays
 once per cell rather than once per binder in scope.
+
+The continuation and the static argument stacks are chains of
+``cek.Frames`` cells.  A position's static stack is its parent's with at
+most one frame pushed or popped, so ``aframes`` makes at most one cell per
+position.  Each continuation cell keeps its PEAK chain and its
+well-formedness verdict (``Frames.memo_of``), so ``unload`` and
+``wf_check`` pay once per frame, not once per frame per step.
 """
 
 from dataclasses import field
 
 from . import cek
+from .cek import NIL, Frames
 from .peak import (
     ARG,
     EMPTY,
@@ -47,6 +55,7 @@ from .peak import (
     WfReport,
     _chain_faults,
     _closure_faults,
+    _kont_faults,
     _lookups,
 )
 from .sos import (
@@ -84,20 +93,23 @@ class KRet:
 class PekState:
     pc: int = field(metadata=POSITION)  # the id of an instruction position
     env: Env  # the Lam/Seq binders in scope at pc, innermost first
-    kont: tuple  # of KArg/KRet, top first
+    kont: Frames  # of KArg/KRet
 
 
 # ---------------------------------------------------------------------------
 # static structure, by position id
 
 
-def aframes(P, p: tuple) -> tuple:
-    """The argument stack in force at a position, innermost frame first."""
+def aframes(P, p: tuple) -> Frames:
+    """The argument stack in force at a position, innermost frame on top."""
     prog = as_prog(P)
     return _aframes(prog, prog.pos(p))
 
 
-def _aframes(prog, i: int) -> tuple:
+def _aframes(prog, i: int) -> Frames:
+    """``aframes`` by id.  A position's stack is its parent's with at most
+    one frame pushed or popped, so each is one cell at most over its
+    parent's, made once."""
     tab = prog.tables["aframes"]
     r = tab.get(i)
     if r is not None:
@@ -107,24 +119,24 @@ def _aframes(prog, i: int) -> tuple:
     while r is None:
         pending.append(i)
         i = parents[i]
-        r = () if i < 0 else tab.get(i)
+        r = NIL if i < 0 else tab.get(i)
     for q in reversed(pending):  # then fill each one from its parent's
         par = parents[q]
         if par >= 0:
             head, t = heads[q], type(nodes[par])
             if t is App and head == 1:
-                r = (ARG(par),) + r
+                r = Frames(ARG(par), r)
             elif t is Lam and head == 0:
-                if r and type(r[0]) is ARG:
-                    r = r[1:]
+                if type(r.frame) is ARG:
+                    r = r.rest
             elif t is Seq and head == 0:
-                r = (SEQ(par),) + r
+                r = Frames(SEQ(par), r)
             elif not (
                 (t is LetRec and head == 0)
                 or (t is Seq and head == 1)
                 or (t is If0 and head in (1, 2))
             ):
-                r = ()
+                r = NIL
         tab[q] = r
     return r
 
@@ -161,12 +173,14 @@ def _next(prog, i: int, j: int) -> int:
 lookup_var, gamma, _gamma, _operand, _seq_exit = _lookups("pek", _next)
 
 
-def delta(P, e: Env, args: tuple) -> tuple:
-    """Convert pending frames; a return frame replaces everything from the
-    first SEQ on, since the remainder is recomputable from its position."""
+def delta(P, e: Env, args: Frames, kont: Frames = NIL) -> Frames:
+    """Convert pending frames and push them onto ``kont`` in the same
+    order; a return frame replaces everything from the first SEQ on, since
+    the remainder is recomputable from its position."""
     prog = as_prog(P)
     out = []
-    for f in args:
+    while args.size:
+        f, args = args.frame, args.rest
         i = f.pos
         if type(f) is ARG:
             out.append(KArg(_operand(prog, i, 0, prog.nodes[i].arg, e)))
@@ -174,7 +188,9 @@ def delta(P, e: Env, args: tuple) -> tuple:
             resume, keep = _seq_exit(prog, i)
             out.append(KRet(i, resume, e if e.size == keep else e.cut(keep)))
             break
-    return tuple(out)
+    for f in reversed(out):
+        kont = Frames(f, kont)
+    return kont
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +199,7 @@ def delta(P, e: Env, args: tuple) -> tuple:
 
 def load(P) -> PekState:
     prog = as_prog(P)
-    return PekState(eta(prog, 0), EMPTY, ())
+    return PekState(eta(prog, 0), EMPTY, NIL)
 
 
 def step(P, s: PekState):
@@ -204,7 +220,7 @@ def _fire(prog, s: PekState):
         v = _operand(prog, i, 0, node.value, e)
         if type(v) is not PClosure:
             return Stuck(StuckReason.ForceNonThunk)
-        return PekState(v.entry, v.env, delta(prog, e, a) + kont)
+        return PekState(v.entry, v.env, delta(prog, e, a, kont))
 
     if t is If0:
         g = _operand(prog, i, 0, node.guard, e)
@@ -213,55 +229,55 @@ def _fire(prog, s: PekState):
         return PekState(_next(prog, i, 1 if g.n == 0 else 2), e, kont)
 
     if t is Prd:
-        if a:
-            f = a[0]
+        if a.size:
+            f = a.frame
             if type(f) is ARG:
                 return Stuck(StuckReason.ApplyNonFunction)
             v = _operand(prog, i, 0, node.value, e)
             resume, keep = _seq_exit(prog, f.pos)
             rest = e if e.size == keep else e.cut(keep)
             return PekState(resume, Env(f.pos, v, rest), kont)
-        if kont:
-            f = kont[0]
+        if kont.size:
+            f = kont.frame
             if type(f) is KArg:
                 return Stuck(StuckReason.ApplyNonFunction)
             v = _operand(prog, i, 0, node.value, e)
-            return PekState(f.resume, Env(f.bind, v, f.env), kont[1:])
+            return PekState(f.resume, Env(f.bind, v, f.env), kont.rest)
         return Terminal(ProducedValue(_operand(prog, i, 0, node.value, e)))
 
     if t is Lam:
-        if a:
-            f = a[0]
+        if a.size:
+            f = a.frame
             if type(f) is SEQ:
                 return Stuck(StuckReason.SequencedNonProducer)
             q = f.pos
             v = _operand(prog, q, 0, prog.nodes[q].arg, e)
             return PekState(_next(prog, i, 0), Env(i, v, e), kont)
-        if kont:
-            f = kont[0]
+        if kont.size:
+            f = kont.frame
             if type(f) is KRet:
                 return Stuck(StuckReason.SequencedNonProducer)
-            return PekState(_next(prog, i, 0), Env(i, f.value, e), kont[1:])
+            return PekState(_next(prog, i, 0), Env(i, f.value, e), kont.rest)
         return Terminal(AwaitingArgument())
 
     if t is Op:
-        if a and type(a[0]) is ARG:
+        if a.size and type(a.frame) is ARG:
             return Stuck(StuckReason.ApplyNonFunction)
-        if not a and kont and type(kont[0]) is KArg:
+        if not a.size and kont.size and type(kont.frame) is KArg:
             return Stuck(StuckReason.ApplyNonFunction)
         l = _operand(prog, i, 0, node.lhs, e)
         r = _operand(prog, i, 1, node.rhs, e)
         if type(l) is not NumP or type(r) is not NumP:
             return Stuck(StuckReason.ArithNonNumeral)
         n = NumP(node.op.apply(l.n, r.n))
-        if a:
-            f = a[0]
+        if a.size:
+            f = a.frame
             resume, keep = _seq_exit(prog, f.pos)
             rest = e if e.size == keep else e.cut(keep)
             return PekState(resume, Env(f.pos, n, rest), kont)
-        if kont:
-            f = kont[0]
-            return PekState(f.resume, Env(f.bind, n, f.env), kont[1:])
+        if kont.size:
+            f = kont.frame
+            return PekState(f.resume, Env(f.bind, n, f.env), kont.rest)
         return Terminal(BareArith(n.n))
 
     raise TypeError(f"pc does not address an instruction: {node!r}")
@@ -275,17 +291,42 @@ def unload(P, s: PekState) -> PeakState:
     """The PEAK state of ``s``; IllFormedState when its pc or a return
     frame's Seq is an id that names no position."""
     prog = as_prog(P)
-    n = len(prog.nodes)
-    kont = []
-    for f in s.kont:
-        if type(f) is not KArg:
-            if not 0 <= f.bind < n:
-                raise cek.IllFormedState(f"return frame at no position {f.bind!r}")
-            f = KSeq(f.bind, f.env, _aframes(prog, f.bind))
-        kont.append(f)
-    if not 0 <= s.pc < n:
+    kont = _unload_k(prog, s.kont)
+    if not 0 <= s.pc < len(prog.nodes):
         raise cek.IllFormedState(f"pc at no position {s.pc!r}")
-    return PeakState(s.pc, s.env, _aframes(prog, s.pc), tuple(kont))
+    return PeakState(s.pc, s.env, _aframes(prog, s.pc), kont)
+
+
+def _unload_k(prog, kont: Frames) -> Frames:
+    """The PEAK continuation of ``kont``: each return frame becomes a KSeq
+    over its Seq's static argument stack.  Each cell keeps the PEAK chain
+    of itself and its tail (``Frames.memo_of``), so only cells new since
+    the last unload are converted, and the unloads of one suffix are one
+    object."""
+    n = len(prog.nodes)
+    todo = []
+    while kont.size:
+        memo = kont.memo_of(prog)
+        out = memo.get("peak")
+        if out is not None:
+            break
+        f = kont.frame
+        if type(f) is not KArg and not 0 <= f.bind < n:
+            raise cek.IllFormedState(f"return frame at no position {f.bind!r}")
+        todo.append((f, memo))
+        kont = kont.rest
+    else:
+        out = NIL
+    for f, memo in reversed(todo):
+        out = memo["peak"] = Frames(_peak_frame(prog, f), out)
+    return out
+
+
+def _peak_frame(prog, f):
+    """The PEAK frame of continuation frame ``f``."""
+    if type(f) is KArg:
+        return f
+    return KSeq(f.bind, f.env, _aframes(prog, f.bind))
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +343,23 @@ def wf_check(P, s: PekState) -> WfReport:
     prog = as_prog(P)
     violations = []
     seen = set()
-
-    def check_position(i, what):
-        fault = _entry_fault(prog, i)
-        if fault:
-            violations.append(f"{what}: {fault}")
-
-    check_position(s.pc, "pc")
+    fault = _entry_fault(prog, s.pc)
+    if fault:
+        violations.append(f"pc: {fault}")
     _chain_faults(prog, s.pc, s.env, "pc", violations, seen, _entry_fault)
-    for f in s.kont:
-        if type(f) is KArg:
-            if type(f.value) is PClosure:
-                _closure_faults(prog, f.value, "argument closure", violations, seen, _entry_fault)
-        else:
-            check_position(f.resume, "return frame")
-            _chain_faults(prog, f.bind, f.env, "return frame", violations, seen, _entry_fault)
-
+    _kont_faults(prog, s.kont, violations, seen, _frame_faults)
     return WfReport(tuple(violations))
+
+
+def _frame_faults(prog, f, out: list, seen: set):
+    if type(f) is KArg:
+        if type(f.value) is PClosure:
+            _closure_faults(prog, f.value, "argument closure", out, seen, _entry_fault)
+    else:
+        fault = _entry_fault(prog, f.resume)
+        if fault:
+            out.append(f"return frame: {fault}")
+        _chain_faults(prog, f.bind, f.env, "return frame", out, seen, _entry_fault)
 
 
 # ---------------------------------------------------------------------------

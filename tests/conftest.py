@@ -8,7 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import settings
 
-from cbpv import cfg, peak, pek, sos, syntax
+from cbpv import cek, cfg, peak, pek, sos, syntax
 from cbpv.rewrite import RuleId
 from cbpv.syntax import (
     App,
@@ -192,11 +192,14 @@ _POSITIONS = {"pc", "pos", "bind", "resume", "entry", "binder", "target", "dst",
 def renamed(x, name, memo=None):
     """``x`` with every position it names renamed by ``name``.  ``x`` is a
     peak, pek or cfg state, frame, value, chain, operand, instruction or
-    halt, a tuple of them, or a block map ``{pc: (instruction, successors)}``."""
+    halt, a tuple or a chain of frames of them, or a block map ``{pc:
+    (instruction, successors)}``."""
     memo = {} if memo is None else memo
     t = type(x)
     if t is tuple:
         return tuple(renamed(y, name, memo) for y in x)
+    if t is cek.Frames:
+        return cek.frames(*(renamed(y, name, memo) for y in x))
     if t is dict:
         return {
             name(p): (renamed(instr, name, memo), tuple(map(name, succs)))

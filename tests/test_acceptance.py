@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import cbpv.fixtures as fx
-from cbpv import cfg, harness, peak, pek, rewrite, sos
+from cbpv import cek, cfg, harness, peak, pek, rewrite, sos
 from cbpv.harness import LevelPair, gen_term, lockstep_check, tower_check
 from cbpv.parser import parse_term
 from cbpv.rewrite import RuleId
@@ -319,14 +319,16 @@ def _call_stores_callee_env(instr, succs, s):
     if type(instr) is cfg.CALL:
         v = cfg.eval_operand(s.env, instr.fn)
         if type(v) is cfg.PClosure:
-            frames = tuple(cfg.KArg(x) for x in cfg._eval_args(s.env, instr.args))
             ret = cfg.KRet(instr.bind, succs[0], v.env)
-            return cfg.PekState(v.entry, v.env, frames + (ret,) + s.kont)
+            kont = cfg._push_args(s.env, instr.args, cek.Frames(ret, s.kont))
+            return cfg.PekState(v.entry, v.env, kont)
     return _REAL_EXECUTE(instr, succs, s)
 
 
-def _delta_reversed(P, e, args):
-    return tuple(reversed(_REAL_DELTA(P, e, args)))
+def _delta_reversed(P, e, args, kont=cek.NIL):
+    for f in _REAL_DELTA(P, e, args):  # pushed top first, so they land reversed
+        kont = cek.Frames(f, kont)
+    return kont
 
 
 def _eta_skipping_letrec(P, i):

@@ -8,6 +8,7 @@ from cbpv import sos
 from cbpv.cek import (
     ArgF,
     Bind,
+    NIL,
     CekState,
     Closure,
     NumC,
@@ -15,6 +16,7 @@ from cbpv.cek import (
     SeqF,
     SymVar,
     describe,
+    frames,
     load,
     lookup_value,
     step,
@@ -94,12 +96,12 @@ def test_gamma_recursive_leftmost_duplicate_wins():
 
 
 def test_step_force_enters_closure():
-    assert step(load(fx.FORCE_THUNK)) == CekState(Prd(NumV(0)), None, ())
+    assert step(load(fx.FORCE_THUNK)) == CekState(Prd(NumV(0)), None, NIL)
 
 
 def test_step_beta_binds_in_one_step():
     got = step(load(fx.APPLY_ID))
-    assert got == CekState(Prd(VarV("x")), Bind("x", NumC(5), None), ())
+    assert got == CekState(Prd(VarV("x")), Bind("x", NumC(5), None), NIL)
 
 
 def test_step_produce_terminal():
@@ -126,12 +128,12 @@ def test_step_stuck_mirrors_semantics():
 
 
 def test_unload_substitutes_bindings():
-    sigma = CekState(Prd(VarV("x")), Bind("x", NumC(5), None), ())
+    sigma = CekState(Prd(VarV("x")), Bind("x", NumC(5), None), NIL)
     assert unload(sigma) == Prd(NumV(5))
 
 
 def test_unload_plugs_kont():
-    sigma = CekState(Prd(NumV(0)), None, (SeqF("y", Prd(VarV("y")), None),))
+    sigma = CekState(Prd(NumV(0)), None, frames(SeqF("y", Prd(VarV("y")), None)))
     t = unload(sigma)
     assert t == Seq(Prd(NumV(0)), "y", Prd(VarV("y")))
     assert sos.step(t) == sos.Next(Prd(NumV(0)))
@@ -141,7 +143,7 @@ def test_unload_arg_frames():
     sigma = CekState(
         Prd(VarV("x")),
         Bind("x", NumC(1), None),
-        (ArgF(NumC(5)), SeqF("y", Prd(VarV("y")), None)),
+        frames(ArgF(NumC(5)), SeqF("y", Prd(VarV("y")), None)),
     )
     got = unload(sigma)
     assert got == Seq(App(NumV(5), Prd(NumV(1))), "y", Prd(VarV("y")))
@@ -204,7 +206,7 @@ def test_unload_masks_a_rebound_frame_binder():
     sigma = CekState(
         Prd(VarV("z")),
         env,
-        (SeqF("z", Op(VarV("z"), ArithOp.ADD, VarV("z")), env),),
+        frames(SeqF("z", Op(VarV("z"), ArithOp.ADD, VarV("z")), env)),
     )
     assert unload(sigma) == Seq(
         Prd(NumV(9)), "z", Op(VarV("z"), ArithOp.ADD, VarV("z"))
@@ -215,7 +217,7 @@ def test_unload_freshens_rather_than_capturing_a_free_name():
     # w's stored thunk mentions a source-free z while the frame rebinds z;
     # the binder steps aside instead of capturing the free occurrence.
     env = Bind("w", lookup_value(ThunkV(Force(VarV("z"))), None), None)
-    sigma = CekState(Prd(NumV(0)), None, (SeqF("z", Force(VarV("w")), env),))
+    sigma = CekState(Prd(NumV(0)), None, frames(SeqF("z", Force(VarV("w")), env)))
     assert unload(sigma) == Seq(
         Prd(NumV(0)), "z'", Force(ThunkV(Force(VarV("z"))))
     )
@@ -318,8 +320,8 @@ def test_equality_of_30000_frame_chains_walks_no_stack():
         assert a is not b
         assert a == b and b == a
         assert a._twin is b and a.rest._twin is b.rest  # kept: they cannot change
-        assert CekState(Prd(VarV("x")), a, (ArgF(NumC(1)),)) == CekState(
-            Prd(VarV("x")), b, (ArgF(NumC(1)),)
+        assert CekState(Prd(VarV("x")), a, frames(ArgF(NumC(1)))) == CekState(
+            Prd(VarV("x")), b, frames(ArgF(NumC(1)))
         )
         assert Bind("y", NumC(0), a) != Bind("y", NumC(0), _frames(29_999, closures))
 

@@ -39,6 +39,7 @@ from cbpv.cfg import (
     step,
     unload,
 )
+from cbpv.cek import NIL, frames
 from cbpv.harness import gen_term
 from cbpv.parser import parse_term
 from cbpv.peak import EMPTY, KArg, MissingBinding, NumP, PClosure, chain
@@ -221,16 +222,16 @@ def test_arith_seq_runs_on_the_graph():
     g, s = load(fx.ARITH_SEQ)
     assert at_paths(g.prog, g.blocks[s.pc][0]) == OP(NAT(1), ArithOp.ADD, NAT(2), (), 0)
     s1 = step(g, s)
-    assert at_paths(g.prog, s1) == PekState((1,), chain(((), NumP(3))), ())
+    assert at_paths(g.prog, s1) == PekState((1,), chain(((), NumP(3))), NIL)
     assert step(g, s1) == Terminal(ProducedValue(NumP(3)))
 
 
 def test_call_saves_caller_environment():
     g, s = load(parse_term("force thunk { prd 5 } to x in prd x"))
     s1 = step(g, s)
-    assert at_paths(g.prog, s1) == PekState((0, 0, 0), EMPTY, (KRet((), (1,), EMPTY),))
+    assert at_paths(g.prog, s1) == PekState((0, 0, 0), EMPTY, frames(KRet((), (1,), EMPTY)))
     s2 = step(g, s1)
-    assert at_paths(g.prog, s2) == PekState((1,), chain(((), NumP(5))), ())
+    assert at_paths(g.prog, s2) == PekState((1,), chain(((), NumP(5))), NIL)
     assert step(g, s2) == Terminal(ProducedValue(NumP(5)))
 
 
@@ -238,20 +239,20 @@ def test_tail_call_pushes_no_return_frame():
     g, s = load(fx.MULT_CALL)
     s1 = step(g, s)
     assert at_paths(g.prog, s1) == PekState(
-        (1,), EMPTY, (KArg(NumP(2)), KArg(NumP(3)), KArg(NumP(0)))
+        (1,), EMPTY, frames(KArg(NumP(2)), KArg(NumP(3)), KArg(NumP(0)))
     )
 
 
 def test_unknown_pc_raises():
     g, _ = load(fx.ARITH_SEQ)
     with pytest.raises(UnknownPc, match="^no position 99$"):
-        step(g, PekState(99, EMPTY, ()))  # no position of the program has that id
+        step(g, PekState(99, EMPTY, NIL))  # no position of the program has that id
 
 
 def test_describe_of_an_unknown_pc_raises_unknown_pc():
     g, _ = load(fx.ARITH_SEQ)
     with pytest.raises(UnknownPc, match=r"^0\.1$"):
-        describe(g, PekState(g.prog.pos((1, 0)), EMPTY, ()), 0)  # the Op's rhs, a value
+        describe(g, PekState(g.prog.pos((1, 0)), EMPTY, NIL), 0)  # the Op's rhs, a value
 
 
 def test_blocks_are_keyed_by_the_position_id_of_each_instruction():

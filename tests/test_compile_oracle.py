@@ -94,7 +94,7 @@ def _oracle_operand(prog, p):
 
 def _oracle_block(prog, p, node):
     t = type(node)
-    a = at_paths(prog, pek.aframes(prog, p))
+    a = tuple(at_paths(prog, pek.aframes(prog, p)))
     op = lambda q: _oracle_operand(prog, q)
 
     if t is Force:

@@ -1,0 +1,143 @@
+"""Continuations as chains of shared cells (``cek.Frames``): equality of
+chains of any depth, and checks that derive each frame once."""
+
+import sys
+
+import pytest
+
+from cbpv import harness, peak, pek
+from cbpv.cek import NIL, ArgF, Frames, NumC, SeqF, frames
+from cbpv.harness import LevelPair
+from cbpv.parser import parse_term
+from cbpv.peak import EMPTY, KArg, KSeq, NumP
+from cbpv.pek import KRet
+from cbpv.syntax import Prd, VarV, as_prog
+
+from test_compile_oracle import sum_text
+
+# ---------------------------------------------------------------------------
+# equality
+
+
+def _cek_frame(k):
+    return ArgF(NumC(k)) if k % 2 else SeqF("r", Prd(VarV("r")), None)
+
+
+def _peak_frame(k):
+    return KArg(NumP(k)) if k % 2 else KSeq(k, EMPTY, frames(peak.SEQ(k + 1)))
+
+
+def _pek_frame(k):
+    return KArg(NumP(k)) if k % 2 else KRet(k, k + 1, EMPTY)
+
+
+def _chain(frame, n):
+    """A fresh chain of ``n`` frames, each a fresh object."""
+    c = NIL
+    for k in range(n):
+        c = Frames(frame(k), c)
+    return c
+
+
+def _count_eq(monkeypatch, classes):
+    """Count the calls of each class's ``__eq__``."""
+    calls = []
+    for cls in classes:
+        real = cls.__eq__
+
+        def counted(a, b, real=real):
+            calls.append(type(a))
+            return real(a, b)
+
+        monkeypatch.setattr(cls, "__eq__", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "frame, classes",
+    [(_cek_frame, (ArgF, SeqF)), (_peak_frame, (KArg, KSeq)), (_pek_frame, (KArg, KRet))],
+    ids=["cek", "peak", "pek"],
+)
+def test_deep_continuations_compare_without_recursion(monkeypatch, frame, classes):
+    n = 30_000
+    a, b = _chain(frame, n), _chain(frame, n)
+    assert a is not b and len(a) == len(b) == n
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)  # Python's default
+    try:
+        assert a == b and b == a
+        assert a != _chain(frame, n - 1)
+        assert a.twin is b and a.rest.twin is b.rest  # kept: cells cannot change
+        assert a != Frames(frame(n + 1), b.rest)  # a different top frame
+        # one push onto each: the second comparison walks the new cells and
+        # stops at the pair the first one found equal
+        calls = _count_eq(monkeypatch, classes)
+        a1, b1 = Frames(frame(n), a), Frames(frame(n), b)
+        assert a1 == b1
+        assert len(calls) == 1 and a1.twin is b1
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def _cells(c):
+    out = []
+    while c.size:
+        out.append(c)
+        c = c.rest
+    return out
+
+
+def test_unloads_of_one_suffix_are_one_object():
+    # the unload of a continuation's tail is the tail of its unload, kept
+    # on the tail's cell, so states that share a tail share its unload
+    n = 20
+    prog = as_prog(parse_term(sum_text(n)))
+    s, states = pek.load(prog), []
+    while type(s) is pek.PekState:
+        states.append(s)
+        s = pek.step(prog, s)
+    deepest = max(states, key=lambda s: len(s.kont))
+    assert len(deepest.kont) == n + 1  # a return frame per call, and the last argument
+    rho = pek.unload(prog, deepest)
+    sigma = peak.unload(prog, rho)
+    unloaded = {id(c) for c in _cells(sigma.kont)}
+    for k, r in zip(_cells(deepest.kont), _cells(rho.kont)):
+        assert pek.unload(prog, pek.PekState(deepest.pc, deepest.env, k)).kont is r
+        assert id(peak._unload_k(prog, EMPTY, NIL, r)) in unloaded
+    again = peak.unload(prog, pek.unload(prog, deepest))
+    assert again.kont is sigma.kont and again == sigma
+
+
+# ---------------------------------------------------------------------------
+# a checked step derives only the frames it pushed
+
+
+def _count_derivations(monkeypatch):
+    calls = []
+    for mod, name in [
+        (pek, "_peak_frame"),  # pek -> peak, one per frame
+        (peak, "_cek_frames"),  # peak -> cek, one per frame
+        (pek, "_frame_faults"),  # the wf verdict of one frame
+        (harness, "_canon_frame"),  # the canonical form of one frame
+    ]:
+        real = getattr(mod, name)
+
+        def counted(*args, real=real, name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [64, 256])
+def test_a_checked_step_derives_each_frame_once(monkeypatch, n):
+    calls = _count_derivations(monkeypatch)
+    report = harness.tower_check(parse_term(sum_text(n)), fuel=10**6)
+    assert report.ok and report.steps_checked > 5 * n
+    assert {"_peak_frame", "_cek_frames", "_frame_faults"} <= set(calls)
+    assert len(calls) <= 4 * report.steps_checked
+    del calls[:]
+    report = harness.lockstep_check(parse_term(sum_text(n)), LevelPair.PEAK_PEK, fuel=10**6)
+    assert report.ok and "_canon_frame" in calls
+    assert len(calls) <= 4 * report.steps_checked

@@ -234,7 +234,7 @@ def test_a_failure_line_shows_an_id_that_names_no_position(monkeypatch):
         f"sos/cfg step 1: expected prd 3, got 'state does not unload: pc at no position {n}'"
     )
     prog = as_prog(m)
-    state = pek.PekState(-1, peak.chain((-2, peak.NumP(3))), (pek.KRet(-3, 0, peak.EMPTY),))
+    state = pek.PekState(-1, peak.chain((-2, peak.NumP(3))), cek.frames(pek.KRet(-3, 0, peak.EMPTY)))
     with pytest.raises(cek.IllFormedState, match="return frame at no position -3"):
         pek.unload(prog, state)
     assert harness._render(state, prog) == (
@@ -255,7 +255,7 @@ def test_rendered_states_name_every_position_by_its_path():
     )
     s = pek.load(prog)
     ret = pek.KRet(prog.pos((0, 1)), prog.pos((1, 0, 1)), s.env)
-    assert harness._render(pek.PekState(s.pc, s.env, (ret,)), prog) == (
+    assert harness._render(pek.PekState(s.pc, s.env, cek.frames(ret)), prog) == (
         f"PekState(pc={prog.path_text(s.pc)}, env=Env({{}}),"
         " kont=(KRet(bind=1.0, resume=1.0.1, env=Env({})),))"
     )
@@ -310,9 +310,9 @@ def test_states_that_fail_to_unload_become_failures(monkeypatch):
         if type(instr) is cfg.CALL:
             v = cfg.eval_operand(s.env, instr.fn)
             if type(v) is cfg.PClosure:
-                frames = tuple(cfg.KArg(x) for x in cfg._eval_args(s.env, instr.args))
                 ret = cfg.KRet(instr.bind, succs[0], v.env)
-                return cfg.PekState(v.entry, v.env, frames + (ret,) + s.kont)
+                kont = cfg._push_args(s.env, instr.args, cek.Frames(ret, s.kont))
+                return cfg.PekState(v.entry, v.env, kont)
         return real_execute(instr, succs, s)
 
     monkeypatch.setattr(cfg, "_execute", call_stores_callee_env)

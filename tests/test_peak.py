@@ -6,6 +6,7 @@ with ``at_ids``/``at_paths`` under the one Prog a state belongs to."""
 from hypothesis import given, settings
 
 from cbpv import cek, sos
+from cbpv.cek import NIL, frames
 from cbpv import fixtures as fx
 from cbpv.parser import parse_term
 from cbpv.peak import (
@@ -84,10 +85,10 @@ def test_gamma_on_literals_and_thunks():
 def test_delta_converts_up_to_first_seq():
     prog = as_prog(parse_term("1 . (2 . force f) to x in prd x"))
     st = advance(prog, load(prog.term))
-    assert at_paths(prog, st.args) == (ARG((0, 1)), SEQ((1,)), ARG(()))
-    assert at_paths(prog, delta(prog, EMPTY, st.args)) == (
+    assert at_paths(prog, st.args) == frames(ARG((0, 1)), SEQ((1,)), ARG(()))
+    assert at_paths(prog, delta(prog, EMPTY, st.args)) == frames(
         KArg(NumP(2)),
-        KSeq((1,), EMPTY, (ARG(()),)),
+        KSeq((1,), EMPTY, frames(ARG(()))),
     )
 
 
@@ -99,8 +100,8 @@ def test_advance_descends_application_chain():
     prog = as_prog(fx.MULT_CALL)
     st = advance(prog, load(prog))
     assert prog.path(st.pc) == (1, 1, 1, 0)
-    assert at_paths(prog, st.args) == (ARG((1, 1, 0)), ARG((1, 0)), ARG((0,)))
-    assert st.env is EMPTY and st.kont == ()
+    assert at_paths(prog, st.args) == frames(ARG((1, 1, 0)), ARG((1, 0)), ARG((0,)))
+    assert st.env is EMPTY and st.kont is NIL
 
 
 def test_advance_is_idempotent():
@@ -117,14 +118,14 @@ def test_advance_is_idempotent():
 def test_arith_seq_runs_to_produced_numeral():
     prog = as_prog(fx.ARITH_SEQ)
     s1 = step(prog, load(prog.term))
-    assert at_paths(prog, s1) == PeakState((1,), chain(((), NumP(3))), (), ())
+    assert at_paths(prog, s1) == PeakState((1,), chain(((), NumP(3))), NIL, NIL)
     assert step(prog, s1) == Terminal(ProducedValue(NumP(3)))
 
 
 def test_force_enters_thunk_entry():
     prog = as_prog(fx.FORCE_THUNK)
     s1 = step(prog, load(prog.term))
-    assert at_paths(prog, s1) == PeakState((0, 0), EMPTY, (), ())
+    assert at_paths(prog, s1) == PeakState((0, 0), EMPTY, NIL, NIL)
     assert step(prog, s1) == Terminal(ProducedValue(NumP(0)))
 
 
@@ -132,26 +133,26 @@ def test_force_converts_pending_arguments():
     prog = as_prog(fx.MULT_CALL)
     s1 = step(prog, load(prog.term))
     assert at_paths(prog, s1) == PeakState(
-        (1,), EMPTY, (), (KArg(NumP(2)), KArg(NumP(3)), KArg(NumP(0)))
+        (1,), EMPTY, NIL, frames(KArg(NumP(2)), KArg(NumP(3)), KArg(NumP(0)))
     )
 
 
 def test_lambda_binds_from_argument_stack():
     prog = as_prog(fx.APPLY_ID)
     s1 = step(prog, load(prog.term))
-    assert at_paths(prog, s1) == PeakState((0, 1), chain(((1,), NumP(5))), (), ())
+    assert at_paths(prog, s1) == PeakState((0, 1), chain(((1,), NumP(5))), NIL, NIL)
     assert step(prog, s1) == Terminal(ProducedValue(NumP(5)))
 
 
 def test_lambda_binds_from_continuation():
     prog = as_prog(fx.APPLY_ID)
-    st = at_ids(prog, PeakState((1,), EMPTY, (), (KArg(NumP(5)),)))
-    assert at_paths(prog, step(prog, st)) == PeakState((0, 1), chain(((1,), NumP(5))), (), ())
+    st = at_ids(prog, PeakState((1,), EMPTY, NIL, frames(KArg(NumP(5)))))
+    assert at_paths(prog, step(prog, st)) == PeakState((0, 1), chain(((1,), NumP(5))), NIL, NIL)
 
 
 def test_branch_selects_child():
     prog = as_prog(fx.BRANCH_ZERO)
-    assert at_paths(prog, step(prog, load(prog.term))) == PeakState((1,), EMPTY, (), ())
+    assert at_paths(prog, step(prog, load(prog.term))) == PeakState((1,), EMPTY, NIL, NIL)
 
 
 def test_bare_arith_terminal():
@@ -192,14 +193,14 @@ def test_apply_arith_checks_context_before_operands():
     # the operands are unevaluated symbols, but the application wins
     prog = as_prog(parse_term("1 . a + b"))
     assert step(prog, load(prog.term)) == Stuck(StuckReason.ApplyNonFunction)
-    st = at_ids(prog, PeakState((1,), EMPTY, (), (KArg(NumP(9)),)))
+    st = at_ids(prog, PeakState((1,), EMPTY, NIL, frames(KArg(NumP(9)))))
     assert step(prog, st) == Stuck(StuckReason.ApplyNonFunction)
 
 
 def test_sequence_non_producer():
     prog = as_prog(parse_term("(\\x. prd x) to w in prd w"))
     assert step(prog, load(prog.term)) == Stuck(StuckReason.SequencedNonProducer)
-    st = at_ids(prog, PeakState((0,), EMPTY, (), (KSeq((), EMPTY, ()),)))
+    st = at_ids(prog, PeakState((0,), EMPTY, NIL, frames(KSeq((), EMPTY, NIL))))
     assert step(prog, st) == Stuck(StuckReason.SequencedNonProducer)
 
 
@@ -210,7 +211,7 @@ def test_arith_non_numeral():
 
 def test_missing_binding_reported_as_unbound_path():
     prog = as_prog(fx.APPLY_ID)
-    st = at_ids(prog, PeakState((0, 1), EMPTY, (), ()))  # inside the lambda, x never bound
+    st = at_ids(prog, PeakState((0, 1), EMPTY, NIL, NIL))  # inside the lambda, x never bound
     assert step(prog, st) == Stuck(StuckReason.UnboundPath)
 
 
@@ -226,9 +227,9 @@ def test_unload_of_load_is_initial_cek_state():
 
 def test_unload_mid_run_state():
     prog = as_prog(fx.ARITH_SEQ)
-    st = at_ids(prog, PeakState((1,), chain(((), NumP(3))), (), ()))
+    st = at_ids(prog, PeakState((1,), chain(((), NumP(3))), NIL, NIL))
     assert unload(prog, st) == cek.CekState(
-        Prd(VarV("x")), cek.Bind("x", cek.NumC(3), None), ()
+        Prd(VarV("x")), cek.Bind("x", cek.NumC(3), None), NIL
     )
 
 
@@ -304,7 +305,7 @@ def test_wf_holds_along_runs():
 
 def test_wf_reports_unbound_scope():
     prog = as_prog(fx.APPLY_ID)
-    report = wf_check(prog, at_ids(prog, PeakState((0, 1), EMPTY, (), ())))
+    report = wf_check(prog, at_ids(prog, PeakState((0, 1), EMPTY, NIL, NIL)))
     assert not report.ok
     assert "binder at 1" in report.violations[0]
 
@@ -321,7 +322,7 @@ def test_encloses_is_the_suffix_relation_on_paths():
 
 def test_wf_reports_argument_frame_out_of_scope():
     prog = as_prog(fx.APPLY_ID)
-    report = wf_check(prog, at_ids(prog, PeakState((), EMPTY, (ARG((0,)),), ())))
+    report = wf_check(prog, at_ids(prog, PeakState((), EMPTY, frames(ARG((0,))), NIL)))
     assert not report.ok
     assert report.violations == ("argument frame 0 is not a suffix of ε",)
 
@@ -342,5 +343,5 @@ def test_states_are_not_mutated_by_later_steps():
 def test_describe_format():
     assert describe(MULT, load(MULT), 0) == "peak 0: pc=ε env=0 args=0 kont=0"
     prog = as_prog(fx.ARITH_SEQ)
-    st = at_ids(prog, PeakState((1,), chain(((), NumP(3))), (), ()))
+    st = at_ids(prog, PeakState((1,), chain(((), NumP(3))), NIL, NIL))
     assert describe(prog, st, 3) == "peak 3: pc=1 env=1 args=0 kont=0"

@@ -3,11 +3,14 @@
 States name positions by id; the tests write them with paths and convert
 with ``at_ids``/``at_paths`` under the one Prog a state belongs to."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 
-from cbpv import cek, cfg, harness, peak
+from cbpv import cek, cfg, harness, peak, pek
 from cbpv import fixtures as fx
+from cbpv.cek import NIL, frames
 from cbpv.parser import parse_term
 from cbpv.harness import gen_term
 from cbpv.peak import ARG, EMPTY, SEQ, Env, KArg, KSeq, NumP, PClosure, PeakState, chain
@@ -32,7 +35,7 @@ from cbpv.sos import (
     StuckReason,
     Terminal,
 )
-from cbpv.syntax import Lam, Seq, alpha_eq, as_prog, path_from_text
+from cbpv.syntax import Lam, NumV, Prd, Seq, VarV, alpha_eq, as_prog, path_from_text
 
 from conftest import at_ids, at_paths, close_term, terms
 
@@ -55,29 +58,50 @@ def _eta(m, p):
 
 
 def test_aframes_at_root_is_empty():
-    assert _aframes(fx.ARITH_SEQ, ()) == ()
+    assert _aframes(fx.ARITH_SEQ, ()) == NIL
 
 
 def test_aframes_at_sequenced_op():
-    assert _aframes(fx.ARITH_SEQ, (0,)) == (SEQ(()),)
+    assert _aframes(fx.ARITH_SEQ, (0,)) == frames(SEQ(()))
 
 
 def test_aframes_at_recursive_call_site():
     inner = FORCE_SITE[1:]
     mid = inner[1:]
     outer = mid[1:]
-    assert _aframes(MULT, FORCE_SITE) == (ARG(inner), ARG(mid), ARG(outer))
+    assert _aframes(MULT, FORCE_SITE) == frames(ARG(inner), ARG(mid), ARG(outer))
 
 
 def test_aframes_lambda_consumes_one_argument():
-    assert _aframes(fx.APPLY_ID, (1,)) == (ARG(()),)
-    assert _aframes(fx.APPLY_ID, (0, 1)) == ()
+    assert _aframes(fx.APPLY_ID, (1,)) == frames(ARG(()))
+    assert _aframes(fx.APPLY_ID, (0, 1)) == NIL
+
+
+def test_aframes_of_a_deep_spine_share_their_cells():
+    # each position's stack is its parent's with one SEQ pushed, so filling
+    # the 8,000 positions down a spine of Seq left sides makes 8,000 cells,
+    # not a copy of the stack per position
+    n, m = 8000, Prd(NumV(0))
+    for _ in range(n):
+        m = Seq(m, "x", Prd(VarV("x")))
+    prog = as_prog(m)
+    bottom = 0
+    for _ in range(n):
+        bottom = prog.kid(bottom, 0)
+    tracemalloc.start()
+    try:
+        a = pek._aframes(prog, bottom)
+        peak_bytes = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(a) == n and a.rest is pek._aframes(prog, prog.parents[bottom])
+    assert peak_bytes < 2 * 2**20, peak_bytes
 
 
 def test_aframes_lambda_under_sequence_drops_nothing():
     prog = as_prog(parse_term("(\\x. prd x) to w in prd w"))
-    assert _aframes(prog, (0,)) == (SEQ(()),)
-    assert _aframes(prog, (0, 0)) == (SEQ(()),)
+    assert _aframes(prog, (0,)) == frames(SEQ(()))
+    assert _aframes(prog, (0, 0)) == frames(SEQ(()))
 
 
 def test_eta_is_identity_at_instructions():
@@ -102,14 +126,16 @@ def test_gamma_thunk_entry_is_advanced():
 def test_recursive_closure_entry_is_advanced():
     prog = as_prog(parse_term("letrec f = prd 0 to r in prd r in force f"))
     s1 = step(prog, load(prog))
-    assert at_paths(prog, s1) == PekState((0, 1), EMPTY, ())
+    assert at_paths(prog, s1) == PekState((0, 1), EMPTY, NIL)
 
 
 def test_delta_replaces_tail_with_return_frame():
     prog = as_prog(parse_term("1 . (2 . force f) to x in prd x"))
     a = aframes(prog, (1, 0, 1))
-    assert at_paths(prog, a) == (ARG((0, 1)), SEQ((1,)), ARG(()))
-    assert at_paths(prog, delta(prog, EMPTY, a)) == (KArg(NumP(2)), KRet((1,), (1, 1), EMPTY))
+    assert at_paths(prog, a) == frames(ARG((0, 1)), SEQ((1,)), ARG(()))
+    assert at_paths(prog, delta(prog, EMPTY, a)) == frames(
+        KArg(NumP(2)), KRet((1,), (1, 1), EMPTY)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -119,36 +145,36 @@ def test_delta_replaces_tail_with_return_frame():
 def test_load_positions():
     for m, pc in ((fx.ARITH_SEQ, (0,)), (fx.FORCE_THUNK, ()), (MULT, (0,))):
         prog = as_prog(m)
-        assert at_paths(prog, load(prog)) == PekState(pc, EMPTY, ())
+        assert at_paths(prog, load(prog)) == PekState(pc, EMPTY, NIL)
 
 
 def test_arith_seq_runs_to_produced_numeral():
     prog = as_prog(fx.ARITH_SEQ)
     s1 = step(prog, load(prog))
-    assert at_paths(prog, s1) == PekState((1,), chain(((), NumP(3))), ())
+    assert at_paths(prog, s1) == PekState((1,), chain(((), NumP(3))), NIL)
     assert step(prog, s1) == Terminal(ProducedValue(NumP(3)))
 
 
 def test_force_enters_thunk():
     prog = as_prog(fx.FORCE_THUNK)
     s1 = step(prog, load(prog))
-    assert at_paths(prog, s1) == PekState((0, 0), EMPTY, ())
+    assert at_paths(prog, s1) == PekState((0, 0), EMPTY, NIL)
     assert step(prog, s1) == Terminal(ProducedValue(NumP(0)))
 
 
 def test_force_converts_static_frames():
     prog = as_prog(fx.MULT_CALL)
-    assert at_paths(prog, load(prog)) == PekState((1, 1, 1, 0), EMPTY, ())
+    assert at_paths(prog, load(prog)) == PekState((1, 1, 1, 0), EMPTY, NIL)
     s1 = step(prog, load(prog))
     assert at_paths(prog, s1) == PekState(
-        (1,), EMPTY, (KArg(NumP(2)), KArg(NumP(3)), KArg(NumP(0)))
+        (1,), EMPTY, frames(KArg(NumP(2)), KArg(NumP(3)), KArg(NumP(0)))
     )
 
 
 def test_lambda_binds_from_static_frame():
     prog = as_prog(fx.APPLY_ID)
     s1 = step(prog, load(prog))
-    assert at_paths(prog, s1) == PekState((0, 1), chain(((1,), NumP(5))), ())
+    assert at_paths(prog, s1) == PekState((0, 1), chain(((1,), NumP(5))), NIL)
 
 
 def test_lambda_binds_from_continuation():
@@ -156,9 +182,9 @@ def test_lambda_binds_from_continuation():
     # so the argument arrives through the continuation
     prog = as_prog(parse_term("5 . force thunk { \\x. prd x }"))
     s1 = step(prog, load(prog))
-    assert at_paths(prog, s1) == PekState((0, 0, 1), EMPTY, (KArg(NumP(5)),))
+    assert at_paths(prog, s1) == PekState((0, 0, 1), EMPTY, frames(KArg(NumP(5))))
     s2 = step(prog, s1)
-    assert at_paths(prog, s2) == PekState((0, 0, 0, 1), chain(((0, 0, 1), NumP(5))), ())
+    assert at_paths(prog, s2) == PekState((0, 0, 0, 1), chain(((0, 0, 1), NumP(5))), NIL)
     assert step(prog, s2) == Terminal(ProducedValue(NumP(5)))
 
 
@@ -166,10 +192,10 @@ def test_curried_arguments_bind_innermost_first():
     prog = as_prog(parse_term("5 . 7 . \\x. \\y. prd y"))
     s = load(prog)
     s = step(prog, s)
-    assert at_paths(prog, s) == PekState((0, 1, 1), chain(((1, 1), NumP(7))), ())
+    assert at_paths(prog, s) == PekState((0, 1, 1), chain(((1, 1), NumP(7))), NIL)
     s = step(prog, s)
     assert at_paths(prog, s) == PekState(
-        (0, 0, 1, 1), chain(((1, 1), NumP(7)), ((0, 1, 1), NumP(5))), ()
+        (0, 0, 1, 1), chain(((1, 1), NumP(7)), ((0, 1, 1), NumP(5))), NIL
     )
     assert step(prog, s) == Terminal(ProducedValue(NumP(5)))
 
@@ -203,7 +229,7 @@ def test_stuck_reasons_mirror_structural_semantics():
 
 def test_missing_binding_reported_as_unbound_path():
     prog = as_prog(fx.APPLY_ID)
-    st = at_ids(prog, PekState((0, 1), EMPTY, ()))
+    st = at_ids(prog, PekState((0, 1), EMPTY, NIL))
     assert step(prog, st) == Stuck(StuckReason.UnboundPath)
 
 
@@ -213,19 +239,19 @@ def test_missing_binding_reported_as_unbound_path():
 
 def test_unload_recomputes_static_frames():
     prog = as_prog(fx.ARITH_SEQ)
-    assert at_paths(prog, unload(prog, load(prog))) == PeakState((0,), EMPTY, (SEQ(()),), ())
+    assert at_paths(prog, unload(prog, load(prog))) == PeakState((0,), EMPTY, frames(SEQ(())), NIL)
 
 
 def test_unload_expands_return_frame():
     prog = as_prog(parse_term("1 . (2 . force f) to x in prd x"))
-    st = at_ids(prog, PekState((1, 1), EMPTY, (KRet((1,), (1, 1), EMPTY),)))
+    st = at_ids(prog, PekState((1, 1), EMPTY, frames(KRet((1,), (1, 1), EMPTY))))
     got = unload(prog, st)
-    assert at_paths(prog, got.kont) == (KSeq((1,), EMPTY, (ARG(()),)),)
+    assert at_paths(prog, got.kont) == frames(KSeq((1,), EMPTY, frames(ARG(()))))
 
 
 def test_unload_of_trivial_state_is_trivial():
     prog = as_prog(fx.FORCE_THUNK)
-    assert unload(prog, PekState(0, EMPTY, ())) == PeakState(0, EMPTY, (), ())
+    assert unload(prog, PekState(0, EMPTY, NIL)) == PeakState(0, EMPTY, NIL, NIL)
 
 
 def test_source_recovered_through_both_unloads():
@@ -327,35 +353,35 @@ def test_pc_stays_on_instructions_and_wf_holds():
 
 def test_wf_rejects_search_position():
     prog = as_prog(fx.ARITH_SEQ)
-    report = wf_check(prog, PekState(0, EMPTY, ()))
+    report = wf_check(prog, PekState(0, EMPTY, NIL))
     assert not report.ok
     assert "instruction position" in report.violations[0]
 
 
 def test_wf_rejects_unbound_scope():
     prog = as_prog(fx.APPLY_ID)
-    assert not wf_check(prog, at_ids(prog, PekState((0, 1), EMPTY, ()))).ok
+    assert not wf_check(prog, at_ids(prog, PekState((0, 1), EMPTY, NIL))).ok
 
 
 def test_wf_rejects_a_chain_that_is_not_the_scope():
     prog = as_prog(fx.APPLY_ID)  # 5 . \x. prd x
     wf = lambda s: wf_check(prog, at_ids(prog, s))
-    assert wf(PekState((0, 1), chain(((1,), NumP(5))), ()))
+    assert wf(PekState((0, 1), chain(((1,), NumP(5))), NIL))
     extra = chain(((0,), NumP(4)), ((1,), NumP(5)))  # a binder outside the lambda
-    [v] = wf(PekState((0, 1), extra, ())).violations
+    [v] = wf(PekState((0, 1), extra, NIL)).violations
     assert v == "pc: binder at 0 bound outside the scope of position 1"
     other = chain(((0,), NumP(5)))
-    [v] = wf(PekState((0, 1), other, ())).violations
+    [v] = wf(PekState((0, 1), other, NIL)).violations
     assert v == "pc: binder at 1 unbound for position 1.0"
     closure = PClosure((0, 1), extra)  # checked wherever it sits
-    [v] = wf(PekState((), EMPTY, (KArg(closure),))).violations[1:]
+    [v] = wf(PekState((), EMPTY, frames(KArg(closure)))).violations[1:]
     assert v == "argument closure: binder at 0 bound outside the scope of position 1"
 
 
 def test_describe_format():
     prog = as_prog(fx.ARITH_SEQ)
     assert describe(prog, load(prog), 0) == "pek 0: pc=0 env=0 kont=0"
-    assert describe(prog, PekState(0, EMPTY, ()), 2) == "pek 2: pc=ε env=0 kont=0"
+    assert describe(prog, PekState(0, EMPTY, NIL), 2) == "pek 2: pc=ε env=0 kont=0"
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ import pytest
 
 import cbpv.fixtures as fx
 from cbpv import cek, cfg, peak, pek, syntax
-from cbpv.cek import Closure, CekState, NumC, SymVar
+from cbpv.cek import Closure, CekState, NumC, SymVar, frames
 from cbpv.harness import gen_term
 from cbpv.parser import parse_term
 from cbpv.peak import ARG, SEQ, KArg, KSeq, NumP, PClosure, PeakState
@@ -151,7 +151,7 @@ class Oracle:
                 return p
 
     def advance(self, rho):
-        pc, args = rho.pc, rho.args
+        pc, args = rho.pc, tuple(rho.args)
         while True:
             t = type(self.at(pc))
             if t is Seq:
@@ -162,7 +162,7 @@ class Oracle:
                 pc = (0,) + pc
             else:
                 break
-        return PeakState(pc, rho.env, args, rho.kont)
+        return PeakState(pc, rho.env, frames(*args), rho.kont)
 
     def scope_entries(self, p):
         need = []
@@ -304,19 +304,19 @@ class Oracle:
                 node = self.at(f.pos)
                 out.append(cek.SeqF(node.binder, node.right, self.unload_e(f.pos, f.env)))
                 emit_args(f.env, f.rest_args)
-        return tuple(out)
+        return frames(*out)
 
     def peak_unload(self, rho):
-        pc, args = self.ascend(rho.pc, rho.args)
+        pc, args = self.ascend(rho.pc, tuple(rho.args))
         code, anchor = self.entry_code(pc)
         return CekState(code, self.unload_e(anchor, rho.env), self.unload_k(rho.env, args, rho.kont))
 
     def pek_unload(self, s):
-        kont = tuple(
-            f if type(f) is KArg else KSeq(f.bind, f.env, self.aframes(f.bind))
+        kont = frames(*(
+            f if type(f) is KArg else KSeq(f.bind, f.env, frames(*self.aframes(f.bind)))
             for f in s.kont
-        )
-        return PeakState(s.pc, s.env, self.aframes(s.pc), kont)
+        ))
+        return PeakState(s.pc, s.env, frames(*self.aframes(s.pc)), kont)
 
 
 # ---------------------------------------------------------------------------
@@ -364,14 +364,14 @@ def _agrees_at(prog, o, p):
     written = _binder_env(o, p)
     e = at_ids(prog, written)
     assert prog.at(p) is o.at(p)
-    assert at_paths(prog, pek.aframes(prog, p)) == o.aframes(p)
+    assert at_paths(prog, pek.aframes(prog, p)) == frames(*o.aframes(p))
     assert _scope_entries(prog, p) == o.scope_entries(p)
     assert peak._depth(prog, prog.pos(p)) == len(e)
     assert peak._unload_e(prog, prog.pos(p), e) == o.unload_e(p, written)
     node = o.at(p)
     if is_term(node):
         assert prog.path(pek.eta(prog, prog.pos(p))) == o.eta(p)
-        rho = PeakState(p, peak.EMPTY, (), ())
+        rho = PeakState(p, peak.EMPTY, frames(), frames())
         assert at_paths(prog, peak.advance(prog, at_ids(prog, rho))) == o.advance(rho)
     else:
         want = o.gamma(p, written)

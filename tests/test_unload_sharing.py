@@ -204,7 +204,7 @@ def oracle_unload_k(prog, e, args, kont):
         else:
             out.append(seq_frame(f.pos, f.env))
             emit_args(f.env, f.rest_args)
-    return tuple(out)
+    return cek.frames(*out)
 
 
 def oracle_peak_unload(P, rho):
@@ -421,9 +421,9 @@ def test_one_substitution_keeps_the_binder_name_sos_prints():
 def test_rebound_frame_binders_unload_like_the_oracle():
     env = Bind("z", NumC(9), None)
     masked = CekState(Prd(VarV("z")), env,
-                      (SeqF("z", Op(VarV("z"), ArithOp.ADD, VarV("z")), env),))
+                      cek.frames(SeqF("z", Op(VarV("z"), ArithOp.ADD, VarV("z")), env)))
     stored = Bind("w", cek.lookup_value(ThunkV(Force(VarV("z"))), None), None)
-    freshened = CekState(Prd(NumV(0)), None, (SeqF("z", Force(VarV("w")), stored),))
+    freshened = CekState(Prd(NumV(0)), None, cek.frames(SeqF("z", Force(VarV("w")), stored)))
     for sigma in (masked, freshened):
         _terms_agree(sigma, sigma)
         _terms_agree(sigma, sigma)  # the second time from the kept flattenings
@@ -514,9 +514,10 @@ def _stale_parent(real):
     def execute(instr, succs, s):
         r = real(instr, succs, s)
         t = type(instr)
-        if (t is MOV or t is OP) and type(r) is PekState and s.kont and type(s.kont[0]) is KRet:
+        top = s.kont.frame  # None on an empty continuation
+        if (t is MOV or t is OP) and type(r) is PekState and type(top) is KRet:
             cell = r.env
-            return PekState(r.pc, Env(cell.binder, cell.value, s.kont[0].env), r.kont)
+            return PekState(r.pc, Env(cell.binder, cell.value, top.env), r.kont)
         return r
 
     return execute
