@@ -404,6 +404,8 @@ def delta(P, e: Env, args: Frames, kont: Frames = NIL) -> Frames:
     """Convert pending argument frames up to and including the first SEQ,
     and push them onto ``kont`` in the same order.  A KSeq keeps the frames
     under its SEQ as they are: the tail of ``args``."""
+    if not args.size:  # a force with no pending arguments converts nothing
+        return kont
     prog = as_prog(P)
     out = []
     while args.size:

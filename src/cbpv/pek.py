@@ -177,6 +177,8 @@ def delta(P, e: Env, args: Frames, kont: Frames = NIL) -> Frames:
     """Convert pending frames and push them onto ``kont`` in the same
     order; a return frame replaces everything from the first SEQ on, since
     the remainder is recomputable from its position."""
+    if not args.size:  # a force with no pending arguments converts nothing
+        return kont
     prog = as_prog(P)
     out = []
     while args.size:
