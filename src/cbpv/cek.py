@@ -19,6 +19,10 @@ The continuation is a chain of ``Frames`` cells, top first, ended by the
 shared ``NIL``: a push makes one cell over the old chain and a pop takes
 its tail, so neither copies the frames below.  peak, pek and cfg keep
 their continuations, and peak its argument stack, in the same cells.
+They and peak's environment cells are ``Cell``s: the checks keep what
+they derive from a cell on it (``Cell.memo_of``), and ``Cell.derive``
+maps a chain cell by cell and keeps each cell's image, so a check walks
+only the cells that are new since the last one.
 
 Equality of environments and closures is structural, walked with an
 explicit stack, so a chain of any length compares without overflowing
@@ -168,33 +172,81 @@ class RecFrame:
 CekEnv = Union[Bind, RecFrame]
 
 
-class Frames:
-    """One immutable continuation cell: the top frame, the cell under it
-    and the number of frames, this one included (``size``, which ``len``
-    reads).  ``NIL`` ends every chain, and iterating yields the frames top
+class Cell:
+    """One immutable cell of a chain: the cell under it (``rest``) and the
+    number of cells, this one included (``size``, which ``len`` reads); a
+    cell of size 0 ends the chain.  ``memo`` holds what a program's checks
+    derive from the cell and its tail, and ``twin`` the last cell this one
+    was found equal to.  Neither takes part in equality, which is
+    structural, so a cell is never a key."""
+
+    __slots__ = ("rest", "size", "memo", "twin")
+
+    def __len__(self):
+        return self.size
+
+    __hash__ = None
+
+    def memo_of(self, prog) -> dict:
+        """The cell's memo table under ``prog``.  A cell cannot be written
+        to, so what is derived from it stays true while it lives, and dies
+        with it.  An empty cell is shared by every program, so its table is
+        one of the program's tables."""
+        if not self.size:
+            return prog.tables["empty"]
+        m = getattr(self, "memo", None)  # unset on a Frames cell no check has seen
+        if m is None or m[0] is not prog:
+            m = self.memo = (prog, {})
+        return m[1]
+
+    def derive(self, prog, key, make):
+        """The image of this chain under ``key``: ``make(prog, cell, out)``
+        builds a cell's image over ``out``, the image of its tail, and an
+        empty cell is its own image.  Each cell keeps its image in its memo
+        under ``key``, so only the cells new since the last call are walked,
+        each once, and the images of one suffix are one object.  A cell that
+        is its own image keeps ``_SAME``: a memo holding its own cell would
+        be a cycle through the Prog, which only the collector could free."""
+        todo, c, out = [], self, None
+        while c.size:
+            memo = c.memo_of(prog)
+            out = memo.get(key)
+            if out is not None:
+                break
+            todo.append((c, memo))
+            c = c.rest
+        if out is None or out is _SAME:
+            out = c
+        for c, memo in reversed(todo):
+            out = make(prog, c, out)
+            memo[key] = _SAME if out is c else out
+        return out
+
+
+_SAME = object()  # the memo of a cell that is its own image
+
+
+class Frames(Cell):
+    """One immutable continuation cell: the top frame over the cell under
+    it.  ``NIL`` ends every chain, and iterating yields the frames top
     first.  A push makes one cell and a pop reads ``rest``, so both are
     O(1), and a chain pushed on shares its tail.  cek's, peak's, pek's and
     cfg's continuations and peak's argument stacks are such chains.
 
     Equality is structural and walks the chain in a loop, so a chain of any
     depth compares at Python's default recursion limit.  It stops at a pair
-    of cells that are one object or were found equal before: ``twin`` is
-    the last cell this one was found equal to, as on ``peak.Env``.  The
-    checks compare a machine's chain with one unloaded from below at every
-    step, and a step pushes at most a few cells on top of chains compared
-    already.  ``memo`` holds what a program's checks derive from the cell
-    and its tail (see ``memo_of``).  Neither takes part in equality.
+    of cells that are one object or were found equal before (``twin``, as
+    on ``peak.Env``).  The checks compare a machine's chain with one
+    unloaded from below at every step, and a step pushes at most a few
+    cells on top of chains compared already.
     """
 
-    __slots__ = ("frame", "rest", "size", "memo", "twin")
+    __slots__ = ("frame",)
 
     def __init__(self, frame, rest):  # memo and twin stay unset until a check sets them
         self.frame = frame
         self.rest = rest
         self.size = rest.size + 1
-
-    def __len__(self):
-        return self.size
 
     def __iter__(self):
         c = self
@@ -202,22 +254,10 @@ class Frames:
             yield c.frame
             c = c.rest
 
-    def memo_of(self, prog) -> dict:
-        """The cell's memo table under ``prog``: what the checks derive from
-        the frames of this cell and its tail, such as their unload one level
-        up, kept while the cell lives.  Never asked of ``NIL``, which every
-        program shares and whose derivations are all ``NIL`` again."""
-        m = getattr(self, "memo", None)
-        if m is None or m[0] is not prog:
-            m = self.memo = (prog, {})
-        return m[1]
-
     def __eq__(self, other):
         if type(other) is not Frames:
             return NotImplemented
         return _frames_equal(self, other)
-
-    __hash__ = None  # compared structurally, so never a key
 
     def __repr__(self):
         return f"frames({', '.join(map(repr, self))})"

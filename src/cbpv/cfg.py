@@ -205,7 +205,7 @@ def eval_operand(e: Env, o: Operand):
     if t is LOC:  # e.find(o.binder, o.level), inlined: the commonest operand
         k = o.level
         while e.size > k:
-            e = e.parent
+            e = e.rest
         if e.size == k and e.binder == o.binder:
             return e.value
         raise MissingBinding(o.binder)
@@ -431,9 +431,7 @@ def block_at(G: Cfg, pc: int):
     """The (instruction, successors) block at position id ``pc``."""
     block = G.blocks.get(pc)
     if block is None:
-        prog = as_prog(G.prog)
-        known = type(pc) is int and 0 <= pc < len(prog.nodes)
-        raise UnknownPc(prog.path_text(pc) if known else f"no position {pc!r}")
+        raise UnknownPc(as_prog(G.prog).path_text(pc))
     return block
 
 

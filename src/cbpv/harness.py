@@ -11,16 +11,17 @@ Divergent programs are never run to completion — every driver checks
 commutation up to its fuel and reports success if no square broke.
 
 Every visited state is unloaded and compared in full, yet a checked step
-costs about what the step changed.  Environments are immutable chains of
-cells (``peak.Env``), and so are continuations (``cek.Frames``), so what a
-check derives from a cell holds as long as the cell lives, and is kept on
-it: the unload one level up of the chain from that cell down, the
-well-formedness verdict and ``canon_state``'s canonical chain.  A step
-makes at most one environment cell and pushes a few continuation cells,
-so that is all a check of it derives, and the unloads of an unchanged
-tail are the same objects, at which equality stops.  What a checked step
-still pays once per frame of its continuation is plugging the frames into
-a term (``cek.unload``), sos's descent through them and ``alpha_eq``.  peak's
+costs about what the step changed.  Environments (``peak.Env``) and
+continuations (``cek.Frames``) are immutable chains of ``cek.Cell``s, so
+what a check derives from a cell holds as long as the cell lives, and is
+kept on it (``Cell.memo_of``): the well-formedness verdict, and, made by
+``Cell.derive``, the unload one level up of the chain from that cell down
+and ``canon_state``'s canonical chain.  A step makes at most one
+environment cell and pushes a few continuation cells, so that is all a
+check of it derives, and the unloads of an unchanged tail are the same
+objects, at which equality stops.  What a checked step still pays once per
+frame of its continuation is plugging the frames into a term
+(``cek.unload``), sos's descent through them and ``alpha_eq``.  peak's
 unload also hash-conses what it builds in a weak table in the Prog's
 ``tables``, cek flattens an environment in one substitution and keeps the
 flattening of each frame, closure and sequence frame on those frozen
@@ -71,22 +72,14 @@ class LevelPair(Enum):
     PEK_CFG = "pek/cfg"
 
 
-def _path(prog, i) -> str:
-    """Position id ``i`` as its dotted path, as traces show a pc, or ``no
-    position i`` when it names none, as a broken machine's state may hold."""
-    if type(i) is int and 0 <= i < len(prog.nodes):
-        return prog.path_text(i)
-    return f"no position {i!r}"
-
-
 class _Text(str):
     """Text that ``_render`` emits as it is, not a value that it shows."""
 
 
 def _render(x, prog) -> str:
     """``repr(x)``, but with each position id, in a field marked
-    ``peak.POSITION`` or an environment binder, shown by ``_path``.  What
-    is still to show waits on a stack, so environments, frames and
+    ``peak.POSITION`` or an environment binder, shown by ``Prog.path_text``.
+    What is still to show waits on a stack, so environments, frames and
     closures show however deep they nest."""
     out, todo = [], [x]
     while todo:
@@ -97,7 +90,7 @@ def _render(x, prog) -> str:
             continue
         if t is Env:
             head, tail = "Env({", "})"
-            items = [(f"{_path(prog, b)}: ", v) for b, v in x.items()]
+            items = [(f"{prog.path_text(b)}: ", v) for b, v in x.items()]
         elif t is tuple or t is Frames:  # a chain of cells shows as a tuple
             head, tail = "(", ",)" if len(x) == 1 else ")"
             items = [("", v) for v in x]
@@ -107,7 +100,7 @@ def _render(x, prog) -> str:
                 if f.repr:
                     v = getattr(x, f.name)
                     if f.metadata.get("position"):
-                        v = _Text(_path(prog, v))
+                        v = _Text(prog.path_text(v))
                     items.append((f"{f.name}=", v))
         else:
             out.append(repr(x))
@@ -173,64 +166,36 @@ def _canon_val(prog, v):
 
 def _canon_env(prog, e: Env) -> Env:
     """``e`` with every closure on it named by its entry point: the same
-    cell where nothing changes, and memoized on each cell, so only cells
-    new since the last call are walked.  A cell that is its own canonical
-    chain is memoized as ``_SAME``: a memo holding its own cell would be a
-    cycle through the Prog, which only the collector could free."""
-    todo = []
-    while True:
-        memo = e.memo_of(prog)
-        hit = memo.get("canon")
-        if hit is not None or not e.size:
-            break
-        todo.append((e, memo))
-        e = e.parent
-    out = e if hit is None or hit is _SAME else hit
-    for e, memo in reversed(todo):
-        v = _canon_val(prog, e.value)
-        if v is not e.value or out is not e.parent:
-            out = memo["canon"] = Env(e.binder, v, out)
-        else:
-            out = e
-            memo["canon"] = _SAME
-    return out
+    cell where nothing changes, and derived once per cell
+    (``Cell.derive``), so only cells new since the last call are walked."""
+    return e.derive(prog, "canon", _canon_cell)
 
 
-_SAME = object()  # _canon_env's memo of a cell that is its own canonical chain
+def _canon_cell(prog, e: Env, out: Env) -> Env:
+    """Cell ``e`` with its closure named by its entry point, over ``out``,
+    the canonical chain of its tail: ``e`` itself when nothing changes."""
+    v = _canon_val(prog, e.value)
+    return e if v is e.value and out is e.rest else Env(e.binder, v, out)
 
 
 def _canon_kont(prog, kont: Frames) -> Frames:
-    """``kont`` with every frame's closures named by their entry points:
-    memoized on each cell as ``_canon_env`` is on environment cells, so
-    only cells new since the last call are walked, and a cell that is its
-    own canonical chain is kept as ``_SAME``."""
-    todo, hit = [], None
-    while kont.size:
-        memo = kont.memo_of(prog)
-        hit = memo.get("canon")
-        if hit is not None:
-            break
-        todo.append((kont, memo))
-        kont = kont.rest
-    out = kont if hit is None or hit is _SAME else hit
-    for c, memo in reversed(todo):
-        f = _canon_frame(prog, c.frame)
-        if f is not c.frame or out is not c.rest:
-            out = memo["canon"] = Frames(f, out)
-        else:
-            out = c
-            memo["canon"] = _SAME
-    return out
+    """``kont`` with every frame's closures named by their entry points,
+    derived once per cell as ``_canon_env`` is."""
+    return kont.derive(prog, "canon", _canon_frame)
 
 
-def _canon_frame(prog, f):
-    """Frame ``f`` with its closures named by their entry points: ``f``
-    itself when nothing changes."""
+def _canon_frame(prog, c: Frames, out: Frames) -> Frames:
+    """Cell ``c`` with its frame's closures named by their entry points,
+    over ``out``, the canonical chain of its tail: ``c`` itself when
+    nothing changes."""
+    f = c.frame
     if type(f) is KArg:
         v = _canon_val(prog, f.value)
-        return f if v is f.value else KArg(v)
-    env = _canon_env(prog, f.env)
-    return f if env is f.env else KSeq(f.pos, env, f.rest_args)
+        g = f if v is f.value else KArg(v)
+    else:
+        env = _canon_env(prog, f.env)
+        g = f if env is f.env else KSeq(f.pos, env, f.rest_args)
+    return c if g is f and out is c.rest else Frames(g, out)
 
 
 def canon_state(prog, rho: PeakState) -> PeakState:

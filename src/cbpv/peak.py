@@ -34,11 +34,11 @@ of ``wf_check`` and of an unload that fails.
 Unloads are memoized by cell.  A cell cannot be written to, so what it
 unloads to under a program is fixed: its CEK binding, its environment at
 each anchor position, the closures over it and the sequence frames on it
-are kept on the cell (``Env.memo_of``) and die with it, and an unload pays
+are kept on the cell (``Cell.memo_of``) and die with it, and an unload pays
 only for the cells that are new since the last one.  Continuation cells
-keep their CEK chain and their well-formedness verdict the same way
-(``Frames.memo_of``), so the unload of a continuation's tail is the tail of
-its unload.  Every CEK value,
+keep their CEK chain (``Cell.derive``) and their well-formedness verdict
+the same way, so the unload of a continuation's tail is the tail of its
+unload.  Every CEK value,
 environment cell and sequence frame an unload builds also comes from one
 weak table in the program's ``tables``, keyed by the position it stands for
 and the ids of its parts; each entry holds those parts, so an id in a live
@@ -52,7 +52,7 @@ from typing import Union
 from weakref import WeakValueDictionary
 
 from . import cek
-from .cek import NIL, CekState, Closure, Frames, NumC, SymVar
+from .cek import NIL, CekState, Cell, Closure, Frames, NumC, SymVar
 from .sos import (
     AwaitingArgument,
     BareArith,
@@ -86,39 +86,33 @@ class MissingBinding(Exception):
     argument is the binder's position id."""
 
 
-class Env:
-    """One immutable environment cell: a Lam or Seq binder's position id, the value
-    bound to it, and the chain of the binders outside it.  ``size`` caches
-    the chain's length, this cell included, and ``EMPTY`` ends every chain.
+class Env(Cell):
+    """One immutable environment cell: a Lam or Seq binder's position id
+    and the value bound to it, over the cell of the binders outside it.
+    ``EMPTY`` ends every chain.
 
     Equality is structural.  It walks the chain and the closures on it with
     an explicit stack, so neither a long chain nor deeply nested closures
     can overflow Python's stack, and it stops at a pair of cells that are
-    one object or were found equal before: ``twin`` is the last cell this
-    one was found equal to.  Checks compare two machines' chains at every
-    step, and each step adds a cell on top of chains already compared, so
-    that is all a comparison walks.  ``memo`` is what a program's checks
-    have worked out about the cell (see ``memo_of``).  Neither takes part
-    in equality.
+    one object or were found equal before (``twin``).  Checks compare two
+    machines' chains at every step, and each step adds a cell on top of
+    chains already compared, so that is all a comparison walks.
     """
 
-    __slots__ = ("binder", "value", "parent", "size", "memo", "twin", "__weakref__")
+    __slots__ = ("binder", "value", "__weakref__")
 
-    def __init__(self, binder, value, parent):
+    def __init__(self, binder, value, rest):
         self.binder = binder
         self.value = value
-        self.parent = parent
-        self.size = parent.size + 1
+        self.rest = rest
+        self.size = rest.size + 1
         self.memo = self.twin = None
-
-    def __len__(self):
-        return self.size
 
     def cut(self, k: int):
         """The chain's outermost ``k`` cells."""
         e = self
         while e.size > k:
-            e = e.parent
+            e = e.rest
         return e
 
     def find(self, binder: int, level: int):
@@ -126,7 +120,7 @@ class Env:
         end of the chain: a walk of the static distance, then one check."""
         e = self
         while e.size > level:
-            e = e.parent
+            e = e.rest
         if e.size == level and e.binder == binder:
             return e.value
         raise MissingBinding(binder)
@@ -136,27 +130,12 @@ class Env:
         e = self
         while e.size:
             yield e.binder, e.value
-            e = e.parent
-
-    def memo_of(self, prog) -> dict:
-        """The cell's memo table under ``prog``.  A cell cannot be written
-        to, so what a program's checks derive from it stays true while it
-        lives, and dies with it.  The end of the chain is shared by every
-        program, so its entries, one per position at most, live in the
-        program's tables instead."""
-        if not self.size:
-            return prog.tables["empty"]
-        m = self.memo
-        if m is None or m[0] is not prog:
-            m = self.memo = (prog, {})
-        return m[1]
+            e = e.rest
 
     def __eq__(self, other):
         if type(other) is not Env:
             return NotImplemented
         return _chains_equal(self, other)
-
-    __hash__ = None  # compared structurally, so never a key
 
     def __repr__(self):
         inner = ", ".join(f"{b}: {v!r}" for b, v in self.items())
@@ -164,7 +143,7 @@ class Env:
 
 
 EMPTY = object.__new__(Env)
-EMPTY.binder = EMPTY.value = EMPTY.parent = EMPTY.memo = EMPTY.twin = None
+EMPTY.binder = EMPTY.value = EMPTY.rest = EMPTY.memo = EMPTY.twin = None
 EMPTY.size = 0
 
 
@@ -200,7 +179,7 @@ def _chains_equal(a: Env, b: Env) -> bool:
                     todo.append((va.env, vb.env))
                 elif va != vb:
                     return False
-            a, b = a.parent, b.parent
+            a, b = a.rest, b.rest
     for a, b in walked:
         a.twin = b
     return True
@@ -675,7 +654,7 @@ def _climb(prog, i: int, e: Env):
         todo.append((i, e, recs, b, env is None))
         if env is not None:
             break
-        i, e = b, e.parent
+        i, e = b, e.rest
         env = e.memo_of(prog).get(i, _MISS)
         if env is not _MISS:
             break
@@ -780,29 +759,18 @@ def _unload_args(prog, e: Env, args: Frames, out: Frames) -> Frames:
 def _unload_k(prog, e: Env, args: Frames, kont: Frames) -> Frames:
     """The CEK continuation of argument stack ``args`` under chain ``e``
     over continuation ``kont``.  Each cell of ``kont`` keeps the CEK chain
-    of itself and its tail (``Frames.memo_of``), so only the cells that are
+    of itself and its tail (``Cell.derive``), so only the cells that are
     new since the last unload are converted, each once, and the unloads of
     one suffix are one object: an equality test against them stops at the
     tail it has compared before."""
-    todo = []
-    while kont.size:
-        memo = kont.memo_of(prog)
-        out = memo.get("cek")
-        if out is not None:
-            break
-        todo.append((kont.frame, memo))
-        kont = kont.rest
-    else:
-        out = NIL
-    for f, memo in reversed(todo):
-        out = memo["cek"] = _cek_frames(prog, f, out)
-    return _unload_args(prog, e, args, out)
+    return _unload_args(prog, e, args, kont.derive(prog, "cek", _cek_frames))
 
 
-def _cek_frames(prog, f, out: Frames) -> Frames:
-    """``out`` with the CEK frames of continuation frame ``f`` pushed on it:
-    an argument, or a Seq's frame over the argument frames pending under
-    the Seq."""
+def _cek_frames(prog, c: Frames, out: Frames) -> Frames:
+    """``out`` with the CEK frames of the top frame of cell ``c`` pushed on
+    it: an argument, or a Seq's frame over the argument frames pending
+    under the Seq."""
+    f = c.frame
     if type(f) is KArg:
         return Frames(cek.ArgF(unload_v(prog, f.value)), out)
     out = _unload_args(prog, f.env, f.rest_args, out)
@@ -869,7 +837,7 @@ def _chain_faults(prog, i: int, e: Env, what: str, out: list, seen: set, entry_f
         mark.append(memo)
         if type(e.value) is PClosure:
             _closure_faults(prog, e.value, "closure entry", out, seen, entry_fault)
-        i, e = b, e.parent
+        i, e = b, e.rest
     if len(out) == before:
         for memo in mark:
             memo[key] = True

@@ -31,8 +31,8 @@ once per cell rather than once per binder in scope.
 The continuation and the static argument stacks are chains of
 ``cek.Frames`` cells.  A position's static stack is its parent's with at
 most one frame pushed or popped, so ``aframes`` makes at most one cell per
-position.  Each continuation cell keeps its PEAK chain and its
-well-formedness verdict (``Frames.memo_of``), so ``unload`` and
+position.  Each continuation cell keeps its PEAK chain (``Cell.derive``)
+and its well-formedness verdict (``Cell.memo_of``), so ``unload`` and
 ``wf_check`` pay once per frame, not once per frame per step.
 """
 
@@ -302,33 +302,22 @@ def unload(P, s: PekState) -> PeakState:
 def _unload_k(prog, kont: Frames) -> Frames:
     """The PEAK continuation of ``kont``: each return frame becomes a KSeq
     over its Seq's static argument stack.  Each cell keeps the PEAK chain
-    of itself and its tail (``Frames.memo_of``), so only cells new since
-    the last unload are converted, and the unloads of one suffix are one
+    of itself and its tail (``Cell.derive``), so only cells new since the
+    last unload are converted, and the unloads of one suffix are one
     object."""
-    n = len(prog.nodes)
-    todo = []
-    while kont.size:
-        memo = kont.memo_of(prog)
-        out = memo.get("peak")
-        if out is not None:
-            break
-        f = kont.frame
-        if type(f) is not KArg and not 0 <= f.bind < n:
-            raise cek.IllFormedState(f"return frame at no position {f.bind!r}")
-        todo.append((f, memo))
-        kont = kont.rest
-    else:
-        out = NIL
-    for f, memo in reversed(todo):
-        out = memo["peak"] = Frames(_peak_frame(prog, f), out)
-    return out
+    return kont.derive(prog, "peak", _peak_frame)
 
 
-def _peak_frame(prog, f):
-    """The PEAK frame of continuation frame ``f``."""
+def _peak_frame(prog, c: Frames, out: Frames) -> Frames:
+    """``out`` with the PEAK frame of the top frame of cell ``c`` pushed on
+    it; IllFormedState when a return frame's Seq is an id that names no
+    position."""
+    f = c.frame
     if type(f) is KArg:
-        return f
-    return KSeq(f.bind, f.env, _aframes(prog, f.bind))
+        return Frames(f, out)
+    if not 0 <= f.bind < len(prog.nodes):
+        raise cek.IllFormedState(f"return frame at no position {f.bind!r}")
+    return Frames(KSeq(f.bind, f.env, _aframes(prog, f.bind)), out)
 
 
 # ---------------------------------------------------------------------------

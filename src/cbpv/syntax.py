@@ -470,7 +470,11 @@ class Prog:
         return p
 
     def path_text(self, i: int) -> str:
-        """Position ``i`` as traces, listings and messages show it."""
+        """Position ``i`` as traces, listings and messages show it, or ``no
+        position i`` when ``i`` names none, as a broken machine's state may
+        hold."""
+        if type(i) is not int or not 0 <= i < len(self.nodes):
+            return f"no position {i!r}"
         return path_text(self.path(i))
 
     def at(self, p: Path) -> Node:

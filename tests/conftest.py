@@ -209,7 +209,7 @@ def renamed(x, name, memo=None):
         cells, e = [], x
         while e.size and id(e) not in memo:
             cells.append(e)
-            e = e.parent
+            e = e.rest
         out = memo[id(e)] if e.size else peak.EMPTY
         for e in reversed(cells):
             out = memo[id(e)] = peak.Env(name(e.binder), renamed(e.value, name, memo), out)

@@ -360,6 +360,14 @@ def test_missing_file_exits_64(tmp_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("verb", ["run", "compile", "unload", "optimize", "check"])
+def test_a_file_that_is_not_utf8_exits_64(tmp_path, capsys, verb):
+    path = tmp_path / "bytes.cbpv"
+    path.write_bytes(b"\xff\xfe")
+    assert main([verb, str(path)]) == 64
+    assert capsys.readouterr().err == f"error: cannot read {path}: not UTF-8 text\n"
+
+
 def test_unknown_rule_exits_64(capsys):
     assert main(["optimize", "--rules=Bogus", fixture_path("arith_seq")]) == 64
     assert "unknown rule 'Bogus'" in capsys.readouterr().err

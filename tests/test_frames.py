@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from cbpv import harness, peak, pek
+from cbpv import cek, harness, peak, pek
 from cbpv.cek import NIL, ArgF, Frames, NumC, SeqF, frames
 from cbpv.harness import LevelPair
 from cbpv.parser import parse_term
@@ -141,3 +141,58 @@ def test_a_checked_step_derives_each_frame_once(monkeypatch, n):
     report = harness.lockstep_check(parse_term(sum_text(n)), LevelPair.PEAK_PEK, fuel=10**6)
     assert report.ok and "_canon_frame" in calls
     assert len(calls) <= 4 * report.steps_checked
+
+
+# ---------------------------------------------------------------------------
+# what the checks derive from a chain (``Cell.derive``)
+
+
+def _visited(monkeypatch, n):
+    """The prog of ``sum_text(n)`` and the states its tower check and its
+    peak/pek lockstep check visit: each pek state of the tower check with
+    its PEAK unload, and each PEAK state the lockstep check canonicalizes."""
+    prog = as_prog(parse_term(sum_text(n)))
+    states = []
+    real_wf, real_canon = pek.wf_check, harness.canon_state
+
+    def wf_check(P, s):
+        states.append(s)
+        states.append(pek.unload(prog, s))
+        return real_wf(P, s)
+
+    def canon_state(P, rho):
+        states.append(rho)
+        return real_canon(P, rho)
+
+    monkeypatch.setattr(pek, "wf_check", wf_check)
+    monkeypatch.setattr(harness, "canon_state", canon_state)
+    assert harness.tower_check(prog, fuel=10**6).ok
+    assert harness.lockstep_check(prog, LevelPair.PEAK_PEK, fuel=10**6).ok
+    return prog, states
+
+
+def test_derived_images_share_suffixes_and_never_hold_their_cell(monkeypatch):
+    prog, states = _visited(monkeypatch, 64)
+    chains = []
+    for s in states:
+        chains += (s.env, s.kont)
+        chains += (f.env for f in s.kont if type(f) is not KArg)
+        if type(s) is peak.PeakState:
+            # the canonical image of each suffix is the matching suffix of
+            # the image, one object
+            for c, canon in ((s.env, harness._canon_env), (s.kont, harness._canon_kont)):
+                image = canon(prog, c)
+                assert len(image) == len(c)
+                for cell, suffix in zip(_cells(c), _cells(image)):
+                    assert canon(prog, cell) is suffix
+    seen, same = set(), 0
+    for c in chains:
+        for cell in _cells(c):
+            if id(cell) in seen:
+                break
+            seen.add(id(cell))
+            memo = getattr(cell, "memo", None)
+            for v in memo[1].values() if memo else ():
+                assert v is not cell  # a cell that is its own image keeps _SAME
+                same += v is cek._SAME
+    assert same

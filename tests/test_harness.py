@@ -243,6 +243,39 @@ def test_a_failure_line_shows_an_id_that_names_no_position(monkeypatch):
     )
 
 
+def _binds_over_a_stray_cell(real, stray):
+    def execute(instr, succs, s):
+        r = real(instr, succs, s)
+        if type(instr) is cfg.MOV:
+            e = r.env
+            stray_cell = peak.Env(stray, peak.NumP(0), e.rest)
+            return pek.PekState(r.pc, peak.Env(e.binder, e.value, stray_cell), r.kont)
+        return r
+    return execute
+
+
+@pytest.mark.parametrize("stray", [999, -1])
+def test_a_binder_that_names_no_position_is_reported(monkeypatch, capsys, tmp_path, stray):
+    # an environment cell whose binder is no position of the program fails
+    # the checks by name, instead of crashing them or naming another node
+    monkeypatch.setattr(cfg, "_execute", _binds_over_a_stray_cell(cfg._execute, stray))
+    text = "prd 1 to x in prd x"
+    m = parse_term(text)
+    assert tower_check(m).lines() == [
+        "sos/cfg step 1: expected prd 1, got 'state does not unload:"
+        f" binder at no position {stray} bound outside the scope of ε'"
+    ]
+    g, s = cfg.load(m)
+    wf = pek.wf_check(g.prog, cfg.step(g, s))
+    assert wf.violations == (
+        f"pc: binder at no position {stray} bound outside the scope of position ε",
+    )
+    path = tmp_path / "stray.cbpv"
+    path.write_text(text + "\n")
+    assert main(["check", "--all", str(path)]) == 3
+    capsys.readouterr()
+
+
 def test_rendered_states_name_every_position_by_its_path():
     prog = as_prog(parse_term(r"thunk { prd 3 } . \t. (force t to x in 1 + x) to y in prd y"))
     rho = peak.load(prog)

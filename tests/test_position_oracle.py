@@ -178,7 +178,7 @@ class Oracle:
     def cut(self, e, p):
         """``e`` without the cells of binders out of scope at ``p``."""
         while len(e) > len(self.scope_entries(p)):
-            e = e.parent
+            e = e.rest
         return e
 
     def gamma(self, p, e):
@@ -247,7 +247,7 @@ class Oracle:
                 raise cek.IllFormedState(
                     f"no value for binder at {path_text(need[0])} at {path_text(p)}"
                 )
-            p, e = need[0], e.parent
+            p, e = need[0], e.rest
 
     def unload_e(self, p, e):
         self.check_chain(p, e)

@@ -151,7 +151,7 @@ def oracle_unload_e(prog, i, e):
             raise cek.IllFormedState(
                 f"no value for binder at {path_text(prog.path(b))} at {path_text(prog.path(anchor))}"
             )
-        anchor, rest = b, rest.parent
+        anchor, rest = b, rest.rest
     if len(rest):
         raise cek.IllFormedState(
             f"binder at {path_text(prog.path(rest.binder))} bound outside the scope of"
@@ -185,7 +185,7 @@ def oracle_unload_k(prog, e, args, kont):
     def seq_frame(i, env):
         node = prog.nodes[i]
         while len(env) > peak._depth(prog, i):  # binders inside the Seq's left
-            env = env.parent
+            env = env.rest
         return SeqF(node.binder, node.right, oracle_unload_e(prog, i, env))
 
     def emit_args(env, frames):
@@ -583,7 +583,7 @@ def _carriers(states):
         seen.add(id(x))
         if type(x) is Env:
             if len(x):
-                todo += (x.value, x.parent)
+                todo += (x.value, x.rest)
         elif type(x) in (PClosure, KSeq, KRet):
             out.append(x)
             todo.append(x.env)
