@@ -43,11 +43,18 @@ keep handing out the same objects while they stay in the state.  So an
 unload substitutes once into the code, plus once for each frame, closure
 and sequence frame it meets for the first time, however many bindings are
 in scope.
+
+The tower check does not plug the continuation's frames into the term.
+It reads a state as a decomposition (``sos.step_in``): the environment
+flattened into the code is the focus, and ``context`` unloads the
+continuation to an evaluation context, kept per cell as the levels below
+keep their unloads, so a checked step unloads only the frames it pushed.
 """
 
 from typing import Optional, Union
 
 from .sos import (
+    HOLE,
     AwaitingArgument,
     BareArith,
     ProducedValue,
@@ -191,12 +198,15 @@ class Cell:
         """The cell's memo table under ``prog``.  A cell cannot be written
         to, so what is derived from it stays true while it lives, and dies
         with it.  An empty cell is shared by every program, so its table is
-        one of the program's tables."""
+        one of the program's tables.  The memo names its program by
+        ``prog.token``, not by the Prog: a cell that the program's tables
+        hold, as they hold what is kept on an empty cell, would otherwise
+        make a cycle that only the collector frees."""
         if not self.size:
             return prog.tables["empty"]
         m = getattr(self, "memo", None)  # unset on a Frames cell no check has seen
-        if m is None or m[0] is not prog:
-            m = self.memo = (prog, {})
+        if m is None or m[0] is not prog.token:
+            m = self.memo = (prog.token, {})
         return m[1]
 
     def derive(self, prog, key, make):
@@ -583,6 +593,16 @@ def _unload_seq_frame(f):
     return binder, substitute(rest, sub)
 
 
+def unload_seq(f: SeqF):
+    """``(binder, body)`` of sequence frame ``f`` unloaded, kept on the
+    frame as ``unload_val`` keeps a closure's."""
+    u = f._unloaded
+    if u is None:
+        u = _unload_seq_frame(f)
+        object.__setattr__(f, "_unloaded", u)
+    return u
+
+
 def unload(sigma: CekState):
     t = unload_env(sigma.env, sigma.code)
     k = sigma.kont
@@ -591,13 +611,29 @@ def unload(sigma: CekState):
         if type(f) is ArgF:
             t = App(unload_val(f.value), t)
         else:
-            u = f._unloaded  # kept like unload_val's
-            if u is None:
-                u = _unload_seq_frame(f)
-                object.__setattr__(f, "_unloaded", u)
-            binder, rest = u
+            binder, rest = unload_seq(f)
             t = Seq(t, binder, rest)
     return t
+
+
+def context(prog, kont: Frames) -> Frames:
+    """The evaluation context ``kont`` unloads to, as sos steps in it
+    (``sos.step_in``): a chain of frames, each an ``App`` with the hole in
+    its body or a ``Seq`` with the hole in its left side, so that
+    ``sos.plug(unload_env(env, code), context(prog, kont))`` is ``unload``
+    of the state.  Each cell keeps the context of itself and its tail
+    (``Cell.derive``), so only the cells new since the last call are
+    unloaded, and the contexts of one suffix are one object."""
+    return kont.derive(prog, "sos", _context_frame)
+
+
+def _context_frame(prog, c: Frames, out: Frames) -> Frames:
+    """``out`` with the unloaded frame of cell ``c`` pushed on it."""
+    f = c.frame
+    if type(f) is ArgF:
+        return Frames(App(unload_val(f.value), HOLE), out)
+    binder, rest = unload_seq(f)
+    return Frames(Seq(HOLE, binder, rest), out)
 
 
 # ---------------------------------------------------------------------------

@@ -10,22 +10,34 @@ time while also re-checking well-formedness at each visited state.
 Divergent programs are never run to completion — every driver checks
 commutation up to its fuel and reports success if no square broke.
 
-Every visited state is unloaded and compared in full, yet a checked step
-costs about what the step changed.  Environments (``peak.Env``) and
-continuations (``cek.Frames``) are immutable chains of ``cek.Cell``s, so
-what a check derives from a cell holds as long as the cell lives, and is
-kept on it (``Cell.memo_of``): the well-formedness verdict, and, made by
-``Cell.derive``, the unload one level up of the chain from that cell down
-and ``canon_state``'s canonical chain.  A step makes at most one
+Every visited state is unloaded in full, yet a checked step costs about
+what the step changed.  Environments (``peak.Env``) and continuations
+(``cek.Frames``) are immutable chains of ``cek.Cell``s, so what a check
+derives from a cell holds as long as the cell lives, and is kept on it
+(``Cell.memo_of``): the well-formedness verdict, and, made by
+``Cell.derive``, the unload one level up of the chain from that cell down,
+``canon_state``'s canonical chain and the evaluation context the tower
+check hands sos (``cek.context``).  peak keeps the unload of the argument
+stack at the program counter on cells too.  A step makes at most one
 environment cell and pushes a few continuation cells, so that is all a
 check of it derives, and the unloads of an unchanged tail are the same
-objects, at which equality stops.  What a checked step still pays once per
-frame of its continuation is plugging the frames into a term
-(``cek.unload``), sos's descent through them and ``alpha_eq``.  peak's
-unload also hash-conses what it builds in a weak table in the Prog's
-``tables``, cek flattens an environment in one substitution and keeps the
-flattening of each frame, closure and sequence frame on those frozen
-objects, and ``alpha_eq`` does not walk a subterm object both sides share.
+objects, at which equality stops.
+
+``tower_check`` does not plug a state into a whole term.  It reads each
+CEK state as a focus, the environment flattened into the code, in an
+evaluation context, and sos steps that decomposition (``sos.step_in``):
+it descends only inside the focus, or fires the context's top frame.  The
+step is compared with the next state only above the context tail the two
+share, so a checked step plugs, steps and compares a few frames however
+deep its continuation is; only a failure is plugged in full, to print it.
+The sos/cek lockstep check still plugs every state into a whole term
+(``cek.unload``) and pays once per frame of the continuation for that,
+for sos's descent and for ``alpha_eq``, on purpose: sos runs whole terms
+there, and that is what the pair checks.  peak's unload also hash-conses
+what it builds in a weak table in the Prog's ``tables``, cek flattens an
+environment in one substitution and keeps the flattening of each frame,
+closure and sequence frame on those frozen objects, and ``alpha_eq`` does
+not walk a subterm object both sides share.
 The checks of one term object share one Prog, as ``as_prog`` keeps the
 last one it built: the position index, the machines' static tables, the
 unload table and the compiled graph (``cfg.load``) are made once for all
@@ -369,52 +381,101 @@ def lockstep_check(m, pair: LevelPair, fuel: int = 1000, mode=None) -> Report:
 # the full-tower square
 
 
-class _Broken(Exception):
-    """Carries a failing Report out of the run loop."""
+def _decompose(prog, s):
+    """Block machine state ``s`` unloaded to the CEK state and read as sos
+    steps it: ``(focus, context)``, the environment flattened into the code
+    and the continuation's evaluation context (``cek.context``)."""
+    sigma = peak.unload(prog, pek.unload(prog, s))
+    kont = sigma.kont
+    context = cek.context(prog, kont) if kont.size else kont  # NIL is its own
+    return cek.unload_env(sigma.env, sigma.code), context
+
+
+def _above(ta, a: Frames, tb, b: Frames):
+    """``ta`` and ``tb`` plugged into the frames of context chains ``a``
+    and ``b`` above the tail the two chains share."""
+    if a is b:
+        return ta, tb
+    fa, fb = [], []
+    while a.size > b.size:
+        fa.append(a.frame)
+        a = a.rest
+    while b.size > a.size:
+        fb.append(b.frame)
+        b = b.rest
+    while a is not b:
+        fa.append(a.frame)
+        fb.append(b.frame)
+        a, b = a.rest, b.rest
+    return sos.plug(ta, fa), sos.plug(tb, fb)
+
+
+def _arrives(decompose, ahead, s):
+    """Whether sos's step ``ahead``, ``(r, rest)`` from ``sos.step_in``,
+    arrives at block machine state ``s``, read by ``decompose``.  Returns
+    ``(here, None)`` with the decomposition of ``s`` when it does, and
+    otherwise ``(None, (expected, got))`` as a failure line shows them:
+    whole terms.
+
+    Only the frames above the context tail both sides share are plugged and
+    compared.  A frame never puts its hole under a binder, so the terms
+    plugged into one context are alpha-equivalent exactly when they are."""
+    r, rest = ahead
+    if type(r) is not Next:
+        return None, (r, s)
+    here, err = _unloads(decompose, s)
+    if err is not None:
+        return None, (sos.plug(r.term, rest), err)
+    focus, context = here
+    ta, tb = _above(r.term, rest, focus, context)
+    if not alpha_eq(ta, tb):
+        return None, (sos.plug(r.term, rest), sos.plug(focus, context))
+    return here, None
 
 
 def tower_check(m, fuel: int = 1000) -> Report:
     """Run the block machine, checking each visited state for well-formedness
-    and each step against the structural step of the state unloaded."""
+    and each step against the structural step of the state unloaded.
+
+    sos steps each state as the decomposition it unloads to (``_decompose``,
+    ``sos.step_in``), and the step is compared with the next state only
+    above the context tail the two share, so a checked step pays for what
+    it changed and not for the depth of its continuation.  A failure shows
+    both sides plugged into whole terms."""
     level = "sos/cfg"
     prog = as_prog(m)
     low = machine("cfg", prog)
-    ahead = None  # the structural step from the last visited state
 
-    def fail(checked, step, expected, actual):
-        raise _Broken(Report(prog.term, checked, (Failure(step, level, expected, actual, prog),)))
+    def broken(checked, step, expected, actual):
+        return Report(prog.term, checked, (Failure(step, level, expected, actual, prog),))
 
-    def arrive(s, i):
-        """The step into state ``i`` commutes; returns the state unloaded."""
-        if type(ahead) is not Next:
-            fail(i - 1, i, ahead, s)
-        u, err = _unloads(low.unload, s)
-        if err is not None or not alpha_eq(u, ahead.term):
-            fail(i - 1, i, ahead.term, u if err is None else err)
-        return u
-
-    def visit(s, i):
-        nonlocal ahead
-        t = arrive(s, i) if i else None
+    decompose = partial(_decompose, prog)
+    s, i = low.state, 0
+    while True:
+        if i:
+            here, bad = _arrives(decompose, ahead, s)
+            if bad is not None:
+                return broken(i - 1, i, *bad)
         wf = pek.wf_check(prog, s)
         if not wf.ok:
-            fail(i, i, "well-formed state", "; ".join(wf.violations))
-        if t is None:
-            t, err = _unloads(low.unload, s)
+            return broken(i, i, "well-formed state", "; ".join(wf.violations))
+        if not i:
+            here, err = _unloads(decompose, s)
             if err is not None:
-                fail(i, i, "a state that unloads", err)
-        ahead = sos.step(t)
-
-    try:
-        halt, steps, last = run(low, fuel, visit)
-        if halt is None:
-            arrive(low.step(last), steps + 1)
-            return Report(prog.term, steps)
-    except _Broken as exc:
-        return exc.args[0]
-    if type(ahead) is Next or not _halts_align(ahead, halt, low.value, alpha_eq):
-        return Report(prog.term, steps, (Failure(steps + 1, level, ahead, halt, prog),))
-    return Report(prog.term, steps + 1)
+                return broken(0, 0, "a state that unloads", err)
+        ahead = sos.step_in(*here)
+        r = low.step(s)
+        if _halted(r):
+            a, rest = ahead
+            if type(a) is Next:
+                return broken(i, i + 1, Next(sos.plug(a.term, rest)), r)
+            if not _halts_align(a, r, low.value, alpha_eq):
+                return broken(i, i + 1, a, r)
+            return Report(prog.term, i + 1)
+        if i >= fuel:
+            _, bad = _arrives(decompose, ahead, r)
+            return Report(prog.term, i) if bad is None else broken(i, i + 1, *bad)
+        s, i = r, i + 1
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,10 @@ are kept on the cell (``Cell.memo_of``) and die with it, and an unload pays
 only for the cells that are new since the last one.  Continuation cells
 keep their CEK chain (``Cell.derive``) and their well-formedness verdict
 the same way, so the unload of a continuation's tail is the tail of its
-unload.  Every CEK value,
+unload.  The CEK chain of an argument stack is kept on the environment
+cell cut to the scope of its top frame, which is all of the environment
+its frames read, so a stack that lost a frame since the last unload
+unloads to the tail of the last one.  Every CEK value,
 environment cell and sequence frame an unload builds also comes from one
 weak table in the program's ``tables``, keyed by the position it stands for
 and the ids of its parts; each entry holds those parts, so an id in a live
@@ -741,18 +744,35 @@ def _seq_frame(prog, i: int, env: Env):
 
 def _unload_args(prog, e: Env, args: Frames, out: Frames) -> Frames:
     """``out`` with the CEK frames of argument stack ``args`` under chain
-    ``e`` pushed on it, innermost on top."""
-    fs = []
+    ``e`` pushed on it, innermost on top.
+
+    The frames under a cell of ``args`` sit at ancestors of its top
+    frame's position, so their unload depends only on the cells and on
+    ``e`` cut to the scope of that position.  Each cell's CEK chain is kept
+    on that cut cell, with the argument cell and the ``out`` it was pushed
+    on, and reused while both are the same objects: an argument stack that
+    lost or gained frames on top since the last unload costs only those,
+    and its unload shares the cells of the last one."""
+    base, todo = out, []
     while args.size:
-        f, args = args.frame, args.rest
+        q = args.frame.pos
+        cut = e.cut(_depth(prog, q))
+        memo = cut.memo_of(prog)
+        hit = memo.get((Frames, q))
+        if hit is not None and hit[0] is args and hit[1] is base:
+            out = hit[2]
+            break
+        todo.append((args, cut, memo))
+        args = args.rest
+    for args, cut, memo in reversed(todo):
+        f = args.frame
         q = f.pos
         if type(f) is ARG:
-            v = _operand(prog, q, 0, prog.nodes[q].arg, e)
-            fs.append(cek.ArgF(unload_v(prog, v)))
+            v = _operand(prog, q, 0, prog.nodes[q].arg, cut)
+            out = Frames(cek.ArgF(unload_v(prog, v)), out)
         else:
-            fs.append(_seq_frame(prog, q, e))
-    for f in reversed(fs):
-        out = Frames(f, out)
+            out = Frames(_seq_frame(prog, q, cut), out)
+        memo[Frames, q] = (args, base, out)
     return out
 
 

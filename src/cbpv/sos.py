@@ -4,6 +4,18 @@ This is the root of the tower: one deterministic step function over source
 terms, with letrec heads virtually unrolled before dispatch.  Every machine
 below is checked against it by unloading states back to terms.
 
+A term can also be stepped as a decomposition: a focus in the hole of an
+evaluation context (``step_in``).  The context is a chain of cells, top
+(innermost) frame first, whose frames are an ``App`` with the hole in its
+body or a ``Seq`` with the hole in its left side, the hole being ``HOLE``.
+Such a step descends only inside the focus, or fires the top frame on the
+focus, after checking that it is one of those two shapes: the same step,
+with the same rules, as ``step`` takes on the context plugged with the
+focus (``plug``), and the frames below stay as they are.  So stepping a
+decomposition costs what the step changes, however deep the context is;
+this is refocusing (Danvy & Nielsen, BRICS RS-04-26, 2004).  The tower
+check hands sos the decomposition a CEK state unloads to.
+
 Stuck terms carry a reason.  The reasons are chosen so that the machines
 agree with the SOS not just on *where* evaluation gets stuck but on *why*:
 an application over a producer is rejected before the producer's operands
@@ -177,6 +189,46 @@ def step(m) -> StepResult:
     for f in reversed(frames):
         term = App(f.arg, term) if type(f) is App else Seq(term, f.binder, f.right)
     return Next(term)
+
+
+# ---------------------------------------------------------------------------
+# one step of a decomposition
+
+HOLE = None  # the hole of a context frame
+
+
+def plug(term, frames):
+    """``term`` in the hole of the evaluation context ``frames``, given
+    innermost first: each an ``App`` whose body or a ``Seq`` whose left side
+    is the hole, or is the term that steps."""
+    for f in frames:
+        term = App(f.arg, term) if type(f) is App else Seq(term, f.binder, f.right)
+    return term
+
+
+def step_in(focus, context):
+    """One step of ``focus`` in the hole of ``context``, a chain of cells
+    (``size``, ``frame``, ``rest``) whose top frame is the innermost.
+
+    Returns ``(r, rest)``.  ``r`` is what ``step`` gives on the focus with
+    at most the top frame plugged: that frame when the focus is a Prd, Lam
+    or Op, which only it can consume, and none otherwise.  ``rest`` is the
+    context under what ``r`` covers.  So the step of ``plug(focus,
+    context)`` is ``r``, with a Next's term plugged into ``rest``: ``step``
+    descends the context frames without firing them, since each holds an
+    App or a Seq."""
+    if context.size:
+        focus = unroll(focus)
+        t = type(focus)
+        if t is Prd or t is Lam or t is Op:
+            f = context.frame
+            tf = type(f)
+            if tf is App and f.body is HOLE:
+                return step(App(f.arg, focus)), context.rest
+            if tf is Seq and f.left is HOLE:
+                return step(Seq(focus, f.binder, f.right)), context.rest
+            raise TypeError(f"not an evaluation frame: {f!r}")
+    return step(focus), context
 
 
 # ---------------------------------------------------------------------------

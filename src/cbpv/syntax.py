@@ -390,14 +390,19 @@ class Prog:
     the root the first time it meets the path.
 
     ``tables[name]`` is a per-position table of the machines, keyed by id
-    and made on first use.
+    and made on first use.  ``token`` stands for the Prog in what is kept
+    outside it, such as the memos on machine cells (``cek.Cell.memo_of``):
+    it refers to nothing, so such a memo never keeps the Prog alive, and
+    one that the Prog's tables reach makes no cycle through it.
 
     Every public function that takes a program accepts either a plain Term
     or a Prog.  A Term is turned into a Prog by ``as_prog``, which keeps the
     last one it built, so every check of one term shares one index.
     """
 
-    __slots__ = ("term", "nodes", "parents", "heads", "tables", "_paths", "_first", "_by_path")
+    __slots__ = (
+        "term", "nodes", "parents", "heads", "tables", "token", "_paths", "_first", "_by_path"
+    )
 
     def __init__(self, term: Term):
         self.term = term
@@ -405,6 +410,7 @@ class Prog:
         self.parents = [-1]
         self.heads = [-1]
         self.tables = defaultdict(dict)  # name -> {position id: entry}
+        self.token = object()
         self._first = [-1]  # id -> id of its first child, -1 until they are visited
         self._paths = {0: ()}  # id -> shared path, once asked for
         self._by_path = {}  # every path looked up -> position id

@@ -1,17 +1,18 @@
 """Continuations as chains of shared cells (``cek.Frames``): equality of
-chains of any depth, and checks that derive each frame once."""
+chains of any depth, checks that derive each frame once, and a tower check
+whose work per step does not grow with the continuation's depth."""
 
 import sys
 
 import pytest
 
-from cbpv import cek, harness, peak, pek
+from cbpv import cek, harness, peak, pek, sos
 from cbpv.cek import NIL, ArgF, Frames, NumC, SeqF, frames
 from cbpv.harness import LevelPair
 from cbpv.parser import parse_term
 from cbpv.peak import EMPTY, KArg, KSeq, NumP
 from cbpv.pek import KRet
-from cbpv.syntax import Prd, VarV, as_prog
+from cbpv.syntax import NumV, Prd, Seq, VarV, as_prog
 
 from test_compile_oracle import sum_text
 
@@ -196,3 +197,66 @@ def test_derived_images_share_suffixes_and_never_hold_their_cell(monkeypatch):
                 assert v is not cell  # a cell that is its own image keeps _SAME
                 same += v is cek._SAME
     assert same
+
+
+# ---------------------------------------------------------------------------
+# a checked step plugs and compares only what it changed
+
+
+def spine(n):
+    """``(…(prd 0 to x in prd x)… to x in prd x)``, ``n`` Seq left sides deep."""
+    m = Prd(NumV(0))
+    for _ in range(n):
+        m = Seq(m, "x", Prd(VarV("x")))
+    return m
+
+
+def _context_work(monkeypatch):
+    """Per state a tower check visits, the context frames it derives
+    (``cek._context_frame``) and plugs (``sos.plug``), which are those it
+    compares, from the state's unload to sos's step from it."""
+    work = []
+    real_decompose, real_frame, real_plug = harness._decompose, cek._context_frame, sos.plug
+
+    def decompose(*args):
+        work.append(0)
+        return real_decompose(*args)
+
+    def context_frame(*args):
+        work[-1] += 1
+        return real_frame(*args)
+
+    def plug(term, frames):
+        frames = list(frames)
+        work[-1] += len(frames)
+        return real_plug(term, frames)
+
+    monkeypatch.setattr(harness, "_decompose", decompose)
+    monkeypatch.setattr(cek, "_context_frame", context_frame)
+    monkeypatch.setattr(sos, "plug", plug)
+    return work
+
+
+PER_STEP = 8  # context frames derived, plugged and compared per checked step
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024])
+def test_a_checked_sum_step_does_the_same_work_at_any_depth(monkeypatch, n):
+    work = _context_work(monkeypatch)
+    report = harness.tower_check(parse_term(sum_text(n)), fuel=10**6)
+    assert report.ok and len(work) == report.steps_checked > 5 * n
+    assert max(work) <= PER_STEP
+
+
+@pytest.mark.parametrize("n", [1000, 8000])
+def test_a_checked_spine_step_does_the_same_work_at_any_depth(monkeypatch, n):
+    # At the load state the whole spine is the focus, which sos descends,
+    # and at the next it is the context, derived and compared once: those
+    # two states cost the depth.  Each step after them costs a constant,
+    # which needs the argument stack's unload kept on its cells
+    # (``peak._unload_args``), or each state's context would be new.
+    work = _context_work(monkeypatch)
+    report = harness.tower_check(spine(n), fuel=20)
+    assert report.ok and report.steps_checked == 20 and len(work) == 22
+    assert max(work[:2]) <= 3 * n
+    assert max(work[2:]) <= PER_STEP

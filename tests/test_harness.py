@@ -407,3 +407,31 @@ def test_an_evicted_prog_is_freed_without_the_collector(monkeypatch):
         assert old() is None  # no cycle runs through it
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "(1 + 1 to y in prd y) to x in prd x",
+        "((prd 0 to x in prd x) to x in prd x) to x in prd x",
+        r"letrec f = \n. if0 n { prd 0 } { n - 1 to k in (k . force f) to r in n + r } in 3 . force f",
+    ],
+    ids=["seq", "spine", "sum"],
+)
+def test_a_prog_is_freed_without_the_collector_after_checks_keep_argument_stacks(
+    monkeypatch, text
+):
+    # peak keeps an argument stack's unload on the environment cell cut to
+    # its top frame's scope; at an outermost Seq that is the empty chain,
+    # whose memo is one of the Prog's tables, and the cells kept there keep
+    # memos of their own, which must not name the Prog itself
+    monkeypatch.setattr(syntax, "Prog", _Watched)
+    term = parse_term(text)
+    gc.disable()
+    try:
+        old = weakref.ref(as_prog(term))
+        assert tower_check(term).ok
+        as_prog(parse_term("prd 0"))
+        assert old() is None
+    finally:
+        gc.enable()

@@ -1,12 +1,14 @@
 """The small-step semantics: unrolling, stepping, fuel, and observation."""
 
+import pytest
 from hypothesis import given
 
 from conftest import close_term, terms
 from cbpv import fixtures as fx
-from cbpv import harness
+from cbpv import cek, harness
 from cbpv.parser import parse_term
 from cbpv.sos import (
+    HOLE,
     AwaitingArgument,
     BareArith,
     FuelExhausted,
@@ -19,9 +21,11 @@ from cbpv.sos import (
     Verdict,
     describe,
     observe_equiv,
+    plug,
     redex_depth,
     run,
     step,
+    step_in,
     unroll,
 )
 from cbpv.syntax import (
@@ -265,3 +269,55 @@ def test_observe_equiv_compares_thunks_up_to_alpha():
     assert observe_equiv(a, b, 10) == Verdict.Equivalent
     c = Prd(ThunkV(Lam("y", Prd(NumV(0)))))
     assert observe_equiv(a, c, 10) == Verdict.Inequivalent
+
+
+# ---------------------------------------------------------------------------
+# stepping a decomposition
+
+
+def _decompositions(m):
+    """``(focus, context)`` for each split of ``m`` along its evaluation
+    context: the focus after k descents through App bodies and Seq left
+    sides, and the context of those k frames, innermost on top."""
+    context = cek.NIL
+    while True:
+        yield m, context
+        if type(m) is App:
+            context, m = cek.Frames(App(m.arg, HOLE), context), m.body
+        elif type(m) is Seq:
+            context, m = cek.Frames(Seq(HOLE, m.binder, m.right), context), m.left
+        else:
+            return
+
+
+def _plugged(r, rest):
+    return Next(plug(r.term, rest)) if type(r) is Next else r
+
+
+@given(terms)
+def test_a_decomposition_steps_as_its_plugged_term(t):
+    m = close_term(t)
+    want = step(m)
+    for focus, context in _decompositions(m):
+        assert plug(focus, context) == m
+        r, rest = step_in(focus, context)
+        assert _plugged(r, rest) == want
+        assert len(rest) >= len(context) - 1  # at most the top frame is consumed
+
+
+def test_a_decomposition_fires_its_top_frame_on_a_value():
+    frame = cek.frames(Seq(HOLE, "x", Prd(VarV("x"))), App(NumV(1), HOLE))
+    r, rest = step_in(Prd(NumV(7)), frame)
+    assert r == Next(Prd(NumV(7))) and rest is frame.rest
+    r, rest = step_in(Prd(NumV(7)), rest)
+    assert r == Stuck(StuckReason.ApplyNonFunction) and rest is cek.NIL
+
+
+@pytest.mark.parametrize(
+    "frame",
+    [Lam("x", HOLE), App(NumV(1), Prd(NumV(2))), Seq(Prd(NumV(2)), "x", Prd(VarV("x")))],
+    ids=["lam", "filled app", "filled seq"],
+)
+def test_a_frame_that_is_not_an_evaluation_frame_is_refused(frame):
+    with pytest.raises(TypeError, match="not an evaluation frame"):
+        step_in(Prd(NumV(7)), cek.frames(frame))
