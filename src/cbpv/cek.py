@@ -38,11 +38,11 @@ flattened value is kept on the frame (one per definition name on a letrec
 frame), and the flattening of a closure and of a sequence frame on that
 object, as ``free_vars`` keeps its answer on a term.  That is sound because
 every part of those objects is frozen too, and it pays off across steps
-because both this machine and peak's unload (which hash-conses its output)
-keep handing out the same objects while they stay in the state.  So an
-unload substitutes once into the code, plus once for each frame, closure
-and sequence frame it meets for the first time, however many bindings are
-in scope.
+because both this machine and peak's unload (which keeps what it builds
+on the cell it reads, one object per cell and per anchor) keep handing out
+the same objects while they stay in the state.  So an unload substitutes
+once into the code, plus once for each frame, closure and sequence frame
+it meets for the first time, however many bindings are in scope.
 
 The tower check does not plug the continuation's frames into the term.
 It reads a state as a decomposition (``sos.step_in``): the environment
@@ -539,7 +539,7 @@ def unload_val(v):
     A closure's unloading is kept on the closure object, as ``free_vars``
     keeps its answer on a term: closures, their environments and the
     terms in them are frozen, so the answer cannot go stale.  Unloads from
-    the levels below hand out one object per distinct closure (see
+    the levels below hand out one object per closure a cell holds (see
     ``peak.unload_v``), so a closure that stays in the state across steps
     is flattened once.
     """

@@ -10,9 +10,10 @@ parse argv, read one file, call into the library, pick an exit code.
 
 Exit codes: 0 success, 1 the program got stuck, 2 fuel ran out, 3 a
 check or validation failed, 64 bad usage (a negative ``--fuel``,
-``--steps`` or ``--count`` included), an unreadable or non-UTF-8 file or
-a syntax error, 70 an internal fault such as exhausted recursion or a
-compiler bug, reported on one stderr line.
+``--steps`` or ``--count`` included), an unreadable or non-UTF-8 file
+(a leading byte-order mark is skipped) or a syntax error, 70 an internal
+fault such as exhausted recursion or a compiler bug, reported on one
+stderr line.
 """
 
 import argparse
@@ -37,7 +38,7 @@ class UsageError(Exception):
 
 def _load_file(path):
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc.strerror or exc}") from None

@@ -33,15 +33,14 @@ deep its continuation is; only a failure is plugged in full, to print it.
 The sos/cek lockstep check still plugs every state into a whole term
 (``cek.unload``) and pays once per frame of the continuation for that,
 for sos's descent and for ``alpha_eq``, on purpose: sos runs whole terms
-there, and that is what the pair checks.  peak's unload also hash-conses
-what it builds in a weak table in the Prog's ``tables``, cek flattens an
-environment in one substitution and keeps the flattening of each frame,
-closure and sequence frame on those frozen objects, and ``alpha_eq`` does
-not walk a subterm object both sides share.
+there, and that is what the pair checks.  peak's unload keeps what it
+builds on the cell it reads, one object per cell and per anchor, cek
+flattens an environment in one substitution and keeps the flattening of
+each frame, closure and sequence frame on those frozen objects, and
+``alpha_eq`` does not walk a subterm object both sides share.
 The checks of one term object share one Prog, as ``as_prog`` keeps the
-last one it built: the position index, the machines' static tables, the
-unload table and the compiled graph (``cfg.load``) are made once for all
-of them.
+last one it built: the position index, the machines' static tables and
+the compiled graph (``cfg.load``) are made once for all of them.
 """
 
 import random

@@ -41,18 +41,18 @@ the same way, so the unload of a continuation's tail is the tail of its
 unload.  The CEK chain of an argument stack is kept on the environment
 cell cut to the scope of its top frame, which is all of the environment
 its frames read, so a stack that lost a frame since the last unload
-unloads to the tail of the last one.  Every CEK value,
-environment cell and sequence frame an unload builds also comes from one
-weak table in the program's ``tables``, keyed by the position it stands for
-and the ids of its parts; each entry holds those parts, so an id in a live
-key never names a dead object.  Equal unloads are therefore the same
-objects, which lets cek keep a closure's or a frame's flattening on the
-object and lets ``alpha_eq`` stop at a shared subterm.
+unloads to the tail of the last one.  So an unload is one object per
+cell and per anchor: a cell unloads to the same objects every time it is
+asked, and the frame of a letrec over a cell is kept on the cell too, so
+the anchors inside one letrec share it.  Equal cells built apart unload to
+equal objects, not to one.  While a state keeps its cells, its unloads are
+the same objects from step to step, which lets cek keep a closure's or a
+frame's flattening on the object and lets ``alpha_eq`` stop at a shared
+subterm.
 """
 
 from dataclasses import field
 from typing import Union
-from weakref import WeakValueDictionary
 
 from . import cek
 from .cek import NIL, CekState, Cell, Closure, Frames, NumC, SymVar
@@ -582,16 +582,6 @@ def _entry_code(prog, i: int):
     return prog.nodes[i], i
 
 
-def _cons(prog) -> WeakValueDictionary:
-    """The program's hash-consing table of unloaded objects.  It holds them
-    weakly: an entry lasts while something, such as a cell's memo, holds
-    its object, so a long check's table does not grow with its length."""
-    tab = prog.tables.get("cons")
-    if tab is None:
-        tab = prog.tables["cons"] = WeakValueDictionary()
-    return tab
-
-
 _MISS = object()
 _BIND = -1  # memo key of a cell's own CEK binding; anchors are ids >= 0
 
@@ -610,7 +600,6 @@ def _unload_e(prog, i: int, e: Env):
     asked = [_climb(prog, i, e)]  # environments to build, each under those it needs
     while asked:
         todo, env = asked.pop()
-        cons = _cons(prog)
         while todo:
             level = todo.pop()
             i, e, recs, b, make = level
@@ -623,18 +612,12 @@ def _unload_e(prog, i: int, e: Env):
                         todo.append(level)
                         asked += ((todo, env), _climb(prog, *need))
                         break
-                v = unload_v(prog, v)
-                key = (cek.Bind, b, id(v), id(env))
-                hit = cons.get(key)
-                if hit is None:
-                    hit = cons[key] = cek.Bind(prog.nodes[b].binder, v, env)
-                env = memo[_BIND] = hit
-            for r in reversed(recs):
-                key = (cek.RecFrame, r, id(env))
-                hit = cons.get(key)
-                if hit is None:
-                    hit = cons[key] = cek.RecFrame(prog.nodes[r].defs, env)
-                env = hit
+                env = memo[_BIND] = cek.Bind(prog.nodes[b].binder, unload_v(prog, v), env)
+            for r in reversed(recs):  # one frame per letrec over the cell, whatever the anchor
+                rec = memo.get((cek.RecFrame, r))
+                if rec is None:
+                    rec = memo[cek.RecFrame, r] = cek.RecFrame(prog.nodes[r].defs, env)
+                env = rec
             memo[i] = env
     return env
 
@@ -676,14 +659,13 @@ def _climb(prog, i: int, e: Env):
 
 
 def _closure_anchor(prog, i: int):
-    """``(entry, code, anchor)`` of a closure at ``i``: the position it
-    stands for once advancement is undone, that position's term and the
-    anchor of its environment (see ``_entry_code``), kept per position."""
+    """``(code, anchor)`` of a closure at ``i``: the term of the position it
+    stands for once advancement is undone, and the anchor of its
+    environment (see ``_entry_code``), kept per position."""
     tab = prog.tables["anchor"]
     hit = tab.get(i)
     if hit is None:
-        entry = _ascend(prog, i, None)[0]
-        hit = tab[i] = (entry, *_entry_code(prog, entry))
+        hit = tab[i] = _entry_code(prog, _ascend(prog, i, None)[0])
     return hit
 
 
@@ -693,35 +675,23 @@ def _closure_env(prog, v: PClosure):
     memo = v.env.memo_of(prog)
     if (Closure, v.entry) in memo:
         return None
-    anchor = _closure_anchor(prog, v.entry)[2]
+    anchor = _closure_anchor(prog, v.entry)[1]
     return None if anchor in memo else (anchor, v.env)
 
 
 def unload_v(prog, v):
-    """The CEK value of ``v``, one object per distinct value.  Symbolic
-    and numeric values go through the table too, so that an environment
-    cell's key can name its value by id."""
+    """The CEK value of ``v``.  A closure's is kept on the cell of its
+    chain, so it is one object per cell and entry."""
     t = type(v)
     if t is PClosure:
         i = v.entry
         memo = v.env.memo_of(prog)
         hit = memo.get((Closure, i))
         if hit is None:
-            entry, code, anchor = _closure_anchor(prog, i)
-            env = _unload_e(prog, anchor, v.env)
-            key = (Closure, entry, id(env))
-            cons = _cons(prog)
-            hit = cons.get(key)
-            if hit is None:
-                hit = cons[key] = Closure(code, env)
-            memo[Closure, i] = hit
+            code, anchor = _closure_anchor(prog, i)
+            hit = memo[Closure, i] = Closure(code, _unload_e(prog, anchor, v.env))
         return hit
-    key = (SymVar, v.name) if t is SymVar else (NumC, v.n)
-    cons = _cons(prog)
-    hit = cons.get(key)
-    if hit is None:
-        hit = cons[key] = v if t is SymVar else NumC(v.n)
-    return hit
+    return v if t is SymVar else NumC(v.n)
 
 
 def _seq_frame(prog, i: int, env: Env):
@@ -731,14 +701,8 @@ def _seq_frame(prog, i: int, env: Env):
     memo = env.memo_of(prog)
     hit = memo.get((cek.SeqF, i))
     if hit is None:
-        cenv = _unload_e(prog, i, env)
-        key = (cek.SeqF, i, id(cenv))
-        cons = _cons(prog)
-        hit = cons.get(key)
-        if hit is None:
-            node = prog.nodes[i]
-            hit = cons[key] = cek.SeqF(node.binder, node.right, cenv)
-        memo[cek.SeqF, i] = hit
+        node = prog.nodes[i]
+        hit = memo[cek.SeqF, i] = cek.SeqF(node.binder, node.right, _unload_e(prog, i, env))
     return hit
 
 

@@ -368,6 +368,21 @@ def test_a_file_that_is_not_utf8_exits_64(tmp_path, capsys, verb):
     assert capsys.readouterr().err == f"error: cannot read {path}: not UTF-8 text\n"
 
 
+@pytest.mark.parametrize("verb", ["run", "compile", "unload", "optimize", "check"])
+def test_a_file_that_starts_with_a_byte_order_mark_reads_as_without_it(tmp_path, capsys, verb):
+    # editors on some systems save UTF-8 with a leading U+FEFF
+    plain, marked = tmp_path / "plain.cbpv", tmp_path / "marked.cbpv"
+    plain.write_bytes(b"prd 1\n")
+    marked.write_bytes(b"\xef\xbb\xbfprd 1\n")
+    assert main([verb, str(plain)]) == 0
+    want = capsys.readouterr().out.replace(str(plain), str(marked))
+    assert main([verb, str(marked)]) == 0
+    assert capsys.readouterr() == (want, "")
+    marked.write_bytes(b"\xef\xbb\xbf\xff")
+    assert main([verb, str(marked)]) == 64
+    assert capsys.readouterr().err == f"error: cannot read {marked}: not UTF-8 text\n"
+
+
 def test_unknown_rule_exits_64(capsys):
     assert main(["optimize", "--rules=Bogus", fixture_path("arith_seq")]) == 64
     assert "unknown rule 'Bogus'" in capsys.readouterr().err

@@ -4,18 +4,18 @@ A checked step unloads its state through peak and cek and compares the
 result with ``alpha_eq``.  Four things make that cost what the step
 changed: cek flattens an environment in one simultaneous substitution and
 keeps each frame's flattened value on the frame, peak hands out one object
-per distinct CEK value, environment cell and sequence frame (hash-consed in
-the program's ``tables``), cek keeps the flattening of a closure and of a
-sequence frame on the frozen object, and ``alpha_eq`` stops at a subterm
-object met on both sides.  The oracles below are those unloaders and that
-comparison as they were before: every unload substitutes every frame, one
-after another, innermost first, and every comparison walks both terms to
-the leaves.  Equal answers along every run, with identical printed terms,
-mean the sharing changed nothing but the cost.  The exceptions are the
-states listed in RENAMED_APART, four states of three nested-letrec
-programs, where the frame-by-frame walk renames a binder to avoid capturing
-a name that an outer frame then substitutes away: one substitution never
-sees that name, so it keeps the binder's own name.  There the two terms
+per cell and per anchor (kept on the cell it reads), cek keeps the
+flattening of a closure and of a sequence frame on the frozen object, and
+``alpha_eq`` stops at a subterm object met on both sides.  The oracles
+below are those unloaders and that comparison as they were before: every
+unload substitutes every frame, one after another, innermost first, and
+every comparison walks both terms to the leaves.  Equal answers along
+every run, with identical printed terms, mean the sharing changed nothing
+but the cost.  The exceptions are the states listed in RENAMED_APART, four
+states of three nested-letrec programs, where the frame-by-frame walk
+renames a binder to avoid capturing a name that an outer frame then
+substitutes away: one substitution never sees that name, so it keeps the
+binder's own name.  There the two terms
 must be alpha-equivalent and differ in print, and on a program whose
 result shows such a binder sos prints cek's name.
 """
@@ -430,41 +430,42 @@ def test_rebound_frame_binders_unload_like_the_oracle():
 
 
 # ---------------------------------------------------------------------------
-# equal unloads are the same objects, read off what the state holds
+# an unload is one object per cell and per anchor, read off what the state holds
 
 
 def _run(mod, prog, fuel=10**6):
     return list(_states(lambda s: mod.step(prog, s), mod.load(prog), fuel))
 
 
-def test_equal_unloads_are_one_object_whatever_dict_holds_the_bindings():
-    # the bindings held by separately built cells
+def test_a_state_unloads_to_one_object_and_equal_cells_built_apart_to_equal_ones():
+    # what an unload builds is kept on the cells it reads: the same cells
+    # give the same objects, and separately built cells equal objects
     prog = as_prog(fx.MULT_CALL)
     for rho in _run(peak, prog):
         once = peak.unload(prog, rho)
+        twice = peak.unload(prog, rho)
+        assert twice.env is once.env and twice.kont is once.kont
         copied = PeakState(rho.pc, chain(*reversed(list(rho.env.items()))), rho.args, rho.kont)
         assert copied.env == rho.env and (copied.env is not rho.env or not rho.env)
         again = peak.unload(prog, copied)
-        assert again.env is once.env
-        assert all(a is b for a, b in zip(again.kont, once.kont) if type(a) is SeqF)
         assert again == once
+        assert (again.env is once.env) == (not rho.env)  # only the empty chain is shared
 
 
 def test_the_table_lives_in_the_checks_prog_and_dies_with_it():
+    # the unloads live on the cells, and the empty chain's in one of the
+    # Prog's tables, so they die with the states and the Prog
     prog = as_prog(parse_term(sum_text(7)))
     assert harness.tower_check(prog).ok
-    table = prog.tables["cons"]
+    assert "cons" not in prog.tables
     states = [pek.unload(prog, s) for s in _run(pek, prog)]
-    sigmas = [peak.unload(prog, rho) for rho in states]
-    kinds = {type(x) for x in table.values()}
-    assert {NumC, Bind, RecFrame, SeqF} <= kinds
-    sigma = sigmas[-1]
-    held = {id(x) for x in table.values()}
-    assert id(sigma.env) in held
-    assert all(id(f) in held for f in sigma.kont if type(f) is SeqF)
-    alive = [weakref.ref(x) for x in table.values()]
-    assert "cons" not in Prog(prog.term).tables  # nothing shared between Progs
-    del prog, table, states, sigmas, sigma, held
+    unloaded = [x for rho in states for sigma in [peak.unload(prog, rho)]
+                for x in (sigma.env, *sigma.kont) if x is not None]
+    unloaded += [x for x in prog.tables["empty"].values() if x is not None]
+    assert {type(x) for x in unloaded} == {Bind, RecFrame, SeqF, ArgF}
+    alive = [weakref.ref(x) for x in unloaded]
+    assert not Prog(prog.term).tables  # nothing shared between Progs
+    del prog, states, unloaded
     as_prog(parse_term("prd 0"))  # as_prog drops the Prog it kept for the check
     gc.collect()
     assert all(r() is None for r in alive)
@@ -472,8 +473,8 @@ def test_the_table_lives_in_the_checks_prog_and_dies_with_it():
 
 @pytest.mark.parametrize("m", [100, 400, 1600])
 def test_a_long_checks_table_holds_only_what_its_live_states_reach(m):
-    # the table is weak and the memos live on the cells, so what a check
-    # keeps does not grow with the number of steps it takes
+    # the memos live on the cells, so what a check keeps does not grow with
+    # the number of steps it takes
     prog = as_prog(fx.mult_call(3, m, 0))
     mid = []
 
@@ -491,10 +492,25 @@ def test_a_long_checks_table_holds_only_what_its_live_states_reach(m):
     assert report.ok and report.steps_checked > 4 * m
     gc.collect()
     assert mid and all(r() is None for r in mid)  # the cells died, memos and all
-    # what is left hangs off the empty chain, one entry per position at most:
-    # the letrec frame every environment of the run ends in
-    assert [type(x) for x in prog.tables["cons"].values()] == [RecFrame]
-    assert len(prog.tables["empty"]) == 2
+    # what is left hangs off the empty chain, whatever m: the environments
+    # at the root and at the letrec's body, and the letrec frame every
+    # environment of the run ends in
+    assert "cons" not in prog.tables
+    assert set(prog.tables["empty"]) == {0, prog.pos((1,)), (RecFrame, 0)}
+
+
+@pytest.mark.parametrize("text, letrec, binders", [
+    (r"letrec f = prd 1 in if0 0 { force f } { prd 2 }", (), ()),
+    (r"\x. letrec f = prd x in if0 x { force f } { prd 2 }", (0,), ((),)),
+], ids=["the empty chain", "a cell"])
+def test_anchors_inside_one_letrec_share_its_frame_over_a_cell(text, letrec, binders):
+    # the letrec's body and its then-branch are two anchors under the same
+    # cell (the empty chain, or x's): the letrec's frame over it is one object
+    prog = as_prog(parse_term(text))
+    e = chain(*[(prog.pos(p), NumP(0)) for p in binders])
+    body, then = prog.pos((0,) + letrec), prog.pos((1, 0) + letrec)
+    a, b = peak._unload_e(prog, body, e), peak._unload_e(prog, then, e)
+    assert type(a) is RecFrame and a is b
 
 
 # ---------------------------------------------------------------------------
