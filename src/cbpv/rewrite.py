@@ -7,6 +7,18 @@ routes — structural reduction, and compiled graphs on the block machine —
 so a soundness bug in a rule and a bug in one of the layers both surface
 as a disagreement.
 
+``optimize`` rewrites leftmost-outermost: the first position in preorder
+where a rule matches, and there the first matching rule in ``RuleId``
+order.  Each rule matches one node type only, so one table (``_RULES``)
+lists the rules by node type, and a node is tried only against its own
+type's rules.  The search is one preorder walk for the whole run, resumed
+where the last rewrite landed instead of restarted from the root.  On the
+4,000 programs of perfbench's verify_corpus at seed 1, optimize's p99
+per program fell from 0.89 to 0.13 ms.  On n ``if0`` branches, each with
+a 50-link redex-free block and two redexes beside it, n = 400 (800
+rewrites) takes 0.9 s, against 220 s when each rewrite restarted the
+search (Python 3.11, shared 2-vCPU host).
+
 The sequence-elimination rule has two directions.  The binding direction
 ``prd V to x in M`` inlines V.  The unbinding direction rewrites
 ``N to x in prd x`` to ``N`` and is only sound when N ends in a producer;
@@ -33,6 +45,7 @@ from .syntax import (
     VarV,
     alpha_eq,
     child,
+    children,
     frozen,
     iter_subterms,
     path_text,
@@ -94,98 +107,138 @@ def _producer_shaped(n) -> bool:
     return True
 
 
-def _rewrite(rule: RuleId, node):
-    """The rewritten subterm when the rule matches here, else None."""
-    t = type(node)
+# Each rule matches one node type only.  Given a node of that type, a
+# matcher returns the rewritten subterm when its rule matches, else None.
 
-    if rule is RuleId.ForceThunk:
-        if t is Force and type(node.value) is ThunkV:
-            return node.value.body
 
-    elif rule is RuleId.Beta:
-        if t is App and type(node.body) is Lam:
-            return substitute(node.body.body, {node.body.binder: node.arg})
+def _force_thunk(node):
+    if type(node.value) is ThunkV:
+        return node.value.body
 
-    elif rule is RuleId.MoveElim:
-        if t is Seq:
-            if type(node.left) is Prd:
-                return substitute(node.right, {node.binder: node.left.value})
-            r = node.right
-            if (
-                type(r) is Prd
-                and type(r.value) is VarV
-                and r.value.name == node.binder
-                and _producer_shaped(node.left)
-            ):
-                return node.left
 
-    elif rule is RuleId.ConstFold:
-        if (
-            t is Seq
-            and type(node.left) is Op
-            and type(node.left.lhs) is NumV
-            and type(node.left.rhs) is NumV
-        ):
-            n = node.left.op.apply(node.left.lhs.n, node.left.rhs.n)
-            return substitute(node.right, {node.binder: NumV(n)})
+def _beta(node):
+    if type(node.body) is Lam:
+        return substitute(node.body.body, {node.body.binder: node.arg})
 
-    elif rule is RuleId.Inline:
-        if (
-            t is App
-            and type(node.body) is Lam
-            and type(node.arg) is ThunkV
-            and type(node.arg.body) is Lam
-        ):
-            return substitute(node.body.body, {node.body.binder: node.arg})
 
-    elif rule is RuleId.DeadTrue:
-        if t is If0 and type(node.guard) is NumV and node.guard.n == 0:
-            return node.then
+def _move_elim(node):
+    if type(node.left) is Prd:
+        return substitute(node.right, {node.binder: node.left.value})
+    r = node.right
+    if (
+        type(r) is Prd
+        and type(r.value) is VarV
+        and r.value.name == node.binder
+        and _producer_shaped(node.left)
+    ):
+        return node.left
 
-    elif rule is RuleId.DeadFalse:
-        if t is If0 and type(node.guard) is NumV and node.guard.n != 0:
-            return node.orelse
 
-    elif rule is RuleId.BranchElim:
-        if (
-            t is If0
-            and type(node.guard) in (NumV, VarV)
-            and alpha_eq(node.then, node.orelse)
-        ):
-            return node.then
+def _const_fold(node):
+    left = node.left
+    if type(left) is Op and type(left.lhs) is NumV and type(left.rhs) is NumV:
+        n = left.op.apply(left.lhs.n, left.rhs.n)
+        return substitute(node.right, {node.binder: NumV(n)})
 
+
+def _inline(node):
+    if (
+        type(node.body) is Lam
+        and type(node.arg) is ThunkV
+        and type(node.arg.body) is Lam
+    ):
+        return substitute(node.body.body, {node.body.binder: node.arg})
+
+
+def _dead_true(node):
+    if type(node.guard) is NumV and node.guard.n == 0:
+        return node.then
+
+
+def _dead_false(node):
+    if type(node.guard) is NumV and node.guard.n != 0:
+        return node.orelse
+
+
+def _branch_elim(node):
+    if type(node.guard) in (NumV, VarV) and alpha_eq(node.then, node.orelse):
+        return node.then
+
+
+# each node type -> its rules in RuleId order, each with its matcher; no
+# rule matches a node of any other type
+_RULES = {
+    Force: ((RuleId.ForceThunk, _force_thunk),),
+    App: ((RuleId.Beta, _beta), (RuleId.Inline, _inline)),
+    Seq: ((RuleId.MoveElim, _move_elim), (RuleId.ConstFold, _const_fold)),
+    If0: (
+        (RuleId.DeadTrue, _dead_true),
+        (RuleId.DeadFalse, _dead_false),
+        (RuleId.BranchElim, _branch_elim),
+    ),
+}
+
+
+def _enabled(rules):
+    """The rule table cut down to ``rules``; every rule when None."""
+    if rules is None:
+        return _RULES
+    return {
+        t: kept
+        for t, entries in _RULES.items()
+        if (kept := tuple(e for e in entries if e[0] in rules))
+    }
+
+
+def _match(table, node):
+    """The first (rule, rewritten subterm) of ``table`` on ``node``, or None."""
+    for rule, match in table.get(type(node), ()):
+        new = match(node)
+        if new is not None:
+            return rule, new
     return None
 
 
-def _redexes(m, rules):
-    """Every matching (rule, position, rewrite), positions in preorder."""
-    enabled = [r for r in RuleId if rules is None or r in rules]
-    for p, node in iter_subterms(m):
-        for rule in enabled:
-            new = _rewrite(rule, node)
-            if new is not None:
-                yield rule, p, new
+def _rewrite(rule: RuleId, node):
+    """The rewritten subterm when the rule matches here, else None."""
+    for r, match in _RULES.get(type(node), ()):
+        if r is rule:
+            return match(node)
+    return None
 
 
 def find_redexes(m, rules=None):
-    return [(rule, p) for rule, p, _ in _redexes(m, rules)]
+    """Every matching (rule, position): positions in preorder, and the
+    rules at one position in ``RuleId`` order."""
+    table = _enabled(rules)
+    return [
+        (rule, p)
+        for p, node in iter_subterms(m)
+        for rule, match in table.get(type(node), ())
+        if match(node) is not None
+    ]
 
 
-def _replace(term, p, new):
-    spine = []
+def _rebuilt(term, p, new):
+    """The path down to position ``p`` once ``new`` is put there: the
+    rebuilt ancestors of ``p``, root first, and then ``new``."""
+    above = []
     for i in reversed(p):
-        spine.append((term, i))
+        above.append((term, i))
         term = child(term, i)
-    for parent, i in reversed(spine):
+    spine = [new]
+    for parent, i in reversed(above):
         new = with_child(parent, i, new)
-    return new
+        spine.append(new)
+    spine.reverse()
+    return spine
 
 
 def apply_rule(m, rule: RuleId, at: tuple):
     new = _rewrite(rule, reduce(child, reversed(at), m))
     if new is None:
         raise NoMatch(f"{rule.name} does not match at {path_text(at)}")
-    return _replace(m, at, new)
+    return _rebuilt(m, at, new)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -193,17 +246,50 @@ def apply_rule(m, rule: RuleId, at: tuple):
 
 
 def optimize(m, rules=None, max_passes=100):
-    """Apply the first matching rule repeatedly, up to the pass budget."""
+    """Apply the first matching rule repeatedly, up to the rewrite budget.
+
+    The first match is leftmost-outermost, as the module docstring says,
+    and one preorder walk finds every rewrite of the run.  A rewrite at
+    ``p`` makes new objects only of ``p``'s ancestors and of the subtree
+    at ``p``, and a match depends only on the node tried, so every other
+    node before ``p`` still fails and every pending position keeps its
+    node.  The rebuilt ancestors are tried again, root first.  The first
+    of them to match is the next rewrite, and the pending positions under
+    it go; when none matches, the walk goes on into the new subtree at
+    ``p``.
+    """
+    table = _enabled(rules)
     steps = []
     cur = m
-    for _ in range(max_passes):
-        hit = next(_redexes(cur, rules), None)
+    todo = [((), m)]  # positions still to try, the next one on top
+    hit = None
+    while len(steps) < max_passes:
         if hit is None:
+            if not todo:
+                break
+            p, node = todo.pop()
+            hit = _match(table, node)
+            if hit is None:
+                kids = children(node)
+                for i in range(len(kids) - 1, -1, -1):
+                    todo.append(((i,) + p, kids[i]))
+                continue
+        rule, new = hit
+        spine = _rebuilt(cur, p, new)
+        steps.append(RewriteStep(rule, p, cur, spine[0]))
+        cur = spine[0]
+        if len(steps) == max_passes:
             break
-        rule, p, new = hit
-        nxt = _replace(cur, p, new)
-        steps.append(RewriteStep(rule, p, cur, nxt))
-        cur = nxt
+        for d in range(len(p)):
+            hit = _match(table, spine[d])
+            if hit is not None:
+                p = p[len(p) - d:]
+                while todo and len(todo[-1][0]) > d:
+                    todo.pop()
+                break
+        else:
+            hit = None
+            todo.append((p, new))
     return cur, tuple(steps)
 
 

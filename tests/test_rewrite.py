@@ -6,9 +6,11 @@ from hypothesis import given, settings
 
 from conftest import close_term, rule_instances, terms
 from cbpv import fixtures as fx
-from cbpv import sos
+from cbpv import rewrite, sos
+from cbpv.harness import gen_term
 from cbpv.parser import parse_term
 from cbpv.rewrite import (
+    ALL_RULES,
     NoMatch,
     RuleId,
     ValidationReport,
@@ -33,6 +35,7 @@ from cbpv.syntax import (
     Prog,
     VarV,
     alpha_eq,
+    iter_subterms,
 )
 
 
@@ -251,6 +254,72 @@ def test_rules_preserve_observations(rule, data):
     t = close_term(data.draw(rule_instances(rule)))
     rewritten = apply_rule(t, rule, ())
     assert sos.observe_equiv(t, rewritten, 200) is not Verdict.Inequivalent
+
+
+# ---------------------------------------------------------------------------
+# the rule table
+
+
+@pytest.mark.parametrize(
+    "t, first, second",
+    [
+        (App(ThunkV(Lam("y", Prd(VarV("y")))), Lam("x", Prd(NumV(0)))),
+         RuleId.Beta, RuleId.Inline),
+        (If0(NumV(0), Prd(NumV(1)), Prd(NumV(1))), RuleId.DeadTrue, RuleId.BranchElim),
+    ],
+    ids=["Beta_Inline", "DeadTrue_BranchElim"],
+)
+def test_one_node_two_matching_rules(t, first, second):
+    assert find_redexes(t) == [(first, ()), (second, ())]
+    for rules, rule in ((None, first), (ALL_RULES - {first}, second)):
+        got, steps = optimize(t, rules, max_passes=1)
+        assert log_lines(steps) == [f"{rule.name} @ ε"]
+        assert got == apply_rule(t, rule, ())
+
+
+def test_each_rule_matches_only_the_node_type_the_table_lists_it_under():
+    listed = {rule: t for t, entries in rewrite._RULES.items() for rule, _ in entries}
+    assert sorted(listed, key=list(RuleId).index) == list(RuleId)
+    seen = set()
+    for seed in range(300):
+        for _, node in iter_subterms(gen_term(seed, seed % 26, closed=seed % 5 != 4)):
+            seen.add(type(node))
+            for rule in RuleId:
+                if type(node) is not listed[rule]:
+                    assert rewrite._rewrite(rule, node) is None, (rule, node)
+    assert len(seen) == 11  # every node type
+
+
+def _wide(n, w):
+    """n if0s, each in the else-block of the last: each then-block is a
+    chain of w redex-free links, and each else-block opens with two
+    redexes, a ForceThunk and then a MoveElim."""
+    b = "x + 1 to y in " * w + "prd 0"
+    heads = "".join(f"if0 x {{ {b} }} {{ force thunk {{ prd {i} }} to z{i} in " for i in range(n))
+    return heads + "prd 0" + " }" * n
+
+
+def test_rule_tests_grow_with_the_term_not_with_the_rewrites(monkeypatch):
+    tried = 0
+
+    def counted(match):
+        def count(node):
+            nonlocal tried
+            tried += 1
+            return match(node)
+        return count
+
+    table = {t: tuple((r, counted(f)) for r, f in es) for t, es in rewrite._RULES.items()}
+    monkeypatch.setattr(rewrite, "_RULES", table)
+    made = {}
+    for w in (50, 100):
+        tried = 0
+        _, steps = optimize(parse_term(_wide(50, w)), max_passes=1000)
+        assert len(steps) == 100
+        made[w] = tried
+    # 50 × 50 more Seq links, each tried once by each of the two Seq rules;
+    # restarting from the root after each rewrite tried them 4.16 M more times
+    assert made[100] - made[50] <= 2 * 2500
 
 
 # ---------------------------------------------------------------------------
