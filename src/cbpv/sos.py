@@ -16,6 +16,16 @@ decomposition costs what the step changes, however deep the context is;
 this is refocusing (Danvy & Nielsen, BRICS RS-04-26, 2004).  The tower
 check hands sos the decomposition a CEK state unloads to.
 
+Unrolling a letrec substitutes its bundle of recursive thunks into its
+body, and a recursive call forces one of those thunks, whose letrec then
+unrolls in turn.  ``unroll`` shares that work (``unroll`` says how): at
+the first call the thunks of a bundle are built once and the unrolling of
+each of its letrecs is kept, so a run unrolls a bundle of k definitions at
+most k + 1 times, not once per call.  Only the last bundle called is kept,
+keyed by the identity of its letrecs, in this module and not on the nodes,
+so a kept unrolling makes no reference cycle.  Every term sos returns is
+``==`` to the one unsharing unrolling gives.
+
 Stuck terms carry a reason.  The reasons are chosen so that the machines
 agree with the SOS not just on *where* evaluation gets stuck but on *why*:
 an application over a producer is rejected before the producer's operands
@@ -115,15 +125,65 @@ class Verdict(enum.Enum):
 # letrec unrolling
 
 
+# The letrec bundle called last: ``({id(L): [L, L's unrolling or None]},
+# the substitution of its recursive thunks)`` for each member letrec ``L``
+# of the bundle.  Each key's letrec is held here, so its id is not reused
+# while the entry lasts, and a hit is that very object.
+_kept: tuple = ({}, {})
+
+
 def unroll(m):
-    """Expose a non-letrec head by substituting recursive thunks."""
+    """Expose a non-letrec head by substituting recursive thunks.
+
+    A letrec ``L = letrec f1 = d1 and ... in body`` unrolls to ``body``
+    with each ``fi`` replaced by ``thunk { letrec f1 = d1 and ... in di }``
+    (the leftmost definition of a duplicated name wins).  Forcing such a
+    thunk steps to that letrec, which unrolls in turn.  So the bundle's
+    work is done once per run, not once per call.  The letrec a call steps
+    to has one of its own definitions as its body; the first one unrolled
+    builds the bundle's thunks, one per definition, around member letrecs
+    built once (itself among them), and the unrolling of each member is
+    kept.  Any other letrec, such as one met in the source, is unrolled as
+    before and keeps nothing, so a run that makes no recursive call holds
+    nothing afterwards.  A bundle of k definitions is unrolled at most
+    k + 1 times, however often its functions are called.
+
+    What is kept is the last bundle called, in ``_kept``, keyed by the
+    identity of each member letrec, which it holds, never by ``==``.
+    Another bundle replaces it, as another term replaces the Prog
+    ``syntax.as_prog`` keeps.  It is not a memo on the LetRec node: an
+    unrolling holds the thunks, which hold the member letrecs, so ``L ->
+    unrolling -> thunk { L } -> L`` would be a cycle that only the
+    collector frees.  Kept here, nothing a term reaches refers back to the
+    table.
+    """
+    global _kept
     while type(m) is LetRec:
-        sub = {}
-        for name, d in m.defs:
-            if name not in sub:  # leftmost definition of a duplicated name wins
-                sub[name] = ThunkV(LetRec(m.defs, d))
-        m = substitute(m.body, sub)
+        members, thunks = _kept
+        entry = members.get(id(m))
+        if entry is None:
+            members, thunks = _bundle(m)
+            entry = members.get(id(m))
+            if entry is None:  # not a call: unrolled once, and nothing kept
+                m = substitute(m.body, thunks)
+                continue
+            _kept = members, thunks
+        u = entry[1]
+        if u is None:
+            u = entry[1] = substitute(m.body, thunks)
+        m = u
     return m
+
+
+def _bundle(m) -> tuple:
+    """The members and recursive thunks of the bundle of letrec ``m``."""
+    members, thunks = {}, {}
+    for name, d in m.defs:
+        if name not in thunks:  # leftmost definition of a duplicated name wins
+            member = m if d is m.body else LetRec(m.defs, d)
+            members[id(member)] = [member, None]
+            thunks[name] = ThunkV(member)
+    return members, thunks
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 import sys
 from collections import defaultdict
-from dataclasses import MISSING, FrozenInstanceError, dataclass, fields, replace
+from dataclasses import MISSING, FrozenInstanceError, dataclass, fields
 from operator import attrgetter
 from typing import Iterator, Mapping, Optional, Union
 
@@ -325,10 +325,22 @@ def with_child(node: Node, i: int, new: Node) -> Node:
             defs[i - 1] = (defs[i - 1][0], new)
             return LetRec(tuple(defs), node.body)
     else:
-        names = _CHILDREN.get(type(node), ())
-        if 0 <= i < len(names):
-            return replace(node, **{names[i]: new})
+        fill = _FILL.get(type(node), ())
+        if 0 <= i < len(fill):
+            return fill[i](node, new)
     raise InvalidPath(f"{type(node).__name__} has no child {i}")
+
+
+def _filler(t, name: str):
+    """``(node, new) -> t(...)``: the constructor called on ``node``'s fields
+    with field ``name`` set to ``new``.  That is what ``dataclasses.replace``
+    gives, at half its cost or less."""
+    args = ", ".join("new" if f.name == name else f"node.{f.name}" for f in fields(t))
+    return eval(f"lambda node, new: t({args})", {"t": t})
+
+
+# each node type but LetRec -> a filler per child index, in child order
+_FILL = {t: tuple(_filler(t, n) for n in names) for t, names in _CHILDREN.items()}
 
 
 def _getter(names):

@@ -28,15 +28,17 @@ from cbpv.syntax import (
 )
 
 # ---------------------------------------------------------------------------
-# every test starts with an empty as_prog cache
+# every test starts with empty as_prog and sos.unroll caches
 
 
 @pytest.fixture(autouse=True)
 def _no_kept_prog():
-    """Each test starts with no Prog kept by ``as_prog``.  A fixture term
-    that several tests share is then indexed afresh in each, and no test
-    sees positions or tables that another one filled."""
+    """Each test starts with no Prog kept by ``as_prog`` and no letrec
+    bundle kept by ``sos.unroll``.  A fixture term that several tests share
+    is then indexed and unrolled afresh in each, and no test sees
+    positions, tables or unrollings that another one filled."""
     syntax._last = syntax._made = None
+    sos._kept = ({}, {})
 
 
 # ---------------------------------------------------------------------------

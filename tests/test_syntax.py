@@ -1,5 +1,7 @@
 """Paths, substitution, alpha-equivalence, and binder resolution."""
 
+from dataclasses import replace
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given
@@ -156,6 +158,39 @@ def test_child_table_agrees_with_the_fields(t):
                 child(node, i)
             with pytest.raises(InvalidPath, match=message):
                 with_child(node, i, _MARK)
+
+
+# the field of each node type that holds child i, as the records declare them
+_CHILD_FIELDS = {
+    Force: ("value",),
+    Prd: ("value",),
+    App: ("arg", "body"),
+    Lam: ("body",),
+    Seq: ("left", "right"),
+    If0: ("guard", "then", "orelse"),
+    Op: ("lhs", "rhs"),
+    ThunkV: ("body",),
+}
+
+
+@given(st.one_of(terms, values))
+def test_with_child_builds_what_replace_builds(t):
+    # with_child calls each record's constructor: what it builds is what
+    # dataclasses.replace builds, and it keeps no memo of the node it rebuilds
+    for _, node in iter_subterms(t):
+        free_vars(node)  # a memo on the old node
+        for i, kid in enumerate(_kids(node)):
+            new = NumV(-54321) if isinstance(kid, (VarV, NumV, ThunkV)) else _MARK
+            if type(node) is LetRec:
+                defs = list(node.defs)
+                if i:
+                    defs[i - 1] = (defs[i - 1][0], new)
+                want = replace(node, defs=tuple(defs), body=node.body if i else new)
+            else:
+                want = replace(node, **{_CHILD_FIELDS[type(node)][i]: new})
+            got = with_child(node, i, new)
+            assert type(got) is type(node) and got == want
+            assert got._fv is None
 
 
 # ---------------------------------------------------------------------------
