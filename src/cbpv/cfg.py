@@ -14,10 +14,11 @@ function changes — which keeps the two machines comparable step by step.
 compile is one iterative preorder walk, linear in the number of nodes: it
 carries the static argument frames and the lexical scope down the tree and
 computes advancement (eta) bottom-up over the same walk.  It calls none of
-pek's per-position routes (``pek.aframes``, ``pek.eta``) nor peak's value
-resolution nor ``binder_of``.  Those stay the pek machine's own, so the
-pek/cfg lockstep check compares two independent derivations of the static
-structure; only the naming of positions is shared.
+pek's per-position routes (``pek.aframes``, ``pek.eta``) nor peak's
+descent, value resolution or δ, nor ``binder_of``.  Those stay the pek
+machine's own, so the pek/cfg lockstep check compares two independent
+derivations of the static structure; only the naming of positions is
+shared.
 
 Environments are peak's immutable ``Env`` chains of the Lam/Seq binders in
 scope.  The same walk counts those binders, so every operand and

@@ -3,6 +3,12 @@
 Each adjacent pair of levels is checked in lockstep from its load states:
 at every step the lower machine's state is unloaded and compared against
 the upper one, then both take a step and their halts must classify alike.
+Each pair compares by one rule: peak/pek modulo advancing
+(``canon_state``), since pek loads past the search nodes peak starts on,
+and every other pair strictly.  peak and pek share their value lookup
+(γ), frame conversion (δ) and advancement (η), so a fault in those is
+invisible to the peak/pek pair; the cek/peak and pek/cfg pairs see it,
+as cek and compile each derive them on their own.
 ``tower_check`` closes the loop across the whole tower, comparing the
 block machine's trajectory against structural reduction one step at a
 time while also re-checking well-formedness at each visited state.
@@ -54,7 +60,7 @@ from . import cek, cfg, peak, pek, sos
 from .cek import Frames
 from .peak import Env, KArg, KSeq, PClosure, PeakState
 from .printer import print_term
-from .sos import Next, ProducedValue, Stuck, Terminal
+from .sos import Next, ProducedValue, Stuck, Terminal, _halted
 from .syntax import (
     App,
     ArithOp,
@@ -72,9 +78,6 @@ from .syntax import (
     as_prog,
     frozen,
 )
-
-MODES = ("strict", "modulo_advance")
-
 
 class LevelPair(Enum):
     SOS_CEK = "sos/cek"
@@ -238,11 +241,6 @@ class Machine:
     value: Callable
 
 
-def _sos_step(t):
-    r = sos.step(t)
-    return r.term if type(r) is Next else r
-
-
 def _ident(x):
     return x
 
@@ -251,7 +249,7 @@ def machine(name: str, m) -> Machine:
     """Load ``m`` on the named machine: sos, cek, peak, pek or cfg."""
     prog = as_prog(m)
     if name == "sos":
-        return Machine(prog.term, _sos_step, sos.describe, _ident, _ident)
+        return Machine(prog.term, sos._sos_step, sos.describe, _ident, _ident)
     if name == "cek":
         return Machine(cek.load(prog.term), cek.step, cek.describe, cek.unload, cek.unload_val)
     value = lambda v: cek.unload_val(peak.unload_v(prog, v))
@@ -271,28 +269,11 @@ def machine(name: str, m) -> Machine:
     return Machine(s, partial(cfg.step, g), partial(cfg.describe, g), unload, value)
 
 
-def _halted(r) -> bool:
-    return type(r) is Terminal or type(r) is Stuck
-
-
 def run(mach: Machine, fuel: int, emit=None):
-    """Step from the load state to a halt, taking at most ``fuel`` steps.
-
-    Returns ``(halt, steps, state)``: the Terminal/Stuck halt, or None when
-    the step after the last fueled one still runs; the steps taken; and
-    the last running state.  ``emit(state, i)`` sees every visited state,
-    the load state as 0.
-    """
-    s, i, step = mach.state, 0, mach.step
-    while True:
-        if emit is not None:
-            emit(s, i)
-        r = step(s)
-        if _halted(r):
-            return r, i, s
-        if i >= fuel:
-            return None, i, s
-        s, i = r, i + 1
+    """Step from the load state to a halt, taking at most ``fuel`` steps:
+    ``sos.drive`` from ``mach.state`` by ``mach.step``, whose ``(halt,
+    steps, state)`` it returns."""
+    return sos.drive(mach.state, mach.step, fuel, emit)
 
 
 def _halts_align(upper, lower, convert, value_eq) -> bool:
@@ -333,19 +314,12 @@ def _unloads(fn, s):
 def lockstep_check(m, pair: LevelPair, fuel: int = 1000, mode=None) -> Report:
     """Compare unloaded lower states against the upper ones, from the load
     states through the one reached by the last fueled step, then the halts.
-    Only the peak/pek row reads ``mode``.  It defaults to the pair's own:
-    modulo advancing for peak/pek, as pek loads past peak's binding spine,
-    and strict for the rest."""
-    if mode is None:
-        mode = "modulo_advance" if pair is LevelPair.PEAK_PEK else "strict"
-    if mode not in MODES:
-        raise ValueError(f"unknown mode: {mode!r}")
+    Each pair compares by its own rule: peak/pek modulo advancing, as pek
+    loads past peak's binding spine, and every other pair strictly.
+    ``mode`` is accepted and ignored, like the CLI's ``--modulo-advance``."""
     prog = as_prog(m)
-    if mode == "strict":
-        peak_eq = peak_value_eq = eq
-    else:
-        peak_eq = lambda a, b: canon_state(prog, a) == canon_state(prog, b)
-        peak_value_eq = lambda a, b: _canon_val(prog, a) == _canon_val(prog, b)
+    peak_eq = lambda a, b: canon_state(prog, a) == canon_state(prog, b)
+    peak_value_eq = lambda a, b: _canon_val(prog, a) == _canon_val(prog, b)
     # unload one level down, state equality, produced-value conversion and
     # equality, each at the upper level's representation
     table = {

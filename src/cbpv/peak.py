@@ -31,6 +31,13 @@ hashes a path.  Paths are made only at the edge: ``describe``, the public
 functions that take a path (``gamma``, ``lookup_var``), and the messages
 of ``wf_check`` and of an unload that fails.
 
+pek runs the same code for value lookup (γ), frame conversion (δ) and
+advancement (η): ``_lookups`` builds its γ and δ as it builds this
+machine's, and its η is where ``_descent`` lands.  So the peak/pek check
+cannot see a fault in them.  The cek/peak check can, against cek's own
+descent and frames, and so can the pek/cfg check, against compile's own
+η and argument frames.
+
 Unloads are memoized by cell.  A cell cannot be written to, so what it
 unloads to under a program is fixed: its CEK binding, its environment at
 each anchor position, the closures over it and the sequence frames on it
@@ -318,14 +325,17 @@ def _resolve(prog, i: int, entry):
     return _LOC, q, _depth(prog, q) + 1
 
 
-def _lookups(machine: str, entry):
-    """Value resolution for a machine whose code of child ``j`` of ``i`` is
-    ``entry(prog, i, j)``: ``(lookup_var, gamma, _gamma, _operand,
-    _seq_exit)``, keeping what each position resolves to in the program's
-    ``<machine>.value`` and ``<machine>.seq`` tables.  peak and pek differ
-    only in ``entry``, so both read values through these functions.  They
-    call ``_resolve`` through this module, so a replaced ``_resolve``
-    reaches both machines."""
+def _lookups(machine: str, entry, seq_frame):
+    """Value resolution and δ for a machine whose code of child ``j`` of
+    ``i`` is ``entry(prog, i, j)`` and whose continuation frame for a Seq
+    ``i`` pending under chain ``env`` is ``seq_frame(i, resume, env,
+    rest)``, ``resume`` being the code of its right component and ``rest``
+    the argument frames under it: ``(lookup_var, gamma, _gamma, _operand,
+    _seq_exit, delta)``, keeping what each position resolves to in the
+    program's ``<machine>.value`` and ``<machine>.seq`` tables.  peak and
+    pek differ only in ``entry`` and ``seq_frame``, so both read values and
+    convert frames through these functions.  They call ``_resolve`` through
+    this module, so a replaced ``_resolve`` reaches both machines."""
     value_key, seq_key = machine + ".value", machine + ".seq"
 
     def lookup_var(P, p: tuple, e: Env) -> PVal:
@@ -372,35 +382,37 @@ def _lookups(machine: str, entry):
             hit = tab[i] = (entry(prog, i, 1), _depth(prog, i))
         return hit
 
-    return lookup_var, gamma, _gamma, _operand, _seq_exit
+    def delta(P, e: Env, args: Frames, kont: Frames = NIL) -> Frames:
+        """Convert pending argument frames up to and including the first
+        SEQ, and push them onto ``kont`` in the same order."""
+        if not args.size:  # a force with no pending arguments converts nothing
+            return kont
+        prog = as_prog(P)
+        out = []
+        while args.size:
+            f, args = args.frame, args.rest
+            i = f.pos
+            if type(f) is ARG:
+                out.append(KArg(_operand(prog, i, 0, prog.nodes[i].arg, e)))
+            else:
+                resume, keep = _seq_exit(prog, i)
+                out.append(seq_frame(i, resume, e.cut(keep), args))
+                break
+        for f in reversed(out):
+            kont = Frames(f, kont)
+        return kont
+
+    return lookup_var, gamma, _gamma, _operand, _seq_exit, delta
 
 
 def _child(prog, i: int, j: int) -> int:
     return prog.kid(i, j)
 
 
-lookup_var, gamma, _gamma, _operand, _seq_exit = _lookups("peak", _child)
-
-
-def delta(P, e: Env, args: Frames, kont: Frames = NIL) -> Frames:
-    """Convert pending argument frames up to and including the first SEQ,
-    and push them onto ``kont`` in the same order.  A KSeq keeps the frames
-    under its SEQ as they are: the tail of ``args``."""
-    if not args.size:  # a force with no pending arguments converts nothing
-        return kont
-    prog = as_prog(P)
-    out = []
-    while args.size:
-        f, args = args.frame, args.rest
-        i = f.pos
-        if type(f) is ARG:
-            out.append(KArg(_operand(prog, i, 0, prog.nodes[i].arg, e)))
-        else:
-            out.append(KSeq(i, e.cut(_seq_exit(prog, i)[1]), args))
-            break
-    for f in reversed(out):
-        kont = Frames(f, kont)
-    return kont
+# A KSeq keeps the frames under its SEQ as they are: the tail of ``args``.
+lookup_var, gamma, _gamma, _operand, _seq_exit, delta = _lookups(
+    "peak", _child, lambda i, resume, env, rest: KSeq(i, env, rest)
+)
 
 
 # ---------------------------------------------------------------------------
@@ -417,20 +429,24 @@ def advance(P, rho: PeakState) -> PeakState:
     return _advance(prog, rho.pc, rho)[1]
 
 
-def _advance(prog, i: int, rho: PeakState):
-    """``advance`` from position ``i``, ``rho.pc``; also returns the id
-    the program counter lands on.  The frames pushed from ``i`` are kept
-    per position as a chain, which an empty argument stack takes as it
-    is."""
-    t = type(prog.nodes[i])
+def _descent(prog, i: int):
+    """Advancement from position ``i`` through search nodes, kept per id:
+    ``(j, pushed, alone)``, the instruction position ``j`` it lands on, the
+    frames pushed on the way, outermost first, and those frames as a chain
+    on an empty argument stack.  pek's η is ``j``.  An instruction position
+    is its own landing, so it is not kept: the table holds no object for
+    each of them for the collector to scan."""
+    nodes = prog.nodes
+    t = type(nodes[i])
     if t is not Seq and t is not App and t is not LetRec:
-        return i, rho
+        return i, (), NIL
     tab = prog.tables["advance"]
     hit = tab.get(i)
     if hit is None:
-        nodes, kid = prog.nodes, prog.kid
+        kid = prog.kid
         j, pushed = i, []  # the frames pushed, outermost first
         while True:
+            t = type(nodes[j])
             if t is Seq:
                 pushed.append(SEQ(j))
                 j = kid(j, 0)
@@ -441,12 +457,21 @@ def _advance(prog, i: int, rho: PeakState):
                 j = kid(j, 0)
             else:
                 break
-            t = type(nodes[j])
         alone = NIL
         for f in pushed:
             alone = Frames(f, alone)
         hit = tab[i] = (j, tuple(pushed), alone)
-    j, pushed, args = hit
+    return hit
+
+
+def _advance(prog, i: int, rho: PeakState):
+    """``advance`` from position ``i``, ``rho.pc``; also returns the id
+    the program counter lands on.  An empty argument stack takes the chain
+    of the frames pushed as it is."""
+    t = type(prog.nodes[i])
+    if t is not Seq and t is not App and t is not LetRec:
+        return i, rho
+    j, pushed, args = _descent(prog, i)
     if rho.args.size:
         args = rho.args
         for f in pushed:  # outermost first, so the innermost lands on top

@@ -2,10 +2,20 @@
 
 The argument stack a PEAK state would carry is a function of the program
 counter alone, so this machine drops it from the state and recomputes it
-with ``aframes`` on demand.  ``eta`` plays the role of PEAK's advancement,
-projected onto the program counter: every transition lands the program
-counter on an instruction position (Force, Prd, Lam, If0, Op), never on a
-search node.
+with ``aframes`` on demand.  ``eta`` is PEAK's advancement projected onto
+the program counter, the position ``peak._descent`` lands on: every
+transition lands the program counter on an instruction position (Force,
+Prd, Lam, If0, Op), never on a search node.
+
+Where PEK is PEAK with a static argument stack, it runs PEAK's code.
+Values are read (γ) and pending frames converted (δ) by the functions
+``peak._lookups`` builds for both machines; pek's differ only in that the
+code of a child is where η lands and that a pending Seq becomes a return
+frame.  η reaches ``peak._descent`` through peak's module, so a replaced
+descent reaches both machines, as a replaced ``peak._resolve`` does.  So
+the peak/pek check cannot see a fault in γ, δ or η.  Two other checks
+can: cek/peak compares against cek's own descent and frames, and pek/cfg
+against compile's own η and argument frames (``cfg._push_args``).
 
 Return frames replace PEAK's sequence frames: because the frames remaining
 under a sequence are statically recoverable, a return frame only records
@@ -38,7 +48,7 @@ and its well-formedness verdict (``Cell.memo_of``), so ``unload`` and
 
 from dataclasses import field
 
-from . import cek
+from . import cek, peak
 from .cek import NIL, Frames
 from .peak import (
     ARG,
@@ -143,26 +153,8 @@ def _aframes(prog, i: int) -> Frames:
 
 def eta(P, i: int) -> int:
     """Advance position ``i`` through search nodes to the next instruction
-    position."""
-    prog = as_prog(P)
-    tab = prog.tables["eta"]
-    r = tab.get(i)
-    if r is None:
-        passed = []  # every search node passed advances to the same place
-        while True:
-            t = type(prog.nodes[i])
-            if t is Seq or t is LetRec:
-                j = 0
-            elif t is App:
-                j = 1
-            else:
-                break
-            passed.append(i)
-            i = prog.kid(i, j)
-        r = tab[i] = i
-        for q in passed:
-            tab[q] = r
-    return r
+    position: where PEAK's advancement lands (``peak._descent``)."""
+    return peak._descent(as_prog(P), i)[0]
 
 
 def _next(prog, i: int, j: int) -> int:
@@ -170,29 +162,11 @@ def _next(prog, i: int, j: int) -> int:
     return eta(prog, prog.kid(i, j))
 
 
-lookup_var, gamma, _gamma, _operand, _seq_exit = _lookups("pek", _next)
-
-
-def delta(P, e: Env, args: Frames, kont: Frames = NIL) -> Frames:
-    """Convert pending frames and push them onto ``kont`` in the same
-    order; a return frame replaces everything from the first SEQ on, since
-    the remainder is recomputable from its position."""
-    if not args.size:  # a force with no pending arguments converts nothing
-        return kont
-    prog = as_prog(P)
-    out = []
-    while args.size:
-        f, args = args.frame, args.rest
-        i = f.pos
-        if type(f) is ARG:
-            out.append(KArg(_operand(prog, i, 0, prog.nodes[i].arg, e)))
-        else:
-            resume, keep = _seq_exit(prog, i)
-            out.append(KRet(i, resume, e if e.size == keep else e.cut(keep)))
-            break
-    for f in reversed(out):
-        kont = Frames(f, kont)
-    return kont
+# A return frame replaces everything from the first SEQ on, since the
+# remainder is recomputable from its position.
+lookup_var, gamma, _gamma, _operand, _seq_exit, delta = _lookups(
+    "pek", _next, lambda i, resume, env, rest: KRet(i, resume, env)
+)
 
 
 # ---------------------------------------------------------------------------

@@ -344,19 +344,43 @@ def redex_depth(m) -> Optional[int]:
 # runner
 
 
-def run(m, fuel: int) -> RunOutcome:
-    """Iterate step, spending one unit of fuel per transition taken; a
-    negative fuel, like zero, takes none."""
-    steps = 0
-    cur = m
+def _halted(r) -> bool:
+    return type(r) is Terminal or type(r) is Stuck
+
+
+def drive(s, step, fuel: int, emit=None):
+    """Step from state ``s`` to a halt, taking at most ``fuel`` steps; a
+    negative fuel, like zero, takes none.  ``step`` maps a state to the
+    next state or to a Terminal/Stuck halt.  This is the one run loop of
+    every machine: ``run`` and ``harness.run`` both go through it.
+
+    Returns ``(halt, steps, state)``: the Terminal/Stuck halt, or None when
+    the step after the last fueled one still runs; the steps taken; and
+    the last running state.  ``emit(state, i)`` sees every visited state,
+    the load state as 0.
+    """
+    i = 0
     while True:
-        r = step(cur)
-        if type(r) is not Next:
-            return RunOutcome(steps, r)
-        if steps >= fuel:
-            return RunOutcome(steps, FuelExhausted())
-        steps += 1
-        cur = r.term
+        if emit is not None:
+            emit(s, i)
+        r = step(s)
+        if _halted(r):
+            return r, i, s
+        if i >= fuel:
+            return None, i, s
+        s, i = r, i + 1
+
+
+def _sos_step(t):
+    """``step`` as a machine step: the next term itself, or the halt."""
+    r = step(t)
+    return r.term if type(r) is Next else r
+
+
+def run(m, fuel: int) -> RunOutcome:
+    """Iterate step, spending one unit of fuel per transition taken."""
+    halt, steps, _ = drive(m, _sos_step, fuel)
+    return RunOutcome(steps, FuelExhausted() if halt is None else halt)
 
 
 def describe(t, i: int) -> str:

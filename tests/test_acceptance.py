@@ -294,7 +294,6 @@ def test_criterion_10_rule_soundness_on_500_instances_each():
 
 _REAL_COMPILE = cfg.compile
 _REAL_EXECUTE = cfg._execute
-_REAL_DELTA = pek.delta
 _REAL_RESOLVE = peak._resolve
 
 # A call whose continuation needs the caller's bindings: the return-frame
@@ -325,10 +324,15 @@ def _call_stores_callee_env(instr, succs, s):
     return _REAL_EXECUTE(instr, succs, s)
 
 
-def _delta_reversed(P, e, args, kont=cek.NIL):
-    for f in _REAL_DELTA(P, e, args):  # pushed top first, so they land reversed
-        kont = cek.Frames(f, kont)
-    return kont
+def _delta_reversed(delta):
+    """``delta`` pushing the frames it converts in reverse order."""
+
+    def mutant(P, e, args, kont=cek.NIL):
+        for f in delta(P, e, args):  # pushed top first, so they land reversed
+            kont = cek.Frames(f, kont)
+        return kont
+
+    return mutant
 
 
 def _eta_skipping_letrec(P, i):
@@ -343,24 +347,48 @@ def _eta_skipping_letrec(P, i):
             return i
 
 
+def _descent_skipping_letrec(prog, i):
+    pushed = []
+    while True:
+        t = type(prog.nodes[i])
+        if t is Seq:
+            pushed.append(peak.SEQ(i))
+            i = prog.kid(i, 0)
+        elif t is App:
+            pushed.append(peak.ARG(i))
+            i = prog.kid(i, 1)
+        else:  # a letrec no longer advances into its body
+            return i, tuple(pushed), cek.frames(*reversed(pushed))
+
+
 def _lookup_one_level_off(prog, i, entry):
     kind, x, k = _REAL_RESOLVE(prog, i, entry)
     return kind, x, k - 1 if kind is peak._LOC else k
 
 
+# Each mutation is the (module, name, replacement) patches that make it.
 _MUTATIONS = {
-    "swapped if0 targets": (cfg, "compile", _swapped_if0_targets),
-    "call frame stores callee env": (cfg, "_execute", _call_stores_callee_env),
-    "frame conversion order reversed": (pek, "delta", _delta_reversed),
-    "advancement skips letrec": (pek, "eta", _eta_skipping_letrec),
-    "variable read one level off": (peak, "_resolve", _lookup_one_level_off),
+    "swapped if0 targets": [(cfg, "compile", _swapped_if0_targets)],
+    "call frame stores callee env": [(cfg, "_execute", _call_stores_callee_env)],
+    "frame conversion order reversed": [(pek, "delta", _delta_reversed(pek.delta))],
+    "advancement skips letrec": [(pek, "eta", _eta_skipping_letrec)],
+    "variable read one level off": [(peak, "_resolve", _lookup_one_level_off)],
+    "descent skips letrec on both machines": [(peak, "_descent", _descent_skipping_letrec)],
+    "frame conversion order reversed on both machines": [
+        (peak, "delta", _delta_reversed(peak.delta)),
+        (pek, "delta", _delta_reversed(pek.delta)),
+    ],
 }
 
-# peak and pek read values through one lookup, so the peak/pek check cannot
-# see a fault in it, and the tower check steps neither machine: the checks
-# against cek and cfg, each with a lookup of its own, must.
+# peak and pek read values through one lookup, convert frames through one δ
+# and advance through one descent, so the peak/pek check cannot see a fault
+# in them, and the tower check steps neither machine: the checks against
+# cek and cfg, each with a lookup, frames and descent of its own, must.
+_BOTH_SIDES = {LevelPair.CEK_PEAK.value, LevelPair.PEK_CFG.value}
 _SHARED_BY_A_PAIR = {
-    "variable read one level off": {LevelPair.CEK_PEAK.value, LevelPair.PEK_CFG.value},
+    "variable read one level off": _BOTH_SIDES,
+    "descent skips letrec on both machines": _BOTH_SIDES,
+    "frame conversion order reversed on both machines": _BOTH_SIDES,
 }
 
 
@@ -382,9 +410,10 @@ def _detections():
 
 
 def test_criterion_11_mutations_are_detected():
-    for label, (module, attr, mutant) in _MUTATIONS.items():
+    for label, patches in _MUTATIONS.items():
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(module, attr, mutant)
+            for module, attr, mutant in patches:
+                mp.setattr(module, attr, mutant)
             hits = _detections()
         assert hits, f"undetected mutation: {label}"
         if label in _SHARED_BY_A_PAIR:

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 
 from conftest import close_term, terms
 from cbpv import fixtures as fx
-from cbpv import sos
+from cbpv import harness, sos
 from cbpv.cek import (
     ArgF,
     Bind,
@@ -247,29 +247,21 @@ def test_lockstep_survives_rebound_and_source_free_binders():
 
 
 def test_wf_preserved_along_mult_run():
-    sigma = load(fx.MULT_CALL)
-    assert wf_check(sigma)
-    for _ in range(300):
-        r = step(sigma)
-        if type(r) is not CekState:
-            break
-        sigma = r
+    def wf(sigma, i):
         assert wf_check(sigma)
+
+    harness.run(harness.machine("cek", fx.MULT_CALL), 300, wf)
 
 
 def test_wf_check_of_closures_nested_to_any_depth():
     # each closure holds the one before it in its environment, 2,000 deep
     k = 2000
     calls = "".join(f"(y{i} . force wrap) to y{i + 1} in " for i in range(k))
-    sigma = load(
-        parse_term(
-            f"letrec wrap = \\t. prd thunk {{ force t }} in prd thunk {{ prd 0 }} to y0 in"
-            f" {calls}prd y{k}"
-        )
+    m = parse_term(
+        f"letrec wrap = \\t. prd thunk {{ force t }} in prd thunk {{ prd 0 }} to y0 in"
+        f" {calls}prd y{k}"
     )
-    r = step(sigma)
-    while type(r) is CekState:
-        sigma, r = r, step(r)
+    r, _, sigma = harness.run(harness.machine("cek", m), 10**6)
     assert type(r.kind.value) is Closure
     assert wf_check(sigma)
 

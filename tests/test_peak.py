@@ -5,7 +5,7 @@ with ``at_ids``/``at_paths`` under the one Prog a state belongs to."""
 
 from hypothesis import given, settings
 
-from cbpv import cek, sos
+from cbpv import cek, harness, sos
 from cbpv.cek import NIL, frames
 from cbpv import fixtures as fx
 from cbpv.parser import parse_term
@@ -293,14 +293,11 @@ def test_lockstep_on_generated_terms(t):
 def test_wf_holds_along_runs():
     for m in (fx.MULT_CALL, fx.DOUBLER_LETREC, fx.DOUBLER_LAMBDA):
         prog = as_prog(m)
-        rho = load(m)
-        assert wf_check(prog, rho)
-        for _ in range(300):
-            r = step(prog, rho)
-            if type(r) is not PeakState:
-                break
-            rho = r
+
+        def wf(rho, i):
             assert wf_check(prog, rho), wf_check(prog, rho).violations
+
+        harness.run(harness.machine("peak", prog), 300, wf)
 
 
 def test_wf_reports_unbound_scope():
@@ -329,11 +326,9 @@ def test_wf_reports_argument_frame_out_of_scope():
 
 def test_states_are_not_mutated_by_later_steps():
     prog = as_prog(fx.MULT_CALL)
-    rho = load(prog.term)
     trail = []
-    while type(rho) is PeakState:
-        trail.append((rho, unload(prog, rho)))
-        rho = step(prog, rho)
+    keep = lambda rho, i: trail.append((rho, unload(prog, rho)))
+    harness.run(harness.machine("peak", prog), 10**6, keep)
     for st, snapshot in trail:
         assert unload(prog, st) == snapshot
         again = step(prog, st)

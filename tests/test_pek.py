@@ -8,7 +8,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings
 
-from cbpv import cek, cfg, harness, peak, pek
+from cbpv import cek, harness, peak, pek
 from cbpv import fixtures as fx
 from cbpv.cek import NIL, frames
 from cbpv.parser import parse_term
@@ -341,14 +341,11 @@ def test_lockstep_on_generated_terms(t):
 def test_pc_stays_on_instructions_and_wf_holds():
     for m in (fx.MULT_CALL, fx.DOUBLER_LETREC, fx.DOUBLER_LAMBDA):
         prog = as_prog(m)
-        s = load(prog)
-        assert wf_check(prog, s)
-        for _ in range(300):
-            r = step(prog, s)
-            if type(r) is not PekState:
-                break
-            s = r
+
+        def wf(s, i):
             assert wf_check(prog, s), wf_check(prog, s).violations
+
+        harness.run(harness.machine("pek", prog), 300, wf)
 
 
 def test_wf_rejects_search_position():
@@ -427,17 +424,11 @@ def test_a_chain_differing_deep_down_is_unequal():
 
 
 def _runs(prog):
-    g = cfg.compile(prog)
-    yield from _states(lambda s: step(prog, s), load(prog))
-    yield from _states(lambda s: cfg.step(g, s), load(prog))
-
-
-def _states(step_fn, s, fuel=300):
-    for _ in range(fuel):
-        yield s
-        s = step_fn(s)
-        if type(s) is not PekState:
-            return
+    """The states pek's and cfg's runs of ``prog`` visit, 300 at most each."""
+    states = []
+    for name in ("pek", "cfg"):
+        harness.run(harness.machine(name, prog), 299, lambda s, i: states.append(s))
+    return states
 
 
 @pytest.mark.parametrize("seed", range(0, 400, 7))
@@ -449,10 +440,11 @@ def test_env_holds_exactly_the_binders_in_scope(seed):
             for f in s.kont:
                 if type(f) is KRet:
                     assert len(f.env) == _in_scope(prog, prog.path(f.bind))
-        rho = peak.load(prog)
-        while type(rho) is PeakState:
+
+        def in_scope(rho, i):
             assert len(rho.env) == _in_scope(prog, prog.path(rho.pc))
-            rho = peak.step(prog, rho)
+
+        harness.run(harness.machine("peak", prog), 10**6, in_scope)
 
 
 def test_fixture_envs_hold_exactly_the_binders_in_scope():
