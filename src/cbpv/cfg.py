@@ -11,14 +11,16 @@ so the machine dispatches on instructions alone and never inspects the term.
 States are shared with the instruction-pointer machine — only the transition
 function changes — which keeps the two machines comparable step by step.
 
-compile is one iterative preorder walk, linear in the number of nodes: it
-carries the static argument frames and the lexical scope down the tree and
-computes advancement (eta) bottom-up over the same walk.  It calls none of
-pek's per-position routes (``pek.aframes``, ``pek.eta``) nor peak's
-descent, value resolution or δ, nor ``binder_of``.  Those stay the pek
-machine's own, so the pek/cfg lockstep check compares two independent
-derivations of the static structure; only the naming of positions is
-shared.
+compile works in the program's own id space, in time linear in the number
+of nodes.  ``Prog.fill`` visits every position the index has not visited
+yet, keeping the ids handed out before; one pass over the ids from the top
+down then computes advancement (eta), and one iterative preorder walk over
+the ids carries the static argument frames and the lexical scope down the
+tree.  It calls none of pek's per-position routes (``pek.aframes``,
+``pek.eta``) nor peak's descent, value resolution or δ, nor ``binder_of``.
+Those stay the pek machine's own, so the pek/cfg lockstep check compares
+two independent derivations of the static structure; only the naming of
+positions is shared.
 
 Environments are peak's immutable ``Env`` chains of the Lam/Seq binders in
 scope.  The same walk counts those binders, so every operand and
@@ -61,7 +63,7 @@ from .syntax import (
     Prd,
     Seq,
     ThunkV,
-    arity,
+    VarV,
     as_prog,
     derived,
     frozen,
@@ -192,13 +194,10 @@ CfgState = PekState
 def operand_of(P, p: tuple) -> Operand:
     """The operand a value position compiles to, read from compile's pass."""
     prog = as_prog(P)
-    if not is_value(prog.at(p)):
+    i = prog.pos(p)
+    if not is_value(prog.nodes[i]):
         raise NotAValue(f"no operand for computation at {path_text(p)}")
-    ix = _Index(prog)
-    i = 0
-    for j in reversed(p):
-        i = ix.first[i] + j
-    return ix.operand(i)
+    return _Index(prog).ops[i]
 
 
 def eval_operand(e: Env, o: Operand):
@@ -234,9 +233,8 @@ def compile(P) -> Cfg:
     if is_value(prog.term):
         raise NotAComputation("values have no control flow")
     ix = _Index(prog)
-    pid = ix.pid
-    blocks = {pid[i]: _block(ix, i, node, a) for i, node, a in ix.plans}
-    return Cfg(ix.target(0), blocks, prog, ix.binders)
+    blocks = {i: _block(ix, i, node, a) for i, node, a in ix.plans}
+    return Cfg(ix.eta[0], blocks, prog, ix.binders)
 
 
 # The static argument frames of ``pek.aframes`` as cons cells, innermost
@@ -246,44 +244,50 @@ _ARG, _SEQ = "arg", "seq"
 
 
 class _Index:
-    """One iterative preorder walk over a program: what compile needs of
-    every node, by the walk's own integer id.
+    """What compile needs of every position, in lists indexed by the
+    position's id in the program's index: compile keeps no id space of its
+    own, and builds no path.
 
-    A node's children get consecutive ids when it is visited, so every id
-    is above its parent's.  Down the tree the walk carries the static
-    argument frames, the lexical scope (a name -> binder map undone on
-    leaving the binder's subtree) and the number of Lam/Seq binders in
-    scope, which is the environment chain's length.  It records each
-    value's operand, each instruction position, and the child ``pek.eta``
-    descends into; one sweep from the top id down then turns those links
-    into the instruction position eta reaches.
-
-    Blocks, operands, destinations and successors name a position by its
-    id in the program's index, which the walk takes with
-    ``prog.first_child`` as it visits each node's children (``pid``): no
-    path is built.
+    ``prog.fill`` first visits every position the index has not visited
+    yet, keeping the ids it handed out before.  A child's id is above its
+    parent's, so one pass from the top id down gives each position the
+    instruction position eta reaches from it (``eta``).  One iterative
+    preorder walk then carries the static argument frames, the lexical
+    scope (a name -> operand map undone on leaving the binder's subtree)
+    and the number of Lam/Seq binders in scope, which is the environment
+    chain's length, down the tree.  It records each value's operand
+    (``ops``), each instruction position with its frames (``plans``), the
+    binders in scope at each instruction position and Seq (``bound``) and
+    the Lam and Seq binders (``binders``).
     """
 
-    __slots__ = ("pid", "first", "eta", "ops", "plans", "binders", "bound")
+    __slots__ = ("first", "eta", "ops", "plans", "binders", "bound")
 
     def __init__(self, prog):
-        first_child = prog.first_child
-        pid = [0]  # id -> the position's id in prog
-        first = [0]  # id -> id of its first child
-        eta = [0]  # id -> descent child (or itself); after the sweep, eta's result
-        ops = [None]  # id -> Operand, or (id whose eta an LBL targets, cells kept)
+        prog.fill()
+        nodes, first = prog.nodes, prog.first
+        n = len(nodes)
+        eta = list(range(n))  # id -> the instruction position eta reaches
+        for i in range(n - 1, -1, -1):
+            t = type(nodes[i])
+            if t is Seq or t is LetRec:
+                eta[i] = eta[first[i]]
+            elif t is App:
+                eta[i] = eta[first[i] + 1]
+        ops = [None] * n  # id -> Operand of a value position
+        bound = [0] * n  # id -> Lam/Seq binders in scope, at instruction positions and Seqs
         plans = []  # (id, node, frames) of instruction positions, in preorder
-        binders = []  # (position id, name) of Lam and Seq nodes
-        bound = {}  # id -> Lam/Seq binders in scope, for instruction positions and Seqs
-        scope = {}  # name -> LOC of a Lam/Seq binder, or (id, cells kept) of a letrec definition
-        undo = []  # (depth of the binder, name, shadowed ref or None)
-        # Entries are (id, node, frames, binds, depth, d).  binds take effect
-        # at the node and last until its parent's subtree is left.  depth is
-        # the node's depth in the tree, d counts the Lam/Seq binders in scope
-        # at the node.
-        stack = [(0, prog.term, (), (), 0, 0)]
+        binders = []  # (id, name) of Lam and Seq nodes
+        scope = {}  # name -> LOC of a Lam/Seq binder, or LBL of a letrec definition
+        undo = []  # (depth of the binder, name, shadowed operand or None)
+        # Entries are (id, frames, binds, depth, d).  binds take effect at
+        # the node and last until its parent's subtree is left.  depth is
+        # the node's depth in the tree, d counts the Lam/Seq binders in
+        # scope at the node.
+        stack = [(0, (), (), 0, 0)]
+        push, pop = stack.append, stack.pop
         while stack:
-            i, node, a, binds, depth, d = stack.pop()
+            i, a, binds, depth, d = pop()
             while undo and undo[-1][0] >= depth:
                 _, name, old = undo.pop()
                 if old is None:
@@ -293,122 +297,101 @@ class _Index:
             for name, ref in binds:
                 undo.append((depth - 1, name, scope.get(name)))
                 scope[name] = ref
-            k = arity(node)
+            node = nodes[i]
             t = type(node)
-            if not k:
-                if t is NumV:
-                    ops[i] = NAT(node.n)
-                else:
-                    ref = scope.get(node.name)
-                    ops[i] = VAR(node.name) if ref is None else ref
+            if t is VarV:
+                ref = scope.get(node.name)
+                ops[i] = VAR(node.name) if ref is None else ref
                 continue
-            c = first[i] = len(eta)
-            p = pid[i]
-            q = first_child(p)
-            pid += range(q, q + k)
-            first.extend([0] * k)
-            eta.extend(range(c, c + k))
-            ops.extend([None] * k)
-            push = stack.append
+            if t is NumV:
+                ops[i] = NAT(node.n)
+                continue
+            c = first[i]
             depth += 1  # the children's
             if t is ThunkV:
-                ops[i] = (c, d)
-                push((c, node.body, (), (), depth, d))
+                ops[i] = LBL(eta[c], d)
+                push((c, (), (), depth, d))
                 continue
             if t is App:
-                eta[i] = c + 1
-                push((c + 1, node.body, (_ARG, c, a), (), depth, d))
-                push((c, node.arg, (), (), depth, d))
+                push((c + 1, (_ARG, c, a), (), depth, d))
+                push((c, (), (), depth, d))
                 continue
             if t is LetRec:
-                eta[i] = c
-                for j in range(k - 1, 0, -1):
-                    push((c + j, node.defs[j - 1][1], (), (), depth, d))
+                k = len(node.defs)
+                for j in range(k, 0, -1):
+                    push((c + j, (), (), depth, d))
                 names = {}
                 for j, (name, _) in enumerate(node.defs, 1):
-                    names.setdefault(name, (c + j, d))  # the leftmost duplicate wins
-                push((c, node.body, a, tuple(names.items()), depth, d))
+                    names.setdefault(name, LBL(eta[c + j], d))  # the leftmost duplicate wins
+                push((c, a, tuple(names.items()), depth, d))
                 continue
             bound[i] = d
             if t is Seq:
-                eta[i] = c
-                binders.append((p, node.binder))
-                push((c + 1, node.right, a, ((node.binder, LOC(p, d + 1)),), depth, d + 1))
-                push((c, node.left, (_SEQ, i, a), (), depth, d))
+                binders.append((i, node.binder))
+                push((c + 1, a, ((node.binder, LOC(i, d + 1)),), depth, d + 1))
+                push((c, (_SEQ, i, a), (), depth, d))
                 continue
             plans.append((i, node, a))
             if t is Lam:
-                binders.append((p, node.binder))
+                binders.append((i, node.binder))
                 rest = a[2] if a and a[0] is _ARG else a
-                push((c, node.body, rest, ((node.binder, LOC(p, d + 1)),), depth, d + 1))
+                push((c, rest, ((node.binder, LOC(i, d + 1)),), depth, d + 1))
             elif t is If0:
-                push((c + 2, node.orelse, a, (), depth, d))
-                push((c + 1, node.then, a, (), depth, d))
-                push((c, node.guard, (), (), depth, d))
+                push((c + 2, a, (), depth, d))
+                push((c + 1, a, (), depth, d))
+                push((c, (), (), depth, d))
             elif t is Op:
-                push((c + 1, node.rhs, (), (), depth, d))
-                push((c, node.lhs, (), (), depth, d))
+                push((c + 1, (), (), depth, d))
+                push((c, (), (), depth, d))
             else:  # Force, Prd
-                push((c, node.value, (), (), depth, d))
-        for i in range(len(eta) - 1, -1, -1):
-            d = eta[i]
-            if d != i:
-                eta[i] = eta[d]
-        self.pid, self.first, self.eta, self.ops = pid, first, eta, ops
+                push((c, (), (), depth, d))
+        self.first, self.eta, self.ops = first, eta, ops
         self.plans, self.binders, self.bound = plans, binders, bound
-
-    def target(self, i: int) -> int:
-        """The position id of the instruction eta reaches from node ``i``."""
-        return self.pid[self.eta[i]]
 
     def seq_exit(self, s: int):
         """Where a value produced for Seq ``s`` is bound, the successors
         that resume at its right component, and the cells in scope at it."""
-        return self.pid[s], (self.target(self.first[s] + 1),), self.bound[s]
-
-    def operand(self, i: int) -> Operand:
-        o = self.ops[i]
-        return LBL(self.target(o[0]), o[1]) if type(o) is tuple else o
+        return s, (self.eta[self.first[s] + 1],), self.bound[s]
 
 
 def _block(ix: _Index, i: int, node, a):
     """The block of instruction position ``i`` under static frames ``a``."""
     t = type(node)
     c = ix.first[i]
+    ops = ix.ops
 
     if t is Force:
         args = []
         while a and a[0] is _ARG:
-            args.append(ix.operand(a[1]))
+            args.append(ops[a[1]])
             a = a[2]
-        fn = ix.operand(c)
+        fn = ops[c]
         if not a:
             return TAIL(fn, tuple(args)), ()
         bind, succs, keep = ix.seq_exit(a[1])
         return CALL(fn, tuple(args), bind, keep), succs
 
     if t is If0:
-        zero, nonzero = ix.target(c + 1), ix.target(c + 2)
-        return IF0(ix.operand(c), zero, nonzero), (zero, nonzero)
+        zero, nonzero = ix.eta[c + 1], ix.eta[c + 2]
+        return IF0(ops[c], zero, nonzero), (zero, nonzero)
 
     if t is Prd:
         if a:
             if a[0] is _ARG:
                 return STUCK(StuckReason.ApplyNonFunction), ()
             dst, succs, keep = ix.seq_exit(a[1])
-            return MOV(ix.operand(c), dst, keep), succs
-        return RET(ix.operand(c)), ()
+            return MOV(ops[c], dst, keep), succs
+        return RET(ops[c]), ()
 
     if t is Lam:
-        p = ix.pid[i]
         if a:
             if a[0] is _SEQ:
                 return STUCK(StuckReason.SequencedNonProducer), ()
-            return MOV(ix.operand(a[1]), p, ix.bound[i]), (ix.target(c),)
-        return POP(p), (ix.target(c),)
+            return MOV(ops[a[1]], i, ix.bound[i]), (ix.eta[c],)
+        return POP(i), (ix.eta[c],)
 
     # Op
-    lhs, rhs = ix.operand(c), ix.operand(c + 1)
+    lhs, rhs = ops[c], ops[c + 1]
     if a:
         if a[0] is _ARG:
             return STUCK(StuckReason.ApplyNonFunction), ()
@@ -550,20 +533,20 @@ def _parts(instr) -> list:
     return [instr.reason.name]  # STUCK
 
 
-def _listed(part, label, loc) -> str:
+def _listed(part, label: dict, loc: dict) -> str:
     """A part as ``print_cfg`` shows it: binders by name, code by label."""
     t = type(part)
+    if t is LOC:
+        return loc[part.binder]
     if t is str:
         return part
     if t is int:
-        return loc(part)
+        return loc[part]
     if t is NAT:
         return numeral_text(part.n)
     if t is VAR:
         return part.name
-    if t is LOC:
-        return loc(part.binder)
-    return f"@{label(part.target)}"
+    return "@" + label[part.target]
 
 
 def _recorded(part, text) -> str:
@@ -595,12 +578,13 @@ def loc_names(G: Cfg) -> list:
 
 
 def print_cfg(G: Cfg) -> str:
-    label = {p: i for i, p in enumerate(G.blocks)}.__getitem__
-    loc = dict(loc_names(G)).__getitem__
+    # each block's label and each binder's name as text, made once
+    label = {p: str(i) for i, p in enumerate(G.blocks)}
+    loc = dict(loc_names(G))
     lines = []
     for i, (instr, succs) in enumerate(G.blocks.values()):
         words = [type(instr).__name__] + [_listed(x, label, loc) for x in _parts(instr)]
-        succ_text = " ".join(str(label(q)) for q in succs)
+        succ_text = " ".join([label[q] for q in succs])
         lines.append(f"{i}: {' '.join(words)} [{succ_text}]")
     return "\n".join(lines)
 

@@ -13,10 +13,13 @@ check or validation failed, 64 bad usage (a negative ``--fuel``,
 ``--steps`` or ``--count`` included), an unreadable or non-UTF-8 file
 (a leading byte-order mark is skipped) or a syntax error, 70 an internal
 fault such as exhausted recursion or a compiler bug, reported on one
-stderr line.
+stderr line, and 141 a stdout closed by its reader (as in ``cbpv compile
+FILE | head``), which stops the verb with nothing more printed; 141 is
+what a shell reports for a process that SIGPIPE ends.
 """
 
 import argparse
+import os
 import sys
 
 from . import cfg, harness, rewrite
@@ -29,6 +32,7 @@ from .syntax import NumV, as_prog, numeral_text, numeral_value
 
 USAGE_EXIT = 64
 INTERNAL_EXIT = 70
+CLOSED_STDOUT_EXIT = 141
 MACHINES = ("sos", "cek", "peak", "pek", "cfg")
 
 
@@ -265,7 +269,16 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code or 0
     try:
-        return _COMMANDS[args.cmd](args)
+        code = _COMMANDS[args.cmd](args)
+        sys.stdout.flush()  # so that a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: point stdout at nothing, so that the flush
+        # at exit finds no pipe to fail on either
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return CLOSED_STDOUT_EXIT
     except ParseError as exc:
         print(f"syntax error: {exc}", file=sys.stderr)
         return USAGE_EXIT

@@ -429,49 +429,62 @@ def advance(P, rho: PeakState) -> PeakState:
     return _advance(prog, rho.pc, rho)[1]
 
 
-def _descent(prog, i: int):
-    """Advancement from position ``i`` through search nodes, kept per id:
-    ``(j, pushed, alone)``, the instruction position ``j`` it lands on, the
-    frames pushed on the way, outermost first, and those frames as a chain
-    on an empty argument stack.  pek's η is ``j``.  An instruction position
-    is its own landing, so it is not kept: the table holds no object for
-    each of them for the collector to scan."""
+def _descent(prog, i: int) -> int:
+    """The instruction position that advancement from position ``i``
+    lands on through search nodes: pek's η.  It is kept per search
+    position, as an int.  An instruction position is its own landing, so
+    it is not kept: the table holds no entry for each of them."""
     nodes = prog.nodes
     t = type(nodes[i])
     if t is not Seq and t is not App and t is not LetRec:
-        return i, (), NIL
-    tab = prog.tables["advance"]
-    hit = tab.get(i)
-    if hit is None:
-        kid = prog.kid
-        j, pushed = i, []  # the frames pushed, outermost first
+        return i
+    tab = prog.tables["descent"]
+    j = tab.get(i)
+    if j is None:
+        kid, j = prog.kid, i
         while True:
             t = type(nodes[j])
-            if t is Seq:
-                pushed.append(SEQ(j))
-                j = kid(j, 0)
-            elif t is App:
-                pushed.append(ARG(j))
+            if t is App:
                 j = kid(j, 1)
-            elif t is LetRec:
+            elif t is Seq or t is LetRec:
                 j = kid(j, 0)
             else:
                 break
-        alone = NIL
-        for f in pushed:
-            alone = Frames(f, alone)
-        hit = tab[i] = (j, tuple(pushed), alone)
-    return hit
+        tab[i] = j
+    return j
 
 
 def _advance(prog, i: int, rho: PeakState):
     """``advance`` from position ``i``, ``rho.pc``; also returns the id
-    the program counter lands on.  An empty argument stack takes the chain
-    of the frames pushed as it is."""
-    t = type(prog.nodes[i])
+    the program counter lands on.
+
+    Where ``_descent`` lands, the frames of the Seq and App nodes passed on
+    the way, outermost first, and those frames as a chain on an empty
+    argument stack are kept per position, the first time peak advances
+    from it; pek, which asks only where descent lands, never builds them.
+    An empty argument stack takes the chain as it is."""
+    nodes = prog.nodes
+    t = type(nodes[i])
     if t is not Seq and t is not App and t is not LetRec:
         return i, rho
-    j, pushed, args = _descent(prog, i)
+    tab = prog.tables["advance"]
+    hit = tab.get(i)
+    if hit is None:
+        j = _descent(prog, i)
+        parents, pushed, k = prog.parents, [], j
+        while k > i:  # climb back from the landing: the frames, innermost first
+            k = parents[k]
+            t = type(nodes[k])
+            if t is Seq:
+                pushed.append(SEQ(k))
+            elif t is App:
+                pushed.append(ARG(k))
+        pushed.reverse()
+        alone = NIL
+        for f in pushed:
+            alone = Frames(f, alone)
+        hit = tab[i] = (j, tuple(pushed), alone)
+    j, pushed, args = hit
     if rho.args.size:
         args = rho.args
         for f in pushed:  # outermost first, so the innermost lands on top

@@ -154,7 +154,7 @@ def _aframes(prog, i: int) -> Frames:
 def eta(P, i: int) -> int:
     """Advance position ``i`` through search nodes to the next instruction
     position: where PEAK's advancement lands (``peak._descent``)."""
-    return peak._descent(as_prog(P), i)[0]
+    return peak._descent(as_prog(P), i)
 
 
 def _next(prog, i: int, j: int) -> int:

@@ -387,10 +387,12 @@ class Prog:
     Every visited position gets one integer id, handed out in visiting
     order, with the root as 0; a child's id is always above its parent's.
     By id the index keeps the position's node (``nodes``), its parent's id
-    (``parents``, -1 at the root) and the child index it hangs from
-    (``heads``).  ``kid`` visits a position's children, all of them at
-    once, so they get consecutive ids and child ``j`` of ``i`` is
-    ``first_child(i) + j``; nothing is visited when a Prog is built.
+    (``parents``, -1 at the root), the child index it hangs from
+    (``heads``) and the id of its first child (``first``, -1 until its
+    children are visited).  ``kid`` visits a position's children, all of
+    them at once, so they get consecutive ids and child ``j`` of ``i`` is
+    ``first_child(i) + j``; nothing is visited when a Prog is built, and
+    ``fill`` visits every position not visited yet.
 
     Ids are the names of positions inside the machines: program counters,
     frames, environment cells, closure entries and compiled blocks all hold
@@ -413,7 +415,7 @@ class Prog:
     """
 
     __slots__ = (
-        "term", "nodes", "parents", "heads", "tables", "token", "_paths", "_first", "_by_path"
+        "term", "nodes", "parents", "heads", "first", "tables", "token", "_paths", "_by_path"
     )
 
     def __init__(self, term: Term):
@@ -421,9 +423,9 @@ class Prog:
         self.nodes = [term]
         self.parents = [-1]
         self.heads = [-1]
+        self.first = [-1]  # id -> id of its first child, -1 until they are visited
         self.tables = defaultdict(dict)  # name -> {position id: entry}
         self.token = object()
-        self._first = [-1]  # id -> id of its first child, -1 until they are visited
         self._paths = {0: ()}  # id -> shared path, once asked for
         self._by_path = {}  # every path looked up -> position id
 
@@ -442,7 +444,7 @@ class Prog:
     def kid(self, i: int, j: int) -> int:
         """The id of child ``j`` of position ``i``, visiting the children of
         ``i`` if need be."""
-        c = self._first[i]
+        c = self.first[i]
         if c < 0:
             c = self.first_child(i)
         c += j
@@ -456,16 +458,41 @@ class Prog:
     def first_child(self, i: int) -> int:
         """The id of the first child of position ``i``, the others following
         it in order, visiting them if need be (one ``children`` call)."""
-        c = self._first[i]
+        c = self.first[i]
         if c < 0:
             kids = children(self.nodes[i])
             k = len(kids)
-            c = self._first[i] = len(self.nodes)
+            c = self.first[i] = len(self.nodes)
             self.nodes += kids
             self.parents += (i,) * k
             self.heads += _HEADS[k] if k < 4 else range(k)
-            self._first += (-1,) * k
+            self.first += (-1,) * k
         return c
+
+    def fill(self) -> None:
+        """Visit every position not visited yet, in one loop over the ids.
+
+        The ids handed out so far are kept, and each new position's
+        children are read off its node in one ``children`` call, as
+        ``first_child`` reads them.  A child's id is above its parent's, so
+        the loop reaches the positions it hands out ids to.  Leaves keep
+        ``first`` at -1.  The loop does ``first_child``'s work itself: a
+        call per position made filling about a fifth slower."""
+        nodes, parents, heads, first = self.nodes, self.parents, self.heads, self.first
+        i = 0
+        while i < len(nodes):
+            if first[i] < 0:
+                node = nodes[i]
+                t = type(node)
+                if t is not VarV and t is not NumV:
+                    kids = children(node)
+                    k = len(kids)
+                    first[i] = len(nodes)
+                    nodes += kids
+                    parents += (i,) * k
+                    heads += _HEADS[k] if k < 4 else range(k)
+                    first += (-1,) * k
+            i += 1
 
     def path(self, i: int) -> Path:
         """The shared path of position ``i``."""

@@ -347,20 +347,6 @@ def _eta_skipping_letrec(P, i):
             return i
 
 
-def _descent_skipping_letrec(prog, i):
-    pushed = []
-    while True:
-        t = type(prog.nodes[i])
-        if t is Seq:
-            pushed.append(peak.SEQ(i))
-            i = prog.kid(i, 0)
-        elif t is App:
-            pushed.append(peak.ARG(i))
-            i = prog.kid(i, 1)
-        else:  # a letrec no longer advances into its body
-            return i, tuple(pushed), cek.frames(*reversed(pushed))
-
-
 def _lookup_one_level_off(prog, i, entry):
     kind, x, k = _REAL_RESOLVE(prog, i, entry)
     return kind, x, k - 1 if kind is peak._LOC else k
@@ -373,52 +359,71 @@ _MUTATIONS = {
     "frame conversion order reversed": [(pek, "delta", _delta_reversed(pek.delta))],
     "advancement skips letrec": [(pek, "eta", _eta_skipping_letrec)],
     "variable read one level off": [(peak, "_resolve", _lookup_one_level_off)],
-    "descent skips letrec on both machines": [(peak, "_descent", _descent_skipping_letrec)],
+    "descent skips letrec on both machines": [(peak, "_descent", _eta_skipping_letrec)],
     "frame conversion order reversed on both machines": [
         (peak, "delta", _delta_reversed(peak.delta)),
         (pek, "delta", _delta_reversed(pek.delta)),
     ],
 }
 
+# How each check catches each mutant, over the fixture corpus: "fail" for a
+# report that is not ok, or the name of the exception the check raises.  A
+# check missing from a row catches nothing.
+#
 # peak and pek read values through one lookup, convert frames through one δ
 # and advance through one descent, so the peak/pek check cannot see a fault
 # in them, and the tower check steps neither machine: the checks against
-# cek and cfg, each with a lookup, frames and descent of its own, must.
-_BOTH_SIDES = {LevelPair.CEK_PEAK.value, LevelPair.PEK_CFG.value}
-_SHARED_BY_A_PAIR = {
-    "variable read one level off": _BOTH_SIDES,
-    "descent skips letrec on both machines": _BOTH_SIDES,
-    "frame conversion order reversed on both machines": _BOTH_SIDES,
+# cek and cfg, each with a lookup, frames and descent of its own, must.  A
+# letrec that advancement stops on is not seen by a comparison but by the
+# machine that fires on it: ``_fire`` raises TypeError on a letrec pc.
+_TOWER = "tower"
+_CEK_PEAK, _PEAK_PEK, _PEK_CFG = (
+    p.value for p in (LevelPair.CEK_PEAK, LevelPair.PEAK_PEK, LevelPair.PEK_CFG)
+)
+_CAUGHT = {
+    "swapped if0 targets": {_TOWER: "fail", _PEK_CFG: "fail"},
+    "call frame stores callee env": {_TOWER: "fail", _PEK_CFG: "fail"},
+    "frame conversion order reversed": {_PEAK_PEK: "fail", _PEK_CFG: "fail"},
+    "advancement skips letrec": {_TOWER: "fail", _PEAK_PEK: "TypeError", _PEK_CFG: "TypeError"},
+    "variable read one level off": {_CEK_PEAK: "fail", _PEK_CFG: "fail"},
+    "descent skips letrec on both machines": {
+        _TOWER: "fail", _CEK_PEAK: "TypeError", _PEAK_PEK: "TypeError", _PEK_CFG: "TypeError",
+    },
+    "frame conversion order reversed on both machines": {_CEK_PEAK: "fail", _PEK_CFG: "fail"},
 }
 
 
 def _detections():
-    """Failing (program, check) pairs across the fixture corpus."""
+    """``(program, check, kind)`` of each check that catches something
+    across the fixture corpus: kind "fail" for a report that is not ok,
+    else the name of the exception the check raised."""
     hits = []
     programs = list(fx.PROGRAMS.items()) + [("caller_sensitive", _CALLER_SENSITIVE)]
     for name, m in programs:
-        checks = [("tower", lambda: tower_check(m, fuel=300))]
+        checks = [(_TOWER, lambda: tower_check(m, fuel=300))]
         for pair in LevelPair:
             checks.append((pair.value, lambda p=pair: lockstep_check(m, p, fuel=300)))
         for check_name, run in checks:
             try:
                 if not run().ok:
-                    hits.append((name, check_name))
-            except Exception:
-                hits.append((name, check_name))
+                    hits.append((name, check_name, "fail"))
+            except Exception as exc:
+                hits.append((name, check_name, type(exc).__name__))
     return hits
 
 
 def test_criterion_11_mutations_are_detected():
+    assert set(_CAUGHT) == set(_MUTATIONS)
     for label, patches in _MUTATIONS.items():
         with pytest.MonkeyPatch.context() as mp:
             for module, attr, mutant in patches:
                 mp.setattr(module, attr, mutant)
             hits = _detections()
         assert hits, f"undetected mutation: {label}"
-        if label in _SHARED_BY_A_PAIR:
-            caught_by = {check for _, check in hits}
-            assert _SHARED_BY_A_PAIR[label] <= caught_by, (label, caught_by)
-    # and the pristine build is clean, so the signal is the mutation
-    assert not _detections()
+        caught = {}
+        for _, check, kind in hits:
+            caught.setdefault(check, set()).add(kind)
+        assert caught == {c: {k} for c, k in _CAUGHT[label].items()}, (label, caught)
+    # and the pristine build neither fails nor raises, so the signal is the mutation
+    assert _detections() == []
     _ok(11)

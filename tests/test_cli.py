@@ -2,9 +2,10 @@
 
 These go through ``main(argv)`` with captured streams rather than a
 subprocess, so failures point at real tracebacks; only the test at the
-interpreter's default recursion limit starts a fresh interpreter.  The
-shipped fixture files under fixtures/ are exercised directly and kept in
-sync with the in-package sources.
+interpreter's default recursion limit and the one whose reader closes
+stdout start a fresh interpreter.  The shipped fixture files under
+fixtures/ are exercised directly and kept in sync with the in-package
+sources.
 """
 
 import os
@@ -554,6 +555,25 @@ def test_unknown_pc_exits_70(monkeypatch, source_file, capsys):
     monkeypatch.setattr(cfg, "compile", lambda prog: cfg.Cfg(0, {}, prog))
     assert main(["run", "--machine=cfg", source_file("prd 0")]) == 70
     assert capsys.readouterr().err == "internal error: UnknownPc: ε\n"
+
+
+def test_a_closed_stdout_stops_without_an_internal_error(tmp_path):
+    # the listing of a 300-deep spine, about 180 kB, outgrows the pipe, so
+    # compile is still writing when its reader closes it, as ``head`` does
+    src = tmp_path / "spine.cbpv"
+    src.write_text("(" * 300 + "prd 0" + " to x in prd x)" * 300)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cbpv.cli", "compile", str(src)],
+        env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    head = [proc.stdout.readline() for _ in range(3)]
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+    assert [line[:11] for line in head] == [b"0: MOV 0 x#", b"1: MOV x#0.", b"2: MOV x#0."]
 
 
 def test_help_exits_0(capsys):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 import cbpv.fixtures as fx
-from cbpv import cfg, pek, syntax
+from cbpv import cfg, harness, pek, syntax
 from cbpv.cfg import (
     CALL,
     IF0,
@@ -267,20 +267,40 @@ def test_compile_visits_each_node_once(monkeypatch, family):
     for n in (1, 10, 100):
         term = parse_term(family(n))
         nodes = sum(1 for _ in iter_subterms(term))
+        inner = sum(1 for _, m in iter_subterms(term) if syntax.arity(m))
         prog = as_prog(term)
         with monkeypatch.context() as mp:
-            visits = _count_calls(mp, cfg, "arity")
             walks = count_built(mp)
+            reads = _count_calls(mp, syntax, "children")
             lookups = _count_calls(mp, syntax.Prog, "at")
             paths = _count_calls(mp, syntax.Prog, "path")
             compile(prog)
             # compile names blocks by the ids of the program's index: it
-            # visits every position there once, and builds no path
+            # reads each node's children once, and builds no path
             assert len(walks) == len(prog.nodes) - 1 == nodes - 1
+            assert len(reads) == inner
             compile(prog)  # the positions are known now
-        assert len(visits) == 2 * nodes
-        assert len(walks) == nodes - 1
+        assert len(walks) == nodes - 1 and len(reads) == inner
         assert not lookups and not paths
+
+
+@pytest.mark.parametrize("text", [chain_text(6), thunks_text(4), sum_text(3), fx.SOURCES["mult_call"]])
+def test_compile_keeps_the_ids_a_partly_visited_prog_handed_out(text):
+    term = parse_term(text)
+    part = syntax.Prog(term)
+    harness.run(harness.machine("pek", part), 4)  # visits the positions 4 steps reach
+    known = list(part.nodes)
+    assert 1 < len(known) < sum(1 for _ in iter_subterms(term))  # partly visited
+    g = compile(part)
+    assert part.nodes[: len(known)] == known  # the ids handed out are kept
+    entry, blocks = oracle_compile(part)
+    assert g == Cfg(part.pos(entry), at_ids(part, blocks), part)
+    fresh = syntax.Prog(term)
+    assert records(g) == records(compile(fresh))
+    assert print_cfg(g) == print_cfg(compile(fresh))
+    # a partly visited Prog's ids need not be those a fresh one hands out,
+    # but the blocks name the same positions in the same order
+    assert [part.path(i) for i in g.blocks] == [fresh.path(i) for i in compile(fresh).blocks]
 
 
 def test_prog_at_calls_child_once_per_newly_cached_path(monkeypatch):

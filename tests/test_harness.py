@@ -373,24 +373,43 @@ def _count_inits(monkeypatch, cls):
     return made
 
 
+def _count_calls(monkeypatch, module, name):
+    calls, real = [], getattr(module, name)
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_every_check_of_one_term_shares_its_prog_and_graph(monkeypatch):
     progs = _count_inits(monkeypatch, syntax.Prog)
-    walks = _count_inits(monkeypatch, cfg._Index)
+    compiles = _count_calls(monkeypatch, cfg, "compile")
+    reads = _count_calls(monkeypatch, syntax, "children")
+    paths = _count_calls(monkeypatch, Prog, "path")
     term = parse_term(fx.SOURCES["mult_call"])
     reports = [tower_check(term)] + [lockstep_check(term, pair) for pair in LevelPair]
     assert all(r.ok for r in reports)
     assert rewrite.validate(term, term)  # the graph route runs the term twice
-    assert len(progs) == 1 and len(walks) == 1
+    assert len(progs) == 1 and len(compiles) == 1
     assert cfg.load(term)[0] is cfg.load(progs[0])[0]
+    # every check reads a node's children once, through the one index
+    assert len(reads) == len({id(node) for (node,) in reads})
+    assert not paths  # no check that passes names a position by path
 
 
 def test_prog_and_compile_still_build_afresh(monkeypatch):
     term = parse_term("1 + 2 to x in prd x")
     kept = as_prog(term)
     assert as_prog(term) is kept and Prog(term) is not kept
-    walks = _count_inits(monkeypatch, cfg._Index)
-    assert cfg.compile(term) is not cfg.compile(term)
-    assert len(walks) == 2
+    reads = _count_calls(monkeypatch, syntax, "children")
+    first = cfg.compile(term)
+    assert len(reads) == 3 and len(kept.nodes) == 6  # the Seq's, Op's and Prd's children
+    again = cfg.compile(term)
+    assert again is not first and again.blocks is not first.blocks and again == first
+    assert len(reads) == 3 and len(kept.nodes) == 6  # the kept Prog's index is kept
 
 
 class _Watched(Prog):
