@@ -388,37 +388,30 @@ def step(sigma: CekState):
             return CekState(code.then if g.n == 0 else code.orelse, env, kont)
         return Stuck(StuckReason.GuardNotNumeral)
 
-    if t is Prd:
-        if kont.size:
-            f = kont.frame
-            if type(f) is not SeqF:
-                return Stuck(StuckReason.ApplyNonFunction)
-            v = lookup_value(code.value, env)
-            return CekState(f.rest, Bind(f.binder, v, f.env), kont.rest)
-        return Terminal(ProducedValue(lookup_value(code.value, env)))
-
+    # Lam, Prd and Op meet the frame on top of the continuation (None on NIL)
+    f = kont.frame
     if t is Lam:
-        if kont.size:
-            f = kont.frame
-            if type(f) is not ArgF:
-                return Stuck(StuckReason.SequencedNonProducer)
-            return CekState(code.body, Bind(code.binder, f.value, env), kont.rest)
-        return Terminal(AwaitingArgument())
+        if f is None:
+            return Terminal(AwaitingArgument())
+        if type(f) is not ArgF:
+            return Stuck(StuckReason.SequencedNonProducer)
+        return CekState(code.body, Bind(code.binder, f.value, env), kont.rest)
 
-    if t is Op:
-        if kont.size and type(kont.frame) is ArgF:
-            return Stuck(StuckReason.ApplyNonFunction)
+    if t is not Prd and t is not Op:
+        raise TypeError(f"not a computation: {code!r}")
+    if type(f) is ArgF:
+        return Stuck(StuckReason.ApplyNonFunction)
+    if t is Prd:
+        v = lookup_value(code.value, env)
+    else:
         l = lookup_value(code.lhs, env)
         r = lookup_value(code.rhs, env)
-        if type(l) is NumC and type(r) is NumC:
-            n = code.op.apply(l.n, r.n)
-            if kont.size:
-                f = kont.frame
-                return CekState(f.rest, Bind(f.binder, NumC(n), f.env), kont.rest)
-            return Terminal(BareArith(n))
-        return Stuck(StuckReason.ArithNonNumeral)
-
-    raise TypeError(f"not a computation: {code!r}")
+        if type(l) is not NumC or type(r) is not NumC:
+            return Stuck(StuckReason.ArithNonNumeral)
+        v = NumC(code.op.apply(l.n, r.n))
+    if f is None:
+        return Terminal(ProducedValue(v) if t is Prd else BareArith(v.n))
+    return CekState(f.rest, Bind(f.binder, v, f.env), kont.rest)
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,11 @@ its closure keeps, and a MOV, OP or CALL how many the new binding or the
 return frame goes on.  A step then walks only the static distance and
 makes at most one cell.
 
+``print_cfg`` names a binder by its name, or ``name#k`` when the name is
+bound more than once, ``k`` counting the binders of that name before it in
+compile's preorder: a name as long however deep the binder sits, and the
+same on a Prog whose ids a run handed out first.
+
 Positions whose static frames cannot match their node form compile to STUCK
 instructions instead of failing: compilation is total over computation
 terms, open ones included, and halting is reported when the block runs.
@@ -567,14 +572,16 @@ def _recorded(part, text) -> str:
 
 def loc_names(G: Cfg) -> list:
     """``(binder id, listing name)`` of every Lam and Seq binder: its name,
-    or ``name#path`` when the name is bound more than once."""
-    prog = as_prog(G.prog)
-    binders = G.binders if G.binders is not None else _Index(prog).binders
-    counts = Counter(name for _, name in binders)
-    return [
-        (b, name if counts[name] == 1 else f"{name}#{prog.path_text(b)}")
-        for b, name in binders
-    ]
+    or ``name#k`` for the ``k``-th binder, from 0 in compile's preorder, of
+    a name bound more than once."""
+    binders = G.binders if G.binders is not None else _Index(as_prog(G.prog)).binders
+    counts, seen = Counter(name for _, name in binders), Counter()
+    out = []
+    for b, name in binders:
+        k = seen[name]
+        seen[name] = k + 1
+        out.append((b, name if counts[name] == 1 else f"{name}#{k}"))
+    return out
 
 
 def print_cfg(G: Cfg) -> str:

@@ -18,6 +18,12 @@ Both stacks are chains of ``cek.Frames`` cells: a push makes one cell, a
 pop takes the tail, and a KSeq keeps the argument frames under its Seq as
 the tail they already are.
 
+A Lam, a Prd and an Op meet one frame: the top of the argument stack,
+else the top of the continuation.  A Lam binds the argument of an ARG or
+a KArg there.  A Prd or an Op computes its value, the operand or the
+arithmetic, and binds it into a pending SEQ or KSeq, or halts when both
+stacks are empty.  An argument frame is rejected before any operand is read.
+
 Unloading rebuilds the CEK view of a state.  Machine transitions only ever
 leave the program counter at non-descent positions, so the ascent pass at
 the top of ``unload`` is a no-op for states this machine produces; it exists
@@ -251,32 +257,32 @@ class PeakState:
 # static scope, by position id
 
 
-def _scope(prog, i: int):
-    """The binders a position sits under, innermost first, as a cons list
-    of ``(binder id, rest, n)`` cells ending in None: every Lam entered
-    through its body, every Seq entered through its right component and
-    every LetRec entered through any child; ``n`` counts the Lam and Seq
-    binders in the list.  Each cell is made once, and a position's list
-    shares its parent's."""
-    tab = prog.tables["scope"]
-    if i in tab:
-        return tab[i]
+def _frame(prog, i: int):
+    """What the chain at position ``i`` must be: ``(letrecs, b, n)`` with the
+    letrecs between ``i`` and its innermost Lam/Seq binder (innermost
+    first), that binder's id (-1 without one) and the chain's length.  A
+    position's entry is its parent's, changed by the edge between them: a
+    Lam entered through its body or a Seq through its right component is
+    the new innermost binder, and a LetRec entered through any child adds
+    itself to the letrecs.  Each entry is made once."""
+    tab = prog.tables["frame"]
+    r = tab.get(i)
+    if r is not None:
+        return r
     nodes, parents, heads = prog.nodes, prog.parents, prog.heads
-    pending = []  # climb to the nearest position with a list (or the root)
-    while i not in tab:
+    pending = []  # climb to the nearest position with an entry (or the root)
+    while r is None:
         pending.append(i)
-        if not i:
-            r = None
-            break
         i = parents[i]
-    else:
-        r = tab[i]
-    for q in reversed(pending):
-        if q:
-            par, head = parents[q], heads[q]
+        r = ((), -1, 0) if i < 0 else tab.get(i)
+    for q in reversed(pending):  # then fill each one from its parent's
+        par = parents[q]
+        if par >= 0:
             t = type(nodes[par])
-            if (t is Lam and head == 0) or (t is Seq and head == 1) or t is LetRec:
-                r = (par, r, (r[2] if r else 0) + (t is not LetRec))
+            if t is LetRec:
+                r = ((par,) + r[0], r[1], r[2])
+            elif (t is Lam and heads[q] == 0) or (t is Seq and heads[q] == 1):
+                r = ((), par, r[2] + 1)
         tab[q] = r
     return r
 
@@ -284,23 +290,7 @@ def _scope(prog, i: int):
 def _depth(prog, i: int) -> int:
     """The number of Lam/Seq binders in scope at position ``i``: the length
     of the chain there."""
-    cell = _scope(prog, i)
-    return cell[2] if cell else 0
-
-
-def _frame(prog, i: int):
-    """What the chain at position ``i`` must be: ``(letrecs, b, n)`` with the
-    letrecs between ``i`` and its innermost Lam/Seq binder (innermost
-    first), that binder's id (-1 without one) and the chain's length."""
-    tab = prog.tables["frame"]
-    hit = tab.get(i)
-    if hit is None:
-        recs, cell, nodes = [], _scope(prog, i), prog.nodes
-        while cell and type(nodes[cell[0]]) is LetRec:
-            recs.append(cell[0])
-            cell = cell[1]
-        hit = tab[i] = (tuple(recs), cell[0], cell[2]) if cell else (tuple(recs), -1, 0)
-    return hit
+    return _frame(prog, i)[2]
 
 
 # ---------------------------------------------------------------------------
@@ -518,61 +508,41 @@ def _fire(prog, i: int, st: PeakState):
             return Stuck(StuckReason.GuardNotNumeral)
         return PeakState(prog.kid(i, 1 if g.n == 0 else 2), e, args, kont)
 
-    if t is Prd:
-        if args.size:
-            f = args.frame
-            if type(f) is ARG:
-                return Stuck(StuckReason.ApplyNonFunction)
-            v = _operand(prog, i, 0, node.value, e)
-            right, keep = _seq_exit(prog, f.pos)
-            rest = e if e.size == keep else e.cut(keep)
-            return PeakState(right, Env(f.pos, v, rest), args.rest, kont)
-        if kont.size:
-            f = kont.frame
-            if type(f) is KArg:
-                return Stuck(StuckReason.ApplyNonFunction)
-            v = _operand(prog, i, 0, node.value, e)
-            right = _seq_exit(prog, f.pos)[0]
-            return PeakState(right, Env(f.pos, v, f.env), f.rest_args, kont.rest)
-        return Terminal(ProducedValue(_operand(prog, i, 0, node.value, e)))
-
+    # Lam, Prd and Op meet one frame: the top of the argument stack, else
+    # the top of the continuation (None when both are empty)
+    f = args.frame if args.size else kont.frame
+    tf = type(f)
     if t is Lam:
-        if args.size:
-            f = args.frame
-            if type(f) is SEQ:
-                return Stuck(StuckReason.SequencedNonProducer)
+        if tf is ARG:
             q = f.pos
             v = _operand(prog, q, 0, prog.nodes[q].arg, e)
             return PeakState(prog.kid(i, 0), Env(i, v, e), args.rest, kont)
-        if kont.size:
-            f = kont.frame
-            if type(f) is KSeq:
-                return Stuck(StuckReason.SequencedNonProducer)
+        if tf is KArg:
             return PeakState(prog.kid(i, 0), Env(i, f.value, e), NIL, kont.rest)
-        return Terminal(AwaitingArgument())
+        if f is None:
+            return Terminal(AwaitingArgument())
+        return Stuck(StuckReason.SequencedNonProducer)
 
-    if t is Op:
-        if args.size and type(args.frame) is ARG:
-            return Stuck(StuckReason.ApplyNonFunction)
-        if not args.size and kont.size and type(kont.frame) is KArg:
-            return Stuck(StuckReason.ApplyNonFunction)
+    if t is not Prd and t is not Op:
+        raise TypeError(f"pc does not address a computation: {node!r}")
+    if tf is ARG or tf is KArg:
+        return Stuck(StuckReason.ApplyNonFunction)
+    if t is Prd:
+        v = _operand(prog, i, 0, node.value, e)
+    else:
         l = _operand(prog, i, 0, node.lhs, e)
         r = _operand(prog, i, 1, node.rhs, e)
         if type(l) is not NumP or type(r) is not NumP:
             return Stuck(StuckReason.ArithNonNumeral)
-        n = NumP(node.op.apply(l.n, r.n))
-        if args.size:
-            f = args.frame
-            right, keep = _seq_exit(prog, f.pos)
-            rest = e if e.size == keep else e.cut(keep)
-            return PeakState(right, Env(f.pos, n, rest), args.rest, kont)
-        if kont.size:
-            f = kont.frame
-            right = _seq_exit(prog, f.pos)[0]
-            return PeakState(right, Env(f.pos, n, f.env), f.rest_args, kont.rest)
-        return Terminal(BareArith(n.n))
-
-    raise TypeError(f"pc does not address a computation: {node!r}")
+        v = NumP(node.op.apply(l.n, r.n))
+    if tf is SEQ:
+        right, keep = _seq_exit(prog, f.pos)
+        rest = e if e.size == keep else e.cut(keep)
+        return PeakState(right, Env(f.pos, v, rest), args.rest, kont)
+    if tf is KSeq:
+        right = _seq_exit(prog, f.pos)[0]
+        return PeakState(right, Env(f.pos, v, f.env), f.rest_args, kont.rest)
+    return Terminal(ProducedValue(v) if t is Prd else BareArith(v.n))
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,12 @@ Return frames replace PEAK's sequence frames: because the frames remaining
 under a sequence are statically recoverable, a return frame only records
 where to bind and where to resume.
 
+As in PEAK, a Lam, a Prd and an Op meet one frame: the top of the static
+argument stack, else the top of the continuation.  A Lam binds the
+argument of an ARG or a KArg there.  A Prd or an Op computes its value and
+binds it into a pending SEQ or a KRet, or halts when both stacks are
+empty.  An argument frame is rejected before any operand is read.
+
 Positions are named by the integer ids of the program's position index
 (``syntax.Prog``): the program counter, return frames, environment cells
 and closure entries hold ids, and the static tables (``aframes``, ``eta``,
@@ -204,59 +210,40 @@ def _fire(prog, s: PekState):
             return Stuck(StuckReason.GuardNotNumeral)
         return PekState(_next(prog, i, 1 if g.n == 0 else 2), e, kont)
 
-    if t is Prd:
-        if a.size:
-            f = a.frame
-            if type(f) is ARG:
-                return Stuck(StuckReason.ApplyNonFunction)
-            v = _operand(prog, i, 0, node.value, e)
-            resume, keep = _seq_exit(prog, f.pos)
-            rest = e if e.size == keep else e.cut(keep)
-            return PekState(resume, Env(f.pos, v, rest), kont)
-        if kont.size:
-            f = kont.frame
-            if type(f) is KArg:
-                return Stuck(StuckReason.ApplyNonFunction)
-            v = _operand(prog, i, 0, node.value, e)
-            return PekState(f.resume, Env(f.bind, v, f.env), kont.rest)
-        return Terminal(ProducedValue(_operand(prog, i, 0, node.value, e)))
-
+    # Lam, Prd and Op meet one frame: the top of the static argument stack,
+    # else the top of the continuation (None when both are empty)
+    f = a.frame if a.size else kont.frame
+    tf = type(f)
     if t is Lam:
-        if a.size:
-            f = a.frame
-            if type(f) is SEQ:
-                return Stuck(StuckReason.SequencedNonProducer)
+        if tf is ARG:
             q = f.pos
             v = _operand(prog, q, 0, prog.nodes[q].arg, e)
             return PekState(_next(prog, i, 0), Env(i, v, e), kont)
-        if kont.size:
-            f = kont.frame
-            if type(f) is KRet:
-                return Stuck(StuckReason.SequencedNonProducer)
+        if tf is KArg:
             return PekState(_next(prog, i, 0), Env(i, f.value, e), kont.rest)
-        return Terminal(AwaitingArgument())
+        if f is None:
+            return Terminal(AwaitingArgument())
+        return Stuck(StuckReason.SequencedNonProducer)
 
-    if t is Op:
-        if a.size and type(a.frame) is ARG:
-            return Stuck(StuckReason.ApplyNonFunction)
-        if not a.size and kont.size and type(kont.frame) is KArg:
-            return Stuck(StuckReason.ApplyNonFunction)
+    if t is not Prd and t is not Op:
+        raise TypeError(f"pc does not address an instruction: {node!r}")
+    if tf is ARG or tf is KArg:
+        return Stuck(StuckReason.ApplyNonFunction)
+    if t is Prd:
+        v = _operand(prog, i, 0, node.value, e)
+    else:
         l = _operand(prog, i, 0, node.lhs, e)
         r = _operand(prog, i, 1, node.rhs, e)
         if type(l) is not NumP or type(r) is not NumP:
             return Stuck(StuckReason.ArithNonNumeral)
-        n = NumP(node.op.apply(l.n, r.n))
-        if a.size:
-            f = a.frame
-            resume, keep = _seq_exit(prog, f.pos)
-            rest = e if e.size == keep else e.cut(keep)
-            return PekState(resume, Env(f.pos, n, rest), kont)
-        if kont.size:
-            f = kont.frame
-            return PekState(f.resume, Env(f.bind, n, f.env), kont.rest)
-        return Terminal(BareArith(n.n))
-
-    raise TypeError(f"pc does not address an instruction: {node!r}")
+        v = NumP(node.op.apply(l.n, r.n))
+    if tf is SEQ:
+        resume, keep = _seq_exit(prog, f.pos)
+        rest = e if e.size == keep else e.cut(keep)
+        return PekState(resume, Env(f.pos, v, rest), kont)
+    if tf is KRet:
+        return PekState(f.resume, Env(f.bind, v, f.env), kont.rest)
+    return Terminal(ProducedValue(v) if t is Prd else BareArith(v.n))
 
 
 # ---------------------------------------------------------------------------

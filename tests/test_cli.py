@@ -558,10 +558,10 @@ def test_unknown_pc_exits_70(monkeypatch, source_file, capsys):
 
 
 def test_a_closed_stdout_stops_without_an_internal_error(tmp_path):
-    # the listing of a 300-deep spine, about 180 kB, outgrows the pipe, so
-    # compile is still writing when its reader closes it, as ``head`` does
+    # the listing of a 10,000-deep spine, about 300 kB, outgrows the pipe,
+    # so compile is still writing when its reader closes it, as ``head`` does
     src = tmp_path / "spine.cbpv"
-    src.write_text("(" * 300 + "prd 0" + " to x in prd x)" * 300)
+    src.write_text("(" * 10000 + "prd 0" + " to x in prd x)" * 10000)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.Popen(
         [sys.executable, "-m", "cbpv.cli", "compile", str(src)],
@@ -573,7 +573,9 @@ def test_a_closed_stdout_stops_without_an_internal_error(tmp_path):
     proc.stderr.close()
     assert proc.wait(timeout=60) == 141
     assert err == b""
-    assert [line[:11] for line in head] == [b"0: MOV 0 x#", b"1: MOV x#0.", b"2: MOV x#0."]
+    assert head == [
+        b"0: MOV 0 x#9999 [1]\n", b"1: MOV x#9999 x#9998 [2]\n", b"2: MOV x#9998 x#9997 [3]\n"
+    ]
 
 
 def test_help_exits_0(capsys):

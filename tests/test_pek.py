@@ -215,16 +215,33 @@ def _loaded(src):
 
 
 def test_stuck_reasons_mirror_structural_semantics():
+    # Lam, Prd and Op meet the frame on top of the argument stack, else the
+    # one on top of the continuation: the rows under a force meet it there
     cases = {
-        "force 3": StuckReason.ForceNonThunk,
-        "if0 f { prd 1 } { prd 2 }": StuckReason.GuardNotNumeral,
-        "1 . prd 2": StuckReason.ApplyNonFunction,
-        "1 . a + b": StuckReason.ApplyNonFunction,
-        "(\\x. prd x) to w in prd w": StuckReason.SequencedNonProducer,
-        "a + b": StuckReason.ArithNonNumeral,
+        "force 3": Stuck(StuckReason.ForceNonThunk),
+        "if0 f { prd 1 } { prd 2 }": Stuck(StuckReason.GuardNotNumeral),
+        "1 . prd 2": Stuck(StuckReason.ApplyNonFunction),
+        "1 . a + b": Stuck(StuckReason.ApplyNonFunction),
+        "(\\x. prd x) to w in prd w": Stuck(StuckReason.SequencedNonProducer),
+        "a + b": Stuck(StuckReason.ArithNonNumeral),
+        "1 . force thunk { prd 2 }": Stuck(StuckReason.ApplyNonFunction),
+        "1 . force thunk { a + b }": Stuck(StuckReason.ApplyNonFunction),
+        "1 . force thunk { 1 + 2 }": Stuck(StuckReason.ApplyNonFunction),
+        "(force thunk { \\x. prd x }) to w in prd w": Stuck(StuckReason.SequencedNonProducer),
+        "(force thunk { a + b }) to w in prd w": Stuck(StuckReason.ArithNonNumeral),
+        "(force thunk { 1 + 2 }) to w in prd w": Terminal(ProducedValue(NumV(3))),
+        "1 . force thunk { \\x. prd x }": Terminal(ProducedValue(NumV(1))),
+        "force thunk { \\x. prd x }": Terminal(AwaitingArgument()),
     }
-    for src, reason in cases.items():
-        assert step(*_loaded(src)) == Stuck(reason), src
+    for src, halt in cases.items():
+        prog = as_prog(parse_term(src))
+        _, steps, _ = harness.run(harness.machine("sos", prog), 100)
+        for name in ("sos", "cek", "peak", "pek", "cfg"):
+            mach = harness.machine(name, prog)
+            got, n, _ = harness.run(mach, 100)
+            if type(got) is Terminal and type(got.kind) is ProducedValue:
+                got = Terminal(ProducedValue(mach.value(got.kind.value)))
+            assert (got, n) == (halt, steps), (src, name)
 
 
 def test_missing_binding_reported_as_unbound_path():

@@ -352,11 +352,10 @@ def _binder_env(o, p):
 
 
 def _scope_entries(prog, p):
-    need, cell = [], peak._scope(prog, prog.pos(p))
-    while cell is not None:
-        if type(prog.nodes[cell[0]]) is not LetRec:
-            need.append(prog.path(cell[0]))
-        cell = cell[1]
+    need, b = [], peak._frame(prog, prog.pos(p))[1]
+    while b >= 0:
+        need.append(prog.path(b))
+        b = peak._frame(prog, b)[1]
     return need
 
 

@@ -137,11 +137,14 @@ def oracle_cek_unload(sigma):
 
 
 def oracle_unload_e(prog, i, e):
-    binders = []
-    cell = peak._scope(prog, i)
-    while cell is not None:
-        binders.append(cell[0])
-        cell = cell[1]
+    binders = []  # every Lam, Seq and LetRec whose scope holds ``i``, innermost first
+    q = i
+    while q:
+        par = prog.parents[q]
+        t = type(prog.nodes[par])
+        if (t is Lam and prog.heads[q] == 0) or (t is Seq and prog.heads[q] == 1) or t is LetRec:
+            binders.append(par)
+        q = par
     anchor, rest = i, e  # the chain holds exactly the Lam/Seq binders, innermost first
     for b in binders:
         if type(prog.nodes[b]) is LetRec:
