@@ -327,7 +327,7 @@ class IllFormedState(Exception):
 
 
 # ---------------------------------------------------------------------------
-# the gamma function
+# value lookup (γ)
 
 
 def lookup_value(v, env) -> CekVal:

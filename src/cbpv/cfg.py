@@ -16,7 +16,7 @@ of nodes.  ``Prog.fill`` visits every position the index has not visited
 yet, keeping the ids handed out before; one pass over the ids from the top
 down then computes advancement (eta), and one iterative preorder walk over
 the ids carries the static argument frames and the lexical scope down the
-tree.  It calls none of pek's per-position routes (``pek.aframes``,
+tree.  It calls none of pek's per-position routes (``pek._aframes``,
 ``pek.eta``) nor peak's descent, value resolution or δ, nor ``binder_of``.
 Those stay the pek machine's own, so the pek/cfg lockstep check compares
 two independent derivations of the static structure; only the naming of
@@ -74,15 +74,10 @@ from .syntax import (
     frozen,
     is_value,
     numeral_text,
-    path_text,
 )
 
 
 class NotAComputation(TypeError):
-    pass
-
-
-class NotAValue(TypeError):
     pass
 
 
@@ -196,15 +191,6 @@ CfgState = PekState
 # operand computation and evaluation
 
 
-def operand_of(P, p: tuple) -> Operand:
-    """The operand a value position compiles to, read from compile's pass."""
-    prog = as_prog(P)
-    i = prog.pos(p)
-    if not is_value(prog.nodes[i]):
-        raise NotAValue(f"no operand for computation at {path_text(p)}")
-    return _Index(prog).ops[i]
-
-
 def eval_operand(e: Env, o: Operand):
     t = type(o)
     if t is LOC:  # e.find(o.binder, o.level), inlined: the commonest operand
@@ -242,7 +228,7 @@ def compile(P) -> Cfg:
     return Cfg(ix.eta[0], blocks, prog, ix.binders)
 
 
-# The static argument frames of ``pek.aframes`` as cons cells, innermost
+# The static argument frames of ``pek._aframes`` as cons cells, innermost
 # first: (_ARG, id of the App's argument, rest) or (_SEQ, id of the Seq,
 # rest); the empty stack is ().
 _ARG, _SEQ = "arg", "seq"

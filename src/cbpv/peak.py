@@ -33,9 +33,8 @@ sit at the bottom of a descent chain.
 Advancement, binder resolution and the binders in scope at a position are
 worked out once per id, and every next program counter is a child's id
 taken from the index, so neither a step nor an unload builds, slices or
-hashes a path.  Paths are made only at the edge: ``describe``, the public
-functions that take a path (``gamma``, ``lookup_var``), and the messages
-of ``wf_check`` and of an unload that fails.
+hashes a path.  Path text is made only at the edge: by ``describe`` and
+by the messages of ``wf_check`` and of an unload that fails.
 
 pek runs the same code for value lookup (γ), frame conversion (δ) and
 advancement (η): ``_lookups`` builds its γ and δ as it builds this
@@ -320,23 +319,13 @@ def _lookups(machine: str, entry, seq_frame):
     ``i`` is ``entry(prog, i, j)`` and whose continuation frame for a Seq
     ``i`` pending under chain ``env`` is ``seq_frame(i, resume, env,
     rest)``, ``resume`` being the code of its right component and ``rest``
-    the argument frames under it: ``(lookup_var, gamma, _gamma, _operand,
-    _seq_exit, delta)``, keeping what each position resolves to in the
-    program's ``<machine>.value`` and ``<machine>.seq`` tables.  peak and
+    the argument frames under it: ``(_gamma, _operand, _seq_exit, delta)``,
+    keeping what each position resolves to in the program's
+    ``<machine>.value`` and ``<machine>.seq`` tables.  peak and
     pek differ only in ``entry`` and ``seq_frame``, so both read values and
     convert frames through these functions.  They call ``_resolve`` through
     this module, so a replaced ``_resolve`` reaches both machines."""
     value_key, seq_key = machine + ".value", machine + ".seq"
-
-    def lookup_var(P, p: tuple, e: Env) -> PVal:
-        prog = as_prog(P)
-        i = prog.pos(p)
-        binder_of(prog, i)  # raises off a variable
-        return _gamma(prog, i, e)
-
-    def gamma(P, p: tuple, e: Env) -> PVal:
-        prog = as_prog(P)
-        return _gamma(prog, prog.pos(p), e)
 
     def _gamma(prog, i: int, e: Env) -> PVal:
         v = prog.nodes[i]
@@ -392,7 +381,7 @@ def _lookups(machine: str, entry, seq_frame):
             kont = Frames(f, kont)
         return kont
 
-    return lookup_var, gamma, _gamma, _operand, _seq_exit, delta
+    return _gamma, _operand, _seq_exit, delta
 
 
 def _child(prog, i: int, j: int) -> int:
@@ -400,7 +389,7 @@ def _child(prog, i: int, j: int) -> int:
 
 
 # A KSeq keeps the frames under its SEQ as they are: the tail of ``args``.
-lookup_var, gamma, _gamma, _operand, _seq_exit, delta = _lookups(
+_gamma, _operand, _seq_exit, delta = _lookups(
     "peak", _child, lambda i, resume, env, rest: KSeq(i, env, rest)
 )
 

@@ -2,7 +2,7 @@
 
 The argument stack a PEAK state would carry is a function of the program
 counter alone, so this machine drops it from the state and recomputes it
-with ``aframes`` on demand.  ``eta`` is PEAK's advancement projected onto
+with ``_aframes`` on demand.  ``eta`` is PEAK's advancement projected onto
 the program counter, the position ``peak._descent`` lands on: every
 transition lands the program counter on an instruction position (Force,
 Prd, Lam, If0, Op), never on a search node.
@@ -29,12 +29,12 @@ empty.  An argument frame is rejected before any operand is read.
 
 Positions are named by the integer ids of the program's position index
 (``syntax.Prog``): the program counter, return frames, environment cells
-and closure entries hold ids, and the static tables (``aframes``, ``eta``,
-binder resolution) are keyed by them and filled once per position.  A step
-reads the next program counter off the index instead of building it, and
-so does the same static work however deep the program is.  Paths are made
-only at the edge: ``describe``, the functions that take a path
-(``aframes``, ``gamma``, ``lookup_var``) and ``wf_check``'s messages.
+and closure entries hold ids, and the static tables (``_aframes``,
+``eta``, binder resolution) are keyed by them and filled once per
+position.  A step reads the next program counter off the index instead of
+building it, and so does the same static work however deep the program
+is.  Path text is made only at the edge: by ``describe`` and by
+``wf_check``'s messages.
 
 Environments are peak's immutable ``Env`` chains: exactly the Lam/Seq
 binders in scope at the position they belong to.  A bind makes one cell,
@@ -46,7 +46,7 @@ once per cell rather than once per binder in scope.
 
 The continuation and the static argument stacks are chains of
 ``cek.Frames`` cells.  A position's static stack is its parent's with at
-most one frame pushed or popped, so ``aframes`` makes at most one cell per
+most one frame pushed or popped, so ``_aframes`` makes at most one cell per
 position.  Each continuation cell keeps its PEAK chain (``Cell.derive``)
 and its well-formedness verdict (``Cell.memo_of``), so ``unload`` and
 ``wf_check`` pay once per frame, not once per frame per step.
@@ -116,17 +116,11 @@ class PekState:
 # static structure, by position id
 
 
-def aframes(P, p: tuple) -> Frames:
-    """The argument stack in force at a position, innermost frame on top."""
-    prog = as_prog(P)
-    return _aframes(prog, prog.pos(p))
-
-
 def _aframes(prog, i: int) -> Frames:
-    """``aframes`` by id.  A position's stack is its parent's with at most
-    one frame pushed or popped, so each is one cell at most over its
-    parent's, made once."""
-    tab = prog.tables["aframes"]
+    """The argument stack in force at position ``i``, innermost frame on
+    top.  A position's stack is its parent's with at most one frame pushed
+    or popped, so each is one cell at most over its parent's, made once."""
+    tab = prog.tables["args"]
     r = tab.get(i)
     if r is not None:
         return r
@@ -170,7 +164,7 @@ def _next(prog, i: int, j: int) -> int:
 
 # A return frame replaces everything from the first SEQ on, since the
 # remainder is recomputable from its position.
-lookup_var, gamma, _gamma, _operand, _seq_exit, delta = _lookups(
+_gamma, _operand, _seq_exit, delta = _lookups(
     "pek", _next, lambda i, resume, env, rest: KRet(i, resume, env)
 )
 

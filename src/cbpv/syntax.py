@@ -35,7 +35,7 @@ class InvalidPath(Exception):
 
 
 class NotAVariable(Exception):
-    """resolve_binder was pointed at something that is not a variable."""
+    """binder_of was pointed at something that is not a variable."""
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +274,6 @@ def path_text(p: Path) -> str:
     return ".".join(str(i) for i in reversed(p))
 
 
-def path_from_text(text: str) -> Path:
-    text = text.strip()
-    if text in ("", "ε"):
-        return ()
-    return tuple(int(part) for part in reversed(text.split(".")))
-
-
 # The shape of every node: its child fields, in child-index order.  Leaves
 # have no entry.  A LetRec is kept apart because its children are its body
 # and then each definition.
@@ -397,11 +390,9 @@ class Prog:
     Ids are the names of positions inside the machines: program counters,
     frames, environment cells, closure entries and compiled blocks all hold
     them, so a step or a compile builds no path.  An id means something only
-    under the Prog that handed it out.  Path tuples are the external names,
-    made at the edge: ``path(i)`` gives a position one shared tuple, built
-    the first time it is asked for, for traces, listings and messages; and
-    ``pos`` turns a path a caller passes in into its id, walking down from
-    the root the first time it meets the path.
+    under the Prog that handed it out.  Paths are the external names, and
+    only text is made of them: ``path_text(i)`` climbs from a position to
+    the root for traces, listings and messages, and keeps nothing.
 
     ``tables[name]`` is a per-position table of the machines, keyed by id
     and made on first use.  ``token`` stands for the Prog in what is kept
@@ -414,9 +405,7 @@ class Prog:
     last one it built, so every check of one term shares one index.
     """
 
-    __slots__ = (
-        "term", "nodes", "parents", "heads", "first", "tables", "token", "_paths", "_by_path"
-    )
+    __slots__ = ("term", "nodes", "parents", "heads", "first", "tables", "token")
 
     def __init__(self, term: Term):
         self.term = term
@@ -426,20 +415,6 @@ class Prog:
         self.first = [-1]  # id -> id of its first child, -1 until they are visited
         self.tables = defaultdict(dict)  # name -> {position id: entry}
         self.token = object()
-        self._paths = {0: ()}  # id -> shared path, once asked for
-        self._by_path = {}  # every path looked up -> position id
-
-    def pos(self, p: Path) -> int:
-        """The id of the position at ``p``, visiting it if need be."""
-        i = self._by_path.get(p)
-        if i is None:
-            i, kid = 0, self.kid
-            for j in reversed(p):
-                i = kid(i, j)
-            self._by_path[p] = i
-            if i not in self._paths and type(p) is tuple:
-                self._paths[i] = p
-        return i
 
     def kid(self, i: int, j: int) -> int:
         """The id of child ``j`` of position ``i``, visiting the children of
@@ -494,36 +469,21 @@ class Prog:
                     first += (-1,) * k
             i += 1
 
-    def path(self, i: int) -> Path:
-        """The shared path of position ``i``."""
-        paths = self._paths
-        p = paths.get(i)
-        if p is None:
-            heads, parents = self.heads, self.parents
-            k = parents[i]
-            p = paths.get(k)
-            if p is None:  # climb to the nearest ancestor with a path
-                below = [heads[i]]
-                while p is None:
-                    below.append(heads[k])
-                    k = parents[k]
-                    p = paths.get(k)
-                p = tuple(below) + p
-            else:
-                p = (heads[i],) + p
-            paths[i] = p
-        return p
-
     def path_text(self, i: int) -> str:
-        """Position ``i`` as traces, listings and messages show it, or ``no
-        position i`` when ``i`` names none, as a broken machine's state may
-        hold."""
+        """Position ``i`` as traces, listings and messages show it, root
+        first and dotted (``syntax.path_text``), read off by climbing
+        ``parents``; or ``no position i`` when ``i`` names none, as a broken
+        machine's state may hold."""
         if type(i) is not int or not 0 <= i < len(self.nodes):
             return f"no position {i!r}"
-        return path_text(self.path(i))
-
-    def at(self, p: Path) -> Node:
-        return self.nodes[self.pos(p)]
+        heads, parents = self.heads, self.parents
+        up = []
+        while i > 0:
+            up.append(heads[i])
+            i = parents[i]
+        up.reverse()
+        # one format of all the components: about half the time of a str each
+        return ("%d." * len(up) % tuple(up))[:-1] if up else "ε"
 
     def __repr__(self):
         return f"Prog({self.term!r})"
@@ -1065,53 +1025,17 @@ def _aeq(a, b, sa, sb, seen, todo, budget) -> bool:
 # binder resolution
 
 
-@frozen()
-class LamBind:
-    path: Path
-
-
-@frozen()
-class SeqBind:
-    path: Path
-
-
-@frozen()
-class RecBind:
-    path: Path
-    index: int  # 1-based definition slot
-
-
-@frozen()
-class FreeVar:
-    name: str
-
-
-BinderRef = Union[LamBind, SeqBind, RecBind, FreeVar]
-
-
-def resolve_binder(P, occ: Path) -> BinderRef:
-    """Walk outward from a variable occurrence to the binder that captures it.
+def binder_of(prog: Prog, i: int) -> tuple:
+    """The binder that captures variable ``i``, walking outward: ``(q,
+    j)`` with ``q`` the binder's id (None for a free name) and ``j`` the
+    1-based definition slot when it is a letrec (else 0), worked out once
+    per id.
 
     A Lam binds inside its body (child 0), a Seq binds inside its right
     component (child 1), and a LetRec binds its bundle names inside every
     child.  The innermost matching binder wins; within one bundle the
     leftmost definition of a duplicated name wins.
     """
-    prog = as_prog(P)
-    i = prog.pos(occ)
-    q, j = binder_of(prog, i)
-    if q is None:
-        return FreeVar(prog.nodes[i].name)
-    if j:
-        return RecBind(prog.path(q), j)
-    return (LamBind if type(prog.nodes[q]) is Lam else SeqBind)(prog.path(q))
-
-
-def binder_of(prog: Prog, i: int) -> tuple:
-    """``resolve_binder`` by position id: ``(q, j)`` with ``q`` the id of
-    the binder of variable ``i`` (None for a free name) and ``j`` the
-    1-based definition slot when it is a letrec (else 0), worked out once
-    per id."""
     tbl = prog.tables["binder"]
     hit = tbl.get(i)
     if hit is not None:
@@ -1119,7 +1043,7 @@ def binder_of(prog: Prog, i: int) -> tuple:
     nodes, parents, heads = prog.nodes, prog.parents, prog.heads
     node = nodes[i]
     if type(node) is not VarV:
-        raise NotAVariable(f"no variable at {path_text(prog.path(i))}: {node!r}")
+        raise NotAVariable(f"no variable at {prog.path_text(i)}: {node!r}")
     name = node.name
     hit = (None, 0)
     k = i

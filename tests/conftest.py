@@ -8,6 +8,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import settings
 
+import paths
 from cbpv import cek, cfg, peak, pek, sos, syntax
 from cbpv.rewrite import RuleId
 from cbpv.syntax import (
@@ -228,9 +229,9 @@ def renamed(x, name, memo=None):
 def at_paths(prog, x):
     """``x`` with its position ids as the paths of ``prog``: the objects the
     path-keyed oracles build and the tests write out."""
-    return renamed(x, prog.path)
+    return renamed(x, lambda i: paths.path(prog, i))
 
 
 def at_ids(prog, x):
     """``x``, written with paths, with each one as its id in ``prog``."""
-    return renamed(x, prog.pos)
+    return renamed(x, lambda p: paths.pos(prog, p))

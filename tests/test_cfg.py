@@ -33,7 +33,6 @@ from cbpv.cfg import (
     eval_operand,
     load,
     loc_names,
-    operand_of,
     print_cfg,
     records,
     step,
@@ -56,11 +55,12 @@ from cbpv.syntax import (
     child,
     is_value,
     iter_subterms,
-    path_from_text,
     path_text,
 )
 
+import paths
 from conftest import at_paths, close_term, terms
+from paths import operand_of
 
 MULT = as_prog(fx.MULT)
 
@@ -143,7 +143,7 @@ def test_operand_evaluation_agrees_with_gamma(t):
     prog = as_prog(t)
     for p in _value_positions(prog):
         try:
-            want = pek.gamma(prog, p, EMPTY)
+            want = paths.gamma(pek, prog, p, EMPTY)
         except MissingBinding:
             with pytest.raises(MissingBinding):
                 eval_operand(EMPTY, operand_of(prog, p))
@@ -178,9 +178,9 @@ def test_compile_mult_listing():
 
 def test_compile_stuck_positions():
     g = compile(parse_term("1 . prd 2"))
-    assert g.blocks[g.prog.pos((1,))] == (STUCK(StuckReason.ApplyNonFunction), ())
+    assert g.blocks[paths.pos(g.prog, (1,))] == (STUCK(StuckReason.ApplyNonFunction), ())
     g = compile(parse_term("(\\x. prd x) to w in prd w"))
-    assert g.blocks[g.prog.pos((0,))] == (STUCK(StuckReason.SequencedNonProducer), ())
+    assert g.blocks[paths.pos(g.prog, (0,))] == (STUCK(StuckReason.SequencedNonProducer), ())
 
 
 def test_compile_call_saves_binding_site():
@@ -252,14 +252,14 @@ def test_unknown_pc_raises():
 def test_describe_of_an_unknown_pc_raises_unknown_pc():
     g, _ = load(fx.ARITH_SEQ)
     with pytest.raises(UnknownPc, match=r"^0\.1$"):
-        describe(g, PekState(g.prog.pos((1, 0)), EMPTY, NIL), 0)  # the Op's rhs, a value
+        describe(g, PekState(paths.pos(g.prog, (1, 0)), EMPTY, NIL), 0)  # the Op's rhs, a value
 
 
 def test_blocks_are_keyed_by_the_position_id_of_each_instruction():
     g, _ = load(fx.MULT_CALL)
     instructions = [p for p, node in iter_subterms(g.prog.term)
                     if type(node).__name__ in ("Force", "Prd", "Lam", "If0", "Op")]
-    assert list(g.blocks) == [g.prog.pos(p) for p in instructions]  # in preorder
+    assert list(g.blocks) == [paths.pos(g.prog, p) for p in instructions]  # in preorder
     for p, block in g.blocks.items():
         assert block_at(g, p) is block
     with pytest.raises(UnknownPc, match="^ε$"):
@@ -450,7 +450,7 @@ def _oracle_record_operands(instr, path_text):
 
 def _oracle_records(G):
     label = {p: i for i, p in enumerate(G.blocks)}
-    text = lambda i: path_text(G.prog.path(i))
+    text = lambda i: path_text(paths.path(G.prog, i))
     rows = []
     for i, (p, (instr, succs)) in enumerate(G.blocks.items()):
         rows.append(

@@ -1,7 +1,7 @@
-"""compile against a per-position oracle, and compile's and Prog.at's op counts.
+"""compile against a per-position oracle, and compile's and ``paths.at``'s op counts.
 
 The oracle compiles each instruction position on its own from pek's static
-routes (``pek.aframes``, ``pek.eta``) and ``resolve_binder``, walking paths
+routes (``paths.aframes``, ``pek.eta``) and ``paths.resolve_binder``, walking paths
 up from each position.  That is how compile worked before its single
 preorder pass, and it shares no code with the pass, so equal graphs mean
 the two derivations of the static structure agree.  The oracle names
@@ -39,22 +39,21 @@ from cbpv.peak import ARG, SEQ
 from cbpv.sos import StuckReason
 from cbpv.syntax import (
     Force,
-    FreeVar,
     If0,
     Lam,
     NumV,
     Op,
     Prd,
-    RecBind,
     Seq,
     ThunkV,
     as_prog,
     is_value,
     iter_subterms,
-    resolve_binder,
 )
 
+import paths
 from conftest import at_ids, at_paths, terms
+from paths import FreeVar, RecBind, resolve_binder
 
 # ---------------------------------------------------------------------------
 # the oracle
@@ -62,7 +61,7 @@ from conftest import at_ids, at_paths, terms
 
 def _eta(prog, p):
     """``pek.eta`` from path ``p``, as a path."""
-    return prog.path(pek.eta(prog, prog.pos(p)))
+    return paths.path(prog, pek.eta(prog, paths.pos(prog, p)))
 
 
 def _oracle_depth(prog, p):
@@ -70,14 +69,14 @@ def _oracle_depth(prog, p):
     entered through its body and every Seq through its right component."""
     n = 0
     for k in range(len(p)):
-        t = type(prog.at(p[k + 1 :]))
+        t = type(paths.at(prog, p[k + 1 :]))
         if (t is Lam and p[k] == 0) or (t is Seq and p[k] == 1):
             n += 1
     return n
 
 
 def _oracle_operand(prog, p):
-    v = prog.at(p)
+    v = paths.at(prog, p)
     t = type(v)
     if t is NumV:
         return NAT(v.n)
@@ -94,7 +93,7 @@ def _oracle_operand(prog, p):
 
 def _oracle_block(prog, p, node):
     t = type(node)
-    a = tuple(at_paths(prog, pek.aframes(prog, p)))
+    a = tuple(at_paths(prog, paths.aframes(prog, p)))
     op = lambda q: _oracle_operand(prog, q)
 
     if t is Force:
@@ -159,7 +158,7 @@ def oracle_compile(m):
 def _agrees(m):
     g = compile(m)
     entry, blocks = oracle_compile(m)
-    assert g.prog.path(g.entry) == entry
+    assert paths.path(g.prog, g.entry) == entry
     got = at_paths(g.prog, g.blocks)
     assert got == blocks
     assert list(got) == list(blocks)  # the same preorder, so the same labels
@@ -272,8 +271,7 @@ def test_compile_visits_each_node_once(monkeypatch, family):
         with monkeypatch.context() as mp:
             walks = count_built(mp)
             reads = _count_calls(mp, syntax, "children")
-            lookups = _count_calls(mp, syntax.Prog, "at")
-            paths = _count_calls(mp, syntax.Prog, "path")
+            texts = _count_calls(mp, syntax.Prog, "path_text")
             compile(prog)
             # compile names blocks by the ids of the program's index: it
             # reads each node's children once, and builds no path
@@ -281,7 +279,7 @@ def test_compile_visits_each_node_once(monkeypatch, family):
             assert len(reads) == inner
             compile(prog)  # the positions are known now
         assert len(walks) == nodes - 1 and len(reads) == inner
-        assert not lookups and not paths
+        assert not texts
 
 
 @pytest.mark.parametrize("text", [chain_text(6), thunks_text(4), sum_text(3), fx.SOURCES["mult_call"]])
@@ -294,13 +292,15 @@ def test_compile_keeps_the_ids_a_partly_visited_prog_handed_out(text):
     g = compile(part)
     assert part.nodes[: len(known)] == known  # the ids handed out are kept
     entry, blocks = oracle_compile(part)
-    assert g == Cfg(part.pos(entry), at_ids(part, blocks), part)
+    assert g == Cfg(paths.pos(part, entry), at_ids(part, blocks), part)
     fresh = syntax.Prog(term)
     assert records(g) == records(compile(fresh))
     assert print_cfg(g) == print_cfg(compile(fresh))
     # a partly visited Prog's ids need not be those a fresh one hands out,
     # but the blocks name the same positions in the same order
-    assert [part.path(i) for i in g.blocks] == [fresh.path(i) for i in compile(fresh).blocks]
+    assert [paths.path(part, i) for i in g.blocks] == [
+        paths.path(fresh, i) for i in compile(fresh).blocks
+    ]
 
 
 def test_prog_at_calls_child_once_per_newly_cached_path(monkeypatch):
@@ -310,20 +310,20 @@ def test_prog_at_calls_child_once_per_newly_cached_path(monkeypatch):
     built = count_built(monkeypatch)
     reads = _count_calls(monkeypatch, syntax, "children")
     deep = (0,) + (1,) * 49  # the last link's Op
-    prog.at(deep)
+    paths.at(prog, deep)
     assert len(reads) == 50  # every level from the root down
     assert len(built) == 100  # both children of each of the 50 Seqs on the way
-    prog.at(deep)
-    prog.at(deep[1:])
+    paths.at(prog, deep)
+    paths.at(prog, deep[1:])
     assert len(reads) == 50 and len(built) == 100  # cached
-    prog.at((0,) + deep)  # one level below a cached path: both operands
+    paths.at(prog, (0,) + deep)  # one level below a cached path: both operands
     assert len(reads) == 51 and len(built) == 102
-    prog.at((1,) * 50)  # the last link's prd x49, built with the Op
+    paths.at(prog, (1,) * 50)  # the last link's prd x49, built with the Op
     assert len(reads) == 51
-    prog.at((0, 1) + (1,) * 49)  # then its value
+    paths.at(prog, (0, 1) + (1,) * 49)  # then its value
     assert len(reads) == 52 and len(built) == 103
-    assert prog.at((0,) + deep) == syntax.VarV("x48")
-    assert prog.at((0, 1) + (1,) * 49) == syntax.VarV("x49")
+    assert paths.at(prog, (0,) + deep) == syntax.VarV("x48")
+    assert paths.at(prog, (0, 1) + (1,) * 49) == syntax.VarV("x49")
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +338,6 @@ def test_print_cfg_of_a_hand_built_graph_matches_the_compiled_one():
         g = compile(m)
         entry, blocks = oracle_compile(m)
         prog = as_prog(m)
-        by_hand = Cfg(prog.pos(entry), at_ids(prog, blocks), prog)
+        by_hand = Cfg(paths.pos(prog, entry), at_ids(prog, blocks), prog)
         assert print_cfg(by_hand) == print_cfg(g)
         assert records(by_hand) == records(g)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import paths
 from conftest import close_term, terms
 from cbpv import cek, cfg, harness, peak, pek, rewrite, syntax
 from cbpv import fixtures as fx
@@ -290,7 +291,7 @@ def test_rendered_states_name_every_position_by_its_path():
         f" env=Env({{1: {closure}}}), rest_args=(SEQ(pos=1.0),)),))"
     )
     s = pek.load(prog)
-    ret = pek.KRet(prog.pos((0, 1)), prog.pos((1, 0, 1)), s.env)
+    ret = pek.KRet(paths.pos(prog, (0, 1)), paths.pos(prog, (1, 0, 1)), s.env)
     assert harness._render(pek.PekState(s.pc, s.env, cek.frames(ret)), prog) == (
         f"PekState(pc={prog.path_text(s.pc)}, env=Env({{}}),"
         " kont=(KRet(bind=1.0, resume=1.0.1, env=Env({})),))"
@@ -388,7 +389,7 @@ def test_every_check_of_one_term_shares_its_prog_and_graph(monkeypatch):
     progs = _count_inits(monkeypatch, syntax.Prog)
     compiles = _count_calls(monkeypatch, cfg, "compile")
     reads = _count_calls(monkeypatch, syntax, "children")
-    paths = _count_calls(monkeypatch, Prog, "path")
+    texts = _count_calls(monkeypatch, Prog, "path_text")
     term = parse_term(fx.SOURCES["mult_call"])
     reports = [tower_check(term)] + [lockstep_check(term, pair) for pair in LevelPair]
     assert all(r.ok for r in reports)
@@ -397,7 +398,7 @@ def test_every_check_of_one_term_shares_its_prog_and_graph(monkeypatch):
     assert cfg.load(term)[0] is cfg.load(progs[0])[0]
     # every check reads a node's children once, through the one index
     assert len(reads) == len({id(node) for (node,) in reads})
-    assert not paths  # no check that passes names a position by path
+    assert not texts  # no check that passes names a position by path
 
 
 def test_prog_and_compile_still_build_afresh(monkeypatch):

@@ -5,7 +5,7 @@ with ``at_ids``/``at_paths`` under the one Prog a state belongs to."""
 
 from hypothesis import given, settings
 
-from cbpv import cek, harness, sos
+from cbpv import cek, harness, peak, sos
 from cbpv.cek import NIL, frames
 from cbpv import fixtures as fx
 from cbpv.parser import parse_term
@@ -23,9 +23,7 @@ from cbpv.peak import (
     chain,
     delta,
     describe,
-    gamma,
     load,
-    lookup_var,
     step,
     unload,
     unload_v,
@@ -40,9 +38,11 @@ from cbpv.sos import (
     StuckReason,
     Terminal,
 )
-from cbpv.syntax import LetRec, NumV, Prd, VarV, as_prog, iter_subterms, path_from_text
+from cbpv.syntax import LetRec, NumV, Prd, VarV, as_prog, iter_subterms
 
+import paths
 from conftest import at_ids, at_paths, close_term, terms
+from paths import path_from_text
 
 MULT = as_prog(fx.MULT)
 
@@ -56,28 +56,29 @@ E_MULT = at_ids(MULT, chain(((1,), NumP(2)), ((0, 1), NumP(3)), ((0, 0, 1), NumP
 
 def test_lookup_bound_variable():
     occ = path_from_text("1.0.0.0.0")  # the guard x in the multiplier
-    assert lookup_var(MULT, occ, E_MULT) == NumP(3)
+    assert paths.lookup_var(peak, MULT, occ, E_MULT) == NumP(3)
 
 
 def test_lookup_recursive_name_builds_closure():
     occ = path_from_text("1.0.0.0.2.1.2.1.1.1.1.0")  # force site
-    v = lookup_var(MULT, occ, E_MULT)
+    v = paths.lookup_var(peak, MULT, occ, E_MULT)
     assert at_paths(MULT, v) == PClosure((1,), EMPTY)
     assert v.env is EMPTY  # cut back to the letrec's scope, not copied
-    inner = Env(MULT.pos((2, 0, 0, 0, 1)), NumP(7), E_MULT)  # y, a binder of the body, on top
-    assert lookup_var(MULT, occ, inner).env is EMPTY
+    y = paths.pos(MULT, (2, 0, 0, 0, 1))
+    inner = Env(y, NumP(7), E_MULT)  # y, a binder of the body, on top
+    assert paths.lookup_var(peak, MULT, occ, inner).env is EMPTY
 
 
 def test_lookup_free_variable_is_symbolic():
     prog = as_prog(fx.OPEN_ADD)
-    assert lookup_var(prog, (0,), EMPTY) == cek.SymVar("a")
+    assert paths.lookup_var(peak, prog, (0,), EMPTY) == cek.SymVar("a")
 
 
 def test_gamma_on_literals_and_thunks():
-    assert gamma(fx.ARITH_SEQ, (0, 0), EMPTY) == NumP(1)
+    assert paths.gamma(peak, fx.ARITH_SEQ, (0, 0), EMPTY) == NumP(1)
     e = EMPTY
     prog = as_prog(fx.FORCE_THUNK)
-    v = gamma(prog, (0,), e)
+    v = paths.gamma(peak, prog, (0,), e)
     assert at_paths(prog, v) == PClosure((0, 0), EMPTY)
     assert v.env is e
 
@@ -99,7 +100,7 @@ def test_delta_converts_up_to_first_seq():
 def test_advance_descends_application_chain():
     prog = as_prog(fx.MULT_CALL)
     st = advance(prog, load(prog))
-    assert prog.path(st.pc) == (1, 1, 1, 0)
+    assert paths.path(prog, st.pc) == (1, 1, 1, 0)
     assert at_paths(prog, st.args) == frames(ARG((1, 1, 0)), ARG((1, 0)), ARG((0,)))
     assert st.env is EMPTY and st.kont is NIL
 
@@ -234,7 +235,7 @@ def test_unload_mid_run_state():
 
 
 def test_unload_recursive_closure_matches_cek_lookup():
-    got = unload_v(MULT, PClosure(MULT.pos((1,)), EMPTY))
+    got = unload_v(MULT, PClosure(paths.pos(MULT, (1,)), EMPTY))
     want = cek.lookup_value(VarV("mult"), cek.RecFrame(MULT.term.defs, None))
     assert got == want
     assert got.code == LetRec(MULT.term.defs, MULT.term.defs[0][1])
@@ -310,11 +311,11 @@ def test_wf_reports_unbound_scope():
 def test_encloses_is_the_suffix_relation_on_paths():
     # an argument frame must sit on the pc's path: its path a suffix of the pc's
     prog = as_prog(fx.MULT_CALL)
-    paths = [p for p, _ in iter_subterms(prog.term)]
-    for q in paths[::3]:  # a third of the positions, with their paths
-        for p in paths:
+    every = [p for p, _ in iter_subterms(prog.term)]
+    for q in every[::3]:  # a third of the positions, with their paths
+        for p in every:
             suffix = len(q) <= len(p) and p[len(p) - len(q):] == q
-            assert _encloses(prog, prog.pos(q), prog.pos(p)) == suffix, (q, p)
+            assert _encloses(prog, paths.pos(prog, q), paths.pos(prog, p)) == suffix, (q, p)
 
 
 def test_wf_reports_argument_frame_out_of_scope():

@@ -17,11 +17,9 @@ from cbpv.peak import ARG, EMPTY, SEQ, Env, KArg, KSeq, NumP, PClosure, PeakStat
 from cbpv.pek import (
     KRet,
     PekState,
-    aframes,
     delta,
     describe,
     eta,
-    gamma,
     load,
     step,
     unload,
@@ -35,9 +33,11 @@ from cbpv.sos import (
     StuckReason,
     Terminal,
 )
-from cbpv.syntax import Lam, NumV, Prd, Seq, VarV, alpha_eq, as_prog, path_from_text
+from cbpv.syntax import Lam, NumV, Prd, Seq, VarV, alpha_eq, as_prog
 
+import paths
 from conftest import at_ids, at_paths, close_term, terms
+from paths import aframes, path_from_text
 
 MULT = as_prog(fx.MULT)
 FORCE_SITE = path_from_text("1.0.0.0.2.1.2.1.1.1.1")  # the recursive call
@@ -50,7 +50,7 @@ def _aframes(m, p):
 
 def _eta(m, p):
     prog = as_prog(m)
-    return prog.path(eta(prog, prog.pos(p)))
+    return paths.path(prog, eta(prog, paths.pos(prog, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -120,7 +120,7 @@ def test_eta_descends_search_nodes():
 
 def test_gamma_thunk_entry_is_advanced():
     prog = as_prog(parse_term("force thunk { 1 + 2 to x in prd x }"))
-    assert at_paths(prog, gamma(prog, (0,), EMPTY)) == PClosure((0, 0, 0), EMPTY)
+    assert at_paths(prog, paths.gamma(pek, prog, (0,), EMPTY)) == PClosure((0, 0, 0), EMPTY)
 
 
 def test_recursive_closure_entry_is_advanced():
@@ -407,7 +407,7 @@ def _in_scope(prog, p):
     Lam entered through its body and every Seq through its right component."""
     n = 0
     for k in range(len(p)):
-        t = type(prog.at(p[k + 1 :]))
+        t = type(paths.at(prog, p[k + 1 :]))
         if (t is Lam and p[k] == 0) or (t is Seq and p[k] == 1):
             n += 1
     return n
@@ -453,13 +453,13 @@ def test_env_holds_exactly_the_binders_in_scope(seed):
     for m in (gen_term(seed, seed % 26), gen_term(seed, seed % 26, closed=False)):
         prog = as_prog(m)
         for s in _runs(prog):
-            assert len(s.env) == _in_scope(prog, prog.path(s.pc))
+            assert len(s.env) == _in_scope(prog, paths.path(prog, s.pc))
             for f in s.kont:
                 if type(f) is KRet:
-                    assert len(f.env) == _in_scope(prog, prog.path(f.bind))
+                    assert len(f.env) == _in_scope(prog, paths.path(prog, f.bind))
 
         def in_scope(rho, i):
-            assert len(rho.env) == _in_scope(prog, prog.path(rho.pc))
+            assert len(rho.env) == _in_scope(prog, paths.path(prog, rho.pc))
 
         harness.run(harness.machine("peak", prog), 10**6, in_scope)
 
@@ -468,17 +468,17 @@ def test_fixture_envs_hold_exactly_the_binders_in_scope():
     for m in fx.PROGRAMS.values():
         prog = as_prog(m)
         for s in _runs(prog):
-            assert len(s.env) == _in_scope(prog, prog.path(s.pc))
+            assert len(s.env) == _in_scope(prog, paths.path(prog, s.pc))
 
 
 def test_a_recursive_call_keeps_only_the_letrecs_scope():
     prog = as_prog(fx.mult_call(3, 4, 0))
-    entry = eta(prog, prog.pos((1,)))  # mult's definition, \n
+    entry = eta(prog, paths.pos(prog, (1,)))  # mult's definition, \n
     inner = []
     for s in _runs(prog):
-        if s.pc == prog.pos(FORCE_SITE):
+        if s.pc == paths.pos(prog, FORCE_SITE):
             assert len(s.env) == 5  # n, x, a, y and b
-            mult = gamma(prog, (0,) + FORCE_SITE, s.env)
+            mult = paths.gamma(pek, prog, (0,) + FORCE_SITE, s.env)
             assert mult.entry == entry and mult.env is EMPTY
         if s.pc == entry:
             inner.append(s)

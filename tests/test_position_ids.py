@@ -23,13 +23,13 @@ from test_compile_oracle import chain_text, sum_text, thunks_text
 
 def _count_paths(monkeypatch):
     made = []
-    real = syntax.Prog.path
+    real = syntax.Prog.path_text
 
     def counted(self, i):
         made.append(i)
         return real(self, i)
 
-    monkeypatch.setattr(syntax.Prog, "path", counted)
+    monkeypatch.setattr(syntax.Prog, "path_text", counted)
     return made
 
 
@@ -66,6 +66,24 @@ def test_compile_memory_grows_with_the_program():
             tracemalloc.stop()
     assert peaks[4000] < 30e6  # 127 MB when every block was named by its path
     assert peaks[4000] < 6 * peaks[1000]
+
+
+@pytest.mark.parametrize("n", [1000, 2000])
+def test_records_memory_is_a_small_multiple_of_the_output(n):
+    # A spine's rows are as long as the spine, so the output is quadratic by
+    # format; the memory besides it should not be.  Rendering each path by
+    # climbing keeps nothing: about 3 times the output, where keeping one
+    # path tuple per position came to about 5.7 times.
+    term = parse_term("(" * n + "prd 0" + " to x in prd x)" * n)
+    g = cfg.compile(term)
+    tracemalloc.start()
+    try:
+        out = cfg.records(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(out.splitlines()) == n + 1
+    assert peak < 4 * len(out), peak / len(out)
 
 
 @pytest.mark.skipif(sys.flags.dev_mode, reason="timing under -X dev is too noisy")

@@ -22,16 +22,12 @@ from cbpv.pek import PekState
 from cbpv.sos import Stuck, Terminal
 from cbpv.syntax import (
     App,
-    FreeVar,
     If0,
     Lam,
-    LamBind,
     LetRec,
     NumV,
     Prog,
-    RecBind,
     Seq,
-    SeqBind,
     ThunkV,
     VarV,
     as_prog,
@@ -39,10 +35,11 @@ from cbpv.syntax import (
     is_term,
     iter_subterms,
     path_text,
-    resolve_binder,
 )
 
+import paths
 from conftest import at_ids, at_paths
+from paths import FreeVar, LamBind, RecBind, SeqBind, resolve_binder
 from test_compile_oracle import (
     DEPTHS,
     _count_calls,
@@ -352,9 +349,9 @@ def _binder_env(o, p):
 
 
 def _scope_entries(prog, p):
-    need, b = [], peak._frame(prog, prog.pos(p))[1]
+    need, b = [], peak._frame(prog, paths.pos(prog, p))[1]
     while b >= 0:
-        need.append(prog.path(b))
+        need.append(paths.path(prog, b))
         b = peak._frame(prog, b)[1]
     return need
 
@@ -362,22 +359,22 @@ def _scope_entries(prog, p):
 def _agrees_at(prog, o, p):
     written = _binder_env(o, p)
     e = at_ids(prog, written)
-    assert prog.at(p) is o.at(p)
-    assert at_paths(prog, pek.aframes(prog, p)) == frames(*o.aframes(p))
+    assert paths.at(prog, p) is o.at(p)
+    assert at_paths(prog, paths.aframes(prog, p)) == frames(*o.aframes(p))
     assert _scope_entries(prog, p) == o.scope_entries(p)
-    assert peak._depth(prog, prog.pos(p)) == len(e)
-    assert peak._unload_e(prog, prog.pos(p), e) == o.unload_e(p, written)
+    assert peak._depth(prog, paths.pos(prog, p)) == len(e)
+    assert peak._unload_e(prog, paths.pos(prog, p), e) == o.unload_e(p, written)
     node = o.at(p)
     if is_term(node):
-        assert prog.path(pek.eta(prog, prog.pos(p))) == o.eta(p)
+        assert paths.path(prog, pek.eta(prog, paths.pos(prog, p))) == o.eta(p)
         rho = PeakState(p, peak.EMPTY, frames(), frames())
         assert at_paths(prog, peak.advance(prog, at_ids(prog, rho))) == o.advance(rho)
     else:
         want = o.gamma(p, written)
-        assert at_paths(prog, peak.gamma(prog, p, e)) == want
+        assert at_paths(prog, paths.gamma(peak, prog, p, e)) == want
         if type(want) is PClosure:
             want = PClosure(o.eta(want.entry), want.env)
-        assert at_paths(prog, pek.gamma(prog, p, e)) == want
+        assert at_paths(prog, paths.gamma(pek, prog, p, e)) == want
     if type(node) is VarV:
         assert resolve_binder(prog, p) == o.resolve_binder(p)
 
@@ -385,9 +382,9 @@ def _agrees_at(prog, o, p):
 def _check_positions(term, order):
     prog, o = Prog(term), Oracle(term)  # a fresh index: nothing visited yet
     for p in order:
-        own = prog.path(prog.pos(tuple(list(p))))
+        own = paths.path(prog, paths.pos(prog, tuple(list(p))))
         assert own == p
-        assert prog.path(prog.pos(own)) is own  # the index hands out one tuple
+        assert paths.path(prog, paths.pos(prog, own)) == own
         _agrees_at(prog, o, own)
         _agrees_at(prog, o, tuple(list(p)))
 
@@ -395,9 +392,21 @@ def _check_positions(term, order):
 @pytest.mark.parametrize("group", GROUPS)
 def test_index_agrees_with_the_oracle_at_every_position(group):
     for term in GROUPS[group]():
-        paths = [p for p, _ in iter_subterms(term)]
-        _check_positions(term, paths)  # preorder: every parent is warm
-        _check_positions(term, paths[::-1])  # last first: cold climbs
+        every = [p for p, _ in iter_subterms(term)]
+        _check_positions(term, every)  # preorder: every parent is warm
+        _check_positions(term, every[::-1])  # last first: cold climbs
+
+
+@pytest.mark.parametrize("group", GROUPS)
+def test_path_text_climbs_to_the_position_a_root_walk_reaches(group):
+    # Prog.path_text climbs parents; paths.pos walks kid down from the root
+    for term in GROUPS[group]():
+        prog = Prog(term)
+        prog.fill()
+        for i in range(len(prog.nodes)):
+            assert paths.pos(prog, paths.path_from_text(prog.path_text(i))) == i
+        for i in (-1, len(prog.nodes)):
+            assert prog.path_text(i) == f"no position {i}"
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +486,7 @@ def test_a_cold_unload_calls_child_at_most_depth_times(monkeypatch, family, n):
     while type(s) is PekState:
         states.append(s)
         s = pek.step(warm, s)
-    deepest = max(states, key=lambda s: len(warm.path(s.pc)))
+    deepest = max(states, key=lambda s: len(paths.path(warm, s.pc)))
     for s in (deepest, states[len(states) // 2]):
         written = at_paths(warm, s)
         prog = Prog(term)  # nothing visited yet

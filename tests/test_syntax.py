@@ -6,27 +6,25 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import assume, given
 
+import paths
 from conftest import close_term, names, relabel, terms, values
+from paths import FreeVar, LamBind, RecBind, SeqBind, path_from_text, resolve_binder
 from test_substitute_oracle import oracle_free_vars
 from cbpv import fixtures as fx
 from cbpv.syntax import (
     App,
     ArithOp,
     Force,
-    FreeVar,
     If0,
     InvalidPath,
     Lam,
-    LamBind,
     LetRec,
     NotAVariable,
     NumV,
     Op,
     Prd,
     Prog,
-    RecBind,
     Seq,
-    SeqBind,
     ThunkV,
     VarV,
     alpha_eq,
@@ -35,9 +33,7 @@ from cbpv.syntax import (
     child,
     free_vars,
     iter_subterms,
-    path_from_text,
     path_text,
-    resolve_binder,
     substitute,
     with_child,
 )
@@ -92,16 +88,16 @@ def test_path_text_round_trip(t):
 def test_prog_at_examples():
     m1, m2 = Prd(NumV(1)), Prd(NumV(2))
     p = If0(VarV("v"), m1, m2)
-    assert as_prog(p).at(path_from_text("2")) is m2
-    assert as_prog(p).at(()) is p
-    assert as_prog(fx.ARITH_SEQ).at(path_from_text("0.1")) == NumV(2)
+    assert paths.at(as_prog(p), path_from_text("2")) is m2
+    assert paths.at(as_prog(p), ()) is p
+    assert paths.at(as_prog(fx.ARITH_SEQ), path_from_text("0.1")) == NumV(2)
 
 
 def test_prog_at_invalid_path():
     with pytest.raises(InvalidPath):
-        as_prog(Prd(NumV(0))).at((1,))
+        paths.at(as_prog(Prd(NumV(0))), (1,))
     with pytest.raises(InvalidPath):
-        as_prog(fx.MULT).at(path_from_text("5"))
+        paths.at(as_prog(fx.MULT), path_from_text("5"))
 
 
 def test_child_index_convention():
@@ -126,8 +122,8 @@ def test_subterm_matches_naive_descent(t):
     assert list(iter_subterms(t)) == pairs
     prog = as_prog(t)
     for p, node in pairs:
-        assert Prog(t).at(p) is node  # a cold climb from the root
-        assert prog.at(p) is node
+        assert paths.at(Prog(t), p) is node  # a cold climb from the root
+        assert paths.at(prog, p) is node
 
 
 @given(terms)
@@ -349,11 +345,11 @@ def test_free_vars_rejects_what_is_not_a_term():
 
 def test_resolve_binder_in_mult():
     occ = path_from_text("1.0.0.0.0")
-    assert as_prog(fx.MULT).at(occ) == VarV("x")
+    assert paths.at(as_prog(fx.MULT), occ) == VarV("x")
     assert resolve_binder(fx.MULT, occ) == LamBind(path_from_text("1.0"))
 
     force_site = path_from_text("1.0.0.0.2.1.2.1.1.1.1.0")
-    assert as_prog(fx.MULT).at(force_site) == VarV("mult")
+    assert paths.at(as_prog(fx.MULT), force_site) == VarV("mult")
     assert resolve_binder(fx.MULT, force_site) == RecBind((), 1)
     assert resolve_binder(fx.MULT, path_from_text("0.0")) == RecBind((), 1)
 

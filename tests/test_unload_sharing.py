@@ -61,6 +61,7 @@ from cbpv.syntax import (
     substitute,
 )
 
+import paths
 from conftest import names, relabel, terms
 from test_compile_oracle import DEPTHS, _count_calls, chain_text, sum_text, thunks_text
 from test_position_oracle import SHADOWING
@@ -151,13 +152,14 @@ def oracle_unload_e(prog, i, e):
             continue
         if not len(rest) or rest.binder != b:
             raise cek.IllFormedState(
-                f"no value for binder at {path_text(prog.path(b))} at {path_text(prog.path(anchor))}"
+                f"no value for binder at {path_text(paths.path(prog, b))}"
+                f" at {path_text(paths.path(prog, anchor))}"
             )
         anchor, rest = b, rest.rest
     if len(rest):
         raise cek.IllFormedState(
-            f"binder at {path_text(prog.path(rest.binder))} bound outside the scope of"
-            f" {path_text(prog.path(anchor))}"
+            f"binder at {path_text(paths.path(prog, rest.binder))} bound outside the scope of"
+            f" {path_text(paths.path(prog, anchor))}"
         )
     values = dict(e.items())
     env = None
@@ -392,12 +394,12 @@ def test_chains_that_are_not_the_scope_fail_like_the_oracle():
     for seed in range(0, 300, 3):
         m = gen_term(seed, seed % 26)
         prog = as_prog(m)
-        binders = [prog.pos(p) for p, node in iter_subterms(m) if type(node) in (Lam, Seq)]
+        binders = [paths.pos(prog, p) for p, node in iter_subterms(m) if type(node) in (Lam, Seq)]
         binders = binders or [0]  # no binder at all: the root, which binds nothing
         for p, _ in iter_subterms(m):
             for _ in range(3):
                 e = chain(*[(rng.choice(binders), NumP(1)) for _ in range(rng.randint(0, 3))])
-                i = prog.pos(p)
+                i = paths.pos(prog, p)
                 assert _outcome(peak._unload_e, prog, i, e) == _outcome(oracle_unload_e, prog, i, e)
 
 
@@ -492,7 +494,7 @@ def test_a_long_checks_table_holds_only_what_its_live_states_reach(m):
     # at the root and at the letrec's body, and the letrec frame every
     # environment of the run ends in
     assert "cons" not in prog.tables
-    assert set(prog.tables["empty"]) == {0, prog.pos((1,)), (RecFrame, 0)}
+    assert set(prog.tables["empty"]) == {0, paths.pos(prog, (1,)), (RecFrame, 0)}
 
 
 @pytest.mark.parametrize("text, letrec, binders", [
@@ -503,8 +505,8 @@ def test_anchors_inside_one_letrec_share_its_frame_over_a_cell(text, letrec, bin
     # the letrec's body and its then-branch are two anchors under the same
     # cell (the empty chain, or x's): the letrec's frame over it is one object
     prog = as_prog(parse_term(text))
-    e = chain(*[(prog.pos(p), NumP(0)) for p in binders])
-    body, then = prog.pos((0,) + letrec), prog.pos((1, 0) + letrec)
+    e = chain(*[(paths.pos(prog, p), NumP(0)) for p in binders])
+    body, then = paths.pos(prog, (0,) + letrec), paths.pos(prog, (1, 0) + letrec)
     a, b = peak._unload_e(prog, body, e), peak._unload_e(prog, then, e)
     assert type(a) is RecFrame and a is b
 
