@@ -5,9 +5,11 @@ becomes one block: an instruction plus its successor program points.
 Blocks are labelled by their position's id in the program's index
 (``syntax.Prog``), and so is every successor, code label, binder and
 destination: neither compile nor a step builds a path, and only
-``print_cfg``, ``records``, ``describe`` and ``UnknownPc`` show them.  The
-operand shapes are decided entirely at compile time from the static frames,
-so the machine dispatches on instructions alone and never inspects the term.
+``print_cfg``, ``records``, ``describe`` and ``UnknownPc`` show them.
+``compile``, ``load`` and ``unload`` take that Prog as the program, and a
+graph keeps it as ``Cfg.prog``.  The operand shapes are decided entirely
+at compile time from the static frames, so the machine dispatches on
+instructions alone and never inspects the term.
 States are shared with the instruction-pointer machine — only the transition
 function changes — which keeps the two machines comparable step by step.
 
@@ -68,8 +70,8 @@ from .syntax import (
     Prd,
     Seq,
     ThunkV,
+    Prog,
     VarV,
-    as_prog,
     derived,
     frozen,
     is_value,
@@ -178,7 +180,7 @@ class STUCK:
 class Cfg:
     entry: int
     blocks: dict  # position id -> (Instruction, successor ids); preorder
-    prog: object = field(compare=False, repr=False)  # the Prog the ids name positions of
+    prog: Prog = field(compare=False, repr=False)  # the Prog the ids name positions of
     # (binder id, name) of every Lam and Seq from compile's pass; None on a
     # graph built by hand, whose binders print_cfg then derives from the program
     binders: list = field(default=None, compare=False, repr=False)
@@ -219,8 +221,7 @@ def _push_args(e: Env, operands: tuple, kont: Frames) -> Frames:
 # compilation
 
 
-def compile(P) -> Cfg:
-    prog = as_prog(P)
+def compile(prog: Prog) -> Cfg:
     if is_value(prog.term):
         raise NotAComputation("values have no control flow")
     ix = _Index(prog)
@@ -395,10 +396,9 @@ def _block(ix: _Index, i: int, node, a):
 # execution
 
 
-def load(M):
-    """The program's graph and pek's load state.  The graph of the Prog
-    ``as_prog`` keeps is compiled once, so the checks of one term share it."""
-    prog = as_prog(M)
+def load(prog: Prog):
+    """The program's graph and pek's load state.  The graph is made through
+    ``derived``, so the checks of one term, which share its Prog, share it."""
     return derived(prog, compile), pek.load(prog)
 
 
@@ -406,7 +406,7 @@ def block_at(G: Cfg, pc: int):
     """The (instruction, successors) block at position id ``pc``."""
     block = G.blocks.get(pc)
     if block is None:
-        raise UnknownPc(as_prog(G.prog).path_text(pc))
+        raise UnknownPc(G.prog.path_text(pc))
     return block
 
 
@@ -492,8 +492,7 @@ def _execute(instr, succs, s: PekState):
     return Stuck(instr.reason)
 
 
-def unload(P, s: PekState):
-    prog = P.prog if isinstance(P, Cfg) else as_prog(P)
+def unload(prog: Prog, s: PekState):
     return cek.unload(peak.unload(prog, pek.unload(prog, s)))
 
 
@@ -560,7 +559,7 @@ def loc_names(G: Cfg) -> list:
     """``(binder id, listing name)`` of every Lam and Seq binder: its name,
     or ``name#k`` for the ``k``-th binder, from 0 in compile's preorder, of
     a name bound more than once."""
-    binders = G.binders if G.binders is not None else _Index(as_prog(G.prog)).binders
+    binders = G.binders if G.binders is not None else _Index(G.prog).binders
     counts, seen = Counter(name for _, name in binders), Counter()
     out = []
     for b, name in binders:
@@ -583,8 +582,7 @@ def print_cfg(G: Cfg) -> str:
 
 
 def records(G: Cfg) -> str:
-    prog = as_prog(G.prog)
-    text = prog.path_text
+    text = G.prog.path_text
     label = {p: i for i, p in enumerate(G.blocks)}
     rows = []
     for i, (p, (instr, succs)) in enumerate(G.blocks.items()):
@@ -609,6 +607,6 @@ def records(G: Cfg) -> str:
 def describe(G: Cfg, s: PekState, i: int) -> str:
     instr, _ = block_at(G, s.pc)
     return (
-        f"cfg {i}: pc={as_prog(G.prog).path_text(s.pc)} instr={type(instr).__name__}"
+        f"cfg {i}: pc={G.prog.path_text(s.pc)} instr={type(instr).__name__}"
         f" env={len(s.env)} kont={len(s.kont)}"
     )

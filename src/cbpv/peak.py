@@ -3,7 +3,8 @@
 States address subterms of a fixed program by position instead of
 carrying code: the program counter, every frame, every environment cell's
 binder and every closure's entry is a position id of the program's index
-(``syntax.Prog``), and an id means something only under that Prog.
+(``syntax.Prog``), and an id means something only under that Prog: the
+program every function here takes.
 The environment is a chain of immutable ``Env`` cells, one per Lam or Seq
 binder in scope at the program counter, innermost first: exactly those
 binders and no others, so ``len(env)`` is the number of Lam/Seq binders in
@@ -87,7 +88,6 @@ from .syntax import (
     Prd,
     Seq,
     ThunkV,
-    as_prog,
     binder_of,
     frozen,
 )
@@ -257,13 +257,15 @@ class PeakState:
 
 
 def _frame(prog, i: int):
-    """What the chain at position ``i`` must be: ``(letrecs, b, n)`` with the
-    letrecs between ``i`` and its innermost Lam/Seq binder (innermost
-    first), that binder's id (-1 without one) and the chain's length.  A
-    position's entry is its parent's, changed by the edge between them: a
-    Lam entered through its body or a Seq through its right component is
-    the new innermost binder, and a LetRec entered through any child adds
-    itself to the letrecs.  Each entry is made once."""
+    """What the chain at position ``i`` must be: ``(rec, b, n)`` with the
+    nearest letrec between ``i`` and its innermost Lam/Seq binder (-1
+    without one), that binder's id (-1 without one) and the chain's length.
+    The letrecs further out are the ones of ``rec``'s own entry, so the
+    entries link them as a chain and each entry is three ints, however deep
+    the letrecs nest.  A position's entry is its parent's, changed by the
+    edge between them: a Lam entered through its body or a Seq through its
+    right component is the new innermost binder, and a LetRec entered
+    through any child is the new nearest letrec.  Each entry is made once."""
     tab = prog.tables["frame"]
     r = tab.get(i)
     if r is not None:
@@ -273,15 +275,15 @@ def _frame(prog, i: int):
     while r is None:
         pending.append(i)
         i = parents[i]
-        r = ((), -1, 0) if i < 0 else tab.get(i)
+        r = (-1, -1, 0) if i < 0 else tab.get(i)
     for q in reversed(pending):  # then fill each one from its parent's
         par = parents[q]
         if par >= 0:
             t = type(nodes[par])
             if t is LetRec:
-                r = ((par,) + r[0], r[1], r[2])
+                r = (par, r[1], r[2])
             elif (t is Lam and heads[q] == 0) or (t is Seq and heads[q] == 1):
-                r = ((), par, r[2] + 1)
+                r = (-1, par, r[2] + 1)
         tab[q] = r
     return r
 
@@ -361,12 +363,11 @@ def _lookups(machine: str, entry, seq_frame):
             hit = tab[i] = (entry(prog, i, 1), _depth(prog, i))
         return hit
 
-    def delta(P, e: Env, args: Frames, kont: Frames = NIL) -> Frames:
+    def delta(prog, e: Env, args: Frames, kont: Frames = NIL) -> Frames:
         """Convert pending argument frames up to and including the first
         SEQ, and push them onto ``kont`` in the same order."""
         if not args.size:  # a force with no pending arguments converts nothing
             return kont
-        prog = as_prog(P)
         out = []
         while args.size:
             f, args = args.frame, args.rest
@@ -402,9 +403,8 @@ def load(m) -> PeakState:
     return PeakState(0, EMPTY, NIL, NIL)
 
 
-def advance(P, rho: PeakState) -> PeakState:
+def advance(prog, rho: PeakState) -> PeakState:
     """Descend search edges: Seq left, App body, letrec body."""
-    prog = as_prog(P)
     return _advance(prog, rho.pc, rho)[1]
 
 
@@ -471,8 +471,7 @@ def _advance(prog, i: int, rho: PeakState):
     return j, PeakState(j, rho.env, args, rho.kont)
 
 
-def step(P, rho: PeakState):
-    prog = as_prog(P)
+def step(prog, rho: PeakState):
     i, st = _advance(prog, rho.pc, rho)
     try:
         return _fire(prog, i, st)
@@ -599,7 +598,7 @@ def _unload_e(prog, i: int, e: Env):
         todo, env = asked.pop()
         while todo:
             level = todo.pop()
-            i, e, recs, b, make = level
+            i, e, r, b, make = level
             memo = e.memo_of(prog)
             if make:
                 v = e.value
@@ -610,11 +609,16 @@ def _unload_e(prog, i: int, e: Env):
                         asked += ((todo, env), _climb(prog, *need))
                         break
                 env = memo[_BIND] = cek.Bind(prog.nodes[b].binder, unload_v(prog, v), env)
-            for r in reversed(recs):  # one frame per letrec over the cell, whatever the anchor
-                rec = memo.get((cek.RecFrame, r))
-                if rec is None:
-                    rec = memo[cek.RecFrame, r] = cek.RecFrame(prog.nodes[r].defs, env)
-                env = rec
+            # one frame per letrec over the cell, whatever the anchor: the
+            # letrecs not framed yet, nearest first, go on the first one framed
+            recs = []
+            while r >= 0 and (cek.RecFrame, r) not in memo:
+                recs.append(r)
+                r = _frame(prog, r)[0]
+            if r >= 0:
+                env = memo[cek.RecFrame, r]
+            for r in reversed(recs):
+                env = memo[cek.RecFrame, r] = cek.RecFrame(prog.nodes[r].defs, env)
             memo[i] = env
     return env
 
@@ -622,19 +626,19 @@ def _unload_e(prog, i: int, e: Env):
 def _climb(prog, i: int, e: Env):
     """``(levels, env)`` for ``_unload_e``: the levels from ``i`` under ``e``
     up to what an earlier unload reached, innermost first, each
-    ``(anchor, cell, letrecs above the anchor, its innermost Lam/Seq
-    binder or -1, make the cell's binding?)``, and the environment reached,
-    which the outermost level is built on.  Checks every level and reports
-    the innermost one that is wrong."""
+    ``(anchor, cell, the nearest letrec above the anchor or -1, its
+    innermost Lam/Seq binder or -1, make the cell's binding?)``, and the
+    environment reached, which the outermost level is built on.  Checks
+    every level and reports the innermost one that is wrong."""
     todo = []
     while True:
-        recs, b, n = _frame(prog, i)
+        r, b, n = _frame(prog, i)
         if not n or not e.size:
-            todo.append((i, e, recs, b, False))
+            todo.append((i, e, r, b, False))
             env = None
             break
         env = e.memo_of(prog).get(_BIND)
-        todo.append((i, e, recs, b, env is None))
+        todo.append((i, e, r, b, env is None))
         if env is not None:
             break
         i, e = b, e.rest
@@ -758,8 +762,7 @@ def _cek_frames(prog, c: Frames, out: Frames) -> Frames:
     return Frames(_seq_frame(prog, f.pos, f.env), out)
 
 
-def unload(P, rho: PeakState) -> CekState:
-    prog = as_prog(P)
+def unload(prog, rho: PeakState) -> CekState:
     pc, args = _ascend(prog, rho.pc, rho.args)
     code, anchor = _entry_code(prog, pc)
     return CekState(
@@ -860,8 +863,7 @@ def _frame_faults(prog, f, out: list, seen: set):
         _chain_faults(prog, f.pos, f.env, "continuation frame", out, seen)
 
 
-def wf_check(P, rho: PeakState) -> WfReport:
-    prog = as_prog(P)
+def wf_check(prog, rho: PeakState) -> WfReport:
     violations = []
     seen = set()
 
@@ -895,8 +897,8 @@ def _encloses(prog, a: int, i: int) -> bool:
     return i == a
 
 
-def describe(P, rho: PeakState, i: int) -> str:
+def describe(prog, rho: PeakState, i: int) -> str:
     return (
-        f"peak {i}: pc={as_prog(P).path_text(rho.pc)} env={len(rho.env)}"
+        f"peak {i}: pc={prog.path_text(rho.pc)} env={len(rho.env)}"
         f" args={len(rho.args)} kont={len(rho.kont)}"
     )

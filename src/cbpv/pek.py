@@ -34,7 +34,8 @@ and closure entries hold ids, and the static tables (``_aframes``,
 position.  A step reads the next program counter off the index instead of
 building it, and so does the same static work however deep the program
 is.  Path text is made only at the edge: by ``describe`` and by
-``wf_check``'s messages.
+``wf_check``'s messages.  Every function here takes that Prog as the
+program.
 
 Environments are peak's immutable ``Env`` chains: exactly the Lam/Seq
 binders in scope at the position they belong to.  A bind makes one cell,
@@ -91,7 +92,6 @@ from .syntax import (
     Op,
     Prd,
     Seq,
-    as_prog,
     frozen,
 )
 
@@ -151,10 +151,10 @@ def _aframes(prog, i: int) -> Frames:
     return r
 
 
-def eta(P, i: int) -> int:
+def eta(prog, i: int) -> int:
     """Advance position ``i`` through search nodes to the next instruction
     position: where PEAK's advancement lands (``peak._descent``)."""
-    return peak._descent(as_prog(P), i)
+    return peak._descent(prog, i)
 
 
 def _next(prog, i: int, j: int) -> int:
@@ -173,13 +173,11 @@ _gamma, _operand, _seq_exit, delta = _lookups(
 # stepping
 
 
-def load(P) -> PekState:
-    prog = as_prog(P)
+def load(prog) -> PekState:
     return PekState(eta(prog, 0), EMPTY, NIL)
 
 
-def step(P, s: PekState):
-    prog = as_prog(P)
+def step(prog, s: PekState):
     try:
         return _fire(prog, s)
     except MissingBinding:
@@ -244,10 +242,9 @@ def _fire(prog, s: PekState):
 # unloading to PEAK
 
 
-def unload(P, s: PekState) -> PeakState:
+def unload(prog, s: PekState) -> PeakState:
     """The PEAK state of ``s``; IllFormedState when its pc or a return
     frame's Seq is an id that names no position."""
-    prog = as_prog(P)
     kont = _unload_k(prog, s.kont)
     if not 0 <= s.pc < len(prog.nodes):
         raise cek.IllFormedState(f"pc at no position {s.pc!r}")
@@ -285,8 +282,7 @@ def _entry_fault(prog, entry: int):
     return None
 
 
-def wf_check(P, s: PekState) -> WfReport:
-    prog = as_prog(P)
+def wf_check(prog, s: PekState) -> WfReport:
     violations = []
     seen = set()
     fault = _entry_fault(prog, s.pc)
@@ -312,5 +308,5 @@ def _frame_faults(prog, f, out: list, seen: set):
 # trace support
 
 
-def describe(P, s: PekState, i: int) -> str:
-    return f"pek {i}: pc={as_prog(P).path_text(s.pc)} env={len(s.env)} kont={len(s.kont)}"
+def describe(prog, s: PekState, i: int) -> str:
+    return f"pek {i}: pc={prog.path_text(s.pc)} env={len(s.env)} kont={len(s.kont)}"

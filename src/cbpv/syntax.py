@@ -400,9 +400,11 @@ class Prog:
     it refers to nothing, so such a memo never keeps the Prog alive, and
     one that the Prog's tables reach makes no cycle through it.
 
-    Every public function that takes a program accepts either a plain Term
-    or a Prog.  A Term is turned into a Prog by ``as_prog``, which keeps the
-    last one it built, so every check of one term shares one index.
+    peak, pek and cfg take a Prog as their program, never a term.  A term
+    becomes a Prog at the edge, in the functions that take source terms
+    (``harness.machine``, the checks, ``rewrite`` and the CLI), through
+    ``as_prog``, which keeps the last one it built, so every check of one
+    term shares one index.
     """
 
     __slots__ = ("term", "nodes", "parents", "heads", "first", "tables", "token")

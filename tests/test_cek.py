@@ -26,7 +26,6 @@ from cbpv.cek import (
 )
 from cbpv.parser import parse_term
 from cbpv.sos import (
-    AwaitingArgument,
     BareArith,
     ProducedValue,
     Stuck,

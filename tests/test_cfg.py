@@ -156,20 +156,20 @@ def test_operand_evaluation_agrees_with_gamma(t):
 
 
 def test_compile_single_return():
-    g = compile(parse_term("prd 0"))
+    g = compile(as_prog(parse_term("prd 0")))
     assert g.entry == 0
     assert at_paths(g.prog, g.blocks) == {(): (RET(NAT(0)), ())}
 
 
 def test_compile_rejects_values():
     with pytest.raises(NotAComputation):
-        compile(NumV(3))
+        compile(as_prog(NumV(3)))
     with pytest.raises(NotAComputation):
-        compile(ThunkV(Prd(NumV(1))))
+        compile(as_prog(ThunkV(Prd(NumV(1)))))
 
 
 def test_compile_open_arith():
-    assert print_cfg(compile(fx.OPEN_ADD)) == "0: OPRET ADD a b []"
+    assert print_cfg(compile(as_prog(fx.OPEN_ADD))) == "0: OPRET ADD a b []"
 
 
 def test_compile_mult_listing():
@@ -177,14 +177,14 @@ def test_compile_mult_listing():
 
 
 def test_compile_stuck_positions():
-    g = compile(parse_term("1 . prd 2"))
+    g = compile(as_prog(parse_term("1 . prd 2")))
     assert g.blocks[paths.pos(g.prog, (1,))] == (STUCK(StuckReason.ApplyNonFunction), ())
-    g = compile(parse_term("(\\x. prd x) to w in prd w"))
+    g = compile(as_prog(parse_term("(\\x. prd x) to w in prd w")))
     assert g.blocks[paths.pos(g.prog, (0,))] == (STUCK(StuckReason.SequencedNonProducer), ())
 
 
 def test_compile_call_saves_binding_site():
-    g = compile(parse_term("force thunk { prd 5 } to x in prd x"))
+    g = compile(as_prog(parse_term("force thunk { prd 5 } to x in prd x")))
     instr, succs = at_paths(g.prog, g.blocks)[(0,)]
     assert instr == CALL(LBL((0, 0, 0), 0), (), (), 0)
     assert succs == ((1,),)
@@ -205,13 +205,13 @@ def _closed_graph(g):
 
 def test_graphs_are_closed():
     for m in fx.PROGRAMS.values():
-        _closed_graph(compile(m))
+        _closed_graph(compile(as_prog(m)))
 
 
 @settings(deadline=None)
 @given(terms)
 def test_generated_graphs_are_closed(t):
-    _closed_graph(compile(t))
+    _closed_graph(compile(as_prog(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +219,7 @@ def test_generated_graphs_are_closed(t):
 
 
 def test_arith_seq_runs_on_the_graph():
-    g, s = load(fx.ARITH_SEQ)
+    g, s = load(as_prog(fx.ARITH_SEQ))
     assert at_paths(g.prog, g.blocks[s.pc][0]) == OP(NAT(1), ArithOp.ADD, NAT(2), (), 0)
     s1 = step(g, s)
     assert at_paths(g.prog, s1) == PekState((1,), chain(((), NumP(3))), NIL)
@@ -227,7 +227,7 @@ def test_arith_seq_runs_on_the_graph():
 
 
 def test_call_saves_caller_environment():
-    g, s = load(parse_term("force thunk { prd 5 } to x in prd x"))
+    g, s = load(as_prog(parse_term("force thunk { prd 5 } to x in prd x")))
     s1 = step(g, s)
     assert at_paths(g.prog, s1) == PekState((0, 0, 0), EMPTY, frames(KRet((), (1,), EMPTY)))
     s2 = step(g, s1)
@@ -236,7 +236,7 @@ def test_call_saves_caller_environment():
 
 
 def test_tail_call_pushes_no_return_frame():
-    g, s = load(fx.MULT_CALL)
+    g, s = load(as_prog(fx.MULT_CALL))
     s1 = step(g, s)
     assert at_paths(g.prog, s1) == PekState(
         (1,), EMPTY, frames(KArg(NumP(2)), KArg(NumP(3)), KArg(NumP(0)))
@@ -244,19 +244,19 @@ def test_tail_call_pushes_no_return_frame():
 
 
 def test_unknown_pc_raises():
-    g, _ = load(fx.ARITH_SEQ)
+    g, _ = load(as_prog(fx.ARITH_SEQ))
     with pytest.raises(UnknownPc, match="^no position 99$"):
         step(g, PekState(99, EMPTY, NIL))  # no position of the program has that id
 
 
 def test_describe_of_an_unknown_pc_raises_unknown_pc():
-    g, _ = load(fx.ARITH_SEQ)
+    g, _ = load(as_prog(fx.ARITH_SEQ))
     with pytest.raises(UnknownPc, match=r"^0\.1$"):
         describe(g, PekState(paths.pos(g.prog, (1, 0)), EMPTY, NIL), 0)  # the Op's rhs, a value
 
 
 def test_blocks_are_keyed_by_the_position_id_of_each_instruction():
-    g, _ = load(fx.MULT_CALL)
+    g, _ = load(as_prog(fx.MULT_CALL))
     instructions = [p for p, node in iter_subterms(g.prog.term)
                     if type(node).__name__ in ("Force", "Prd", "Lam", "If0", "Op")]
     assert list(g.blocks) == [paths.pos(g.prog, p) for p in instructions]  # in preorder
@@ -267,7 +267,7 @@ def test_blocks_are_keyed_by_the_position_id_of_each_instruction():
 
 
 def test_a_replaced_graph_finds_its_own_blocks():
-    g, _ = load(fx.MULT_CALL)
+    g, _ = load(as_prog(fx.MULT_CALL))
     swapped = {p: (STUCK(StuckReason.UnboundPath), ()) for p in g.blocks}
     h = dataclasses.replace(g, blocks=swapped)
     for p in g.blocks:
@@ -276,7 +276,7 @@ def test_a_replaced_graph_finds_its_own_blocks():
 
 def test_a_positional_graph_built_by_hand_steps_and_describes():
     # criterion 11's mutant rebuilds the graph as Cfg(entry, blocks, prog)
-    g, s = load(fx.MULT_CALL)
+    g, s = load(as_prog(fx.MULT_CALL))
     by_hand = Cfg(g.entry, dict(g.blocks), g.prog)
     assert by_hand.binders is None and print_cfg(by_hand) == print_cfg(g)
     assert by_hand == g
@@ -292,7 +292,7 @@ def test_a_positional_graph_built_by_hand_steps_and_describes():
 
 
 def test_stuck_block_reports_its_reason():
-    g, s = load(parse_term("1 . prd 2"))
+    g, s = load(as_prog(parse_term("1 . prd 2")))
     assert step(g, s) == Stuck(StuckReason.ApplyNonFunction)
 
 
@@ -331,15 +331,15 @@ def test_lockstep_on_generated_terms(t):
 
 def test_unload_of_initial_state():
     for m in fx.PROGRAMS.values():
-        g, s = load(m)
-        assert alpha_eq(unload(g, s), m)
+        g, s = load(as_prog(m))
+        assert alpha_eq(unload(g.prog, s), m)
 
 
 def test_unload_after_one_step_matches_structural_residual():
-    g, s = load(fx.ARITH_SEQ)
+    g, s = load(as_prog(fx.ARITH_SEQ))
     s1 = step(g, s)
     r = sos.step(fx.ARITH_SEQ)
-    assert alpha_eq(unload(g, s1), r.term)
+    assert alpha_eq(unload(g.prog, s1), r.term)
 
 
 # ---------------------------------------------------------------------------
@@ -359,14 +359,14 @@ def test_records_shape():
 
 
 def test_record_paths_are_root_first():
-    out = records(compile(fx.ARITH_SEQ))
+    out = records(compile(as_prog(fx.ARITH_SEQ)))
     first = out.split("\n")[0].split("\t")
     assert first[1] == "0"
     assert "DST:ε" in first[3]
 
 
 def test_describe_format():
-    g, s = load(fx.ARITH_SEQ)
+    g, s = load(as_prog(fx.ARITH_SEQ))
     assert describe(g, s, 0) == "cfg 0: pc=0 instr=OP env=0 kont=0"
 
 
@@ -474,7 +474,7 @@ def test_emission_agrees_with_the_oracle():
     open_terms = [gen_term(seed, seed % 26, closed=False) for seed in range(500)]
     kinds = set()
     for m in list(fx.PROGRAMS.values()) + closed + open_terms:
-        g = compile(m)
+        g = compile(as_prog(m))
         assert print_cfg(g) == _oracle_print_cfg(g), m
         assert records(g) == _oracle_records(g), m
         kinds.update(type(instr) for instr, _ in g.blocks.values())
@@ -484,7 +484,7 @@ def test_emission_agrees_with_the_oracle():
 def test_duplicate_binder_names_are_disambiguated():
     # the k-th binder of a name bound more than once, in compile's
     # preorder, is listed ``name#k``
-    g = compile(parse_term("1 + 1 to x in 2 + 2 to x in prd x"))
+    g = compile(as_prog(parse_term("1 + 1 to x in 2 + 2 to x in prd x")))
     assert print_cfg(g).splitlines() == [
         "0: OP ADD 1 1 x#0 [1]",
         "1: OP ADD 2 2 x#1 [2]",

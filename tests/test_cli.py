@@ -23,7 +23,7 @@ from cbpv.cli import main
 from cbpv.cfg import IF0
 from cbpv.parser import ParseError, parse_term
 from cbpv.printer import print_term
-from cbpv.syntax import NumV, Prd, alpha_eq, as_prog
+from cbpv.syntax import NumV, Prd, alpha_eq
 
 from conftest import terms
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 
 import cbpv.fixtures as fx
-from cbpv import cfg, harness, pek, syntax
+from cbpv import harness, pek, syntax
 from cbpv.cfg import (
     CALL,
     IF0,
@@ -156,7 +156,7 @@ def oracle_compile(m):
 
 
 def _agrees(m):
-    g = compile(m)
+    g = compile(as_prog(m))
     entry, blocks = oracle_compile(m)
     assert paths.path(g.prog, g.entry) == entry
     got = at_paths(g.prog, g.blocks)
@@ -335,7 +335,7 @@ def test_print_cfg_of_a_hand_built_graph_matches_the_compiled_one():
         parse_term("1 + 1 to x in 2 + 2 to x in prd x"),
         parse_term(chain_text(7)),
     ]:
-        g = compile(m)
+        g = compile(as_prog(m))
         entry, blocks = oracle_compile(m)
         prog = as_prog(m)
         by_hand = Cfg(paths.pos(prog, entry), at_ids(prog, blocks), prog)

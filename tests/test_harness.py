@@ -214,7 +214,7 @@ def _jumps_past_the_last_node(real, jumped):
     def step(G, s):
         r = real(G, s)
         if type(r) is pek.PekState:
-            jumped.append(len(as_prog(G.prog).nodes) + 2)
+            jumped.append(len(G.prog.nodes) + 2)
             return pek.PekState(jumped[-1], r.env, r.kont)
         return r
     return step
@@ -269,7 +269,7 @@ def test_a_binder_that_names_no_position_is_reported(monkeypatch, capsys, tmp_pa
         "sos/cfg step 1: expected prd 1, got 'state does not unload:"
         f" binder at no position {stray} bound outside the scope of ε'"
     ]
-    g, s = cfg.load(m)
+    g, s = cfg.load(as_prog(m))
     wf = pek.wf_check(g.prog, cfg.step(g, s))
     assert wf.violations == (
         f"pc: binder at no position {stray} bound outside the scope of position ε",
@@ -395,7 +395,7 @@ def test_every_check_of_one_term_shares_its_prog_and_graph(monkeypatch):
     assert all(r.ok for r in reports)
     assert rewrite.validate(term, term)  # the graph route runs the term twice
     assert len(progs) == 1 and len(compiles) == 1
-    assert cfg.load(term)[0] is cfg.load(progs[0])[0]
+    assert cfg.load(as_prog(term))[0] is cfg.load(progs[0])[0]
     # every check reads a node's children once, through the one index
     assert len(reads) == len({id(node) for (node,) in reads})
     assert not texts  # no check that passes names a position by path
@@ -406,9 +406,9 @@ def test_prog_and_compile_still_build_afresh(monkeypatch):
     kept = as_prog(term)
     assert as_prog(term) is kept and Prog(term) is not kept
     reads = _count_calls(monkeypatch, syntax, "children")
-    first = cfg.compile(term)
+    first = cfg.compile(as_prog(term))
     assert len(reads) == 3 and len(kept.nodes) == 6  # the Seq's, Op's and Prd's children
-    again = cfg.compile(term)
+    again = cfg.compile(as_prog(term))
     assert again is not first and again.blocks is not first.blocks and again == first
     assert len(reads) == 3 and len(kept.nodes) == 6  # the kept Prog's index is kept
 

@@ -5,7 +5,7 @@ with ``at_ids``/``at_paths`` under the one Prog a state belongs to."""
 
 from hypothesis import given, settings
 
-from cbpv import cek, harness, peak, sos
+from cbpv import cek, harness, peak
 from cbpv.cek import NIL, frames
 from cbpv import fixtures as fx
 from cbpv.parser import parse_term
@@ -38,7 +38,7 @@ from cbpv.sos import (
     StuckReason,
     Terminal,
 )
-from cbpv.syntax import LetRec, NumV, Prd, VarV, as_prog, iter_subterms
+from cbpv.syntax import LetRec, Prd, VarV, as_prog, iter_subterms
 
 import paths
 from conftest import at_ids, at_paths, close_term, terms

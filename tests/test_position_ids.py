@@ -2,8 +2,9 @@
 
 peak, pek and cfg name every position by its id in the program's index
 (``syntax.Prog``), and build a path only at the edge (traces, listings,
-messages).  So a run builds no path, and compile's memory and a checked
-run's time grow in proportion to the program.
+messages).  So a run builds no path, nor turns its term into a Prog again,
+and compile's memory and a checked run's time grow in proportion to the
+program.
 """
 
 import gc
@@ -14,6 +15,7 @@ import tracemalloc
 import pytest
 
 from cbpv import cfg, harness, peak, pek, syntax
+from cbpv import fixtures as fx
 from cbpv.parser import parse_term
 from cbpv.sos import Stuck, Terminal
 from cbpv.syntax import Prog, as_prog
@@ -53,6 +55,44 @@ def test_a_run_builds_no_path(monkeypatch, family):
     assert made == []
 
 
+@pytest.mark.parametrize("name", ["peak", "pek", "cfg"])
+def test_a_run_turns_no_term_into_a_prog(name):
+    # peak, pek and cfg take the Prog they run over: the term becomes one
+    # when the machine is loaded, and neither a step nor a trace line
+    # converts it again
+    mach = harness.machine(name, fx.mult_call(3, 30, 0))
+    calls, code = [], syntax.as_prog.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is code:
+            calls.append(frame.f_back.f_code.co_name)  # the caller, should one fail
+
+    sys.setprofile(profile)
+    try:
+        halt, steps, _ = harness.run(mach, 10**4, mach.describe)
+    finally:
+        sys.setprofile(None)
+    assert type(halt) is Terminal and steps > 100
+    assert calls == []
+
+
+def test_a_letrec_nest_takes_memory_in_proportion_to_its_depth():
+    # A position's static frame names only its nearest letrec, the next one
+    # out being that letrec's own: about 3.9 times from 1,000 to 2,000 deep
+    # when each frame kept every letrec up to its binder, n(n+1)/2 ids in all
+    peaks = {}
+    for n in (1000, 2000):
+        term = parse_term("letrec f = prd 0 in " * n + "force f")
+        tracemalloc.start()
+        try:
+            halt, _, _ = harness.run(harness.machine("pek", term), 100)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert type(halt) is Terminal
+    assert peaks[2000] <= 2.5 * peaks[1000], peaks
+
+
 def test_compile_memory_grows_with_the_program():
     peaks = {}
     for n in (1000, 4000):
@@ -75,7 +115,7 @@ def test_records_memory_is_a_small_multiple_of_the_output(n):
     # climbing keeps nothing: about 3 times the output, where keeping one
     # path tuple per position came to about 5.7 times.
     term = parse_term("(" * n + "prd 0" + " to x in prd x)" * n)
-    g = cfg.compile(term)
+    g = cfg.compile(as_prog(term))
     tracemalloc.start()
     try:
         out = cfg.records(g)

@@ -13,7 +13,6 @@ from cbpv.rewrite import (
     ALL_RULES,
     NoMatch,
     RuleId,
-    ValidationReport,
     apply_rule,
     find_redexes,
     log_lines,
